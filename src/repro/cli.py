@@ -21,7 +21,8 @@ Subcommands
 ``watch <dir>``
     Continuously re-verify a directory of Helm charts: each round rescans
     the directory, re-evaluates only the charts whose inputs changed
-    (byte-identical to from-scratch) and prints one summary line.
+    (byte-identical to from-scratch) and prints one summary line.  A chart
+    directory that cannot be loaded is counted as quarantined, not fatal.
 ``attack concourse|thanos``
     Run one of the Section 2.1 proof-of-concept attacks.
 """

@@ -61,13 +61,19 @@ so content addressing does the reuse and every journal generation is
 totally ordered by epoch.  ``repro sweep --since DIR`` is the CLI spelling.
 
 ``insidejob watch <dir>`` drives :func:`watch_directory`: scan a directory
-of on-disk charts (:meth:`repro.helm.Chart.from_directory`), evaluate the
-delta against the previous round, print one summary line per round.
+of on-disk charts, evaluate the delta against the previous round, print one
+summary line per round.  The rescan is content-keyed
+(:func:`scan_chart_directory`): a directory whose bytes, path and
+behaviours held since the last round yields the previous round's chart
+object, so only edited directories are parsed again.
 """
 
 from __future__ import annotations
 
+import os
 import time
+import traceback
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -80,9 +86,11 @@ from ..core import (
     MisconfigurationAnalyzer,
 )
 from ..datasets import BuiltApplication, build_catalog, catalog_fingerprints
-from ..helm import Chart
+from ..helm import Chart, ChartSource, ValuesError
 from ..store import ResultStore, read_prior_state
 from .evaluation import (
+    FAILURE_STAGE_LOAD,
+    AnalysisFailure,
     AnalyzedApplication,
     EvaluationResult,
     _PoolSweep,
@@ -237,6 +245,9 @@ class DeltaEvaluator:
         #: Completed delta rounds (the in-memory analogue of a journal epoch).
         self.rounds = 0
         self._last: EvaluationResult | None = None
+        #: The chart set of the last round, replaced every round: a watch
+        #: rescan reuses its objects for directories whose bytes held.
+        self._charts: list = []
         #: Classifier fingerprints by application object identity.  A prior
         #: result's entries are the very objects classified in an earlier
         #: round, so their fingerprints never need re-hashing; pruned each
@@ -401,6 +412,7 @@ class DeltaEvaluator:
         ``resume`` only applies to the durable path (journal continuity).
         """
         applications = list(applications) if applications is not None else build_catalog()
+        self._charts = applications
         if self.store is not None:
             return self._evaluate_durable(
                 applications,
@@ -580,6 +592,10 @@ class DeltaEvaluator:
 # Watch mode ------------------------------------------------------------------
 
 
+#: The dataset every watched chart (and every load failure) belongs to.
+WATCH_DATASET = "watch"
+
+
 @dataclass
 class WatchedChart:
     """An on-disk chart under watch, quacking like a ``BuiltApplication``.
@@ -590,12 +606,17 @@ class WatchedChart:
     registry: unregistered images behave faithfully, the right null
     hypothesis for charts we have never observed.  Plain picklable, so
     pooled delta rounds fan watched charts out like catalogue ones.
+
+    ``scan_key`` is what the chart was loaded from: its directory, the
+    digest of its files' bytes and the behaviours fingerprint at load
+    time.  A rescan returns this very object while all three hold.
     """
 
     chart: Chart
     behaviors: BehaviorRegistry = field(default_factory=BehaviorRegistry)
-    dataset: str = "watch"
+    dataset: str = WATCH_DATASET
     use_case: str = "watch"
+    scan_key: tuple[str, str, str] | None = field(default=None, repr=False, compare=False)
     _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -610,9 +631,60 @@ class WatchedChart:
         return self._fingerprint
 
 
+class ChartScan(list):
+    """The charts one directory scan loaded, in name order, plus what failed.
+
+    A plain list of :class:`WatchedChart`, so any sweep takes it as its
+    application list.  ``failed`` holds one ``load``-stage
+    :class:`~repro.experiments.evaluation.AnalysisFailure` per directory
+    that could not be loaded; ``reused`` counts the charts taken over from
+    the previous scan.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.failed: list[AnalysisFailure] = []
+        self.reused = 0
+
+    @property
+    def stats(self) -> dict[str, int]:
+        """Chart directories found, and how many were reused, parsed or failed."""
+        return {
+            "dirs": len(self) + len(self.failed),
+            "reused": self.reused,
+            "parsed": len(self) - self.reused,
+            "load_failed": len(self.failed),
+        }
+
+
+def _chart_directories(base: Path) -> list[Path]:
+    """``base`` itself when it holds a ``Chart.yaml``, else its subdirectories."""
+    if (base / "Chart.yaml").is_file():
+        return [base]
+    try:
+        with os.scandir(base) as listing:
+            names = sorted(entry.name for entry in listing if entry.is_dir())
+    except (FileNotFoundError, NotADirectoryError):
+        return []
+    return [base / name for name in names]
+
+
+def _load_failure(directory: Path, exc: Exception) -> AnalysisFailure:
+    return AnalysisFailure(
+        dataset=WATCH_DATASET,
+        name=directory.name,
+        stage=FAILURE_STAGE_LOAD,
+        error_type=type(exc).__name__,
+        message=str(exc),
+        traceback="".join(traceback.format_exception(exc)),
+    )
+
+
 def scan_chart_directory(
-    root: Path | str, behaviors: BehaviorRegistry | None = None
-) -> list[WatchedChart]:
+    root: Path | str,
+    behaviors: BehaviorRegistry | None = None,
+    previous: Iterable = (),
+) -> ChartScan:
     """Scan ``root`` for chart directories, sorted by name.
 
     ``root`` itself is the single chart when it holds a ``Chart.yaml``;
@@ -620,31 +692,36 @@ def scan_chart_directory(
     ``values.yaml`` or a ``templates/`` directory is one chart.  Rescanned
     every watch round -- charts added to or removed from the directory
     show up as ``added`` / removed in the next delta plan.
+
+    Content-keyed: each directory's files are read once as bytes
+    (:class:`~repro.helm.ChartSource`) and digested.  A chart in
+    ``previous`` loaded from the same directory, with the same digest,
+    under the same behaviours fingerprint is returned as the very same
+    object; any other chart is parsed from the bytes just digested.  A
+    directory that cannot be loaded (unreadable, not UTF-8, malformed
+    YAML) lands on ``failed`` instead of aborting the scan; a file or
+    directory that vanishes mid-scan counts as absent.
     """
-    base = Path(root)
     registry = behaviors if behaviors is not None else BehaviorRegistry()
-    if (base / "Chart.yaml").is_file():
-        candidates = [base]
-    elif base.is_dir():
-        candidates = sorted(
-            (
-                child
-                for child in base.iterdir()
-                if child.is_dir()
-                and (
-                    (child / "Chart.yaml").is_file()
-                    or (child / "values.yaml").is_file()
-                    or (child / "templates").is_dir()
-                )
-            ),
-            key=lambda child: child.name,
-        )
-    else:
-        candidates = []
-    return [
-        WatchedChart(chart=Chart.from_directory(candidate), behaviors=registry)
-        for candidate in candidates
-    ]
+    behaviors_fp = registry.fingerprint()
+    reusable = {chart.scan_key: chart for chart in previous if isinstance(chart, WatchedChart)}
+    scan = ChartScan()
+    for directory in _chart_directories(Path(root)):
+        try:
+            source = ChartSource.read(directory)
+            if not source.is_chart:
+                continue
+            key = (str(directory), source.digest(), behaviors_fp)
+            chart = reusable.get(key)
+            if chart is None:
+                chart = WatchedChart(chart=source.parse(), behaviors=registry, scan_key=key)
+            else:
+                scan.reused += 1
+        except (OSError, UnicodeDecodeError, ValuesError) as exc:
+            scan.failed.append(_load_failure(directory, exc))
+            continue
+        scan.append(chart)
+    return scan
 
 
 def format_watch_round(round_number: int, result: EvaluationResult) -> str:
@@ -672,6 +749,16 @@ def format_watch_round(round_number: int, result: EvaluationResult) -> str:
     return line
 
 
+def _with_failures(
+    result: EvaluationResult, failures: list[AnalysisFailure]
+) -> EvaluationResult:
+    """A copy of ``result`` with ``failures`` appended (``result`` is untouched)."""
+    merged = EvaluationResult(analyzed=list(result.analyzed), failed=result.failed + failures)
+    merged.store_stats = result.store_stats
+    merged.delta_stats = result.delta_stats
+    return merged
+
+
 def watch_directory(
     root: Path | str,
     rounds: int = 0,
@@ -684,19 +771,29 @@ def watch_directory(
 ) -> EvaluationResult | None:
     """Re-verify a chart directory every ``interval`` seconds.
 
-    Each round rescans ``root``, runs one delta round against the previous
-    one (first round: everything ``added``) and prints one summary line.
-    ``rounds`` bounds the loop (0 = until interrupted); Ctrl-C exits
-    cleanly with the last result.  ``on_round(number, result)`` is the
-    programmatic hook the tests and any CI wrapper drive.
+    Each round rescans ``root`` (reusing the evaluator's previous charts
+    for directories whose bytes held), runs one delta round against the
+    previous one (first round: everything ``added``) and prints one
+    summary line.  A directory that cannot be loaded is quarantined on the
+    round's ``result.failed`` and re-read the next round; the rest of the
+    round proceeds.  ``delta_stats["scan"]`` records the scan's
+    accounting (:attr:`ChartScan.stats`).  ``rounds`` bounds the loop
+    (0 = until interrupted); Ctrl-C exits cleanly with the last result.
+    ``on_round(number, result)`` is the programmatic hook the tests and
+    any CI wrapper drive.
     """
     evaluator = evaluator or DeltaEvaluator()
     completed = 0
     result: EvaluationResult | None = None
     try:
         while True:
-            charts = scan_chart_directory(root, behaviors=behaviors)
-            result = evaluator.evaluate(charts)
+            scan = scan_chart_directory(root, behaviors=behaviors, previous=evaluator._charts)
+            result = evaluator.evaluate(scan)
+            result.delta_stats["scan"] = scan.stats
+            if scan.failed:
+                # Load failures stay out of the evaluator's prior state, so
+                # a directory that stays broken does not read as removed.
+                result = _with_failures(result, scan.failed)
             completed += 1
             printer(format_watch_round(completed, result))
             if on_round is not None:

@@ -98,9 +98,11 @@ USE_CASE_OF_DATASET = {
 }
 
 #: Failure stages beyond the analyzer's render/observe/rules: the worker
-#: process died (crash or kill), or the per-chart watchdog fired.
+#: process died (crash or kill), the per-chart watchdog fired, or a watched
+#: chart directory could not be loaded.
 FAILURE_STAGE_WORKER = "worker"
 FAILURE_STAGE_TIMEOUT = "timeout"
+FAILURE_STAGE_LOAD = "load"
 
 #: Watchdog poll interval and the ceiling on retry backoff sleeps.
 _POLL_S = 0.02
@@ -112,9 +114,11 @@ class AnalysisFailure:
     """One chart the sweep could not analyze, with full attribution.
 
     ``stage`` is one of the analyzer's pipeline stages (``render`` /
-    ``observe`` / ``rules``), or ``worker`` (the worker process died) or
-    ``timeout`` (the per-chart watchdog fired).  ``attempts`` counts how
-    many times the chart was tried before being quarantined.
+    ``observe`` / ``rules``), or ``worker`` (the worker process died),
+    ``timeout`` (the per-chart watchdog fired) or ``load`` (a watched
+    chart directory could not be read or parsed; ``name`` is the
+    directory name).  ``attempts`` counts how many times the chart was
+    tried before being quarantined.
     """
 
     dataset: str

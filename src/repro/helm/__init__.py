@@ -5,7 +5,14 @@ Go-template subset engine, and produces typed Kubernetes objects the analyzer
 and cluster simulator consume.
 """
 
-from .chart import Chart, ChartDependency, ChartMetadata, ChartRepository, ChartTemplate
+from .chart import (
+    Chart,
+    ChartDependency,
+    ChartMetadata,
+    ChartRepository,
+    ChartSource,
+    ChartTemplate,
+)
 from .errors import ChartError, HelmError, RenderError, TemplateError, ValuesError
 from .render_cache import RenderCache, shared_render_cache
 from .renderer import HelmRenderer, ReleaseInfo, RenderedChart, render_chart
@@ -37,6 +44,7 @@ __all__ = [
     "ChartError",
     "ChartMetadata",
     "ChartRepository",
+    "ChartSource",
     "ChartTemplate",
     "CompiledTemplate",
     "HelmError",

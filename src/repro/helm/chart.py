@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import marshal
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -209,32 +211,125 @@ class Chart:
         every file under ``templates/`` (sorted, so the content
         fingerprint is stable across filesystems).  Dependencies are not
         resolved from disk: watch mode treats each directory as a
-        standalone chart.
+        standalone chart.  The same reader and parser serve watch mode's
+        rescan (:class:`ChartSource`).
+        """
+        return ChartSource.read(path).parse()
+
+
+def _entries(path: Path | str) -> dict[str, os.DirEntry] | None:
+    """The entries of directory ``path`` by name; ``None`` when it is absent."""
+    try:
+        with os.scandir(path) as listing:
+            return {entry.name: entry for entry in listing}
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+
+
+def _read_file(entry: os.DirEntry | None) -> bytes | None:
+    """The bytes of a regular file; ``None`` when it is absent or vanished."""
+    if entry is None or not entry.is_file():
+        return None
+    try:
+        with open(entry.path, "rb") as handle:
+            return handle.read()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        return None
+
+
+def _decode(data: bytes) -> str:
+    """UTF-8 text with universal newlines, exactly as ``Path.read_text`` reads."""
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+@dataclass(frozen=True)
+class ChartSource:
+    """The files of one on-disk chart directory, read once as raw bytes.
+
+    The one loader behind :meth:`Chart.from_directory` and watch mode's
+    rescan: :meth:`read` takes the bytes, :meth:`digest` keys them and
+    :meth:`parse` builds the chart from exactly those bytes, so the files
+    cannot change between the digest and the parse.  ``None`` marks an
+    absent ``Chart.yaml``, ``values.yaml`` or ``templates/`` -- missing,
+    of another file type, or vanished between listing and reading.
+    ``templates`` holds ``(file name, bytes)`` pairs sorted by name.
+    """
+
+    path: Path
+    chart_yaml: bytes | None = None
+    values_yaml: bytes | None = None
+    templates: tuple[tuple[str, bytes], ...] | None = None
+
+    @classmethod
+    def read(cls, path: Path | str) -> "ChartSource":
+        """Read a chart directory's files; an absent directory reads as empty.
+
+        Errors other than absence (a permission error, say) propagate.
         """
         root = Path(path)
-        meta: dict[str, Any] = {}
-        chart_yaml = root / "Chart.yaml"
-        if chart_yaml.is_file():
-            loaded = load_values(chart_yaml.read_text(encoding="utf-8"))
-            if isinstance(loaded, dict):
-                meta = loaded
-        values_file = root / "values.yaml"
-        chart = cls(
+        entries = _entries(root) or {}
+        templates_dir = entries.get("templates")
+        listing = (
+            _entries(templates_dir.path)
+            if templates_dir is not None and templates_dir.is_dir()
+            else None
+        )
+        templates = None
+        if listing is not None:
+            files = []
+            for name in sorted(listing):
+                data = _read_file(listing[name])
+                if data is not None:
+                    files.append((name, data))
+            templates = tuple(files)
+        return cls(
+            path=root,
+            chart_yaml=_read_file(entries.get("Chart.yaml")),
+            values_yaml=_read_file(entries.get("values.yaml")),
+            templates=templates,
+        )
+
+    @property
+    def is_chart(self) -> bool:
+        """Whether the directory holds a ``Chart.yaml``, ``values.yaml`` or ``templates/``."""
+        return (
+            self.chart_yaml is not None
+            or self.values_yaml is not None
+            or self.templates is not None
+        )
+
+    def digest(self) -> str:
+        """A blake2b digest of the bytes read (an absent file and an empty one differ)."""
+        # Marshal version 2 emits no back-references, so the payload
+        # depends on content alone, never on which objects are shared.
+        payload = marshal.dumps((self.chart_yaml, self.values_yaml, self.templates), 2)
+        return hashlib.blake2b(payload, digest_size=16).hexdigest()
+
+    def parse(self) -> Chart:
+        """The chart these bytes hold.
+
+        Text decodes as UTF-8 with universal newlines (CRLF and CR become
+        LF).  Raises ``UnicodeDecodeError`` on bytes that are not UTF-8
+        and :class:`ValuesError` when ``Chart.yaml`` or ``values.yaml`` is
+        not a YAML mapping.
+        """
+        meta = load_values(_decode(self.chart_yaml)) if self.chart_yaml is not None else {}
+        chart = Chart(
             metadata=ChartMetadata(
-                name=str(meta.get("name") or root.name),
+                name=str(meta.get("name") or self.path.name),
                 version=str(meta.get("version") or "0.1.0"),
                 app_version=str(meta.get("appVersion") or ""),
                 description=str(meta.get("description") or ""),
             ),
-            values=load_values(values_file.read_text(encoding="utf-8"))
-            if values_file.is_file()
+            values=load_values(_decode(self.values_yaml))
+            if self.values_yaml is not None
             else {},
         )
-        templates_dir = root / "templates"
-        if templates_dir.is_dir():
-            for file in sorted(templates_dir.iterdir()):
-                if file.is_file():
-                    chart.add_template(file.name, file.read_text(encoding="utf-8"))
+        for name, data in self.templates or ():
+            chart.add_template(name, _decode(data))
         return chart
 
 

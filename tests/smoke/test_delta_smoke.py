@@ -6,8 +6,9 @@ inner-loop fast path.  It pins four things end to end: a tiny delta round
 is byte-identical to from-scratch, the ``--check`` no-op-ratio gate is
 actually wired to numbers the delta benchmark emits (never vacuously
 green), ``insidejob watch`` completes a round over an on-disk chart
-directory, and ``insidejob sweep --since`` reports a delta epoch
-transition over a durable store.
+directory (and quarantines a broken one without stopping), and
+``insidejob sweep --since`` reports a delta epoch transition over a
+durable store.
 """
 
 from __future__ import annotations
@@ -108,6 +109,21 @@ def test_watch_cli_completes_a_round(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 0
     assert "round 1: 2 charts (2 added)" in out
+
+
+def test_watch_cli_quarantines_a_broken_chart(capsys, tmp_path):
+    for app in build_catalog()[:2]:
+        _write_chart_dir(tmp_path, app)
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    (broken / "values.yaml").write_text("replicas: [unclosed\n", encoding="utf-8")
+    code = cli_main(["watch", str(tmp_path), "--rounds", "2", "--interval", "0"])
+    first, second = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert first.startswith("round 1: 2 charts (2 added)")
+    assert first.endswith("1 quarantined")
+    assert second.startswith("round 2: 2 charts (2 unchanged)")
+    assert second.endswith("1 quarantined")
 
 
 def test_sweep_since_reports_epoch_transition(capsys, tmp_path):
