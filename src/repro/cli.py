@@ -5,6 +5,8 @@ Subcommands
 
 ``analyze <chart.yaml or manifests.yaml>``
     Run the static analyzer on rendered Kubernetes manifests (YAML files).
+    ``--strict`` exits 1 when findings are present; a file that cannot be
+    read or parsed is a one-line error on stderr and exit 2.
 ``catalog``
     Build the synthetic catalogue and print the Table 2 breakdown.
 ``table2`` / ``table3`` / ``figure3`` / ``figure4a`` / ``figure4b``
@@ -40,12 +42,44 @@ from .core import (
     MisconfigurationAnalyzer,
     format_report_text,
 )
-from .k8s import load_yaml
+from .k8s import KubernetesModelError, load_yaml
+
+
+def _non_negative(kind):
+    """An argparse ``type``: a ``kind`` (int or float) that is not negative.
+
+    A negative ``--sample`` would slice the catalogue from the end and a
+    negative ``--interval`` would crash the watch loop after its first
+    round, so both are usage errors (exit 2) at parse time instead.
+    """
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        # The chained comparison is false for NaN and infinity as well.
+        if not 0 <= value < float("inf"):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite non-negative number, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    text = Path(args.path).read_text(encoding="utf-8")
-    objects = load_yaml(text)
+    try:
+        text = Path(args.path).read_text(encoding="utf-8")
+        objects = load_yaml(text)
+    except (OSError, UnicodeDecodeError, KubernetesModelError) as exc:
+        # Exit 1 means "findings present" under --strict; unreadable input
+        # is a usage error, reported on one line.
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
+        print(f"insidejob analyze: {args.path}: {' '.join(reason.split())}", file=sys.stderr)
+        return 2
     analyzer = MisconfigurationAnalyzer(settings=AnalyzerSettings(mode=MODE_STATIC))
     report = analyzer.analyze_objects(objects, application=Path(args.path).stem)
     print(format_report_text(report))
@@ -213,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "table3":
             sub.add_argument(
                 "--sample",
-                type=int,
+                type=_non_negative(int),
                 default=0,
                 help="restrict the sweep to the first N catalogue charts (0 = all)",
             )
@@ -224,12 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--sample",
-        type=int,
+        type=_non_negative(int),
         default=0,
         help="restrict the sweep to the first N catalogue charts (0 = all)",
     )
     sweep.add_argument(
-        "--workers", type=int, default=0, help="parallel workers (0 = serial)"
+        "--workers",
+        type=_non_negative(int),
+        default=0,
+        help="parallel workers (0 = serial)",
     )
     sweep.add_argument(
         "--store", default="", help="result-store directory to read and feed"
@@ -253,13 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("directory", help="directory holding chart directories")
     watch.add_argument(
         "--interval",
-        type=float,
+        type=_non_negative(float),
         default=2.0,
         help="seconds between rescan rounds (default 2)",
     )
     watch.add_argument(
         "--rounds",
-        type=int,
+        type=_non_negative(int),
         default=0,
         help="stop after N rounds (0 = watch until interrupted)",
     )

@@ -26,6 +26,7 @@ Python walk.  The per-object grouped walk stays in-tree behind
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from ..k8s import NetworkPolicy
@@ -34,11 +35,6 @@ from .endpoints import ServiceBinding
 from .errors import DuplicatePodError
 from .policy_index import PolicyIndex
 from .runtime import RunningPod, Socket
-
-try:  # The bool-matrix materialization backend is optional.
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is present in the dev image
-    _np = None
 
 
 @dataclass(frozen=True)
@@ -196,6 +192,21 @@ def _attempt_service_connection(
 _BYTE_BITS = tuple(
     tuple(bit for bit in range(8) if (byte >> bit) & 1) for byte in range(256)
 )
+
+
+@functools.cache
+def _numpy():
+    """numpy for :meth:`EndpointUniverse.materialize`, or None if absent.
+
+    Imported on the first call that needs it rather than with this module:
+    the import costs more than most sweeps spend in the reachability engine,
+    and only a surface whose mask is neither empty nor full reads it.
+    """
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy
 
 
 def _pack_bits(bits: list[int], size: int) -> int:
@@ -421,11 +432,10 @@ class EndpointUniverse:
         if not mask:
             return []
         data = mask.to_bytes((self.size + 7) >> 3, "little")
-        if _np is not None:
-            bits = _np.unpackbits(
-                _np.frombuffer(data, dtype=_np.uint8), bitorder="little"
-            )
-            return [entries[i] for i in _np.flatnonzero(bits).tolist()]
+        np = _numpy()
+        if np is not None:
+            bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
+            return [entries[i] for i in np.flatnonzero(bits).tolist()]
         out = []
         base = 0
         for byte in data:

@@ -9,12 +9,14 @@ per-dataset totals reproduce Table 2 and the most-misconfigured applications
 mirror Figure 3.
 
 The catalogue is fully deterministic: the same seed always yields the same
-287 charts, so experiments are reproducible run to run.
+290 charts (the Table 2 row sum; see ``TABLE2_ROW_SUM_APPLICATIONS``), so
+experiments are reproducible run to run.
 """
 
 from __future__ import annotations
 
 import copy
+import heapq
 from dataclasses import dataclass, field
 
 from .builder import ARCHETYPE_CYCLE, BuiltApplication, build_application
@@ -389,15 +391,27 @@ def plan_dataset(definition: DatasetDefinition) -> list[PlannedApp]:
     def assign(attribute: str, remaining: int, eligible=None) -> None:
         if remaining < 0:
             raise CatalogError(f"{definition.name}: notable apps exceed the {attribute} target")
+        # Each finding goes to the least-loaded eligible app, the earliest
+        # one on ties.  A finding raises only its own app's total, and
+        # eligibility depends only on the app's own plan, so a heap keyed
+        # (total, position) stays exact without rescanning the dataset.
+        heap = [
+            (app.plan.total(), position)
+            for position, app in enumerate(affected)
+            if eligible is None or eligible(app)
+        ]
+        heapq.heapify(heap)
         while remaining > 0:
-            candidates = [app for app in affected if eligible is None or eligible(app)]
-            if not candidates:
+            if not heap:
                 raise CatalogError(
                     f"{definition.name}: no eligible application left for {attribute}"
                 )
-            app = min(candidates, key=lambda a: (a.plan.total(), affected.index(a)))
+            total, position = heapq.heappop(heap)
+            app = affected[position]
             setattr(app.plan, attribute, getattr(app.plan, attribute) + 1)
             remaining -= 1
+            if eligible is None or eligible(app):
+                heapq.heappush(heap, (total + 1, position))
 
     consumed = {
         "m1": sum(app.plan.m1 for app in planned),
@@ -465,7 +479,8 @@ def _assign_network_policies(definition: DatasetDefinition, planned: list[Planne
     # policy *does* remedy (no hostNetwork escape, no service pointing at an
     # undeclared port), mirroring the paper's observation that only a handful
     # of policy-shipping charts remain affected.
-    for app in sorted(m6_apps, key=lambda a: (-(a.plan.m1 + a.plan.m2), m6_apps.index(a))):
+    # ``sorted`` is stable, so ties keep catalogue order.
+    for app in sorted(m6_apps, key=lambda a: -(a.plan.m1 + a.plan.m2)):
         if disabled_loose > 0:
             app.plan.netpol_mode = NETPOL_DISABLED_LOOSE
             disabled_loose -= 1
@@ -473,7 +488,7 @@ def _assign_network_policies(definition: DatasetDefinition, planned: list[Planne
             app.plan.netpol_mode = NETPOL_NONE
     strict_candidates = sorted(
         (app for app in m6_apps if app.plan.netpol_mode == NETPOL_NONE),
-        key=lambda a: (a.plan.m5b + a.plan.m7, a.plan.m2, m6_apps.index(a)),
+        key=lambda a: (a.plan.m5b + a.plan.m7, a.plan.m2),
     )
     for app in strict_candidates:
         if disabled_strict <= 0:
@@ -482,7 +497,7 @@ def _assign_network_policies(definition: DatasetDefinition, planned: list[Planne
         disabled_strict -= 1
 
     enabled_loose = definition.enabled_loose_policies
-    for app in sorted(non_m6_apps, key=lambda a: (-(a.plan.m1 + a.plan.m2), non_m6_apps.index(a))):
+    for app in sorted(non_m6_apps, key=lambda a: -(a.plan.m1 + a.plan.m2)):
         if enabled_loose > 0 and app.plan.total() > 0:
             app.plan.netpol_mode = NETPOL_ENABLED_ALLOW_ALL
             enabled_loose -= 1
@@ -515,7 +530,9 @@ def build_dataset(dataset: str) -> list[BuiltApplication]:
 
 
 def build_catalog(datasets: tuple[str, ...] = DATASET_ORDER) -> list[BuiltApplication]:
-    """Build the full 287-application catalogue.
+    """Build the full catalogue: 290 applications, the Table 2 row sum.
+
+    The paper reports 287; see the ``TABLE2_ROW_SUM_APPLICATIONS`` note.
 
     The catalogue is deterministic, so content fingerprints -- and therefore
     shared render-cache entries -- are stable across rebuilds: a catalogue

@@ -1,5 +1,9 @@
 """Unit tests for the synthetic dataset builder, catalogue and attacks."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
 from repro.core import MODE_STATIC, AnalyzerSettings, MisconfigurationAnalyzer
@@ -7,12 +11,18 @@ from repro.datasets import (
     ARCHETYPES,
     DATASETS,
     DATASET_ORDER,
+    CatalogError,
+    DatasetDefinition,
+    DatasetTargets,
     InjectionPlan,
     NETPOL_DISABLED,
     NETPOL_ENABLED_STRICT,
     NETPOL_NONE,
+    TABLE2_ROW_SUM_APPLICATIONS,
+    PlannedApp,
     build_application,
     build_app_spec,
+    build_catalog,
     build_chart,
     build_dataset,
     build_values,
@@ -24,6 +34,12 @@ from repro.datasets import (
     validate_targets,
 )
 from repro.helm import render_chart
+
+#: sha256 over canonical JSON of every catalogue app: dataset, name,
+#: version, archetype, every ``InjectionPlan`` field, chart fingerprint and
+#: behaviours fingerprint.  Any change to which app gets which finding, or
+#: to what a chart or its behaviours contain, moves it.
+CATALOGUE_SHA256 = "3fe9409f30d94070b22dd14d4aaf7fc4413c9e3bec39b26e920aae4b51409e36"
 
 
 class TestInjectionPlan:
@@ -159,6 +175,54 @@ class TestCatalog:
         got = {cls.value: count for cls, count in summary.counts.items() if count}
         expected = {name: count for name, count in expected_dataset_counts("CNCF").items() if count}
         assert got == expected
+
+    def test_catalogue_matches_golden_digest(self):
+        """Every app's identity, plan, chart and behaviours are pinned.
+
+        Totals and determinism alone would miss a planner that hands a
+        finding, or a tie, to a different app.
+        """
+        records = [
+            {
+                "dataset": app.dataset,
+                "name": app.spec.name,
+                "version": app.spec.version,
+                "archetype": app.spec.archetype,
+                "plan": dataclasses.asdict(app.plan),
+                "chart": app.fingerprint(),
+                "behaviors": app.behaviors.fingerprint(),
+            }
+            for app in build_catalog()
+        ]
+        canonical = json.dumps(records, sort_keys=True, separators=(",", ":"))
+        assert len(records) == TABLE2_ROW_SUM_APPLICATIONS
+        assert hashlib.sha256(canonical.encode()).hexdigest() == CATALOGUE_SHA256
+
+    def test_catalogue_plans_without_app_equality(self, monkeypatch):
+        """Planning never compares apps by value, which made it quadratic."""
+
+        def refuse(self, other):
+            raise AssertionError("PlannedApp compared by value")
+
+        monkeypatch.setattr(PlannedApp, "__eq__", refuse)
+        assert len(build_catalog()) == TABLE2_ROW_SUM_APPLICATIONS
+
+    @pytest.mark.parametrize("m5b", [3, 4])
+    def test_m5b_placement_stops_at_m1(self, m5b):
+        """An app leaves the M5B pool once its m5b reaches its m1."""
+        definition = DatasetDefinition(
+            name="Tiny",
+            organization="Tiny",
+            use_case="internal",
+            targets=DatasetTargets(total_apps=3, affected_apps=3, m1=3, m5b=m5b),
+            name_pool=["a", "b", "c"],
+        )
+        if m5b > 3:
+            with pytest.raises(CatalogError, match="no eligible application left for m5b"):
+                plan_dataset(definition)
+        else:
+            planned = plan_dataset(definition)
+            assert [(app.plan.m1, app.plan.m5b) for app in planned] == [(1, 1)] * 3
 
     def test_notable_apps_are_included(self):
         planned = plan_dataset(DATASETS["Prometheus C."])

@@ -11,7 +11,9 @@ mutations (install / uninstall / restart / direct API writes).
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from unittest import mock
+
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cluster import (
     ClusterNetwork,
@@ -45,6 +47,8 @@ from repro.k8s import (
 )
 import pytest
 
+from repro.cluster import network
+from repro.cluster.network import EndpointUniverse
 from tests.conftest import make_deployment, make_pod, make_service
 
 # ---------------------------------------------------------------------------
@@ -766,6 +770,69 @@ class TestVectorizedAllPairs:
         surfaces = _assert_triple_identical([], loopback_only, [],
                                             include_loopback=True)
         assert surfaces[("default", "shy-0")] == []
+
+
+# ---------------------------------------------------------------------------
+# EndpointUniverse.materialize: numpy and pure-Python bit walks == bit scan
+# ---------------------------------------------------------------------------
+
+
+def _universe_of(size: int) -> EndpointUniverse:
+    """A bare universe of ``size`` entries; ``materialize`` reads only these."""
+    universe = object.__new__(EndpointUniverse)
+    universe.size = size
+    universe.pod_entries = [f"entry-{i}" for i in range(size)]
+    universe.full_mask = (1 << size) - 1
+    return universe
+
+
+@st.composite
+def sized_masks(draw):
+    size = draw(st.integers(min_value=0, max_value=2000))
+    full = (1 << size) - 1
+    bits = st.integers(min_value=0, max_value=max(size - 1, 0))
+    mask = draw(
+        st.one_of(
+            st.just(0),
+            st.just(full),
+            bits.map(lambda bit: (1 << bit) & full),
+            st.lists(bits, max_size=16).map(lambda on: sum({1 << bit for bit in on}) & full),
+            st.integers(min_value=0, max_value=full),
+        )
+    )
+    return size, mask
+
+
+class TestMaterializeBackends:
+    """Both bit-walk backends against the plain per-bit scan.
+
+    numpy is imported on first use when installed; blocking its loader
+    forces the pure-Python ``_BYTE_BITS`` walk, which no surface test
+    reaches while numpy is present.
+    """
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @given(case=sized_masks())
+    @example(case=(0, 0))
+    @example(case=(1, 1))
+    @example(case=(7, 1 << 6))
+    @example(case=(9, 1 << 8))
+    @example(case=(1999, 1 << 1998))
+    @example(case=(2000, (1 << 2000) - 1))
+    @example(case=(2000, ((1 << 2000) - 1) ^ 1))
+    @settings(max_examples=150, deadline=None)
+    def test_backend_matches_bit_scan(self, backend, case):
+        size, mask = case
+        universe = _universe_of(size)
+        entries = universe.pod_entries
+        expected = [entries[i] for i in range(size) if mask >> i & 1]
+        if backend == "numpy":
+            if network._numpy() is None:
+                pytest.skip("numpy is not installed")
+            assert universe.materialize(mask) == expected
+        else:
+            with mock.patch.object(network, "_numpy", lambda: None):
+                assert universe.materialize(mask) == expected
 
 
 # ---------------------------------------------------------------------------

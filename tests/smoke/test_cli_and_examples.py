@@ -54,6 +54,51 @@ class TestCLI:
         code, out = self.run_cli(capsys, "analyze", str(manifests_file), "--strict")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *[[command, "--sample", "-1"] for command in
+              ("catalog", "table2", "figure3", "figure4a", "figure4b", "sweep")],
+            ["sweep", "--workers", "-1"],
+            ["watch", ".", "--rounds", "-1"],
+            ["watch", ".", "--rounds", "2", "--interval", "-1"],
+            ["watch", ".", "--interval", "nan"],
+        ],
+    )
+    def test_negative_numbers_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        option = next(arg for arg in argv[::-1] if arg.startswith("--"))
+        assert f"argument {option}: must be a finite non-negative number" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "name, content, reason",
+        [
+            ("missing.yaml", None, "No such file or directory"),
+            ("directory", "dir", "Is a directory"),
+            ("latin1.yaml", b"kind: Pod\nname: caf\xe9\n", "can't decode byte 0xe9"),
+            ("malformed.yaml", b"kind: [Pod\n", "invalid YAML"),
+            ("list.yaml", b"- kind: Pod\n", "manifest must be a mapping, got list"),
+        ],
+    )
+    def test_analyze_bad_input_is_one_line_exit_2(self, capsys, tmp_path, name, content, reason):
+        path = tmp_path / name
+        if content == "dir":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        code = cli_main(["analyze", str(path), "--strict"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"insidejob analyze: {path}: ")
+        assert reason in lines[0]
+
     @pytest.mark.parametrize("command", ["catalog", "table2"])
     def test_table2_commands(self, capsys, command):
         code, out = self.run_cli(capsys, command, "--sample", "6")
