@@ -55,10 +55,13 @@ at <= 5% of a full sweep).
 
 *Durable*: with a ``store``, classification reads the epoch-tagged
 journal (:func:`repro.store.read_prior_state` -- last-wins, one live
-record per chart key) and the sweep itself delegates to
-:func:`~repro.experiments.evaluation.run_full_evaluation`'s durable path,
+record per chart key) and the sweep itself is the engine's durable path,
 so content addressing does the reuse and every journal generation is
 totally ordered by epoch.  ``repro sweep --since DIR`` is the CLI spelling.
+
+Either way the round runs on the sweep engine of
+:mod:`repro.experiments.evaluation`, the same one a from-scratch sweep
+uses: this module only decides which entries are reused.
 
 ``insidejob watch <dir>`` drives :func:`watch_directory`: scan a directory
 of on-disk charts, evaluate the delta against the previous round, print one
@@ -85,7 +88,7 @@ from ..core import (
     MisconfigClass,
     MisconfigurationAnalyzer,
 )
-from ..datasets import BuiltApplication, build_catalog, catalog_fingerprints
+from ..datasets import BuiltApplication, build_catalog
 from ..helm import Chart, ChartSource, ValuesError
 from ..store import ResultStore, read_prior_state
 from .evaluation import (
@@ -93,13 +96,9 @@ from .evaluation import (
     AnalysisFailure,
     AnalyzedApplication,
     EvaluationResult,
-    _PoolSweep,
-    _run_isolated,
-    _split_outcomes,
-    apply_cluster_wide_pass,
+    _sweep,
     classifier_fingerprints,
     result_key,
-    run_full_evaluation,
     settings_fingerprint,
 )
 
@@ -160,14 +159,6 @@ class DeltaPlan:
                 return delta.classification
         return None
 
-    def pending_indices(self) -> list[int]:
-        """Indices (into the planned application list) needing recompute."""
-        return [
-            index
-            for index, delta in enumerate(self.charts)
-            if delta.classification != DELTA_UNCHANGED
-        ]
-
 
 @dataclass
 class _PriorRecord:
@@ -216,8 +207,8 @@ class DeltaEvaluator:
     same chart set, with ``delta_stats`` carrying the round's accounting.
 
     With ``store`` set, the evaluator is *durable*: classification reads
-    the store's epoch-tagged journal and the sweep delegates to
-    ``run_full_evaluation``'s content-addressed path (an explicit in-memory
+    the store's epoch-tagged journal and the sweep engine's
+    content-addressed store path does the reuse (an explicit in-memory
     ``prior`` is ignored -- the store is the prior).  Without it, rounds
     chain in memory (``prior`` argument, or the evaluator's own last
     result), which is the near-zero-cost watch path.
@@ -403,28 +394,25 @@ class DeltaEvaluator:
     ) -> EvaluationResult:
         """Run one delta round; byte-identical to a from-scratch sweep.
 
-        Reuses every unchanged chart's pre-M4* report and inventory,
-        recomputes the rest (serial fault-isolated, or on the self-healing
-        process pool when ``workers`` > 1), merges in catalogue order and
-        re-runs the cluster-wide pass.  ``fault_plan`` arms deterministic
-        chaos for the round; a chart that fails mid-delta lands on
-        ``result.failed`` -- its stale prior entry is never served.
-        ``resume`` only applies to the durable path (journal continuity).
+        Reuses every unchanged chart's pre-M4* report and inventory and
+        hands the rest to the sweep engine (serial fault-isolated, or the
+        self-healing process pool when ``workers`` > 1), which merges in
+        catalogue order and re-runs the cluster-wide pass.  ``fault_plan``
+        arms deterministic chaos for the round; a chart that fails
+        mid-delta lands on ``result.failed`` -- its stale prior entry is
+        never served.  ``resume`` only applies to the durable path
+        (journal continuity).
         """
         applications = list(applications) if applications is not None else build_catalog()
         self._charts = applications
         if self.store is not None:
-            return self._evaluate_durable(
-                applications,
-                workers=workers,
-                chart_timeout=chart_timeout,
-                fault_plan=fault_plan,
-                resume=resume,
-            )
+            # The journal is the prior, classified *before* the sweep rotates
+            # it.  Its records carry no entries, so the store does the
+            # reuse, and its reads re-verify every entry: even a lying
+            # journal cannot serve stale results.
+            prior = prior_settings_fp = None
         plan, prior_index = self._plan_with_index(applications, prior, prior_settings_fp)
-
-        reusable: dict[int, AnalyzedApplication] = {}
-        pending: list[int] = []
+        reused: dict[int, AnalyzedApplication] = {}
         for index, delta in enumerate(plan.charts):
             record = prior_index.get(delta.unique_id)
             if (
@@ -432,11 +420,9 @@ class DeltaEvaluator:
                 and record is not None
                 and record.entry is not None
             ):
-                reusable[index] = record.entry
-            else:
-                pending.append(index)
+                reused[index] = record.entry
 
-        if not pending and not plan.removed:
+        if self.store is None and len(reused) == len(applications) and not plan.removed:
             # Pure no-op round: the chart set is identical and every input
             # held, so the prior *post*-M4* reports are valid wholesale --
             # the cluster-wide pass is a pure function of the unchanged
@@ -444,115 +430,42 @@ class DeltaEvaluator:
             # later rounds never mutate them, they always strip into fresh
             # reports first.  This is what makes a no-op watch round
             # near-free (the ``DELTA_NOOP_RATIO_LIMIT`` gate).
-            result = EvaluationResult()
-            _split_outcomes(
-                [reusable[index] for index in range(len(applications))], result
+            result = EvaluationResult(analyzed=list(reused.values()))
+        else:
+            # The cluster-wide context moved (some chart changed, appeared
+            # or went away): reused entries drop their prior M4* findings
+            # and the engine re-runs the pass over the merged inventories.
+            result = _sweep(
+                applications,
+                self.analyzer,
+                workers=workers,
+                max_attempts=self.max_attempts,
+                chart_timeout=chart_timeout,
+                retry_backoff=self.retry_backoff,
+                fault_plan=fault_plan,
+                reused={index: _strip_cluster_wide(entry) for index, entry in reused.items()},
+                store=self.store,
+                resume=resume,
             )
+        if self.store is None:
             result.delta_stats = self._stats(
                 plan,
                 mode="memory",
                 charts=len(applications),
-                reused=len(reusable),
-                recomputed=0,
+                reused=len(reused),
+                recomputed=len(applications) - len(reused),
                 epoch=self.rounds + 1,
             )
-            self.rounds += 1
-            self._last = result
-            return result
-
-        # The cluster-wide context moved (some chart changed, appeared or
-        # went away): reused entries must drop their prior M4* findings and
-        # the pass re-runs over the merged inventories.
-        reused = {
-            index: _strip_cluster_wide(entry) for index, entry in reusable.items()
-        }
-
-        previous_plan = faults.armed_plan()
-        if fault_plan is not None:
-            faults.arm(fault_plan)
-        shipped_plan = faults.armed_plan()
-        try:
-            pending_apps = [applications[index] for index in pending]
-            if pending_apps and workers and workers > 1:
-                sweep = _PoolSweep(
-                    pending_apps,
-                    catalog_fingerprints(pending_apps),
-                    self.analyzer.settings,
-                    workers,
-                    self.max_attempts,
-                    chart_timeout,
-                    self.retry_backoff,
-                    shipped_plan,
-                )
-                outcomes = sweep.run()
-            else:
-                outcomes = [
-                    _run_isolated(
-                        app,
-                        self.analyzer,
-                        app.fingerprint(),
-                        self.max_attempts,
-                        self.retry_backoff,
-                    )
-                    for app in pending_apps
-                ]
-        finally:
-            if fault_plan is not None:
-                faults.arm(previous_plan)
-
-        result = EvaluationResult()
-        fresh = iter(outcomes)
-        merged = [
-            reused[index] if index in reused else next(fresh)
-            for index in range(len(applications))
-        ]
-        _split_outcomes(merged, result)
-        apply_cluster_wide_pass(result)
-        result.delta_stats = self._stats(
-            plan,
-            mode="memory",
-            charts=len(applications),
-            reused=len(reused),
-            recomputed=len(pending),
-            epoch=self.rounds + 1,
-        )
-        self.rounds += 1
-        self._last = result
-        return result
-
-    def _evaluate_durable(
-        self,
-        applications: list[BuiltApplication],
-        workers: int | None,
-        chart_timeout: float | None,
-        fault_plan: faults.FaultPlan | None,
-        resume: bool,
-    ) -> EvaluationResult:
-        # Classify against the journal *before* the sweep rotates it, then
-        # let the content-addressed durable path do the reuse -- it is the
-        # proven byte-identical machinery, and the store read re-verifies
-        # every entry (so even a lying journal cannot serve stale results).
-        plan, _ = self._plan_with_index(applications, None, None)
-        result = run_full_evaluation(
-            applications=applications,
-            workers=workers,
-            max_attempts=self.max_attempts,
-            chart_timeout=chart_timeout,
-            retry_backoff=self.retry_backoff,
-            fault_plan=fault_plan,
-            store=self.store,
-            resume=resume,
-            settings=self.settings,
-        )
-        store_stats = result.store_stats or {}
-        result.delta_stats = self._stats(
-            plan,
-            mode="store",
-            charts=len(applications),
-            reused=int(store_stats.get("loaded", 0)),
-            recomputed=int(store_stats.get("computed", 0)),
-            epoch=int(store_stats.get("journal_epoch", plan.prior_epoch)),
-        )
+        else:
+            stats = result.store_stats
+            result.delta_stats = self._stats(
+                plan,
+                mode="store",
+                charts=len(applications),
+                reused=stats["loaded"],
+                recomputed=stats["computed"],
+                epoch=stats["journal_epoch"],
+            )
         self.rounds += 1
         self._last = result
         return result
@@ -701,11 +614,16 @@ def scan_chart_directory(
     directory that cannot be loaded (unreadable, not UTF-8, malformed
     YAML) lands on ``failed`` instead of aborting the scan; a file or
     directory that vanishes mid-scan counts as absent.
+
+    Every watched chart is keyed ``watch/<chart name>``, so a directory
+    whose chart name an earlier directory (in name order) already took is
+    quarantined as a ``load`` failure naming that directory.
     """
     registry = behaviors if behaviors is not None else BehaviorRegistry()
     behaviors_fp = registry.fingerprint()
     reusable = {chart.scan_key: chart for chart in previous if isinstance(chart, WatchedChart)}
     scan = ChartScan()
+    taken: dict[str, Path] = {}
     for directory in _chart_directories(Path(root)):
         try:
             source = ChartSource.read(directory)
@@ -713,13 +631,18 @@ def scan_chart_directory(
                 continue
             key = (str(directory), source.digest(), behaviors_fp)
             chart = reusable.get(key)
+            reused = chart is not None
             if chart is None:
                 chart = WatchedChart(chart=source.parse(), behaviors=registry, scan_key=key)
-            else:
-                scan.reused += 1
         except (OSError, UnicodeDecodeError, ValuesError) as exc:
             scan.failed.append(_load_failure(directory, exc))
             continue
+        earlier = taken.setdefault(chart.name, directory)
+        if earlier != directory:
+            clash = ValueError(f"chart name {chart.name!r} is already taken by {earlier}")
+            scan.failed.append(_load_failure(directory, clash))
+            continue
+        scan.reused += reused
         scan.append(chart)
     return scan
 

@@ -9,16 +9,21 @@ collisions (M4*).  The result feeds every table and figure of Section 4.3.
 Fault isolation
 ---------------
 
-One malformed chart must not abort a 290-chart sweep.  By default
-(``fail_fast=False``) every per-chart exception -- in render, observation or
-rule evaluation -- becomes a structured :class:`AnalysisFailure` record on
-``EvaluationResult.failed`` instead of propagating, after up to
-``max_attempts`` retries with capped exponential backoff; a chart that still
-fails is *quarantined* and the sweep carries on.  Every healthy chart's
-report is byte-identical to a fault-free run (the chaos differential suite
-in ``tests/experiments/test_fault_isolation.py`` proves it under injected
-faults at every site).  ``fail_fast=True`` pins the historical
-raise-on-first-error semantics as the reference behaviour.
+One malformed chart must not abort a 290-chart sweep.  Every per-chart
+exception -- in render, observation or rule evaluation -- becomes a
+structured :class:`AnalysisFailure` record on ``EvaluationResult.failed``
+instead of propagating, after up to ``max_attempts`` retries with capped
+exponential backoff; a chart that still fails is *quarantined* and the
+sweep carries on.  Every healthy chart's report is byte-identical to a
+fault-free run (the chaos differential suite in
+``tests/experiments/test_fault_isolation.py`` proves it under injected
+faults at every site).
+
+Full, durable and delta sweeps share one engine, :func:`_sweep`: it takes
+the entries already reused (store loads, or a delta round's unchanged
+charts), computes the rest serially or on the process pool, merges in
+catalogue order and runs the M4* pass.  Only this module knows how charts
+are executed, retried and merged.
 
 The parallel process-pool sweep is additionally *self-healing*: it survives
 ``BrokenProcessPool`` (a worker killed mid-task) by respawning the pool, and
@@ -58,16 +63,8 @@ import json
 import threading
 import time
 import traceback as traceback_module
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 from pathlib import Path
 
 from .. import faults
@@ -176,10 +173,9 @@ class EvaluationResult:
 
     ``analyzed`` holds the healthy applications in catalogue order;
     ``failed`` holds one :class:`AnalysisFailure` per chart the sweep gave
-    up on (empty under ``fail_fast=True``, which raises instead).  Every
-    downstream consumer -- ``summary``, the figures, Table 3, the report
-    formatters -- iterates ``analyzed`` only, so they degrade gracefully:
-    a failed chart is simply absent, never a crash.
+    up on.  Every downstream consumer -- ``summary``, the figures, Table 3,
+    the report formatters -- iterates ``analyzed`` only, so they degrade
+    gracefully: a failed chart is simply absent, never a crash.
 
     Lookups go through a lazily-built key index (rebuilt whenever the
     entries of ``analyzed`` change), replacing the former per-call linear
@@ -474,13 +470,14 @@ class _DurableSweep:
     """Store + journal bookkeeping threaded through one durable sweep.
 
     ``load()`` pulls verified completed results out of the store before the
-    sweep runs; ``note(outcome)`` publishes each fresh outcome the moment it
-    completes (entry write + sealed journal record, under the chart's fault
-    scope so injected ``store.*`` faults replay deterministically); and
-    ``merge()`` reassembles catalogue order.  Persistence is per-chart by
-    design -- crash safety comes from never holding completed work only in
-    memory -- and always happens *before* the cluster-wide M4* pass, which
-    re-runs over loaded and fresh inventories alike.
+    sweep runs, and ``note(outcome)`` publishes each fresh outcome the
+    moment it completes (entry write + sealed journal record, under the
+    chart's fault scope so injected ``store.*`` faults replay
+    deterministically).  Persistence is per-chart by design -- crash safety
+    comes from never holding completed work only in memory -- and always
+    happens *before* the cluster-wide M4* pass, which re-runs over loaded
+    and fresh inventories alike.  The engine guarantees unique chart keys,
+    so each ``dataset/name`` maps to exactly one catalogue index.
     """
 
     def __init__(
@@ -492,14 +489,12 @@ class _DurableSweep:
     ) -> None:
         self.store = store
         self.applications = applications
-        self.settings_fp = settings_fingerprint(settings)
-        self.keys = [result_key(app, self.settings_fp) for app in applications]
+        settings_fp = settings_fingerprint(settings)
+        self.keys = [result_key(app, settings_fp) for app in applications]
         #: Per-chart classifier fingerprints, attached to every journal
         #: record so a later delta sweep can classify what moved.
-        self.fingerprints = [
-            classifier_fingerprints(app, self.settings_fp) for app in applications
-        ]
-        identity_material = repr((tuple(self.keys), self.settings_fp))
+        self.fingerprints = [classifier_fingerprints(app, settings_fp) for app in applications]
+        identity_material = repr((tuple(self.keys), settings_fp))
         identity = hashlib.sha256(identity_material.encode("utf-8")).hexdigest()
         self.journal = SweepJournal(store.root, identity)
         self.resume = resume
@@ -539,57 +534,38 @@ class _DurableSweep:
             )
         return found
 
-    def note(
-        self, outcome: AnalyzedApplication | AnalysisFailure | None
-    ) -> AnalyzedApplication | AnalysisFailure | None:
-        """Publish one fresh outcome (entry + journal record); returns it."""
-        if isinstance(outcome, AnalyzedApplication):
-            app = outcome.application
-            uid = f"{app.dataset}/{app.name}"
-            index = self._by_id.get(uid)
-            key = self.keys[index] if index is not None else result_key(app, self.settings_fp)
-            with faults.fault_scope(uid):
-                stored = self.store.write(
-                    key,
-                    {
-                        "report": outcome.report,
-                        "inventory": outcome.inventory,
-                        "attempts": outcome.attempts,
-                    },
-                    kind=KIND_RESULT,
-                )
-            with self._lock:
-                self.computed += 1
-                if not stored:
-                    self.unstored += 1
-            self.journal.record(
-                uid, "ok", key, outcome.attempts,
-                source="computed" if stored else "computed-unstored",
-                fingerprints=self.fingerprints[index]
-                if index is not None
-                else classifier_fingerprints(app, self.settings_fp),
-            )
-        elif isinstance(outcome, AnalysisFailure):
+    def note(self, outcome: AnalyzedApplication | AnalysisFailure) -> None:
+        """Publish one fresh outcome: entry write plus journal record."""
+        if isinstance(outcome, AnalysisFailure):
             with self._lock:
                 self.failures += 1
-            index = self._by_id.get(outcome.unique_id)
             self.journal.record(
                 outcome.unique_id, "failed", "", outcome.attempts, source="computed",
-                fingerprints=self.fingerprints[index] if index is not None else None,
+                fingerprints=self.fingerprints[self._by_id[outcome.unique_id]],
             )
-        return outcome
-
-    def merge(
-        self,
-        loaded: dict[int, AnalyzedApplication],
-        fresh: list[AnalyzedApplication | AnalysisFailure | None],
-    ) -> list[AnalyzedApplication | AnalysisFailure | None]:
-        """Interleave loaded and fresh outcomes back into catalogue order."""
-        fresh_iter = iter(fresh)
-        merged: list[AnalyzedApplication | AnalysisFailure | None] = []
-        for index in range(len(self.applications)):
-            merged.append(loaded[index] if index in loaded else next(fresh_iter))
-        return merged
+            return
+        app = outcome.application
+        uid = f"{app.dataset}/{app.name}"
+        index = self._by_id[uid]
+        with faults.fault_scope(uid):
+            stored = self.store.write(
+                self.keys[index],
+                {
+                    "report": outcome.report,
+                    "inventory": outcome.inventory,
+                    "attempts": outcome.attempts,
+                },
+                kind=KIND_RESULT,
+            )
+        with self._lock:
+            self.computed += 1
+            if not stored:
+                self.unstored += 1
+        self.journal.record(
+            uid, "ok", self.keys[index], outcome.attempts,
+            source="computed" if stored else "computed-unstored",
+            fingerprints=self.fingerprints[index],
+        )
 
     def finish(self) -> dict:
         """Close the journal; return the sweep's durability accounting."""
@@ -624,10 +600,9 @@ def _analyze_application_in_subprocess(
     app: BuiltApplication,
     fingerprint: str,
     settings: AnalyzerSettings,
-    key: str | None = None,
-    attempt: int = 1,
-    capture: bool = False,
-) -> AnalyzedApplication | tuple:
+    key: str,
+    attempt: int,
+) -> tuple:
     """Process-pool worker: rebuild the (default) analyzer from its settings.
 
     The parent ships each chart's content fingerprint alongside the chart so
@@ -636,11 +611,9 @@ def _analyze_application_in_subprocess(
     analyzer itself is cached per process (keyed on the settings), keeping
     one warm :class:`~repro.cluster.AnalysisSession` per worker.
 
-    ``capture=True`` (the fault-isolated sweep) returns ``("ok", analyzed)``
-    or a picklable ``("err", payload)`` instead of raising, so the parent's
-    submit/collect loop can distinguish a chart failure from a dead worker;
-    the default raises through, preserving the ``fail_fast`` reference
-    semantics of ``Executor.map``.  The parent owns the attempt counter and
+    Returns ``("ok", analyzed)`` or a picklable ``("err", payload)`` instead
+    of raising, so the parent's submit/collect loop can distinguish a chart
+    failure from a dead worker.  The parent owns the attempt counter and
     ships it with the task, so injected fault scopes replay deterministically
     across respawned pools.
     """
@@ -649,10 +622,8 @@ def _analyze_application_in_subprocess(
     if analyzer is None or analyzer.settings != settings:
         analyzer = MisconfigurationAnalyzer(settings=settings)
         _WORKER_ANALYZER = analyzer
-    with faults.fault_scope(key or f"{app.dataset}/{app.name}", attempt):
+    with faults.fault_scope(key, attempt):
         faults.fault_point(faults.WORKER_KILL)
-        if not capture:
-            return _analyze_application(app, analyzer, fingerprint)
         try:
             analyzed = _analyze_application(app, analyzer, fingerprint, stage_errors=True)
             analyzed.attempts = attempt
@@ -702,11 +673,15 @@ class _PoolSweep:
         self.outcomes: list[AnalyzedApplication | AnalysisFailure | None]
         self.outcomes = [None] * len(applications)
         self.attempts = [0] * len(applications)
-        self.pool: ProcessPoolExecutor | None = None
+        self.pool = None
 
     # Pool lifecycle ----------------------------------------------------------
-    def _spawn_pool(self) -> ProcessPoolExecutor:
+    def _spawn_pool(self):
         if self.pool is None:
+            # Imported here: it pulls in ``multiprocessing``, which a serial
+            # sweep never needs.
+            from concurrent.futures import ProcessPoolExecutor
+
             self.pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_pool_worker_init,
@@ -738,7 +713,6 @@ class _PoolSweep:
             self.settings,
             key=f"{app.dataset}/{app.name}",
             attempt=self.attempts[index] + 1,
-            capture=True,
         )
 
     def _record(self, index: int, tag: str, payload) -> bool:
@@ -863,12 +837,99 @@ class _PoolSweep:
         return list(self.outcomes)
 
 
+def _sweep(
+    applications: list[BuiltApplication],
+    analyzer: MisconfigurationAnalyzer,
+    *,
+    workers: int | None,
+    max_attempts: int,
+    chart_timeout: float | None,
+    retry_backoff: float,
+    fault_plan: faults.FaultPlan | None,
+    reused: dict[int, AnalyzedApplication] | None = None,
+    store: ResultStore | None = None,
+    resume: bool = False,
+) -> EvaluationResult:
+    """The sweep engine behind every full, durable and delta sweep.
+
+    ``reused`` maps catalogue indices to pre-M4* entries that need no work
+    (a delta round's unchanged charts); with a ``store``, the verified
+    entries it holds join them.  Every other chart runs fault-isolated:
+    on :class:`_PoolSweep` when ``workers`` > 1 (the pool rebuilds the
+    default analyzer from ``analyzer.settings``), else on
+    :func:`_run_isolated`.  Each fresh outcome is published to the store
+    the moment it is decided.  Outcomes merge in catalogue order and the
+    cluster-wide M4* pass runs last.
+
+    ``fault_plan``, or else the plan the caller armed, is armed over the
+    store load and every chart, and the caller's plan is restored
+    afterwards.  ``max_attempts`` below 1 and a duplicate
+    ``(dataset, name)`` key raise ``ValueError`` before any chart runs or
+    the store is touched.
+    """
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
+    result = EvaluationResult()
+    with faults.plan_armed(fault_plan if fault_plan is not None else faults.armed_plan()):
+        # The store, the journal, the delta planner and the M4* pass all
+        # key a chart on (dataset, name): two charts sharing one would
+        # overwrite each other's results.
+        seen: set[tuple[str, str]] = set()
+        for app in applications:
+            if (app.dataset, app.name) in seen:
+                raise ValueError(f"duplicate chart key {app.dataset}/{app.name}")
+            seen.add((app.dataset, app.name))
+        durable = (
+            _DurableSweep(store, applications, analyzer.settings, resume)
+            if store is not None
+            else None
+        )
+        try:
+            done = dict(reused or {})
+            if durable is not None:
+                done.update(durable.load())
+            pending = [app for index, app in enumerate(applications) if index not in done]
+            note = durable.note if durable is not None else None
+            if pending and workers and workers > 1:
+                fresh = _PoolSweep(
+                    pending,
+                    catalog_fingerprints(pending),
+                    analyzer.settings,
+                    workers,
+                    max_attempts,
+                    chart_timeout,
+                    retry_backoff,
+                    faults.armed_plan(),
+                    on_outcome=note,
+                ).run()
+            else:
+                fresh = []
+                for app in pending:
+                    outcome = _run_isolated(
+                        app, analyzer, app.fingerprint(), max_attempts, retry_backoff
+                    )
+                    if note is not None:
+                        note(outcome)
+                    fresh.append(outcome)
+            computed = iter(fresh)
+            for index in range(len(applications)):
+                outcome = done[index] if index in done else next(computed)
+                if isinstance(outcome, AnalyzedApplication):
+                    result.analyzed.append(outcome)
+                else:
+                    result.failed.append(outcome)
+        finally:
+            if durable is not None:
+                result.store_stats = durable.finish()
+    apply_cluster_wide_pass(result)
+    return result
+
+
 def run_full_evaluation(
     datasets: tuple[str, ...] = DATASET_ORDER,
     analyzer: MisconfigurationAnalyzer | None = None,
     applications: list[BuiltApplication] | None = None,
     workers: int | None = None,
-    fail_fast: bool = False,
     max_attempts: int = 3,
     chart_timeout: float | None = None,
     retry_backoff: float = 0.05,
@@ -879,28 +940,29 @@ def run_full_evaluation(
 ) -> EvaluationResult:
     """Analyze the complete catalogue and run the cluster-wide pass.
 
-    ``workers`` enables the parallel evaluation path.  Charts are fully
+    ``workers`` > 1 fans the charts out on a *process* pool -- real
+    parallelism for this CPU-bound, GIL-holding workload.  Charts are fully
     independent (observations share nothing across charts, the rules are
-    stateless), so with the default analyzer they fan out on a *process*
-    pool -- real parallelism for this CPU-bound, GIL-holding workload; the
-    per-chart inputs and reports are plain picklable dataclasses.  A custom
-    ``analyzer`` (whose rules or cluster factory may not pickle) falls back
-    to a thread pool, which mainly helps if its hooks release the GIL.
-    Result ordering is deterministic either way, and the cluster-wide M4*
-    pass always runs sequentially afterwards over the ordered inventories.
+    stateless) and the per-chart inputs and reports are plain picklable
+    dataclasses.  Pool workers rebuild the default analyzer from its
+    settings, so a custom ``analyzer`` (whose rules or cluster factory may
+    not pickle) always runs serially.  Result ordering is catalogue order
+    either way, and the cluster-wide M4* pass always runs sequentially
+    afterwards over the ordered inventories.
 
-    Fault isolation (the default, ``fail_fast=False``): a failing chart is
-    retried up to ``max_attempts`` times with capped exponential backoff
-    (``retry_backoff`` seconds, doubling), then quarantined as an
-    :class:`AnalysisFailure` on ``EvaluationResult.failed`` while the sweep
-    continues.  On the process-pool path the sweep also survives worker
-    deaths (``BrokenProcessPool``) by respawning the pool, and
-    ``chart_timeout`` arms a per-chart wall-clock watchdog (process pool
-    only: in-process execution cannot be preempted).  ``fail_fast=True``
-    restores the historical behaviour -- first error raises, no retries, no
-    failure records.  ``fault_plan`` arms a deterministic
+    Fault isolation: a failing chart is retried up to ``max_attempts``
+    times with capped exponential backoff (``retry_backoff`` seconds,
+    doubling), then quarantined as an :class:`AnalysisFailure` on
+    ``EvaluationResult.failed`` while the sweep continues.  On the
+    process-pool path the sweep also survives worker deaths
+    (``BrokenProcessPool``) by respawning the pool, and ``chart_timeout``
+    arms a per-chart wall-clock watchdog (process pool only: in-process
+    execution cannot be preempted).  ``fault_plan`` arms a deterministic
     :class:`repro.faults.FaultPlan` for the duration of the sweep (parent
-    and workers alike) -- the chaos suites' entry point.
+    and workers alike) -- the chaos suites' entry point; without one, the
+    sweep runs under whatever plan the caller armed.  ``max_attempts``
+    below 1 and duplicate ``(dataset, name)`` keys in ``applications``
+    raise ``ValueError`` before any chart runs.
 
     Durability: ``store`` (a :class:`~repro.store.ResultStore` or a
     directory path) makes the sweep consult and feed the content-addressed
@@ -913,8 +975,7 @@ def run_full_evaluation(
 
     ``settings`` builds the default analyzer from explicit
     :class:`~repro.core.AnalyzerSettings` while keeping every default-path
-    optimization (process pools, store shipping) -- the delta evaluator's
-    entry point into non-default-settings sweeps.  It is mutually exclusive
+    optimization (process pools, store shipping).  It is mutually exclusive
     with ``analyzer``, whose custom rules or cluster factory the sweep
     cannot vouch for.
     """
@@ -934,111 +995,18 @@ def run_full_evaluation(
         analyzer = MisconfigurationAnalyzer(
             settings=replace(analyzer.settings, store_dir=str(store_obj.root))
         )
-
-    previous_plan = faults.armed_plan()
-    if fault_plan is not None:
-        faults.arm(fault_plan)
-    shipped_plan = faults.armed_plan()
-    result = EvaluationResult()
-    durable: _DurableSweep | None = None
-    try:
-        loaded: dict[int, AnalyzedApplication] = {}
-        if store_obj is not None:
-            durable = _DurableSweep(store_obj, applications, analyzer.settings, resume)
-            loaded = durable.load()
-        pending = [
-            app for index, app in enumerate(applications) if index not in loaded
-        ]
-        note = durable.note if durable is not None else (lambda outcome: outcome)
-        outcomes: list[AnalyzedApplication | AnalysisFailure | None] = []
-        if pending and workers and workers > 1 and not custom_analyzer:
-            fingerprints = catalog_fingerprints(pending)
-            if fail_fast:
-                with ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_pool_worker_init,
-                    initargs=(shipped_plan,),
-                ) as pool:
-                    # Chunk the map: per-chart analysis is ~10ms, so one-item
-                    # tasks would spend comparable time on pickling round-trips.
-                    for analyzed in pool.map(
-                        partial(
-                            _analyze_application_in_subprocess,
-                            settings=analyzer.settings,
-                        ),
-                        pending,
-                        fingerprints,
-                        chunksize=max(len(pending) // (workers * 4), 1),
-                    ):
-                        outcomes.append(note(analyzed))
-            else:
-                sweep = _PoolSweep(
-                    pending,
-                    fingerprints,
-                    analyzer.settings,
-                    workers,
-                    max_attempts,
-                    chart_timeout,
-                    retry_backoff,
-                    shipped_plan,
-                    on_outcome=note if durable is not None else None,
-                )
-                outcomes = sweep.run()
-        elif pending and workers and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                if fail_fast:
-                    for analyzed in pool.map(
-                        lambda app: _analyze_application(
-                            app, analyzer, app.fingerprint()
-                        ),
-                        pending,
-                    ):
-                        outcomes.append(note(analyzed))
-                else:
-                    # ``fault_scope`` is thread-local, so per-chart scoping
-                    # holds on the thread pool too.  No watchdog: threads
-                    # cannot be preempted.  ``note`` runs on the pool threads
-                    # (it is lock-guarded) so persistence stays per-chart.
-                    outcomes = list(
-                        pool.map(
-                            lambda app: note(
-                                _run_isolated(
-                                    app,
-                                    analyzer,
-                                    app.fingerprint(),
-                                    max_attempts,
-                                    retry_backoff,
-                                )
-                            ),
-                            pending,
-                        )
-                    )
-        elif fail_fast:
-            for app in pending:
-                outcomes.append(note(_analyze_application(app, analyzer, app.fingerprint())))
-        else:
-            for app in pending:
-                outcomes.append(
-                    note(
-                        _run_isolated(
-                            app, analyzer, app.fingerprint(), max_attempts, retry_backoff
-                        )
-                    )
-                )
-        merged = durable.merge(loaded, outcomes) if durable is not None else outcomes
-        if fail_fast:
-            result.analyzed = [
-                outcome for outcome in merged if isinstance(outcome, AnalyzedApplication)
-            ]
-        else:
-            _split_outcomes(merged, result)
-    finally:
-        if durable is not None:
-            result.store_stats = durable.finish()
-        if fault_plan is not None:
-            faults.arm(previous_plan)
-    apply_cluster_wide_pass(result)
-    return result
+    return _sweep(
+        applications,
+        analyzer,
+        # Pool workers rebuild the default analyzer from its settings alone.
+        workers=None if custom_analyzer else workers,
+        max_attempts=max_attempts,
+        chart_timeout=chart_timeout,
+        retry_backoff=retry_backoff,
+        fault_plan=fault_plan,
+        store=store_obj,
+        resume=resume,
+    )
 
 
 def apply_cluster_wide_pass(result: EvaluationResult) -> None:
@@ -1071,15 +1039,3 @@ def apply_cluster_wide_pass(result: EvaluationResult) -> None:
         if entry is not None:
             finding.application = entry.application.name
             entry.report.add([finding])
-
-
-def _split_outcomes(
-    outcomes: list[AnalyzedApplication | AnalysisFailure | None],
-    result: EvaluationResult,
-) -> None:
-    """Partition sweep outcomes into ``analyzed`` / ``failed``, order kept."""
-    for outcome in outcomes:
-        if isinstance(outcome, AnalyzedApplication):
-            result.analyzed.append(outcome)
-        elif isinstance(outcome, AnalysisFailure):
-            result.failed.append(outcome)

@@ -9,9 +9,7 @@ same cluster.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 from ..cluster import (
     AnalysisSession,
@@ -20,7 +18,7 @@ from ..cluster import (
     OBSERVE_FULL,
     ReachabilityMatrix,
 )
-from ..datasets import DATASET_ORDER, BuiltApplication, build_catalog, catalog_fingerprints
+from ..datasets import DATASET_ORDER, BuiltApplication, build_catalog
 from ..helm import render_chart
 from ..probe import ReachabilityProbe
 
@@ -102,9 +100,9 @@ class NetpolImpactResult:
         return "\n".join(lines)
 
 
-#: Shared sessions for the sweep, one per ``compiled`` flag: each worker
-#: process (or the serial sweep) recycles a single cluster skeleton across
-#: every chart it probes instead of rebuilding one per chart.
+#: Shared sessions for the sweep, one per ``compiled`` flag: the sweep
+#: recycles a single cluster skeleton across every chart it probes instead
+#: of rebuilding one per chart.
 _SESSIONS: dict[bool, AnalysisSession] = {}
 
 
@@ -165,8 +163,7 @@ def probe_application_with_policies(
     except ClusterError as exc:
         # Attribute the error to the chart before it propagates: sweep-level
         # callers (and the CLI) then print one actionable line instead of a
-        # context-free traceback.  ``with_context`` survives the pickle back
-        # from a pool worker (ClusterError.__reduce__).
+        # context-free traceback.
         raise exc.with_context(f"{app.dataset}/{app.name}")
     return outcome
 
@@ -240,56 +237,26 @@ def _probe_installed(cluster, app, rendered, outcome) -> None:
                 outcome.reachable_misconfigured_services.add(binding.service.name)
 
 
-def _probe_with_fingerprint(
-    app: BuiltApplication, fingerprint: str, compiled: bool, pooled: bool = True
-) -> ApplicationReachability:
-    """Process-pool worker shim: positional ``(app, fingerprint)`` for map."""
-    return probe_application_with_policies(
-        app, compiled=compiled, fingerprint=fingerprint, pooled=pooled
-    )
-
-
 def run_netpol_impact(
     datasets: tuple[str, ...] = DATASET_ORDER,
     applications: list[BuiltApplication] | None = None,
-    workers: int | None = None,
     compiled: bool = True,
     pooled: bool = True,
 ) -> NetpolImpactResult:
     """Run the Figure 4b experiment over the catalogue.
 
-    Every chart is probed in an isolated cluster with picklable inputs and
-    outputs, so ``workers`` fans the sweep out on a *process* pool (the
-    probe is CPU-bound pure Python; threads would serialize on the GIL);
-    ``Executor.map`` keeps the result order identical to the serial path.
-    Each worker process recycles one pooled cluster skeleton across its
-    charts (``pooled=False`` restores the throw-away-cluster-per-chart
-    reference behaviour).  ``compiled=False`` runs the whole sweep on the
-    naive reference evaluator (benchmark baseline).
+    Every chart is probed in its own cluster, in catalogue order.  The sweep
+    recycles one pooled cluster skeleton across its charts (``pooled=False``
+    restores the throw-away-cluster-per-chart reference behaviour).
+    ``compiled=False`` runs the whole sweep on the naive reference
+    evaluator (benchmark baseline).
     """
     applications = applications if applications is not None else build_catalog(datasets)
-    result = NetpolImpactResult()
-    if workers and workers > 1:
-        # The parent ships content fingerprints with the charts: workers key
-        # straight into their (fork-inherited) render cache instead of
-        # re-hashing -- and skip re-rendering entirely when it is warm.
-        fingerprints = catalog_fingerprints(applications)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # Chunked map: per-chart probes are milliseconds, so one-item
-            # tasks would drown in pickling round-trips.
-            result.applications = list(
-                pool.map(
-                    partial(_probe_with_fingerprint, compiled=compiled, pooled=pooled),
-                    applications,
-                    fingerprints,
-                    chunksize=max(len(applications) // (workers * 4), 1),
-                )
-            )
-    else:
-        result.applications = [
+    return NetpolImpactResult(
+        applications=[
             probe_application_with_policies(
                 app, compiled=compiled, fingerprint=app.fingerprint(), pooled=pooled
             )
             for app in applications
         ]
-    return result
+    )

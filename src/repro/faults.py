@@ -172,7 +172,7 @@ class FaultPlan:
     The plan is pure data: whether a site fires depends only on the spec,
     the ambient chart key and the attempt number -- never on wall clock,
     randomness or mutable plan state -- so a sweep replays identically
-    across serial runs, thread pools and respawned process pools.  ``seed``
+    across serial runs and respawned process pools.  ``seed``
     is carried for plan-construction determinism bookkeeping (plans built
     from a seeded sampler record the seed they came from).
     """

@@ -38,18 +38,6 @@ class TestParallelEvaluation:
                 f.dedupe_key() for f in serial_entry.report.findings
             )
 
-    def test_parallel_netpol_impact_matches_serial(self):
-        applications = build_dataset("CNCF")
-        serial = run_netpol_impact(applications=applications)
-        parallel = run_netpol_impact(applications=applications, workers=4)
-        assert [
-            (entry.application, entry.affected, entry.reachable_pods)
-            for entry in parallel.applications
-        ] == [
-            (entry.application, entry.affected, entry.reachable_pods)
-            for entry in serial.applications
-        ]
-
 
 class TestEvaluationPipeline:
     def test_every_application_is_analyzed(self, small_evaluation):

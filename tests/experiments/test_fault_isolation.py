@@ -9,8 +9,7 @@ chart's failure leak into a neighbour's verdict.
 Every fault site of :mod:`repro.faults` gets a scenario, including the two
 that only exist on the parallel path: a worker killed mid-task (a genuine
 ``BrokenProcessPool`` with ``workers=2``) and a hung chart reaped by the
-per-chart watchdog.  ``fail_fast=True`` is pinned as the reference
-behaviour: first error raises, nothing is swallowed.
+per-chart watchdog.
 """
 
 import pytest
@@ -205,23 +204,6 @@ class TestSerialFaultIsolation:
             healthy_subset(baseline, skipped),
             canonical_evaluation(result),
             "healthy charts under cache-read fault",
-        )
-
-    def test_fail_fast_pins_raise_on_first_error(self, applications):
-        # fail_fast is the *reference* path: no fault scoping, no capture --
-        # an unrestricted spec (charts=None) fires on the first chart.
-        plan = poison_plan(faults.RULES, None)
-        with pytest.raises(faults.InjectedFault):
-            run_full_evaluation(
-                applications=applications, fault_plan=plan, fail_fast=True
-            )
-        # And with no faults armed, fail_fast matches the robust default.
-        fast = run_full_evaluation(applications=applications, fail_fast=True)
-        robust = run_full_evaluation(applications=applications)
-        assert_identical(
-            canonical_evaluation(fast),
-            canonical_evaluation(robust),
-            "fail_fast vs robust, fault-free",
         )
 
 

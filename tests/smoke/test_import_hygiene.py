@@ -1,9 +1,12 @@
-"""Import hygiene: a fresh ``insidejob sweep`` never loads numpy.
+"""Import hygiene: a fresh ``insidejob sweep`` never loads numpy or a pool.
 
 numpy backs only the bitset branch of ``EndpointUniverse.materialize`` and is
-imported on the first call that needs it.  Each case runs in a fresh
-interpreter, because the test process itself may already hold numpy.  The
-checks are on ``sys.modules`` only, never on timings.
+imported on the first call that needs it.  ``multiprocessing`` backs only the
+sweep engine's process pool and is imported when that pool is spawned, so a
+serial ``sweep`` or ``figure4b`` never loads it.  Each case runs in a fresh
+interpreter, because the test process itself may already hold these
+modules.  The checks are on ``sys.modules`` and output only, never on
+timings.
 """
 
 from __future__ import annotations
@@ -85,3 +88,54 @@ def test_both_backends_give_the_same_surface(runs):
     surface = runs["default"]["surface"]
     assert surface
     assert runs["block"]["surface"] == surface
+
+
+#: Runs the CLI with the given arguments, then reports which pool modules
+#: the run loaded, on the last line of output.
+CLI_SCRIPT = """
+import json, sys
+from repro.cli import main
+main(sys.argv[1:])
+print(json.dumps(sorted(
+    name for name in ("multiprocessing", "concurrent.futures.process") if name in sys.modules
+)))
+"""
+
+
+def _cli(*args: str) -> tuple[str, list[str]]:
+    """(CLI output, pool modules loaded) of one run in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run(
+        [sys.executable, "-c", CLI_SCRIPT, *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    *output, modules = completed.stdout.strip().splitlines()
+    return "\n".join(output), json.loads(modules)
+
+
+@pytest.fixture(scope="module")
+def serial_sweep() -> tuple[str, list[str]]:
+    return _cli("sweep", "--sample", "3")
+
+
+def test_serial_sweep_loads_no_process_pool(serial_sweep):
+    output, modules = serial_sweep
+    assert "Total" in output
+    assert modules == []
+
+
+def test_figure4b_loads_no_process_pool():
+    output, modules = _cli("figure4b", "--sample", "3")
+    assert "Dataset" in output
+    assert modules == []
+
+
+def test_pooled_sweep_prints_the_serial_table(serial_sweep):
+    output, modules = _cli("sweep", "--sample", "3", "--workers", "2")
+    assert output == serial_sweep[0]
+    assert "multiprocessing" in modules
