@@ -43,12 +43,12 @@ completed chart's report and inventory are published to a content-addressed
 :class:`~repro.store.ResultStore` the moment the chart finishes (not at the
 end of the sweep -- a killed process loses only its in-flight chart), keyed
 on :func:`result_key` (chart fingerprint + behaviours + analyzer settings),
-and a sealed :class:`~repro.store.SweepJournal` records per-chart
-completion.  Every durable sweep consults the store first -- content
-addressing makes a warm entry valid in any sweep with the same inputs --
-so ``resume=True`` (the CLI's ``repro sweep --resume``) is about journal
-continuity and reporting, while the skip-completed behaviour itself needs
-no flag.  Persisted entries hold the pre-M4* report: the cluster-wide
+and a sealed :class:`~repro.store.SweepJournal` record of the chart's
+completion commits in the same transaction.  Every durable sweep consults
+the store first -- content addressing makes a warm entry valid in any
+sweep with the same inputs -- so ``resume=True`` (the CLI's ``repro sweep
+--resume``) is about journal continuity and reporting, while the
+skip-completed behaviour itself needs no flag.  Persisted entries hold the pre-M4* report: the cluster-wide
 pass re-runs over loaded and fresh inventories alike, so store-on,
 store-off and crash-then-resume sweeps produce byte-identical results (the
 durability differential suite in ``tests/experiments/test_store_durability.py``
@@ -470,14 +470,16 @@ class _DurableSweep:
     """Store + journal bookkeeping threaded through one durable sweep.
 
     ``load()`` pulls verified completed results out of the store before the
-    sweep runs, and ``note(outcome)`` publishes each fresh outcome the
-    moment it completes (entry write + sealed journal record, under the
-    chart's fault scope so injected ``store.*`` faults replay
-    deterministically).  Persistence is per-chart by design -- crash safety
-    comes from never holding completed work only in memory -- and always
-    happens *before* the cluster-wide M4* pass, which re-runs over loaded
-    and fresh inventories alike.  The engine guarantees unique chart keys,
-    so each ``dataset/name`` maps to exactly one catalogue index.
+    sweep runs and commits their journal records in one transaction at the
+    end.  ``note(outcome)`` publishes each fresh outcome the moment it
+    completes: the result entry and its sealed journal record commit in one
+    transaction, under the chart's fault scope so injected ``store.*``
+    faults replay deterministically.  That commit is the chart's crash
+    point -- crash safety comes from never holding completed work only in
+    memory -- and it always happens *before* the cluster-wide M4* pass,
+    which re-runs over loaded and fresh inventories alike.  The engine
+    guarantees unique chart keys, so each ``dataset/name`` maps to exactly
+    one catalogue index.
     """
 
     def __init__(
@@ -496,7 +498,7 @@ class _DurableSweep:
         self.fingerprints = [classifier_fingerprints(app, settings_fp) for app in applications]
         identity_material = repr((tuple(self.keys), settings_fp))
         identity = hashlib.sha256(identity_material.encode("utf-8")).hexdigest()
-        self.journal = SweepJournal(store.root, identity)
+        self.journal = SweepJournal(store, identity)
         self.resume = resume
         self.loaded = 0
         self.computed = 0
@@ -511,31 +513,36 @@ class _DurableSweep:
     def load(self) -> dict[int, AnalyzedApplication]:
         """Verified completed results already in the store, by catalogue index."""
         found: dict[int, AnalyzedApplication] = {}
-        for index, app in enumerate(self.applications):
-            uid = f"{app.dataset}/{app.name}"
-            with faults.fault_scope(uid):
-                payload = self.store.read(self.keys[index], kind=KIND_RESULT)
-            if not isinstance(payload, dict):
-                continue
-            try:
-                entry = AnalyzedApplication(
-                    application=app,
-                    report=payload["report"],
-                    inventory=payload["inventory"],
-                    attempts=int(payload.get("attempts", 1)),
+        with self.journal.deferred():
+            for index, app in enumerate(self.applications):
+                uid = f"{app.dataset}/{app.name}"
+                with faults.fault_scope(uid):
+                    payload = self.store.read(self.keys[index], kind=KIND_RESULT)
+                if not isinstance(payload, dict):
+                    continue
+                try:
+                    entry = AnalyzedApplication(
+                        application=app,
+                        report=payload["report"],
+                        inventory=payload["inventory"],
+                        attempts=int(payload.get("attempts", 1)),
+                    )
+                except KeyError:
+                    continue
+                found[index] = entry
+                self.loaded += 1
+                self.journal.record(
+                    uid, "ok", self.keys[index], entry.attempts,
+                    source="store", fingerprints=self.fingerprints[index],
                 )
-            except KeyError:
-                continue
-            found[index] = entry
-            self.loaded += 1
-            self.journal.record(
-                uid, "ok", self.keys[index], entry.attempts,
-                source="store", fingerprints=self.fingerprints[index],
-            )
         return found
 
     def note(self, outcome: AnalyzedApplication | AnalysisFailure) -> None:
-        """Publish one fresh outcome: entry write plus journal record."""
+        """Publish one fresh outcome: entry and journal record in one commit.
+
+        A failed publish rolls the record back with the entry, so the chart
+        is then recorded alone as ``computed-unstored``.
+        """
         if isinstance(outcome, AnalysisFailure):
             with self._lock:
                 self.failures += 1
@@ -547,7 +554,11 @@ class _DurableSweep:
         app = outcome.application
         uid = f"{app.dataset}/{app.name}"
         index = self._by_id[uid]
-        with faults.fault_scope(uid):
+        with faults.fault_scope(uid), self.journal.deferred():
+            self.journal.record(
+                uid, "ok", self.keys[index], outcome.attempts,
+                source="computed", fingerprints=self.fingerprints[index],
+            )
             stored = self.store.write(
                 self.keys[index],
                 {
@@ -561,11 +572,11 @@ class _DurableSweep:
             self.computed += 1
             if not stored:
                 self.unstored += 1
-        self.journal.record(
-            uid, "ok", self.keys[index], outcome.attempts,
-            source="computed" if stored else "computed-unstored",
-            fingerprints=self.fingerprints[index],
-        )
+        if not stored:
+            self.journal.record(
+                uid, "ok", self.keys[index], outcome.attempts,
+                source="computed-unstored", fingerprints=self.fingerprints[index],
+            )
 
     def finish(self) -> dict:
         """Close the journal; return the sweep's durability accounting."""
@@ -580,7 +591,7 @@ class _DurableSweep:
             "journal_rotated": self.journal.rotated_reason,
             "journal_dropped_lines": self.journal.dropped_lines,
             "journal_epoch": self.journal.epoch,
-            "store": self.store.stats(),
+            "store": {**self.store.stats(), "journal_failures": self.journal.failures},
         }
 
 

@@ -35,16 +35,18 @@ through:
     ``BrokenProcessPool`` in the parent.
 ``store.read``
     A result-store lookup (:meth:`repro.store.ResultStore.read`).  The
-    ``corrupt`` kind corrupts the on-disk entry *before* the verified read
-    (``corruption`` selects truncation, a payload bit-flip, or schema
-    version skew), exercising the store's detect/evict/recompute contract;
-    ``error`` models an unreadable entry (treated as a miss, never fatal).
+    ``corrupt`` kind damages the stored row *before* the verified read
+    (``corruption`` selects payload truncation, a payload bit-flip, or
+    schema version skew), exercising the store's detect/evict/recompute
+    contract; ``error`` models an unreadable entry (treated as a miss,
+    never fatal).
 ``store.write``
     A result-store publish (:meth:`repro.store.ResultStore.write`), fired
-    between the temp-file fsync and the atomic rename -- a ``kill`` fault in
-    a pool worker is therefore a genuine mid-write crash: the durable temp
-    file exists but no partial entry is ever visible.  ``error`` degrades
-    gracefully (the write is abandoned and counted, the computation is
+    after the publish's inserts and before its ``COMMIT`` -- a ``kill``
+    fault in a pool worker is therefore a genuine uncommitted crash: the
+    rows were written but no partial entry (nor the journal record that
+    commits with a result) is ever visible.  ``error`` degrades gracefully
+    (the transaction rolls back and is counted, the computation is
     unaffected).
 
 Faults are scoped: the pipeline wraps each chart attempt in

@@ -5,77 +5,114 @@ observation is a pure function of its render fingerprint, the behavior
 registry and the seed, and its evaluation report is a pure function of
 those plus the analyzer settings.  This module turns that determinism into
 durability -- a :class:`ResultStore` maps content keys (sha256 over the
-canonical inputs, see :func:`store_key`) to verified on-disk entries, so a
+canonical inputs, see :func:`store_key`) to verified stored entries, so a
 crashed or interrupted sweep loses nothing that already completed and a
 warm store turns a full sweep into a read-mostly pass.
 
-Three contracts, in order of importance:
+Everything a store holds lives in one SQLite database per store root,
+``store.sqlite``, in WAL mode with ``synchronous=FULL``: an ``entries``
+table of pickled artifacts plus the sweep journal's ``journal_header`` and
+``journal`` tables.  Four contracts, in order of importance:
 
-**Crash safety.**  Every publish goes through write-to-temp (same
-directory), flush, fsync, then an atomic ``os.replace`` -- a reader can
-never observe a partial entry, no matter where a writer dies.  The helpers
-:func:`atomic_write_bytes` / :func:`atomic_write_text` expose the same
-discipline for other files (the benchmark baseline uses it).
+**Crash safety.**  A commit is the only way anything becomes visible, so a
+reader never observes a partial entry, no matter where a writer dies.  A
+computed chart's result entry and its journal record commit in one
+transaction: that commit is the chart's crash point.
+:func:`atomic_write_bytes` / :func:`atomic_write_text` keep the
+temp-file-fsync-rename discipline for plain files (the benchmark baseline
+uses it).
 
-**Verified reads.**  An entry is a one-line JSON header (magic, schema
-version, kind, payload sha256, payload size) followed by a pickle payload.
-Every read re-hashes the payload and checks the header; corruption or
-schema skew is *detected, counted in* :meth:`ResultStore.stats`, *evicted,
-and recomputed by the caller* -- the same degrade-gracefully contract the
-render cache established.  A store failure (read or write) is never fatal
-to the computation it serves.
+**Verified reads.**  Every row carries its kind, schema version, payload
+size and payload sha256; a read checks all four before decoding, and
+decodes through an allow-listed unpickler that admits only classes defined
+under ``repro.k8s``, ``repro.probe`` and ``repro.core.findings`` -- the
+store never executes what it reads.  A defective row is *counted in*
+:meth:`ResultStore.stats` (corruption or version skew), *evicted, and
+recomputed by the caller*.  A file SQLite rejects outright is moved aside
+(``store.sqlite.damaged``), counted as corruption and replaced by a fresh
+database.  A store failure (read or write) is never fatal to the
+computation it serves.
 
-**Concurrent-writer safety.**  Content addressing makes writes idempotent:
-two processes producing the same key produce byte-equivalent values, and
-``os.replace`` makes the last rename win atomically.  The read path takes
-no locks.
+**Concurrent writers.**  Pool workers and concurrent sweeps share the
+database under a busy timeout.  A store opens its connection in the
+process that uses it, checked by pid, because pool workers fork with their
+parent's store objects.  Content addressing makes writes idempotent: two processes
+producing the same key produce equivalent values.
 
-:class:`SweepJournal` adds per-sweep bookkeeping: an append-only
-``journal.jsonl`` whose header pins the sweep identity (catalogue +
-settings + schema) plus a monotonically increasing *epoch* -- every fresh
-or rotated sweep advances it, a resume continues it -- and whose per-chart
-records -- each sealed with its own sha256, so a torn tail line is
-dropped, not trusted -- record completion for ``repro sweep --resume``.
-Records optionally carry the per-chart classifier fingerprints (values /
-templates / behaviours / settings), which is what lets the delta
-evaluator (:mod:`repro.experiments.delta`) classify *why* a chart needs
+**Nothing is created early.**  ``ResultStore(root)`` creates only the
+directory; the first write creates the database, and no read does.
+
+:class:`SweepJournal` adds per-sweep bookkeeping: a header pinning the
+sweep identity (catalogue + settings + schema) and a monotonically
+increasing *epoch* -- every fresh or rotated sweep advances it, a resume
+continues it -- plus one sealed record per chart, tagged with its epoch
+(readers see only the header's epoch).  Records optionally carry the
+per-chart classifier fingerprints (values / templates / behaviours /
+settings), which is what lets the delta evaluator
+(:mod:`repro.experiments.delta`) classify *why* a chart needs
 recomputation, not just that its result key moved.
-:func:`read_prior_state` is the read side: the epoch-tagged prior-state
-lookup over the live (last-wins) journal records, one per chart key.
+:func:`read_prior_state` is the read side.
 
 Fault injection: :data:`repro.faults.STORE_READ` fires at the top of every
-lookup (``corrupt`` kinds damage the entry first -- truncation, bit-flip or
-version skew per :func:`repro.faults.corruption_mode`);
-:data:`repro.faults.STORE_WRITE` fires between the temp-file fsync and the
-rename, so a ``kill`` fault is a genuine mid-write crash.
+lookup (``corrupt`` kinds damage the stored row first -- truncation,
+bit-flip or version skew per :func:`repro.faults.corruption_mode`);
+:data:`repro.faults.STORE_WRITE` fires after a publish's inserts and before
+its ``COMMIT``, so a ``kill`` fault is a genuine uncommitted crash.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import pickle
 import tempfile
 import threading
+import time
+from collections import Counter
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from . import faults
 
-#: Entry-format constants.  ``SCHEMA_VERSION`` governs compatibility: a
-#: header whose schema differs from the reader's is *version skew* -- the
-#: entry is evicted and recomputed (and ``tools/store_gc.py`` prunes them).
+#: Entry-format constants.  ``SCHEMA_VERSION`` governs compatibility: a row
+#: whose schema differs from the reader's is *version skew* -- the entry is
+#: evicted and recomputed (and ``tools/store_gc.py`` prunes them).
 MAGIC = "repro-store"
 SCHEMA_VERSION = 1
 
-#: Well-known entry kinds (recorded in the header, checked on read).
+#: Well-known entry kinds (recorded per row, checked on read).
 KIND_OBSERVATION = "observation"
 KIND_RESULT = "result"
 
-_ENTRY_SUFFIX = ".entry"
-_TMP_MARKER = ".tmp"
+#: The database file of a store root.
+DB_FILENAME = "store.sqlite"
+
+#: How long a connection waits for another process's write transaction.
+_BUSY_TIMEOUT_S = 30.0
+
+#: SQLite's verdicts on a file that is not, or no longer, a database.
+_DAMAGED = frozenset({"SQLITE_NOTADB", "SQLITE_CORRUPT"})
+
+#: Payloads decode only into classes defined under these packages.
+_TRUSTED = ("repro.k8s", "repro.probe", "repro.core.findings")
+_TRUSTED_PREFIXES = tuple(package + "." for package in _TRUSTED)
+
+_SCHEMA = """
+CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY, kind TEXT NOT NULL,
+    schema INTEGER NOT NULL, sha256 TEXT NOT NULL, size INTEGER NOT NULL,
+    payload BLOB NOT NULL, written_at REAL NOT NULL);
+CREATE TABLE IF NOT EXISTS journal_header (epoch INTEGER PRIMARY KEY,
+    identity TEXT NOT NULL, schema INTEGER NOT NULL);
+CREATE TABLE IF NOT EXISTS journal (epoch INTEGER NOT NULL, chart TEXT NOT NULL,
+    record TEXT NOT NULL, seal TEXT NOT NULL, PRIMARY KEY (epoch, chart));"""
+_SELECT_ENTRY = "SELECT kind, schema, sha256, size, payload, written_at FROM entries"
+_SELECT_KEY = _SELECT_ENTRY + " WHERE key = ?"
+_INSERT_ENTRY = "INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?, ?, ?, ?)"
+_INSERT_RECORD = "INSERT OR REPLACE INTO journal VALUES (?, ?, ?, ?)"
 
 
 def store_key(kind: str, *parts: object) -> str:
@@ -86,7 +123,7 @@ def store_key(kind: str, *parts: object) -> str:
     processes and platforms (the same discipline
     :func:`repro.helm.values.canonical_values` guarantees).  The key
     deliberately excludes the schema version: version skew must be
-    *detectable* at read time via the header, not silently keyed away.
+    *detectable* at read time via the row, not silently keyed away.
     """
     material = repr((MAGIC, kind, parts))
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
@@ -94,16 +131,12 @@ def store_key(kind: str, *parts: object) -> str:
 
 def _fsync_directory(path: Path) -> None:
     """Best-effort fsync of a directory so a rename survives power loss."""
-    try:
+    with suppress(OSError):
         fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 def atomic_write_bytes(path: Path | str, data: bytes) -> None:
@@ -115,7 +148,7 @@ def atomic_write_bytes(path: Path | str, data: bytes) -> None:
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + _TMP_MARKER)
+    fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
@@ -123,10 +156,8 @@ def atomic_write_bytes(path: Path | str, data: bytes) -> None:
             os.fsync(handle.fileno())
         os.replace(tmp_name, target)
     except BaseException:
-        try:
+        with suppress(OSError):
             os.unlink(tmp_name)
-        except OSError:
-            pass
         raise
     _fsync_directory(target.parent)
 
@@ -136,226 +167,311 @@ def atomic_write_text(path: Path | str, text: str, encoding: str = "utf-8") -> N
     atomic_write_bytes(path, text.encode(encoding))
 
 
-def _entry_header(kind: str, payload: bytes, schema: int) -> bytes:
-    header = {
-        "magic": MAGIC,
-        "schema": schema,
-        "kind": kind,
-        "sha256": hashlib.sha256(payload).hexdigest(),
-        "size": len(payload),
-    }
-    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
+class _Database:
+    """One connection per process to a store's database file.
 
-
-def _parse_entry(blob: bytes, kind: str | None, schema: int) -> tuple[bytes | None, str | None]:
-    """Split an entry blob into its payload, or name the defect.
-
-    Returns ``(payload, None)`` for a healthy entry and ``(None, reason)``
-    otherwise, with ``reason`` one of ``header`` / ``magic`` / ``schema`` /
-    ``kind`` / ``size`` / ``digest``.  ``schema`` is the only reason counted
-    as version skew rather than corruption.
+    The connection opens on first use, and again in a process that
+    inherited this object through a fork: pool workers fork with their
+    parent's store objects, and a SQLite connection must not cross a fork,
+    so the inherited one is kept in ``_forked``, never used or closed.
+    ``staged`` holds statements that ride on this object's next commit --
+    how a journal record joins its chart's result entry in one transaction.
     """
-    newline = blob.find(b"\n")
-    if newline < 0:
-        return None, "header"
-    try:
-        header = json.loads(blob[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, ValueError):
-        return None, "header"
-    if not isinstance(header, dict) or header.get("magic") != MAGIC:
-        return None, "magic"
-    if header.get("schema") != schema:
-        return None, "schema"
-    if kind is not None and header.get("kind") != kind:
-        return None, "kind"
-    payload = blob[newline + 1 :]
-    if header.get("size") != len(payload):
-        return None, "size"
-    if header.get("sha256") != hashlib.sha256(payload).hexdigest():
-        return None, "digest"
-    return payload, None
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.staged: list[tuple[str, tuple]] = []
+        #: Damaged files moved aside through this object.
+        self.damaged = 0
+        self._conn: Any = None
+        self._pid = os.getpid()
+        self._forked: list[Any] = []
+        self._lock = threading.RLock()
+
+    def _own(self) -> None:
+        """Drop what this process inherited from its parent (see above)."""
+        if self._pid != os.getpid():
+            self._forked.append(self._conn)
+            self._conn, self._pid, self.staged = None, os.getpid(), []
+
+    def _connect(self, create: bool) -> Any:
+        self._own()
+        if self._conn is None and (create or self.path.exists()):
+            import sqlite3  # on first use: a store-less run never loads it
+
+            conn = sqlite3.connect(self.path, timeout=_BUSY_TIMEOUT_S, isolation_level=None,
+                                   check_same_thread=False)
+            try:
+                _enable_wal(conn)
+                conn.execute("PRAGMA synchronous=FULL")
+                conn.executescript(_SCHEMA)
+            except BaseException:
+                conn.close()
+                raise
+            self._conn = conn
+        return self._conn
+
+    def run(self, work: Callable[[Any], Any], create: bool = False) -> Any:
+        """``work(connection)``; ``None`` when there is no database to use.
+
+        Without ``create`` an absent database stays absent.  When SQLite
+        rejects the file itself, it is moved aside and ``work`` runs once
+        more against a fresh database.  Any other error propagates.
+        """
+        with self._lock:
+            try:
+                conn = self._connect(create)
+                return None if conn is None else work(conn)
+            except Exception as exc:
+                if getattr(exc, "sqlite_errorname", None) not in _DAMAGED:
+                    raise
+            self._move_aside()
+            conn = self._connect(create)
+            return None if conn is None else work(conn)
+
+    def transact(self, work: Callable[[Any], Any], fault_site: str | None = None) -> Any:
+        """Commit the staged statements plus ``work(connection)`` as one
+        ``BEGIN IMMEDIATE`` transaction, creating the database if needed.
+
+        ``fault_site`` fires after the statements and before ``COMMIT``.  A
+        failure rolls back, loses the staged statements with it, and
+        propagates.
+        """
+        with self._lock:
+            self._own()
+            staged, self.staged = self.staged, []
+
+            def attempt(conn: Any) -> Any:
+                conn.execute("BEGIN IMMEDIATE")
+                try:
+                    for sql, params in staged:
+                        conn.execute(sql, params)
+                    value = work(conn)
+                    if fault_site is not None:
+                        faults.fault_point(fault_site)
+                    conn.execute("COMMIT")
+                except BaseException:
+                    if conn.in_transaction:
+                        conn.execute("ROLLBACK")
+                    raise
+                return value
+
+            return self.run(attempt, create=True)
+
+    def stage(self, sql: str, params: tuple) -> None:
+        """Queue one statement for the next :meth:`transact`."""
+        with self._lock:
+            self._own()
+            self.staged.append((sql, params))
+
+    def close(self) -> None:
+        """Close this process's connection, if open."""
+        with self._lock:
+            self._own()
+            if self._conn is not None:
+                self._conn.close()
+                self._conn = None
+
+    def _move_aside(self) -> None:
+        with suppress(Exception):
+            self._conn.close()
+        self._conn = None
+        for suffix in ("", "-wal", "-shm"):
+            with suppress(OSError):
+                os.replace(f"{self.path}{suffix}", f"{self.path}.damaged{suffix}")
+        self.damaged += 1
 
 
-def _corrupt_entry_file(path: Path, mode: str) -> None:
-    """Damage an on-disk entry per the requested chaos corruption mode."""
-    try:
-        blob = path.read_bytes()
-    except OSError:
-        return
-    if mode == faults.CORRUPT_TRUNCATE:
-        path.write_bytes(blob[: max(len(blob) // 2, 1)])
-    elif mode == faults.CORRUPT_BITFLIP:
-        newline = blob.find(b"\n")
-        index = newline + 1 + max((len(blob) - newline - 1) // 2, 0)
-        index = min(index, len(blob) - 1)
-        damaged = bytearray(blob)
-        damaged[index] ^= 0x01
-        path.write_bytes(bytes(damaged))
-    elif mode == faults.CORRUPT_VERSION:
-        newline = blob.find(b"\n")
-        if newline < 0:
-            return
+def _enable_wal(conn: Any) -> None:
+    """Switch the database to WAL mode.
+
+    Processes creating one database at once race for the switch, and SQLite
+    answers the losers with ``SQLITE_BUSY`` at once, without waiting out the
+    busy timeout: retry until that timeout would have run out.
+    """
+    deadline = time.monotonic() + _BUSY_TIMEOUT_S
+    while True:
         try:
-            header = json.loads(blob[:newline].decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
+            conn.execute("PRAGMA journal_mode=WAL")
             return
-        header["schema"] = int(header.get("schema", 0)) + 1
-        skewed = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        path.write_bytes(skewed + b"\n" + blob[newline + 1 :])
+        except Exception as exc:
+            if getattr(exc, "sqlite_errorname", None) != "SQLITE_BUSY" or time.monotonic() > deadline:
+                raise
+        time.sleep(0.01)
+
+
+class _TrustedUnpickler(pickle.Unpickler):
+    """Decodes only classes defined under :data:`_TRUSTED`; refuses every
+    other global, builtins included, so a payload cannot run code."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        found = super().find_class(module, name) if _trusted(module) else None
+        if not isinstance(found, type) or not _trusted(found.__module__):
+            raise pickle.UnpicklingError(f"refused global {module}.{name}")
+        return found
+
+
+def _trusted(module: str) -> bool:
+    return module in _TRUSTED or module.startswith(_TRUSTED_PREFIXES)
+
+
+def _defect(row: tuple, kind: str | None, schema: int) -> str | None:
+    """Why an ``entries`` row fails verification, or ``None`` when healthy.
+
+    ``schema`` is the only reason counted as version skew rather than
+    corruption; the others are ``kind``, ``size`` and ``digest``.
+    """
+    row_kind, row_schema, digest, size, payload, _ = row
+    if row_schema != schema:
+        return "schema"
+    if kind is not None and row_kind != kind:
+        return "kind"
+    if not isinstance(payload, bytes) or size != len(payload):
+        return "size"
+    if digest != hashlib.sha256(payload).hexdigest():
+        return "digest"
+    return None
 
 
 class ResultStore:
-    """Content-addressed on-disk store of pickled evaluation artifacts.
+    """Content-addressed store of pickled evaluation artifacts.
 
-    Entries live under ``root`` sharded by key prefix
-    (``root/<key[:2]>/<key>.entry``).  :meth:`read` verifies every entry
-    against its header (magic, schema version, kind, sha256, size) and
-    unpickles only verified payloads; a defective entry is counted, evicted
-    and reported as a miss so the caller recomputes and republishes.
-    :meth:`write` is crash-safe (temp + fsync + atomic rename) and *never
-    raises* -- a failed publish is counted in :meth:`stats` and the
+    Entries are rows of ``root/store.sqlite``.  :meth:`read` verifies every
+    row (schema version, kind, size, sha256) and decodes only verified
+    payloads through the allow-listed unpickler; a defective row is
+    counted, evicted and reported as a miss so the caller recomputes and
+    republishes.  :meth:`write` commits one row and *never raises* -- a
+    failed publish rolls back, is counted in :meth:`stats`, and the
     computation proceeds unstored.
 
-    Instances are cheap and process-local; the on-disk format is the shared
-    contract.  Counters are per-instance (pool workers each see their own).
+    Instances are cheap; the database is the shared contract.  Counters are
+    per-instance (pool workers each see their own).
     """
 
     def __init__(self, root: Path | str, schema_version: int = SCHEMA_VERSION) -> None:
         self.root = Path(root)
         self.schema_version = schema_version
         self.root.mkdir(parents=True, exist_ok=True)
+        self._db = _Database(self.root / DB_FILENAME)
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-        self.write_failures = 0
-        self.read_errors = 0
-        self.corruptions = 0
-        self.version_skew = 0
-        self.evictions = 0
-
-    def entry_path(self, key: str) -> Path:
-        """The on-disk location of ``key`` (exists or not)."""
-        return self.root / key[:2] / (key + _ENTRY_SUFFIX)
+        self.hits = self.misses = self.writes = self.write_failures = 0
+        self.read_errors = self.corruptions = self.version_skew = self.evictions = 0
 
     def read(self, key: str, kind: str | None = None) -> Any:
         """Return the verified value stored under ``key``, or ``None``.
 
         ``None`` covers every non-success uniformly -- absent entry,
-        unreadable file, corruption, version skew, kind mismatch -- because
-        the caller's move is always the same: recompute, then
-        :meth:`write`.  Defective entries are evicted so the next sweep
-        does not pay the verification failure again; the distinction
-        between miss, corruption and skew is kept in :meth:`stats`.
+        database error, corruption, version skew, kind mismatch, a refused
+        payload -- because the caller's move is always the same:
+        recompute, then :meth:`write`.  Defective rows are evicted so the
+        next sweep does not pay the verification failure again; the
+        distinction between miss, corruption and skew is kept in
+        :meth:`stats`.
         """
-        path = self.entry_path(key)
         try:
             faults.fault_point(faults.STORE_READ)
-            if not path.exists():
-                with self._lock:
-                    self.misses += 1
-                return None
-            mode = faults.corruption_mode(faults.STORE_READ)
+            row = self._db.run(lambda conn: conn.execute(_SELECT_KEY, (key,)).fetchone())
+            mode = faults.corruption_mode(faults.STORE_READ) if row is not None else None
             if mode is not None:
-                _corrupt_entry_file(path, mode)
-            blob = path.read_bytes()
-        except (faults.InjectedFault, OSError):
+                row = self._corrupt(key, mode)
+        except Exception:
             with self._lock:
                 self.read_errors += 1
             return None
-        payload, reason = _parse_entry(blob, kind, self.schema_version)
-        if reason is not None:
-            self._evict(path, reason)
+        if row is None:
+            with self._lock:
+                self.misses += 1
             return None
-        try:
-            value = pickle.loads(payload)
-        except Exception:
-            self._evict(path, "payload")
+        reason = _defect(row, kind, self.schema_version)
+        if reason is None:
+            try:
+                value = _TrustedUnpickler(io.BytesIO(row[4])).load()
+            except Exception:
+                reason = "payload"
+        if reason is not None:
+            self._evict(key, row, reason)
             return None
         with self._lock:
             self.hits += 1
         return value
 
     def write(self, key: str, value: Any, kind: str) -> bool:
-        """Publish ``value`` under ``key``; return True on success.
+        """Publish ``value`` under ``key`` in one commit; True on success.
 
-        Serialization, the temp write, the fsync and the rename are all
-        inside the failure guard: any exception (including an injected
-        ``store.write`` fault) abandons the publish, counts a write
-        failure, cleans up the temp file best-effort and returns False.
-        The store must never turn a successful computation into a failure.
+        Serialization, the insert and the commit are all inside the
+        failure guard: any exception (including an injected ``store.write``
+        fault) rolls the publish back, counts a write failure and returns
+        False.  The store must never turn a successful computation into a
+        failure.
         """
-        path = self.entry_path(key)
-        tmp_name: str | None = None
         try:
             payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-            blob = _entry_header(kind, payload, self.schema_version) + payload
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + _TMP_MARKER)
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            # Mid-write crash site: the temp file is durable, the entry is
-            # not yet visible.  A ``kill`` fault here dies exactly like a
-            # power cut between fsync and rename.
-            faults.fault_point(faults.STORE_WRITE)
-            os.replace(tmp_name, path)
-            tmp_name = None
-            _fsync_directory(path.parent)
+            digest = hashlib.sha256(payload).hexdigest()
+            row = (key, kind, self.schema_version, digest, len(payload), payload, time.time())
+            self._db.transact(lambda conn: conn.execute(_INSERT_ENTRY, row), faults.STORE_WRITE)
         except Exception:
             with self._lock:
                 self.write_failures += 1
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
             return False
         with self._lock:
             self.writes += 1
         return True
 
-    def _evict(self, path: Path, reason: str) -> None:
+    def _evict(self, key: str, row: tuple, reason: str) -> None:
         with self._lock:
             if reason == "schema":
                 self.version_skew += 1
             else:
                 self.corruptions += 1
             self.evictions += 1
-        try:
-            path.unlink()
-        except OSError:
-            pass
+        # Only the row this read judged: a concurrent writer's fresh row
+        # under the same key differs in digest or write time and stays.
+        with suppress(Exception):
+            self._db.transact(lambda conn: conn.execute(
+                "DELETE FROM entries WHERE key = ? AND sha256 = ? AND written_at = ?",
+                (key, row[2], row[5]),
+            ))
 
-    def entries(self) -> Iterator[Path]:
-        """Yield every entry file currently visible in the store."""
-        yield from sorted(self.root.glob(f"*/*{_ENTRY_SUFFIX}"))
+    def _corrupt(self, key: str, mode: str) -> tuple | None:
+        """Damage the stored row of ``key`` per a chaos corruption mode
+        (:data:`repro.faults.CORRUPTION_MODES`); return the damaged row."""
+
+        def damage(conn: Any) -> tuple | None:
+            row = conn.execute(_SELECT_KEY, (key,)).fetchone()
+            if row is None:
+                return None
+            kind, schema, digest, size, payload, written_at = row
+            half = len(payload) // 2
+            if mode == faults.CORRUPT_TRUNCATE:
+                payload = payload[: max(half, 1)]
+            elif mode == faults.CORRUPT_BITFLIP:
+                payload = payload[:half] + bytes([payload[half] ^ 0x01]) + payload[half + 1 :]
+            else:
+                schema += 1
+            conn.execute("UPDATE entries SET schema = ?, payload = ? WHERE key = ?", (schema, payload, key))
+            return kind, schema, digest, size, payload, written_at
+
+        return self._db.transact(damage)
 
     def verify_all(self) -> dict[str, int]:
-        """Scan every entry; report healthy/defective counts without evicting.
+        """Scan every row; report healthy/defective counts without evicting.
 
-        Used by tests and ``tools/store_gc.py`` to prove no torn entry is
-        ever visible: a store that only ever saw crash-safe writes scans
-        clean no matter how many writers died.
+        Used by tests to prove no torn entry is ever visible: a store that
+        only ever saw committed writes scans clean no matter how many
+        writers died.
         """
-        healthy = 0
-        defects: dict[str, int] = {}
-        for path in self.entries():
-            try:
-                blob = path.read_bytes()
-            except OSError:
-                defects["unreadable"] = defects.get("unreadable", 0) + 1
-                continue
-            _, reason = _parse_entry(blob, None, self.schema_version)
-            if reason is None:
-                healthy += 1
-            else:
-                defects[reason] = defects.get(reason, 0) + 1
-        return {"healthy": healthy, "defective": sum(defects.values()), **defects}
+        reasons = self._db.run(
+            lambda conn: [_defect(row, None, self.schema_version) for row in conn.execute(_SELECT_ENTRY)]
+        ) or []
+        defects = Counter(reason for reason in reasons if reason is not None)
+        return {"healthy": reasons.count(None), "defective": sum(defects.values()), **defects}
 
     def stats(self) -> dict[str, int]:
-        """Counter snapshot: hits, misses, writes, failures, defects, evictions."""
+        """Counter snapshot: hits, misses, writes, failures, defects, evictions.
+
+        ``corruptions`` includes every damaged database file this store (or
+        its journal) moved aside.
+        """
         with self._lock:
             return {
                 "hits": self.hits,
@@ -363,103 +479,118 @@ class ResultStore:
                 "writes": self.writes,
                 "write_failures": self.write_failures,
                 "read_errors": self.read_errors,
-                "corruptions": self.corruptions,
+                "corruptions": self.corruptions + self._db.damaged,
                 "version_skew": self.version_skew,
                 "evictions": self.evictions,
             }
 
 
-def _seal_record(record: dict[str, Any]) -> str:
-    body = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
-    return json.dumps({"rec": record, "sha": digest}, sort_keys=True, separators=(",", ":")) + "\n"
+def _seal(epoch: int, record: str) -> str:
+    """A journal record's seal: a digest over its epoch and JSON text."""
+    return hashlib.sha256(f"{epoch}:{record}".encode("utf-8")).hexdigest()[:16]
 
 
-def _unseal_line(line: str) -> dict[str, Any] | None:
-    try:
-        wrapper = json.loads(line)
-        record = wrapper["rec"]
-        body = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        if wrapper["sha"] != hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]:
-            return None
-    except (ValueError, KeyError, TypeError):
-        return None
-    return record if isinstance(record, dict) else None
+def _read_journal(conn: Any) -> tuple[tuple | None, dict[str, dict[str, Any]], int]:
+    """(live header row, that epoch's sealed records by chart, dropped records).
+
+    The header with the highest epoch is live; only records of its epoch
+    are visible, one per chart (the table's key makes them last-wins).  A
+    record whose seal fails is dropped and counted.
+    """
+    header = conn.execute("SELECT * FROM journal_header ORDER BY epoch DESC LIMIT 1").fetchone()
+    records: dict[str, dict[str, Any]] = {}
+    dropped = 0
+    if header is not None:
+        rows = conn.execute("SELECT chart, record, seal FROM journal WHERE epoch = ?", (header[0],))
+        for chart, text, seal in rows:
+            try:
+                record = json.loads(text) if seal == _seal(header[0], text) else None
+            except ValueError:
+                record = None
+            if isinstance(record, dict) and record.get("chart") == chart:
+                records[chart] = record
+            else:
+                dropped += 1
+    return header, records, dropped
 
 
 class SweepJournal:
-    """Append-only per-sweep completion log next to a :class:`ResultStore`.
+    """Per-sweep completion log in the database of a :class:`ResultStore`.
 
-    The journal is ``journal.jsonl`` in the store root.  Line one is a
-    header record pinning the *sweep identity* -- a digest over the ordered
+    ``root`` is the store itself or its directory; a journal opened on the
+    store shares its connection, which is what lets a computed chart's
+    record commit with its result entry (see :meth:`deferred`).  The
+    header pins the *sweep identity* -- a digest over the ordered
     catalogue result keys -- so a resume against a different catalogue or
-    settings is detected, not silently honored.  Each subsequent line
-    records one chart's completion (key, status, attempts, source), sealed
-    with its own sha256 so a torn tail (the writer died mid-append) is
-    dropped rather than trusted.  Appends are single ``os.write`` calls on
-    an ``O_APPEND`` descriptor followed by fsync, so concurrent sweeps
-    interleave whole records.
+    settings is detected, not silently honored.  Each record stores one
+    chart's completion (key, status, attempts, source) under the header's
+    epoch, sealed with a digest so a damaged record is dropped rather than
+    trusted.  Records of a superseded epoch stay invisible: a sweep still
+    writing after another one rotated the journal cannot pollute the new
+    generation.  Rotation keeps the superseded generation and drops older
+    ones.
     """
 
-    FILENAME = "journal.jsonl"
     #: The one *expected* rotation reason: a fresh (non-resume) sweep
     #: deliberately supersedes any prior journal.  :func:`store_hint`
     #: treats every other reason as degradation worth a hint.
     ROTATED_FRESH = "superseded by a fresh sweep"
 
-    def __init__(self, root: Path | str, identity: str) -> None:
-        self.root = Path(root)
+    def __init__(self, root: ResultStore | Path | str, identity: str) -> None:
+        store = root if isinstance(root, ResultStore) else None
+        self.root = store.root if store is not None else Path(root)
         self.identity = identity
-        self.path = self.root / self.FILENAME
         self.rotated_reason: str | None = None
         self.dropped_lines = 0
+        #: Journal commits that failed; the records they carried are lost.
+        self.failures = 0
         #: The sweep epoch this journal is writing under: 0 until
         #: :meth:`begin`, then the prior header's epoch + 1 for a fresh or
         #: rotated sweep, or the prior epoch unchanged for a valid resume.
         self.epoch = 0
-        self._fd: int | None = None
-        self._lock = threading.Lock()
+        #: A store's journal shares the store's connection, so a record can
+        #: commit in the same transaction as the store's next write.
+        self._db = store._db if store is not None else _Database(self.root / DB_FILENAME)
+        self._deferred = False
 
     def begin(self, resume: bool) -> dict[str, dict[str, Any]]:
         """Open the journal; return prior completions when resuming.
 
-        A fresh sweep (``resume=False``) rotates any existing journal aside
-        (``journal.jsonl.prev``).  A resume validates the header identity
-        first: a mismatch (different catalogue, settings or schema) rotates
-        the stale journal and starts clean -- :attr:`rotated_reason` records
-        why, so the CLI can surface one hint instead of a traceback.
-
-        Either way :attr:`epoch` is settled here: it continues the prior
-        header's epoch on a valid resume and advances it by one otherwise,
-        so every generation of results a store has seen is totally ordered.
+        One ``BEGIN IMMEDIATE`` transaction reads the live header and
+        settles :attr:`epoch`.  A fresh sweep (``resume=False``) rotates the
+        journal to a new epoch.  A resume validates the header first: a
+        different schema or identity (catalogue or settings) rotates too
+        and starts clean -- :attr:`rotated_reason` records why, so the CLI
+        can surface one hint instead of a traceback.  A valid resume
+        continues the prior epoch and returns its live records.  A failed
+        begin is counted in :attr:`failures` and leaves the journal off.
         """
-        completed: dict[str, dict[str, Any]] = {}
-        prior_epoch = 0
-        if self.path.exists():
-            header, records, dropped = self._parse()
-            self.dropped_lines = dropped
-            prior_epoch = _header_epoch(header)
-            if not resume:
-                self._rotate(self.ROTATED_FRESH)
-            elif header is None:
-                self._rotate("journal header unreadable")
-            elif header.get("identity") != self.identity:
-                self._rotate("journal identity mismatch (catalogue or settings changed)")
+
+        def settle(conn: Any) -> tuple[int, str | None, dict, int]:
+            header, records, dropped = _read_journal(conn)
+            prior, identity, schema = header or (0, None, None)
+            if header is None:
+                reason = None
+            elif not resume:
+                reason = self.ROTATED_FRESH
+            elif schema != SCHEMA_VERSION:
+                reason = "journal header unreadable"
+            elif identity != self.identity:
+                reason = "journal identity mismatch (catalogue or settings changed)"
             else:
-                completed = records
-        self._fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        if os.fstat(self._fd).st_size == 0:
-            self.epoch = prior_epoch + 1
-            self._append(
-                {
-                    "type": "header",
-                    "identity": self.identity,
-                    "schema": SCHEMA_VERSION,
-                    "epoch": self.epoch,
-                }
+                return prior, None, records, dropped
+            conn.execute(
+                "INSERT INTO journal_header VALUES (?, ?, ?)", (prior + 1, self.identity, SCHEMA_VERSION)
             )
-        else:
-            self.epoch = prior_epoch or 1
+            conn.execute("DELETE FROM journal_header WHERE epoch < ?", (prior,))
+            conn.execute("DELETE FROM journal WHERE epoch < ?", (prior,))
+            return prior + 1, reason, {}, dropped
+
+        try:
+            self.epoch, self.rotated_reason, completed, self.dropped_lines = self._db.transact(settle)
+        except Exception:
+            self.failures += 1
+            return {}
         return completed
 
     def record(
@@ -471,93 +602,53 @@ class SweepJournal:
         source: str = "computed",
         fingerprints: dict[str, str] | None = None,
     ) -> None:
-        """Append one sealed per-chart completion record and fsync it.
+        """Commit one sealed per-chart completion record.
 
+        Inside :meth:`deferred` the record is staged instead.
         ``fingerprints`` (optional) attaches the chart's delta-classifier
         fingerprints -- values / templates / behaviours / settings, see
         :func:`repro.experiments.evaluation.classifier_fingerprints` -- so a
         later delta sweep can explain *which* input moved, not just that
         the content-addressed result key did.
         """
-        record: dict[str, Any] = {
-            "type": "chart",
-            "chart": chart,
-            "status": status,
-            "result": result_key,
-            "attempts": attempts,
-            "source": source,
-        }
+        if not self.epoch:
+            return
+        record: dict[str, Any] = {"chart": chart, "status": status, "result": result_key,
+                                  "attempts": attempts, "source": source}
         if fingerprints:
             record["fp"] = dict(fingerprints)
-        self._append(record)
+        text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        self._db.stage(_INSERT_RECORD, (self.epoch, chart, text, _seal(self.epoch, text)))
+        if not self._deferred:
+            self._flush()
+
+    @contextmanager
+    def deferred(self) -> Iterator[None]:
+        """Stage the records made inside instead of committing each one.
+
+        The next commit this process makes on the store's database carries
+        them -- a computed chart's result write, so entry and record share
+        one transaction -- and whatever is still staged at exit commits
+        then, in one transaction (the load phase's records).
+        """
+        self._deferred = True
+        try:
+            yield
+        finally:
+            self._deferred = False
+            self._flush()
 
     def close(self) -> None:
-        """Release the journal descriptor (records already durable)."""
-        with self._lock:
-            if self._fd is not None:
-                try:
-                    os.close(self._fd)
-                except OSError:
-                    pass
-                self._fd = None
+        """Commit anything still staged; the journal holds no other resource."""
+        self._flush()
 
-    def _append(self, record: dict[str, Any]) -> None:
-        if self._fd is None:
+    def _flush(self) -> None:
+        if not self._db.staged:
             return
-        line = _seal_record(record).encode("utf-8")
-        with self._lock:
-            try:
-                os.write(self._fd, line)
-                os.fsync(self._fd)
-            except OSError:
-                pass
-
-    def _rotate(self, reason: str) -> None:
-        self.rotated_reason = reason
         try:
-            os.replace(self.path, self.path.with_name(self.FILENAME + ".prev"))
-        except OSError:
-            pass
-
-    def _parse(self) -> tuple[dict[str, Any] | None, dict[str, dict[str, Any]], int]:
-        return _parse_journal(self.path)
-
-
-def _parse_journal(path: Path) -> tuple[dict[str, Any] | None, dict[str, dict[str, Any]], int]:
-    """Parse one journal file into (header, live chart records, dropped lines).
-
-    Chart records are *last-wins* by chart key: a chart recorded several
-    times across resumed sweeps keeps exactly one live record -- the
-    superseded-entry semantics every reader (resume, delta, prior-state
-    lookup) shares.
-    """
-    header: dict[str, Any] | None = None
-    records: dict[str, dict[str, Any]] = {}
-    dropped = 0
-    try:
-        lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
-    except OSError:
-        return None, {}, 0
-    for index, line in enumerate(lines):
-        record = _unseal_line(line)
-        if record is None:
-            dropped += 1
-            continue
-        if record.get("type") == "header" and index == 0:
-            header = record
-        elif record.get("type") == "chart" and isinstance(record.get("chart"), str):
-            records[record["chart"]] = record
-    return header, records, dropped
-
-
-def _header_epoch(header: dict[str, Any] | None) -> int:
-    """The epoch a journal header carries (0 for absent or pre-epoch headers)."""
-    if not isinstance(header, dict):
-        return 0
-    try:
-        return max(int(header.get("epoch", 0)), 0)
-    except (TypeError, ValueError):
-        return 0
+            self._db.transact(lambda conn: None)
+        except Exception:
+            self.failures += 1
 
 
 @dataclass(frozen=True)
@@ -579,31 +670,39 @@ class PriorState:
 
     def completed(self) -> dict[str, dict[str, Any]]:
         """The live records of charts that finished successfully."""
-        return {
-            chart: record
-            for chart, record in self.records.items()
-            if record.get("status") == "ok"
-        }
+        return {chart: rec for chart, rec in self.records.items() if rec.get("status") == "ok"}
 
 
 def read_prior_state(root: Path | str) -> PriorState:
-    """Read a store directory's journal as delta-consumable prior state.
+    """Read a store's journal as delta-consumable prior state.
 
-    This is the read-only side of :class:`SweepJournal`: it never opens the
-    journal for append, never rotates, and tolerates a missing or torn
-    journal (sealed records keep their last-wins semantics; torn lines are
+    This is the read-only side of :class:`SweepJournal`: it never writes,
+    never rotates, and never creates the database; a missing or unreadable
+    journal reads as no prior state (records that fail their seal are
     counted in ``dropped_lines``).  The delta evaluator uses it to classify
     charts against what the store last recorded before deciding what to
     recompute.
     """
-    header, records, dropped = _parse_journal(Path(root) / SweepJournal.FILENAME)
-    identity = header.get("identity") if isinstance(header, dict) else None
-    return PriorState(
-        epoch=_header_epoch(header),
-        identity=identity if isinstance(identity, str) else None,
-        records=records,
-        dropped_lines=dropped,
-    )
+    database = _Database(Path(root) / DB_FILENAME)
+    try:
+        found = database.run(_read_journal)
+    except Exception:
+        found = None
+    finally:
+        database.close()
+    header, records, dropped = found or (None, {}, 0)
+    epoch, identity, _ = header or (0, None, None)
+    return PriorState(epoch=epoch, identity=identity, records=records, dropped_lines=dropped)
+
+
+#: Degradation counters :func:`store_hint` names: (field, one, several).
+_PROBLEMS = (
+    ("corruptions", "corrupt entry", "corrupt entries"),
+    ("version_skew", "version-skewed entry", "version-skewed entries"),
+    ("read_errors", "unreadable entry", "unreadable entries"),
+    ("write_failures", "failed write", "failed writes"),
+    ("journal_failures", "failed journal commit", "failed journal commits"),
+)
 
 
 def store_hint(stats: dict[str, int], root: Path | str, rotated: str | None = None) -> str | None:
@@ -612,19 +711,15 @@ def store_hint(stats: dict[str, int], root: Path | str, rotated: str | None = No
     Mirrors :func:`repro.cluster.errors.actionable_message` formatting so
     CLI output stays uniform: a one-line diagnosis plus an indented hint.
     Returned only when the sweep actually degraded (corruption, version
-    skew, read/write errors or an *unexpected* journal rotation -- the
-    deliberate :attr:`SweepJournal.ROTATED_FRESH` supersede is not a
-    problem); a healthy store stays silent.
+    skew, read/write errors, failed journal commits or an *unexpected*
+    journal rotation -- the deliberate :attr:`SweepJournal.ROTATED_FRESH`
+    supersede is not a problem); a healthy store stays silent.
     """
-    problems = []
-    if stats.get("corruptions"):
-        problems.append(f"{stats['corruptions']} corrupt entr{'y' if stats['corruptions'] == 1 else 'ies'}")
-    if stats.get("version_skew"):
-        problems.append(f"{stats['version_skew']} version-skewed entr{'y' if stats['version_skew'] == 1 else 'ies'}")
-    if stats.get("read_errors"):
-        problems.append(f"{stats['read_errors']} unreadable entr{'y' if stats['read_errors'] == 1 else 'ies'}")
-    if stats.get("write_failures"):
-        problems.append(f"{stats['write_failures']} failed write{'s' if stats['write_failures'] != 1 else ''}")
+    problems = [
+        f"{stats[field]} {noun if stats[field] == 1 else plural}"
+        for field, noun, plural in _PROBLEMS
+        if stats.get(field)
+    ]
     if rotated and rotated != SweepJournal.ROTATED_FRESH:
         problems.append(f"journal rotated ({rotated})")
     if not problems:

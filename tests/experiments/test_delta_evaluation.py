@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import random
 
 import pytest
@@ -52,13 +53,8 @@ from repro.experiments import (
     settings_fingerprint,
 )
 from repro.helm.chart import ChartTemplate
-from repro.store import (
-    ResultStore,
-    SweepJournal,
-    _seal_record,
-    _unseal_line,
-    read_prior_state,
-)
+from repro.store import ResultStore, _seal, read_prior_state
+from tests.support import store_db
 from tests.support.diffing import assert_identical, canonical_evaluation
 
 SAMPLE = 8
@@ -436,14 +432,15 @@ class TestDurableDelta:
         run_full_evaluation(applications=applications, store=ResultStore(store_dir))
         # Strip the fingerprint payloads, simulating a journal written
         # before records carried them; reseal so the records stay valid.
-        journal = store_dir / SweepJournal.FILENAME
-        lines = []
-        for line in journal.read_text().splitlines():
-            record = _unseal_line(line)
-            assert record is not None
+        for epoch, chart, text in store_db.query(store_dir, "SELECT epoch, chart, record FROM journal"):
+            record = json.loads(text)
             record.pop("fp", None)
-            lines.append(_seal_record(record))
-        journal.write_text("".join(lines))
+            text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+            store_db.execute(
+                store_dir,
+                "UPDATE journal SET record = ?, seal = ? WHERE epoch = ? AND chart = ?",
+                (text, _seal(epoch, text), epoch, chart),
+            )
 
         evaluator = DeltaEvaluator(store=store_dir, retry_backoff=BACKOFF)
         plan = evaluator.plan(values_tweak(applications, 2))
@@ -481,7 +478,9 @@ class TestJournalSupersededEntries:
             # The identity moved with the chart content, so each cycle
             # rotates the journal and advances the epoch.
             assert state.epoch == 1 + cycle
-        assert (store_dir / (SweepJournal.FILENAME + ".prev")).exists()
+        # The superseded generation is kept; older ones are dropped.
+        kept = store_db.query(store_dir, "SELECT DISTINCT epoch FROM journal ORDER BY epoch")
+        assert kept == [(state.epoch - 1,), (state.epoch,)]
 
     def test_pure_resume_continues_the_epoch(self, applications, tmp_path):
         store_dir = tmp_path / "store"

@@ -6,13 +6,19 @@ store-free baseline via :func:`tests.support.diffing.canonical_evaluation`:
 
 * store off == cold store == warm store,
 * an interrupted sweep resumed finishes with identical output,
-* a writer killed between fsync and rename (a genuine ``kill -9``
-  mid-publish) leaves no torn entry and loses only unpublished charts,
+* a writer killed after its inserts and before ``COMMIT`` (a genuine
+  ``kill -9`` mid-publish) leaves no torn entry and loses only the chart it
+  was publishing -- entry and journal record alike,
 * every corruption mode (truncation, bit-flip, version skew) is detected,
   counted, evicted and recomputed -- never served, never fatal,
 * two concurrent sweeps over one store directory both succeed with
   identical output and leave only verified entries behind,
-* the sweep journal drops torn tails and rotates on identity mismatch.
+* a payload with a valid header that would run code when unpickled is
+  refused, counted as corruption and recomputed -- never executed,
+* failed journal commits are counted and named in the ``StoreIntegrity``
+  hint,
+* the sweep journal drops records whose seal fails and rotates on
+  identity mismatch, keeping the superseded generation.
 
 The fast tests run over an 8-chart sample; the ``slow``-marked full-catalogue
 differential covers all 290 charts (acceptance criterion for PR 7).
@@ -20,8 +26,11 @@ differential covers all 290 charts (acceptance criterion for PR 7).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import pickle
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -29,9 +38,20 @@ from pathlib import Path
 import pytest
 
 from repro import faults
+from repro import store as store_module
+from repro.core import AnalyzerSettings
 from repro.datasets import build_catalog
 from repro.experiments import run_full_evaluation
-from repro.store import KIND_RESULT, ResultStore, SweepJournal, store_key
+from repro.experiments.evaluation import result_key, settings_fingerprint
+from repro.store import (
+    KIND_RESULT,
+    ResultStore,
+    SweepJournal,
+    read_prior_state,
+    store_hint,
+    store_key,
+)
+from tests.support import store_db
 from tests.support.diffing import (
     assert_identical,
     canonical_evaluation,
@@ -62,6 +82,16 @@ def baseline(applications):
 def chart_key(applications, index: int) -> str:
     app = applications[index]
     return f"{app.dataset}/{app.name}"
+
+
+class Planted:
+    """A payload that runs code when unpickled: it creates ``marker``."""
+
+    def __init__(self, marker: str) -> None:
+        self.marker = marker
+
+    def __reduce__(self):
+        return (open, (self.marker, "w"))
 
 
 def subprocess_env() -> dict[str, str]:
@@ -141,7 +171,7 @@ class TestStoreDifferential:
 
 #: Child process: runs a durable sweep with a ``kill`` fault armed at the
 #: ``store.write`` site for one victim chart -- it dies via ``os._exit(3)``
-#: between the temp-file fsync and the rename, exactly like a power cut.
+#: after the publish's inserts and before its ``COMMIT``, like a power cut.
 KILL_CHILD = """
 import sys
 from repro import faults
@@ -202,6 +232,15 @@ class TestCrashAndConcurrency:
         scan = store.verify_all()
         assert scan["defective"] == 0
         assert scan["healthy"] >= victim
+        # The commit is the crash point: every chart before the victim has
+        # both its result entry and its journal record, the victim neither.
+        settings_fp = settings_fingerprint(AnalyzerSettings())
+        stored = {key for (key,) in store_db.query(store_dir, "SELECT key FROM entries")}
+        recorded = set(read_prior_state(store_dir).records)
+        for index in range(victim + 1):
+            published = index < victim
+            assert (result_key(applications[index], settings_fp) in stored) is published
+            assert (chart_key(applications, index) in recorded) is published
         resumed = run_full_evaluation(
             applications=applications, store=store, resume=True
         )
@@ -243,7 +282,7 @@ class TestCrashAndConcurrency:
         assert canonical_json(payloads[0]) == canonical_json(
             json.loads(json.dumps(baseline, sort_keys=True, default=str))
         )
-        # Rename-wins left only verified entries -- no torn files.
+        # Both racers committed only whole rows -- nothing torn.
         scan = ResultStore(store_dir).verify_all()
         assert scan["defective"] == 0
         assert scan["healthy"] > 0
@@ -316,6 +355,59 @@ class TestStoreChaos:
         assert store.verify_all()["defective"] == 0
         assert_identical(baseline, canonical_evaluation(result), "unstored sweep")
 
+    def test_crafted_payload_is_refused_not_run(self, applications, baseline, tmp_path):
+        store_dir = tmp_path / "store"
+        run_full_evaluation(applications=applications, store=ResultStore(store_dir))
+        # The payload is live: a plain unpickle runs it.
+        probe = tmp_path / "probe"
+        pickle.loads(pickle.dumps(Planted(str(probe))))
+        assert probe.exists()
+        # Plant it under a result key with a correct size, digest, schema
+        # and kind: only the decoder stands between it and every reader.
+        marker = tmp_path / "marker"
+        payload = pickle.dumps(Planted(str(marker)))
+        key = result_key(applications[0], settings_fingerprint(AnalyzerSettings()))
+        store_db.execute(
+            store_dir,
+            "UPDATE entries SET payload = ?, size = ?, sha256 = ? WHERE key = ?",
+            (payload, len(payload), hashlib.sha256(payload).hexdigest(), key),
+        )
+        assert ResultStore(store_dir).verify_all() == {"healthy": 2 * SAMPLE, "defective": 0}
+        store = ResultStore(store_dir)
+        result = run_full_evaluation(applications=applications, store=store)
+        assert not marker.exists()
+        assert store.stats()["corruptions"] == 1
+        assert store.stats()["evictions"] == 1
+        assert result.store_stats["loaded"] == SAMPLE - 1
+        assert result.store_stats["computed"] == 1
+        assert_identical(baseline, canonical_evaluation(result), "crafted-payload store")
+
+    def test_journal_commit_failures_are_counted_and_hinted(
+        self, applications, baseline, tmp_path, monkeypatch
+    ):
+        transact = store_module._Database.transact
+
+        def disk_full_for_journal(self, work, fault_site=None):
+            # Any commit carrying a journal record fails as a full disk would.
+            if any(sql == store_module._INSERT_RECORD for sql, _ in self.staged):
+                self.staged = []
+                raise sqlite3.OperationalError("database or disk is full")
+            return transact(self, work, fault_site)
+
+        monkeypatch.setattr(store_module._Database, "transact", disk_full_for_journal)
+        store = ResultStore(tmp_path / "store")
+        result = run_full_evaluation(applications=applications, store=store)
+        assert not result.failed
+        stats = result.store_stats
+        # Each chart's shared entry+record commit failed (a failed write),
+        # then its computed-unstored record failed alone (a journal failure).
+        assert stats["store"]["journal_failures"] == SAMPLE
+        assert stats["unstored"] == SAMPLE
+        assert read_prior_state(store.root).records == {}
+        hint = store_hint(stats["store"], stats["root"], rotated=stats["journal_rotated"])
+        assert f"{SAMPLE} failed journal commits" in hint
+        assert_identical(baseline, canonical_evaluation(result), "journal-failure sweep")
+
     def test_read_errors_degrade_to_recompute(self, applications, baseline, tmp_path):
         store_dir = tmp_path / "store"
         run_full_evaluation(applications=applications, store=ResultStore(store_dir))
@@ -345,10 +437,12 @@ class TestJournal:
         assert journal.begin(resume=True) == {}
         journal.record("org/app-a", "ok", "key-a")
         journal.record("org/app-b", "ok", "key-b")
+        journal.record("org/app-c", "ok", "key-c")
         journal.close()
-        # A writer died mid-append: the tail line has no valid seal.
-        with open(tmp_path / SweepJournal.FILENAME, "a", encoding="utf-8") as handle:
-            handle.write('{"rec": {"type": "chart", "chart": "org/app-c"')
+        # A damaged record: its seal no longer matches what it holds.
+        store_db.execute(
+            tmp_path, "UPDATE journal SET seal = '0000000000000000' WHERE chart = 'org/app-c'"
+        )
         resumed = SweepJournal(tmp_path, self.IDENTITY)
         completed = resumed.begin(resume=True)
         resumed.close()
@@ -366,7 +460,24 @@ class TestJournal:
         other.close()
         assert completed == {}
         assert "identity mismatch" in other.rotated_reason
-        assert (tmp_path / (SweepJournal.FILENAME + ".prev")).exists()
+        # The superseded generation is kept next to the new one.
+        assert store_db.query(tmp_path, "SELECT epoch, chart FROM journal") == [(1, "org/app-a")]
+        assert other.epoch == 2
+
+    def test_stale_writer_cannot_pollute_a_rotated_journal(self, tmp_path):
+        stale = SweepJournal(tmp_path, self.IDENTITY)
+        stale.begin(resume=False)
+        stale.record("org/app-a", "ok", "key-a")
+        fresh = SweepJournal(tmp_path, self.IDENTITY)
+        assert fresh.begin(resume=False) == {}
+        fresh.record("org/app-b", "ok", "key-b")
+        # The first sweep is still running: its records keep its epoch.
+        stale.record("org/app-c", "ok", "key-c")
+        state = read_prior_state(tmp_path)
+        assert (state.epoch, set(state.records)) == (2, {"org/app-b"})
+        assert state.dropped_lines == 0  # other generations are never read
+        resumed = SweepJournal(tmp_path, self.IDENTITY)
+        assert set(resumed.begin(resume=True)) == {"org/app-b"}
 
     def test_fresh_sweep_supersedes_existing_journal(self, tmp_path):
         journal = SweepJournal(tmp_path, self.IDENTITY)

@@ -1,9 +1,11 @@
-"""Import hygiene: a fresh ``insidejob sweep`` never loads numpy or a pool.
+"""Import hygiene: a fresh ``insidejob sweep`` never loads numpy, a pool or SQLite.
 
 numpy backs only the bitset branch of ``EndpointUniverse.materialize`` and is
 imported on the first call that needs it.  ``multiprocessing`` backs only the
 sweep engine's process pool and is imported when that pool is spawned, so a
-serial ``sweep`` or ``figure4b`` never loads it.  Each case runs in a fresh
+serial ``sweep`` or ``figure4b`` never loads it.  ``sqlite3`` backs only the
+result store and is imported when a store first opens its database, so only
+``sweep --store`` loads it.  Each case runs in a fresh
 interpreter, because the test process itself may already hold these
 modules.  The checks are on ``sys.modules`` and output only, never on
 timings.
@@ -90,20 +92,22 @@ def test_both_backends_give_the_same_surface(runs):
     assert runs["block"]["surface"] == surface
 
 
-#: Runs the CLI with the given arguments, then reports which pool modules
-#: the run loaded, on the last line of output.
+#: Runs the CLI with the given arguments, then reports which of the pool and
+#: SQLite modules the run loaded, on the last line of output.
 CLI_SCRIPT = """
 import json, sys
 from repro.cli import main
 main(sys.argv[1:])
 print(json.dumps(sorted(
-    name for name in ("multiprocessing", "concurrent.futures.process") if name in sys.modules
+    name for name in ("multiprocessing", "concurrent.futures.process", "sqlite3")
+    if name in sys.modules
 )))
 """
 
 
 def _cli(*args: str) -> tuple[str, list[str]]:
-    """(CLI output, pool modules loaded) of one run in a fresh interpreter."""
+    """(CLI output, pool and SQLite modules loaded) of one run in a fresh
+    interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     completed = subprocess.run(
@@ -129,10 +133,27 @@ def test_serial_sweep_loads_no_process_pool(serial_sweep):
     assert modules == []
 
 
-def test_figure4b_loads_no_process_pool():
-    output, modules = _cli("figure4b", "--sample", "3")
+@pytest.fixture(scope="module")
+def figure4b() -> tuple[str, list[str]]:
+    return _cli("figure4b", "--sample", "3")
+
+
+def test_figure4b_loads_no_process_pool(figure4b):
+    output, modules = figure4b
     assert "Dataset" in output
     assert modules == []
+
+
+def test_storeless_runs_leave_sqlite3_unloaded(serial_sweep, figure4b):
+    assert "sqlite3" not in serial_sweep[1]
+    assert "sqlite3" not in figure4b[1]
+
+
+def test_store_sweep_loads_sqlite3_on_first_use(serial_sweep, tmp_path):
+    output, modules = _cli("sweep", "--sample", "3", "--store", str(tmp_path / "store"))
+    assert "sqlite3" in modules
+    assert "multiprocessing" not in modules
+    assert output.splitlines()[: len(serial_sweep[0].splitlines())] == serial_sweep[0].splitlines()
 
 
 def test_pooled_sweep_prints_the_serial_table(serial_sweep):

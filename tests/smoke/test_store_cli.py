@@ -4,17 +4,26 @@ The contract under test mirrors ``actionable_message`` for cluster errors:
 a corrupt or version-skewed store must never surface as a traceback or a
 non-zero exit -- the sweep recomputes the affected charts, prints its
 normal report, and emits exactly one ``StoreIntegrity`` hint on stderr
-pointing at ``tools/store_gc.py``.  Resume runs through the same door.
+pointing at ``tools/store_gc.py``.  Resume runs through the same door, and
+so does a database file SQLite rejects as a whole: it is moved aside and the
+next sweep is warm again.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main as cli_main
-from repro.store import ResultStore
+from repro.store import DB_FILENAME
+from tests.support import store_db
 
 SAMPLE = 4
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def run_sweep(capsys, *argv: str) -> tuple[int, str, str]:
@@ -53,11 +62,10 @@ def test_sweep_resume_continues_quietly(capsys, tmp_path):
 def test_sweep_over_corrupt_store_hints_and_recomputes(capsys, tmp_path, damage):
     store_dir = tmp_path / "store"
     run_sweep(capsys, "--store", str(store_dir))
-    # Damage every entry on disk: a torn write and outright garbage both
+    # Damage every stored payload: a torn write and outright garbage both
     # must be detected by the verified read, never unpickled or served.
-    for path in ResultStore(store_dir).entries():
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2] if damage == "truncate" else b"\x00junk")
+    payload = "substr(payload, 1, length(payload) / 2)" if damage == "truncate" else "x'006a756e6b'"
+    store_db.execute(store_dir, f"UPDATE entries SET payload = {payload}")
     code, out, err = run_sweep(capsys, "--store", str(store_dir))
     assert code == 0  # never a traceback, never a failure
     assert "Total" in out  # the full report still prints
@@ -66,6 +74,49 @@ def test_sweep_over_corrupt_store_hints_and_recomputes(capsys, tmp_path, damage)
     assert "store_gc.py" in err
     # The corrupt entries were evicted and republished: warm again.
     code, out, err = run_sweep(capsys, "--store", str(store_dir))
+    assert code == 0
+    assert f"store: {SAMPLE} loaded, 0 computed" in out
+    assert "StoreIntegrity" not in err
+
+
+#: ``insidejob sweep`` with the arguments it is given.
+SWEEP_CHILD = "import sys; from repro.cli import main; sys.exit(main(['sweep', *sys.argv[1:]]))"
+
+
+def run_sweep_process(store_dir: Path) -> tuple[int, str, str]:
+    """One ``insidejob sweep --store`` in a fresh interpreter, so no connection
+    this test process holds can mask what is on disk."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run(
+        [sys.executable, "-c", SWEEP_CHILD, "--sample", str(SAMPLE), "--store", str(store_dir)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    return completed.returncode, completed.stdout, completed.stderr
+
+
+@pytest.mark.parametrize("damage", ["garbage", "half-truncated"])
+def test_damaged_database_file_is_moved_aside(tmp_path, damage):
+    store_dir = tmp_path / "store"
+    code, out, _ = run_sweep_process(store_dir)
+    assert code == 0
+    assert f"store: 0 loaded, {SAMPLE} computed" in out
+    database = store_dir / DB_FILENAME
+    # Everything in the main file, then damage the file itself.
+    store_db.query(store_dir, "PRAGMA wal_checkpoint(TRUNCATE)")
+    blob = database.read_bytes()
+    database.write_bytes(b"\x00garbage" * 512 if damage == "garbage" else blob[: len(blob) // 2])
+    code, out, err = run_sweep_process(store_dir)
+    assert code == 0  # never a traceback, never a failure
+    assert "Total" in out  # the full report still prints
+    assert err.count("StoreIntegrity") == 1
+    assert "corrupt" in err
+    assert (store_dir / (DB_FILENAME + ".damaged")).exists()
+    # The fresh database took every republished chart: warm again.
+    code, out, err = run_sweep_process(store_dir)
     assert code == 0
     assert f"store: {SAMPLE} loaded, 0 computed" in out
     assert "StoreIntegrity" not in err

@@ -2,20 +2,21 @@
 
 ``tools/store_gc.py`` is the cleanup path the ``StoreIntegrity`` CLI hint
 points at.  The smoke test pins its contract: dry run by default (nothing
-deleted), ``--apply`` prunes exactly the garbage classes (orphan temp
-files, corrupt entries, version-skewed entries, age-expired entries) while
-healthy current-schema entries and the sweep journal are never touched.
+deleted), ``--apply`` prunes exactly the garbage classes (corrupt rows,
+version-skewed rows, age-expired rows, legacy files of the old on-disk
+layout) while healthy current-schema rows and the sweep journal are never
+touched.
 """
 
 from __future__ import annotations
 
 import importlib.util
-import os
 import time
 from pathlib import Path
 
 from repro import faults
-from repro.store import KIND_RESULT, ResultStore, SweepJournal, _corrupt_entry_file, store_key
+from repro.store import KIND_RESULT, ResultStore, SweepJournal, read_prior_state, store_key
+from tests.support import store_db
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -37,21 +38,25 @@ def populated_store(root: Path) -> tuple[ResultStore, list[str]]:
     return store, keys
 
 
+def stored_keys(store: ResultStore) -> set[str]:
+    return {key for (key,) in store_db.query(store.root, "SELECT key FROM entries")}
+
+
 def test_dry_run_reports_without_deleting(tmp_path, capsys):
     store_gc = load_store_gc()
     store, keys = populated_store(tmp_path / "store")
-    _corrupt_entry_file(store.entry_path(keys[0]), faults.CORRUPT_BITFLIP)
-    orphan = store.root / keys[1][:2] / "dead.entry.tmp12345"
-    orphan.parent.mkdir(exist_ok=True)
-    orphan.write_bytes(b"torn writer leftovers")
+    store._corrupt(keys[0], faults.CORRUPT_BITFLIP)
+    legacy = store.root / keys[1][:2] / "dead.entry.tmp12345"
+    legacy.parent.mkdir(exist_ok=True)
+    legacy.write_bytes(b"torn writer leftovers")
 
     assert store_gc.main([str(store.root)]) == 0
     out = capsys.readouterr().out
     assert "would delete [corrupt]" in out
-    assert "would delete [orphan_tmp]" in out
+    assert "would delete [legacy]" in out
     # Dry run: everything is still on disk.
-    assert orphan.exists()
-    assert store.entry_path(keys[0]).exists()
+    assert legacy.exists()
+    assert keys[0] in stored_keys(store)
 
 
 def test_apply_prunes_garbage_keeps_healthy_and_journal(tmp_path, capsys):
@@ -61,23 +66,24 @@ def test_apply_prunes_garbage_keeps_healthy_and_journal(tmp_path, capsys):
     journal.begin(resume=False)
     journal.record("org/app", "ok", keys[0])
     journal.close()
-    _corrupt_entry_file(store.entry_path(keys[0]), faults.CORRUPT_TRUNCATE)
-    _corrupt_entry_file(store.entry_path(keys[1]), faults.CORRUPT_VERSION)
-    orphan = store.root / keys[2][:2] / "dead.entry.tmp12345"
-    orphan.write_bytes(b"torn writer leftovers")
+    store._corrupt(keys[0], faults.CORRUPT_TRUNCATE)
+    store._corrupt(keys[1], faults.CORRUPT_VERSION)
+    legacy = store.root / keys[2][:2] / "dead.entry.tmp12345"
+    legacy.parent.mkdir(exist_ok=True)
+    legacy.write_bytes(b"torn writer leftovers")
 
     assert store_gc.main([str(store.root), "--apply"]) == 0
     out = capsys.readouterr().out
     assert "deleted [corrupt]" in out
     assert "deleted [version_skew]" in out
-    assert "deleted [orphan_tmp]" in out
-    assert not orphan.exists()
-    assert not store.entry_path(keys[0]).exists()
-    assert not store.entry_path(keys[1]).exists()
+    assert "deleted [legacy]" in out
+    assert not legacy.exists()
+    assert keys[0] not in stored_keys(store)
+    assert keys[1] not in stored_keys(store)
     # Healthy entries and the journal survive; the store scans clean.
-    assert store.entry_path(keys[2]).exists()
-    assert store.entry_path(keys[3]).exists()
-    assert (store.root / SweepJournal.FILENAME).exists()
+    assert keys[2] in stored_keys(store)
+    assert keys[3] in stored_keys(store)
+    assert set(read_prior_state(store.root).records) == {"org/app"}
     assert ResultStore(store.root).verify_all() == {"healthy": 2, "defective": 0}
 
 
@@ -85,13 +91,13 @@ def test_max_age_prunes_stale_healthy_entries(tmp_path, capsys):
     store_gc = load_store_gc()
     store, keys = populated_store(tmp_path / "store")
     ancient = time.time() - 10 * 86400
-    os.utime(store.entry_path(keys[0]), (ancient, ancient))
+    store_db.execute(store.root, "UPDATE entries SET written_at = ? WHERE key = ?", (ancient, keys[0]))
 
     assert store_gc.main([str(store.root), "--max-age-days", "7", "--apply"]) == 0
     out = capsys.readouterr().out
     assert "deleted [stale]" in out
-    assert not store.entry_path(keys[0]).exists()
-    assert store.entry_path(keys[1]).exists()
+    assert keys[0] not in stored_keys(store)
+    assert keys[1] in stored_keys(store)
 
 
 def test_missing_store_directory_is_a_noop(tmp_path, capsys):
