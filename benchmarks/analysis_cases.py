@@ -11,15 +11,10 @@ Measures the two slices the indexed-inventory/compiled-rules work attacks:
   - ``rules/compiled`` -- the fused single-pass engine over the indexed
     context and frozen inventory indexes (the default).
 
-* ``warm_inventory/*`` -- the cost of a *warm* render-cache hit, fingerprint
-  shipped (the evaluation pipeline's shape):
-
-  - ``warm_inventory/copy`` -- the reference copy-on-read cache
-    (``shared=False``): every hit unpickles the entry, rebuilding objects;
-  - ``warm_inventory/shared`` -- the shared-reference cache (default):
-    hits return the interned sealed objects behind fresh top-level
-    containers, skipping ``objects_from_dicts``, namespace defaulting and
-    validation entirely.
+* ``warm_inventory/shared`` -- the cost of a *warm* render-cache hit,
+  fingerprint shipped (the evaluation pipeline's shape): hits return the
+  interned sealed objects behind fresh top-level containers, skipping
+  ``objects_from_dicts``, namespace defaulting and validation entirely.
 
 All numbers are ns per chart (best of ``repeats`` sweeps).
 """
@@ -33,7 +28,7 @@ def run_analysis_suite(sample: int | None = None, repeats: int = 3) -> dict[str,
     """Time the analysis slices over a catalogue (sample)."""
     from repro.core import AnalyzerSettings, MisconfigurationAnalyzer
     from repro.datasets import build_catalog
-    from repro.helm import RenderCache, shared_render_cache
+    from repro.helm import shared_render_cache
 
     applications = build_catalog()
     if sample is not None:
@@ -72,36 +67,24 @@ def run_analysis_suite(sample: int | None = None, repeats: int = 3) -> dict[str,
     reference_s = best_of(rules_sweep(compiled=False))
     compiled_s = best_of(rules_sweep(compiled=True))
 
-    # Warm-hit cost: both caches pre-warmed, fingerprints shipped, so the
-    # sweep measures only the per-hit materialization.
+    # Warm-hit cost: the cache was warmed above and fingerprints are
+    # shipped, so the sweep measures only the per-hit materialization.
     fingerprints = [app.fingerprint() for app in applications]
-    copy_cache = RenderCache(shared=False)
-    for app, fingerprint in zip(applications, fingerprints):
-        copy_cache.render(app.chart, fingerprint=fingerprint)
 
-    def warm_sweep(target_cache):
-        def sweep() -> None:
-            for app, fingerprint in zip(applications, fingerprints):
-                target_cache.render(app.chart, fingerprint=fingerprint)
+    def warm_sweep() -> None:
+        for app, fingerprint in zip(applications, fingerprints):
+            cache.render(app.chart, fingerprint=fingerprint)
 
-        return sweep
-
-    warm_copy_s = best_of(warm_sweep(copy_cache))
-    warm_shared_s = best_of(warm_sweep(cache))
+    warm_shared_s = best_of(warm_sweep)
 
     results = {
         "charts": charts,
         "rules/reference": round(reference_s / charts * 1e9, 1),
         "rules/compiled": round(compiled_s / charts * 1e9, 1),
-        "warm_inventory/copy": round(warm_copy_s / charts * 1e9, 1),
         "warm_inventory/shared": round(warm_shared_s / charts * 1e9, 1),
     }
     if results["rules/compiled"]:
         results["rules/speedup"] = round(
             results["rules/reference"] / results["rules/compiled"], 2
-        )
-    if results["warm_inventory/shared"]:
-        results["warm_inventory/speedup"] = round(
-            results["warm_inventory/copy"] / results["warm_inventory/shared"], 2
         )
     return results

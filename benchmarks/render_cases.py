@@ -6,8 +6,8 @@ Used by ``run.py`` to record the PR-2 and PR-4 trajectory into
 * ``template_compile`` -- lex/parse/compile a chart's template sources cold
   vs fetching the compiled closures from the content-keyed cache;
 * ``chart_render`` -- full chart render (template evaluation + document
-  assembly + typed-object construction) cold vs the memoized copy-on-read
-  path;
+  assembly + typed-object construction) cold vs a warm hit on the shared
+  render cache (sealed objects by reference);
 * ``catalog_render`` -- the cold catalogue render slice (every chart of the
   290-chart catalogue rendered once, bypassing the render cache): classic
   text pipeline vs the dict-native structured pipeline (PR 4);
@@ -64,7 +64,7 @@ def bench_template_compile(repeats: int = 5) -> dict[str, float]:
 
 
 def bench_chart_render(repeats: int = 5) -> dict[str, float]:
-    """Full chart render: cold pipeline vs memoized copy-on-read path."""
+    """Full chart render: cold pipeline vs a warm shared render-cache hit."""
     chart = _bench_app().chart
     fingerprint = chart.fingerprint()
 

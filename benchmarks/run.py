@@ -27,11 +27,11 @@ wired into CI-style checks via ``tests/smoke``.
 
 The ``analysis`` section records the rule-evaluation slice (reference
 rule-at-a-time vs the compiled single-pass engine) and the warm
-render-cache hit cost (copy-on-read reference vs shared-reference interned
-hits).  ``--check`` runs a smoke pass and compares its per-chart end-to-end
-numbers against the committed ``BENCH_connectivity.json`` with a tolerance
-band (``--tolerance``, default 3x), exiting non-zero on regression; the
-smoke suite (``tests/smoke/test_bench_check.py``) wires it into CI.
+render-cache hit cost (shared-reference interned hits).  ``--check`` runs
+a smoke pass and compares its per-chart end-to-end numbers against the
+committed ``BENCH_connectivity.json`` with a tolerance band
+(``--tolerance``, default 3x), exiting non-zero on regression; the smoke
+suite (``tests/smoke/test_bench_check.py``) wires it into CI.
 """
 
 from __future__ import annotations
@@ -557,11 +557,7 @@ def main(argv: list[str] | None = None) -> int:
         f"compiled {analysis['rules/compiled']:,.0f} ns/chart "
         f"({ratio(analysis['rules/reference'], analysis['rules/compiled'])})"
     )
-    print(
-        f"warm render hit: copy-on-read {analysis['warm_inventory/copy']:,.0f} ns/chart -> "
-        f"shared-reference {analysis['warm_inventory/shared']:,.0f} ns/chart "
-        f"({ratio(analysis['warm_inventory/copy'], analysis['warm_inventory/shared'])})"
-    )
+    print(f"warm render hit: shared-reference {analysis['warm_inventory/shared']:,.0f} ns/chart")
 
     record = {
         "suite": "connectivity",

@@ -33,10 +33,10 @@ typed objects the renderer assembled straight from native dicts.
   fast-path observations are a pure function of the render fingerprint, the
   behaviour registry fingerprint and the session identity (name, worker
   count, seed, snapshot mode), so repeated observations of identical
-  content are served from an in-process memo -- and, when the session
-  carries a :class:`~repro.store.ResultStore`, promoted to the shared
-  on-disk store so later processes (and resumed sweeps) skip the
-  substrate entirely.
+  content within one process -- a ``watch`` session's rounds, a sweep's
+  re-rendered override variants -- are served from an in-process LRU memo.
+  Nothing is persisted: across processes, the result store keeps whole
+  chart results instead.
 
 Equivalence -- pooled == fresh and fast == full, for findings, snapshots and
 reachability surfaces alike -- is proven over the whole catalogue and over
@@ -56,7 +56,6 @@ from ..helm import RenderedChart
 from ..k8s import CronJob, DaemonSet, ObjectMeta, Pod, Workload
 from ..probe.scanner import RuntimeObservation, RuntimeScanner
 from ..probe.snapshot import ClusterSnapshot, PodSnapshot
-from ..store import KIND_OBSERVATION, ResultStore, store_key
 from .behavior import BehaviorRegistry
 from .cluster import Cluster, _sanitize, build_node_set
 from .node import Node
@@ -283,36 +282,33 @@ class SessionStats:
 class ObservationMemo:
     """Content-keyed memo of fast-path runtime observations.
 
-    Keys come from :func:`repro.store.store_key` over the full observation
-    identity; values are private :class:`~repro.probe.scanner.RuntimeObservation`
-    copies (fresh top-level object, shared read-only snapshots -- the same
-    contract as the render cache's shared entries).  The in-process dict is
-    LRU-bounded: a hit refreshes the entry's recency, eviction drops the
-    least recently used.  Recency (rather than the insertion-order FIFO
-    this memo used to keep) is what makes observations survive *delta
-    rounds* (:mod:`repro.experiments.delta`): a long watch session keeps
+    Keys are tuples of the full observation identity (render fingerprint,
+    behaviour registry fingerprint, session name, worker count, seed,
+    snapshot mode); values are private
+    :class:`~repro.probe.scanner.RuntimeObservation` copies (fresh
+    top-level object, shared read-only snapshots -- the same contract as
+    the render cache's shared entries).  The dict is LRU-bounded: a hit
+    refreshes the entry's recency, eviction drops the least recently used.
+    Recency (rather than the insertion-order FIFO this memo used to keep)
+    is what makes observations survive *delta rounds*
+    (:mod:`repro.experiments.delta`): a long watch session keeps
     re-touching the unchanged charts' entries every round while edited
     charts insert a stream of new keys, so under FIFO the hot entries
-    would age out purely by insertion date.  When a
-    :class:`~repro.store.ResultStore` is attached, recorded observations
-    are also promoted to it and in-process misses fall through to a
-    verified store read, so concurrent and subsequent processes share warm
-    observations.
+    would age out purely by insertion date.  The memo lives and dies with
+    its process.
     """
 
-    def __init__(self, maxsize: int = 2048, store: ResultStore | None = None) -> None:
-        self._entries: dict[str, RuntimeObservation] = {}
+    def __init__(self, maxsize: int = 2048) -> None:
+        self._entries: dict[tuple, RuntimeObservation] = {}
         self._maxsize = maxsize
-        self.store = store
         self.hits = 0
         self.misses = 0
-        self.store_hits = 0
         self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, key: str) -> RuntimeObservation | None:
+    def lookup(self, key: tuple) -> RuntimeObservation | None:
         """The memoized observation for ``key``, or ``None`` on a miss.
 
         Hits return a fresh top-level :class:`RuntimeObservation` (private
@@ -321,18 +317,12 @@ class ObservationMemo:
         recency (the LRU contract): an entry consulted every delta round
         stays resident no matter how much churn newer keys generate.
         """
-        observation = self._entries.get(key)
-        if observation is not None:
-            # Move-to-end: re-insertion order is the recency order.
-            self._entries[key] = self._entries.pop(key)
-        if observation is None and self.store is not None:
-            observation = self.store.read(key, kind=KIND_OBSERVATION)
-            if observation is not None:
-                self.store_hits += 1
-                self._remember(key, observation)
+        observation = self._entries.pop(key, None)
         if observation is None:
             self.misses += 1
             return None
+        # Re-insertion order is the recency order.
+        self._entries[key] = observation
         self.hits += 1
         return RuntimeObservation(
             app=observation.app,
@@ -341,38 +331,31 @@ class ObservationMemo:
             host_ports=set(observation.host_ports),
         )
 
-    def record(self, key: str, observation: RuntimeObservation) -> None:
-        """Memoize ``observation`` under ``key`` (and promote it to the store).
+    def record(self, key: tuple, observation: RuntimeObservation) -> None:
+        """Memoize ``observation`` under ``key``.
 
         A private copy is stored -- never the caller's object -- so the
         caller keeps full ownership of what it was handed.
         """
-        private = RuntimeObservation(
+        self._entries.pop(key, None)
+        self._entries[key] = RuntimeObservation(
             app=observation.app,
             first=observation.first,
             second=observation.second,
             host_ports=set(observation.host_ports),
         )
-        self._remember(key, private)
-        if self.store is not None:
-            self.store.write(key, private, kind=KIND_OBSERVATION)
-
-    def stats(self) -> dict[str, int]:
-        """Hit/miss/store-hit/eviction/entry counters."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "store_hits": self.store_hits,
-            "evictions": self.evictions,
-            "entries": len(self._entries),
-        }
-
-    def _remember(self, key: str, observation: RuntimeObservation) -> None:
-        self._entries.pop(key, None)
-        self._entries[key] = observation
         while len(self._entries) > self._maxsize:
             self._entries.pop(next(iter(self._entries)), None)
             self.evictions += 1
+
+    def stats(self) -> dict[str, int]:
+        """Hit/miss/eviction/entry counters."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
+            "entries": len(self._entries),
+        }
 
 
 class AnalysisSession:
@@ -397,8 +380,6 @@ class AnalysisSession:
         compiled_policies: bool = True,
         pooled: bool = True,
         cluster_factory: Callable[[BehaviorRegistry], Cluster] | None = None,
-        store: ResultStore | None = None,
-        memoize_observations: bool = True,
     ) -> None:
         if observe_mode not in OBSERVE_MODES:
             raise ValueError(f"unknown observe_mode {observe_mode!r}; expected one of {OBSERVE_MODES}")
@@ -415,13 +396,12 @@ class AnalysisSession:
         self._lock = threading.Lock()
         self._substrate: ObservationSubstrate | None = None
         #: Serializes fast observations: the substrate is a single recycled
-        #: instance, and the evaluation's custom-analyzer path shares one
-        #: session across a *thread* pool (the full path is already safe --
-        #: every thread leases its own cluster).
+        #: instance, so a caller that shares one session (or analyzer)
+        #: across threads must not interleave two observations on it (the
+        #: full path is already safe -- every observation leases its own
+        #: cluster).
         self._observe_lock = threading.Lock()
-        self.store = store
-        self.memoize_observations = memoize_observations
-        self._memo = ObservationMemo(store=store)
+        self._memo = ObservationMemo()
         self.stats = SessionStats()
 
     # Cluster pool ------------------------------------------------------------
@@ -530,14 +510,11 @@ class AnalysisSession:
         rendered: RenderedChart,
         behaviors: BehaviorRegistry,
         double_snapshot: bool,
-    ) -> str | None:
-        if not self.memoize_observations:
-            return None
+    ) -> tuple | None:
         render_fp = getattr(rendered, "render_fingerprint", None)
         if render_fp is None:
             return None
-        return store_key(
-            KIND_OBSERVATION,
+        return (
             render_fp,
             behaviors.fingerprint(),
             self.name,

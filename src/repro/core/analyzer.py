@@ -25,7 +25,6 @@ from ..cluster import AnalysisSession, BehaviorRegistry, Cluster, OBSERVE_FAST
 from ..helm import Chart, RenderedChart, render_chart
 from ..k8s import Inventory, KubernetesObject
 from ..probe import RuntimeObservation
-from ..store import ResultStore
 from .cluster_wide import ApplicationInventory, global_collision_findings
 from .context import AnalysisContext
 from .findings import AnalysisReport, Finding, MisconfigClass
@@ -88,12 +87,6 @@ class AnalyzerSettings:
     #: time, per-call linear scans -- kept as the reference implementation
     #: the rule-engine differential suite compares against.
     compiled_rules: bool = True
-    #: Root of a shared :class:`~repro.store.ResultStore` backing the
-    #: session's observation memo (``None`` = in-process memo only).  A
-    #: string so settings stay picklable and workers can rebuild their own
-    #: store handle.  Result keys deliberately exclude this field: where an
-    #: artifact is stored must never change what is computed.
-    store_dir: str | None = None
 
 
 class MisconfigurationAnalyzer:
@@ -108,9 +101,6 @@ class MisconfigurationAnalyzer:
     ) -> None:
         self.rules = rules or default_rules()
         self.settings = settings or AnalyzerSettings()
-        store = None
-        if session is None and self.settings.store_dir:
-            store = ResultStore(self.settings.store_dir)
         #: A caller-supplied ``cluster_factory`` preserves the historical
         #: semantics -- a fresh factory-built cluster per observation, full
         #: install-and-scan path (the session enforces this itself).
@@ -121,7 +111,6 @@ class MisconfigurationAnalyzer:
             observe_mode=self.settings.observe_mode,
             pooled=self.settings.pooled_clusters,
             cluster_factory=cluster_factory,
-            store=store,
         )
 
     # Chart-level analysis ---------------------------------------------------------

@@ -563,8 +563,8 @@ def prerender_catalog(
 
     Returns the chart fingerprints in catalogue order.  After this, any
     consumer rendering the same (chart, values) pairs -- the full evaluation,
-    the Figure 4b sweep, forked pool workers -- pays only the copy-on-read
-    cost per chart.
+    the Figure 4b sweep, forked pool workers -- pays only a verified
+    shared-reference cache hit per chart.
     """
     from ..helm import render_chart
 

@@ -77,7 +77,7 @@ import os
 import time
 import traceback
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .. import faults
@@ -221,16 +221,10 @@ class DeltaEvaluator:
         max_attempts: int = 3,
         retry_backoff: float = 0.05,
     ) -> None:
-        base = settings or AnalyzerSettings()
+        self.settings = settings or AnalyzerSettings()
         self.store = store if isinstance(store, (ResultStore, type(None))) else ResultStore(store)
-        if self.store is not None and not base.store_dir:
-            # Ship the store to the analyzer's observation memo too; the
-            # settings fingerprint excludes store_dir, so classification
-            # and result keys are unaffected.
-            base = replace(base, store_dir=str(self.store.root))
-        self.settings = base
-        self.settings_fp = settings_fingerprint(base)
-        self.analyzer = MisconfigurationAnalyzer(settings=base)
+        self.settings_fp = settings_fingerprint(self.settings)
+        self.analyzer = MisconfigurationAnalyzer(settings=self.settings)
         self.max_attempts = max_attempts
         self.retry_backoff = retry_backoff
         #: Completed delta rounds (the in-memory analogue of a journal epoch).

@@ -64,7 +64,7 @@ import threading
 import time
 import traceback as traceback_module
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .. import faults
@@ -363,15 +363,12 @@ def _run_isolated(
 
 
 def settings_fingerprint(settings: AnalyzerSettings) -> str:
-    """Canonical JSON of the analyzer settings that affect computed results.
+    """Canonical JSON of the analyzer settings, every field included.
 
-    ``store_dir`` is excluded on principle: where artifacts are persisted
-    must never change what is computed, so moving a store directory keeps
+    Where a store lives is not a setting, so moving a store directory keeps
     every entry addressable.
     """
-    data = asdict(settings)
-    data.pop("store_dir", None)
-    return json.dumps(data, sort_keys=True, default=str)
+    return json.dumps(asdict(settings), sort_keys=True, default=str)
 
 
 def result_key(app: BuiltApplication, settings_fp: str) -> str:
@@ -977,18 +974,19 @@ def run_full_evaluation(
 
     Durability: ``store`` (a :class:`~repro.store.ResultStore` or a
     directory path) makes the sweep consult and feed the content-addressed
-    result store -- completed charts load instead of recomputing, fresh
-    outcomes persist the moment they finish, and the default analyzer's
-    workers share the store for their observation memos.  ``resume=True``
-    additionally continues the store's sweep journal (a fresh sweep rotates
-    it); the analyzed output is byte-identical with or without a store.
-    ``EvaluationResult.store_stats`` carries the accounting either way.
+    result store -- completed charts load instead of recomputing, and each
+    fresh outcome persists the moment it finishes, in one commit with its
+    journal record.  Only this process opens the store: pool workers
+    never do.  ``resume=True`` additionally continues the store's sweep
+    journal (a fresh sweep rotates it); the analyzed output is
+    byte-identical with or without a store.  ``EvaluationResult.store_stats``
+    carries the accounting either way.
 
     ``settings`` builds the default analyzer from explicit
     :class:`~repro.core.AnalyzerSettings` while keeping every default-path
-    optimization (process pools, store shipping).  It is mutually exclusive
-    with ``analyzer``, whose custom rules or cluster factory the sweep
-    cannot vouch for.
+    optimization (process pools).  It is mutually exclusive with
+    ``analyzer``, whose custom rules or cluster factory the sweep cannot
+    vouch for.
     """
     custom_analyzer = analyzer is not None
     if custom_analyzer and settings is not None:
@@ -999,13 +997,6 @@ def run_full_evaluation(
     store_obj = store if isinstance(store, (ResultStore, type(None))) else ResultStore(store)
     if resume and store_obj is None:
         raise ValueError("resume=True requires a store")
-    if store_obj is not None and not custom_analyzer and not analyzer.settings.store_dir:
-        # Ship the store to the default analyzer (and its pool workers) so
-        # observation memos promote to it too.  Result keys exclude
-        # ``store_dir``, so this cannot change what is computed.
-        analyzer = MisconfigurationAnalyzer(
-            settings=replace(analyzer.settings, store_dir=str(store_obj.root))
-        )
     return _sweep(
         applications,
         analyzer,

@@ -10,30 +10,23 @@ identity, canonical merged values, structured?)``:
   (:meth:`Chart.fingerprint`), and the values component is canonical
   (:func:`canonical_values`), so equal-but-not-identical override dicts and
   freshly rebuilt but content-identical charts hit the same entry.
-* **Shared-reference hits** (the default, ``shared=True``): entries hold the
-  rendered documents and *content-interned sealed objects*
-  (:mod:`repro.k8s.inventory`) directly, and every hit returns them by
-  reference behind fresh top-level containers.  A warm hit therefore skips
-  ``objects_from_dicts``, the namespace-defaulting walk and the validation
-  walk entirely -- there is no per-hit unpickle.  The price is a contract:
-  cached render results are read-only.  Objects enforce it themselves
-  (sealed objects raise on attribute assignment); documents and values are
-  read-only by convention.
-* **Corruption detection**: because shared entries live as mutable Python
-  state, a convention violator (or an injected ``corrupt`` fault -- see
-  :mod:`repro.faults`) could poison every later hit.  Each shared entry
-  therefore stores a structural check recorded at store time, re-verified
-  on every hit; a mismatch counts in ``corruptions``, evicts the entry and
-  falls back to a fresh recompute instead of serving poisoned state.  The
-  default check is a near-free shape summary; ``paranoid=True`` upgrades it
-  to a content digest of the entry's pickle, catching in-place value edits
-  the shape summary cannot see (at real per-hit cost -- benchmarking and
-  forensics only).
-* **Copy-on-read reference mode** (``shared=False``): the pre-interning
-  behaviour -- entries are pickle blobs of un-interned mutable objects and
-  every hit pays an unpickle.  Immutable bytes cannot be corrupted in
-  place, so no verification applies.  Kept in-tree as the reference
-  implementation the interning property suite diffs against.
+* **Shared-reference hits**: entries hold the rendered documents and
+  *content-interned sealed objects* (:mod:`repro.k8s.inventory`) directly,
+  and every hit returns them by reference behind fresh top-level
+  containers.  A warm hit therefore skips ``objects_from_dicts``, the
+  namespace-defaulting walk and the validation walk entirely.  The price
+  is a contract: cached render results are read-only.  Objects enforce it
+  themselves (sealed objects raise on attribute assignment); documents and
+  values are read-only by convention.  The reference these hits are
+  proven against is the uncached, un-interned render
+  (``render_chart(cached=False)``).
+* **Corruption detection**: because entries live as mutable Python state,
+  a convention violator (or an injected ``corrupt`` fault -- see
+  :mod:`repro.faults`) could poison every later hit.  Each entry therefore
+  stores a shape summary recorded at store time (container lengths plus
+  each document's top-level key count), re-verified on every hit; a
+  mismatch counts in ``corruptions``, evicts the entry and falls back to a
+  fresh recompute instead of serving poisoned state.
 * **Fingerprint shipping**: callers that already know the chart fingerprint
   (the process-pool fan-out computes them once in the parent) pass it in and
   skip the re-hash.
@@ -46,7 +39,6 @@ directly for isolation.
 from __future__ import annotations
 
 import hashlib
-import pickle
 from typing import Any, Mapping
 
 from .. import faults
@@ -58,23 +50,13 @@ from .values import canonical_values
 class RenderCache:
     """A bounded memo of fully rendered charts."""
 
-    def __init__(
-        self,
-        renderer: HelmRenderer | None = None,
-        maxsize: int = 2048,
-        shared: bool = True,
-        paranoid: bool = False,
-    ) -> None:
+    def __init__(self, renderer: HelmRenderer | None = None, maxsize: int = 2048) -> None:
         self._renderer = renderer or HelmRenderer()
         self._maxsize = maxsize
-        self.shared = shared
-        self.paranoid = paranoid
         #: key -> (release, values, documents, objects, sources, render_fp,
-        #: check) when shared, else the pickle blob of the six components
-        #: (copy-on-read reference mode; immutable, so it carries no check).
-        #: ``render_fp`` is the render fingerprint -- hashed once on the miss
-        #: and replayed on every hit, so warm hits stay hash-free.
-        self._entries: dict[tuple, Any] = {}
+        #: check).  ``render_fp`` is the render fingerprint -- hashed once on
+        #: the miss and replayed on every hit, so warm hits stay hash-free.
+        self._entries: dict[tuple, tuple] = {}
         self.hits = 0
         self.misses = 0
         self.corruptions = 0
@@ -98,27 +80,6 @@ class RenderCache:
         self.misses = 0
         self.corruptions = 0
 
-    # Verification -------------------------------------------------------------
-    def _check_of(self, values, documents, objects, sources) -> tuple:
-        """The integrity check stored with (and re-verified against) an entry.
-
-        Default: a shape summary -- container lengths plus each document's
-        top-level key count -- cheap enough for every warm hit.  Paranoid: a
-        digest of the full entry pickle, which sees value-level edits too.
-        """
-        if self.paranoid:
-            blob = pickle.dumps(
-                (values, documents, objects, sources), protocol=pickle.HIGHEST_PROTOCOL
-            )
-            return ("digest", hashlib.sha256(blob).hexdigest())
-        return (
-            len(values),
-            len(documents),
-            len(objects),
-            len(sources),
-            tuple(len(doc) if isinstance(doc, dict) else -1 for doc in documents),
-        )
-
     # Rendering ----------------------------------------------------------------
     def render(
         self,
@@ -138,11 +99,10 @@ class RenderCache:
         text path; the flag is part of the key because the two produce
         different ``sources`` maps.
 
-        In shared mode a hit re-verifies the entry's integrity check first:
-        a corrupted entry is evicted and recomputed rather than served.  A
-        verified hit returns the cached components by reference (fresh
-        top-level list/dict containers, shared content); in reference mode a
-        hit returns a private unpickled copy.
+        A hit re-verifies the entry's shape check first: a corrupted entry
+        is evicted and recomputed rather than served.  A verified hit
+        returns the cached components by reference (fresh top-level
+        list/dict containers, shared sealed content).
         """
         release = release or ReleaseInfo(name=chart.name)
         fingerprint = fingerprint or chart.fingerprint()
@@ -159,30 +119,11 @@ class RenderCache:
         entry = self._entries.get(key)
         if entry is not None:
             faults.fault_point(faults.RENDER_CACHE_READ)
-            if self.shared:
-                cached_release, values, documents, objects, sources, render_fp, check = entry
-                if faults.corruption_requested(faults.RENDER_CACHE_READ):
-                    _corrupt_entry(documents, objects)
-                if self._check_of(values, documents, objects, sources) != check:
-                    # Poisoned entry: never serve it.  Evict and fall through
-                    # to a full recompute, which re-stores a pristine entry.
-                    self.corruptions += 1
-                    self._entries.pop(key, None)
-                    entry = None
-                else:
-                    self.hits += 1
-                    return RenderedChart(
-                        chart=chart,
-                        release=cached_release,
-                        values=dict(values),
-                        documents=list(documents),
-                        objects=list(objects),
-                        sources=dict(sources),
-                        render_fingerprint=render_fp,
-                    )
-            else:
+            cached_release, values, documents, objects, sources, render_fp, check = entry
+            if faults.corruption_requested(faults.RENDER_CACHE_READ):
+                _corrupt_entry(documents, objects)
+            if _check_of(values, documents, objects, sources) == check:
                 self.hits += 1
-                cached_release, values, documents, objects, sources, render_fp = pickle.loads(entry)
                 return RenderedChart(
                     chart=chart,
                     release=cached_release,
@@ -192,52 +133,53 @@ class RenderCache:
                     sources=dict(sources),
                     render_fingerprint=render_fp,
                 )
+            # Poisoned entry: never serve it.  Evict and fall through to a
+            # full recompute, which re-stores a pristine entry.
+            self.corruptions += 1
+            self._entries.pop(key, None)
         self.misses += 1
         render_fp = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
         if structured:
-            rendered = self._renderer.render_structured(
-                chart, release, overrides, interned=self.shared
-            )
+            rendered = self._renderer.render_structured(chart, release, overrides, interned=True)
         else:
-            rendered = self._renderer.render(
-                chart, release, overrides, interned=self.shared
-            )
+            rendered = self._renderer.render(chart, release, overrides, interned=True)
         rendered.render_fingerprint = render_fp
-        if self.shared:
-            # The entry keeps its own top-level containers, so callers that
-            # append to the returned lists cannot grow the cached render.
-            values = dict(rendered.values)
-            documents = list(rendered.documents)
-            objects = list(rendered.objects)
-            sources = dict(rendered.sources)
-            self._entries[key] = (
-                rendered.release,
-                values,
-                documents,
-                objects,
-                sources,
-                render_fp,
-                self._check_of(values, documents, objects, sources),
-            )
-        else:
-            # Snapshot the pristine result *before* handing it to the caller:
-            # the blob is immutable bytes, so later mutations cannot leak back.
-            self._entries[key] = pickle.dumps(
-                (
-                    rendered.release,
-                    rendered.values,
-                    rendered.documents,
-                    rendered.objects,
-                    rendered.sources,
-                    render_fp,
-                ),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
+        # The entry keeps its own top-level containers, so callers that
+        # append to the returned lists cannot grow the cached render.
+        values = dict(rendered.values)
+        documents = list(rendered.documents)
+        objects = list(rendered.objects)
+        sources = dict(rendered.sources)
+        self._entries[key] = (
+            rendered.release,
+            values,
+            documents,
+            objects,
+            sources,
+            render_fp,
+            _check_of(values, documents, objects, sources),
+        )
         while len(self._entries) > self._maxsize:
-            # pop with a default: under the thread-pool render path two
-            # threads may race to evict the same oldest key.
+            # pop with a default: the process-wide cache behind
+            # render_chart is reachable from any thread, and two evictors
+            # may race for the same oldest key.
             self._entries.pop(next(iter(self._entries)), None)
         return rendered
+
+
+def _check_of(values, documents, objects, sources) -> tuple:
+    """The integrity check stored with (and re-verified against) an entry.
+
+    A shape summary -- container lengths plus each document's top-level key
+    count -- cheap enough for every warm hit.
+    """
+    return (
+        len(values),
+        len(documents),
+        len(objects),
+        len(sources),
+        tuple(len(doc) if isinstance(doc, dict) else -1 for doc in documents),
+    )
 
 
 def _corrupt_entry(documents: list, objects: list) -> None:

@@ -283,9 +283,10 @@ def render_chart(
     """Convenience wrapper: render a chart with a default release.
 
     Goes through the shared :class:`RenderCache` by default -- repeated
-    renders of the same chart/values pair return a private copy of the
-    memoized result instead of re-evaluating templates.  ``cached=False``
-    forces a fresh render (the differential tests compare both paths);
+    renders of the same chart/values pair return the memoized result's
+    shared sealed objects behind fresh top-level containers (read-only by
+    contract) instead of re-evaluating templates.  ``cached=False`` forces
+    a fresh, un-interned render (the differential tests compare both paths);
     ``fingerprint`` skips re-hashing the chart when the caller already knows
     its content fingerprint.  ``structured=False`` pins the classic text
     render pipeline, the reference implementation the structured default is

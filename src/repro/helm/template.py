@@ -1019,7 +1019,10 @@ def _compile_range(node: RangeNode) -> Renderer:
 
 #: Compiled templates keyed by (template name, full source) -- content-keyed,
 #: so identical template files shared across charts compile exactly once.
+#: Bounded with insertion-order eviction, so a long-running ``watch`` over
+#: edited templates cannot grow it without limit.
 _COMPILE_CACHE: dict[tuple[str, str], CompiledTemplate] = {}
+_COMPILE_CACHE_MAXSIZE = 4096
 _PARSE_COUNT = 0
 
 
@@ -1038,6 +1041,8 @@ def compile_source(source: str, template_name: str = "") -> CompiledTemplate:
         renderers = _compile_nodes(nodes, defines)
         compiled = CompiledTemplate(template_name, renderers, defines)
         _COMPILE_CACHE[key] = compiled
+        while len(_COMPILE_CACHE) > _COMPILE_CACHE_MAXSIZE:
+            _COMPILE_CACHE.pop(next(iter(_COMPILE_CACHE)), None)
     return compiled
 
 

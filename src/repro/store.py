@@ -1,13 +1,15 @@
 """Crash-safe content-addressed result store with a resumable sweep journal.
 
-The evaluation pipeline is deterministic in content: a chart's runtime
-observation is a pure function of its render fingerprint, the behavior
-registry and the seed, and its evaluation report is a pure function of
-those plus the analyzer settings.  This module turns that determinism into
-durability -- a :class:`ResultStore` maps content keys (sha256 over the
-canonical inputs, see :func:`store_key`) to verified stored entries, so a
-crashed or interrupted sweep loses nothing that already completed and a
-warm store turns a full sweep into a read-mostly pass.
+The evaluation pipeline is deterministic in content: a chart's evaluation
+report and inventory are a pure function of its identity, its content
+fingerprint, the behavior registry and the analyzer settings.  This module
+turns that determinism into durability -- a :class:`ResultStore` maps
+content keys (sha256 over the canonical inputs, see :func:`store_key`) to
+verified stored results, so a crashed or interrupted sweep loses nothing
+that already completed and a warm store turns a full sweep into a
+read-mostly pass.  Results are the only kind the store holds: runtime
+observations are memoized in process only
+(:class:`repro.cluster.session.ObservationMemo`).
 
 Everything a store holds lives in one SQLite database per store root,
 ``store.sqlite``, in WAL mode with ``synchronous=FULL``: an ``entries``
@@ -84,8 +86,8 @@ from . import faults
 MAGIC = "repro-store"
 SCHEMA_VERSION = 1
 
-#: Well-known entry kinds (recorded per row, checked on read).
-KIND_OBSERVATION = "observation"
+#: The entry kind of a chart result (recorded per row, checked on read);
+#: ``tools/store_gc.py`` prunes rows of any other kind.
 KIND_RESULT = "result"
 
 #: The database file of a store root.

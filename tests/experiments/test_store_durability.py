@@ -107,6 +107,10 @@ class TestStoreDifferential:
         assert not cold.failed
         assert cold.store_stats["computed"] == SAMPLE
         assert cold.store_stats["loaded"] == 0
+        # One commit per computed chart: its result row, nothing else.
+        assert store.stats()["writes"] == SAMPLE
+        rows = store_db.query(store.root, "SELECT kind, COUNT(*) FROM entries GROUP BY kind")
+        assert rows == [(KIND_RESULT, SAMPLE)]
         assert_identical(baseline, canonical_evaluation(cold), "cold store vs store-off")
 
         warm_store = ResultStore(tmp_path / "store")
@@ -144,6 +148,15 @@ class TestStoreDifferential:
     def test_resume_requires_a_store(self, applications):
         with pytest.raises(ValueError):
             run_full_evaluation(applications=applications, resume=True)
+
+    def test_default_settings_fingerprint_is_pinned(self):
+        # Result keys hash this text: if it moved, every existing store
+        # would go cold.
+        assert settings_fingerprint(AnalyzerSettings()) == (
+            '{"compiled_rules": true, "double_snapshot": true, '
+            '"host_port_filtering": true, "mode": "hybrid", "observe_mode": "fast", '
+            '"pooled_clusters": true, "seed": 2025, "worker_count": 3}'
+        )
 
     @pytest.mark.slow
     def test_full_catalogue_store_differential(self, tmp_path):
@@ -237,6 +250,9 @@ class TestCrashAndConcurrency:
         settings_fp = settings_fingerprint(AnalyzerSettings())
         stored = {key for (key,) in store_db.query(store_dir, "SELECT key FROM entries")}
         recorded = set(read_prior_state(store_dir).records)
+        # Only result rows exist, so the kill landed in the victim's
+        # result-plus-record transaction and nowhere else.
+        assert store_db.query(store_dir, "SELECT DISTINCT kind FROM entries") == [(KIND_RESULT,)]
         for index in range(victim + 1):
             published = index < victim
             assert (result_key(applications[index], settings_fp) in stored) is published
@@ -372,7 +388,7 @@ class TestStoreChaos:
             "UPDATE entries SET payload = ?, size = ?, sha256 = ? WHERE key = ?",
             (payload, len(payload), hashlib.sha256(payload).hexdigest(), key),
         )
-        assert ResultStore(store_dir).verify_all() == {"healthy": 2 * SAMPLE, "defective": 0}
+        assert ResultStore(store_dir).verify_all() == {"healthy": SAMPLE, "defective": 0}
         store = ResultStore(store_dir)
         result = run_full_evaluation(applications=applications, store=store)
         assert not marker.exists()
@@ -492,24 +508,15 @@ class TestJournal:
 
 
 class TestObservationMemo:
-    def test_memo_hits_in_process_and_via_store(self, applications, tmp_path):
-        from repro.core import AnalyzerSettings, MisconfigurationAnalyzer
+    def test_memo_hits_in_process(self, applications):
+        from repro.core import MisconfigurationAnalyzer
 
         app = applications[0]
-        settings = AnalyzerSettings(store_dir=str(tmp_path / "store"))
-        analyzer = MisconfigurationAnalyzer(settings=settings)
+        analyzer = MisconfigurationAnalyzer()
         first = analyzer.analyze_chart(app.chart, behaviors=app.behaviors)
         hits_before = analyzer.session.memo_stats()["hits"]
         second = analyzer.analyze_chart(app.chart, behaviors=app.behaviors)
         assert analyzer.session.memo_stats()["hits"] == hits_before + 1
         assert_identical(
             canonical_report(first), canonical_report(second), "in-process memo"
-        )
-        # A brand-new analyzer sharing the store directory hits the *store*
-        # copy: the memo promotes across process lifetimes.
-        fresh = MisconfigurationAnalyzer(settings=settings)
-        third = fresh.analyze_chart(app.chart, behaviors=app.behaviors)
-        assert fresh.session.memo_stats()["store_hits"] >= 1
-        assert_identical(
-            canonical_report(first), canonical_report(third), "store-promoted memo"
         )

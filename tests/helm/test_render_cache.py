@@ -4,11 +4,10 @@ The memoized render pipeline must be a pure acceleration: cached renders are
 indistinguishable from fresh ones (the differential test sweeps the full
 catalogue), cache keys are content-based (equal-but-not-identical values
 dicts share an entry; any mutation misses), and a warm render performs no
-template re-parsing at all (parse-counter guard).  Hit semantics come in two
-flavours: the default *shared* mode hands out sealed interned objects by
-reference (mutation raises, sharing cannot be corrupted), while the
-``shared=False`` reference mode keeps the historical copy-on-read pickle
-behaviour (returned objects are private mutable copies).
+template re-parsing at all (parse-counter guard).  Hits hand out sealed
+interned objects by reference behind fresh top-level containers (mutation
+raises, sharing cannot be corrupted); the reference they are diffed against
+is the uncached, un-interned render.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ class TestCacheKeying:
 
 class TestSharedReferenceHits:
     def test_warm_hits_share_sealed_objects(self):
-        cache = RenderCache()  # shared mode is the default
+        cache = RenderCache()
         chart = _app().chart
         first = cache.render(chart)
         second = cache.render(chart)
@@ -103,43 +102,6 @@ class TestSharedReferenceHits:
             rendered.objects[0].metadata.namespace = "mutated"
         with pytest.raises(ImmutableObjectError):
             rendered.objects[0].metadata = None
-
-    def test_shared_and_reference_mode_render_identically(self):
-        chart = _app().chart
-        shared = RenderCache()
-        reference = RenderCache(shared=False)
-        for attempt in range(2):  # cold then warm
-            a = shared.render(chart)
-            b = reference.render(chart)
-            assert a.documents == b.documents, attempt
-            assert a.objects == b.objects, attempt
-            assert a.sources == b.sources, attempt
-            assert a.values == b.values, attempt
-
-
-class TestCopyOnRead:
-    def test_mutating_returned_inventory_never_leaks(self):
-        # shared=False is the reference mode: pickle copy-on-read, mutable
-        # returned objects, exactly the pre-interning contract.
-        cache = RenderCache(shared=False)
-        chart = _app().chart
-        first = cache.render(chart)
-        # Mutate everything a caller could plausibly touch (the cluster
-        # facade stamps namespaces onto installed objects, for example).
-        for obj in first.objects:
-            obj.metadata.namespace = "mutated"
-        first.objects.clear()
-        first.documents[0]["kind"] = "Corrupted"
-        first.values["networkPolicy"] = "broken"
-        second = cache.render(chart)
-        assert second.objects, "cached objects were lost to a caller mutation"
-        assert all(obj.metadata.namespace != "mutated" for obj in second.objects)
-        assert all(doc.get("kind") != "Corrupted" for doc in second.documents)
-        assert isinstance(second.values["networkPolicy"], dict)
-        # And hits hand out distinct copies every time.
-        third = cache.render(chart)
-        assert second.objects == third.objects
-        assert all(a is not b for a, b in zip(second.objects, third.objects))
 
 
 class TestDifferentialFullCatalogue:

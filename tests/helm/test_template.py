@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.helm import TemplateEngine, TemplateError, tokenize_expression
+from repro.helm import (
+    TemplateEngine,
+    TemplateError,
+    clear_template_cache,
+    compile_source,
+    template_parse_count,
+    tokenize_expression,
+)
+from repro.helm import template as template_module
 
 
 @pytest.fixture
@@ -212,3 +220,26 @@ class TestDefinesAndInclude:
     def test_defines_registered_from_helper_source(self, engine):
         engine.register_source('{{- define "helper.name" -}}helper{{- end -}}', "_helpers.tpl")
         assert render(engine, '{{ include "helper.name" . }}') == "helper"
+
+
+class TestCompileCacheBound:
+    def test_cap_plus_one_sources_keep_cap_entries_and_render(self, engine):
+        cap = template_module._COMPILE_CACHE_MAXSIZE
+        source = "v{}: {{{{ .Values.x }}}}".format
+        clear_template_cache()
+        try:
+            for index in range(cap + 1):
+                compile_source(source(index), "bound.yaml")
+            assert len(template_module._COMPILE_CACHE) == cap
+            # Insertion-order eviction: the oldest source went, the newest stays.
+            assert ("bound.yaml", source(0)) not in template_module._COMPILE_CACHE
+            parses = template_parse_count()
+            rendered = engine.render(source(cap), {"Values": {"x": 1}}, "bound.yaml")
+            assert rendered == f"v{cap}: 1"
+            assert template_parse_count() == parses
+            # An evicted source recompiles and still renders correctly.
+            assert engine.render(source(0), {"Values": {"x": 2}}, "bound.yaml") == "v0: 2"
+            assert template_parse_count() == parses + 1
+            assert len(template_module._COMPILE_CACHE) == cap
+        finally:
+            clear_template_cache()

@@ -5,7 +5,8 @@ points at.  The smoke test pins its contract: dry run by default (nothing
 deleted), ``--apply`` prunes exactly the garbage classes (corrupt rows,
 version-skewed rows, age-expired rows, legacy files of the old on-disk
 layout) while healthy current-schema rows and the sweep journal are never
-touched.
+touched.  Rows of a kind no reader requests any more (the ``observation``
+rows older stores promoted) are ``legacy`` garbage too.
 """
 
 from __future__ import annotations
@@ -85,6 +86,30 @@ def test_apply_prunes_garbage_keeps_healthy_and_journal(tmp_path, capsys):
     assert keys[3] in stored_keys(store)
     assert set(read_prior_state(store.root).records) == {"org/app"}
     assert ResultStore(store.root).verify_all() == {"healthy": 2, "defective": 0}
+
+
+def test_apply_prunes_legacy_observation_rows_only(tmp_path, capsys):
+    store_gc = load_store_gc()
+    store, keys = populated_store(tmp_path / "store")
+    journal = SweepJournal(store.root, store_key(KIND_RESULT, "gc-identity"))
+    journal.begin(resume=False)
+    journal.record("org/app", "ok", keys[0])
+    journal.close()
+    # What an older store promoted per chart: a healthy row no reader requests.
+    legacy = store_key("observation", "gc-smoke")
+    assert store.write(legacy, {"observation": True}, "observation")
+    prior = read_prior_state(store.root)
+
+    assert store_gc.main([str(store.root)]) == 0
+    assert f"would delete [legacy] {legacy}" in capsys.readouterr().out
+    assert legacy in stored_keys(store)
+
+    assert store_gc.main([str(store.root), "--apply"]) == 0
+    out = capsys.readouterr().out
+    assert f"deleted [legacy] {legacy}" in out
+    assert "4 healthy entries kept, 1 deleted" in out
+    assert stored_keys(store) == set(keys)
+    assert read_prior_state(store.root) == prior
 
 
 def test_max_age_prunes_stale_healthy_entries(tmp_path, capsys):

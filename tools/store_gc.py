@@ -16,6 +16,8 @@ these classes of garbage:
 * **stale rows** (only with ``--max-age-days N``) -- rows written more
   than N days ago (the ``written_at`` column) regardless of health, for
   bounded-retention deployments,
+* **legacy rows** -- rows of any kind but ``result``, such as the
+  ``observation`` rows older stores promoted; no reader requests them,
 * **legacy files** -- what a store from before the database left behind
   (``??/*.entry``, ``*.tmp*``, ``journal.jsonl*``) and damaged database
   files a store moved aside (``store.sqlite.damaged*``); the store ignores
@@ -39,10 +41,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.store import DB_FILENAME, SCHEMA_VERSION  # noqa: E402
+from repro.store import DB_FILENAME, KIND_RESULT, SCHEMA_VERSION  # noqa: E402
 
 #: One verdict per row, in the order a reader checks them.
 CLASSIFY = """SELECT key, CASE WHEN schema != :schema THEN 'version_skew'
+    WHEN kind != :kind THEN 'legacy'
     WHEN size != length(payload) OR sha256 != sha256(payload) THEN 'corrupt'
     WHEN written_at < :cutoff THEN 'stale' ELSE 'healthy' END FROM entries ORDER BY key"""
 
@@ -57,7 +60,8 @@ def prune_rows(db: Path, max_age_days: float | None, apply: bool) -> list[tuple[
     try:
         conn.create_function("sha256", 1, lambda blob: hashlib.sha256(blob).hexdigest())
         conn.execute("BEGIN IMMEDIATE")
-        verdicts = conn.execute(CLASSIFY, {"schema": SCHEMA_VERSION, "cutoff": cutoff}).fetchall()
+        parameters = {"schema": SCHEMA_VERSION, "kind": KIND_RESULT, "cutoff": cutoff}
+        verdicts = conn.execute(CLASSIFY, parameters).fetchall()
         doomed = [(key,) for key, verdict in verdicts if verdict != "healthy"]
         conn.executemany("DELETE FROM entries WHERE key = ?", doomed)
         conn.execute("COMMIT" if apply else "ROLLBACK")
@@ -68,7 +72,8 @@ def prune_rows(db: Path, max_age_days: float | None, apply: bool) -> list[tuple[
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code (always 0)."""
-    parser = argparse.ArgumentParser(description="prune corrupt/skewed/stale result-store rows")
+    parser = argparse.ArgumentParser(
+        description="prune corrupt/skewed/stale/legacy result-store rows")
     parser.add_argument("store", help="result-store directory to scan")
     parser.add_argument("--apply", action="store_true",
                         help="actually delete (default is a dry run that only reports)")
