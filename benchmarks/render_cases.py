@@ -131,7 +131,7 @@ def bench_all_pairs(pod_count: int, repeats: int = 5) -> dict[str, float]:
 
     def run_per_source():
         for source in matrix.pods:
-            matrix._endpoints_from_uncached(source)
+            matrix.scan_endpoints(source)
 
     def run_grouped():
         # Clear the surface memo so every repeat re-derives each class's

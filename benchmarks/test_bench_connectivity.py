@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 from conftest import run_once
 from connectivity_cases import (
+    bench_matrix_sources,
     build_fleet,
     format_table,
     run_large_size,
@@ -20,6 +21,14 @@ from connectivity_cases import (
 
 #: tens / hundreds / a thousand pods, as in the ISSUE acceptance criteria.
 FLEET_SIZES = (30, 240, 1000)
+
+#: Per large fleet size, the bitset engine's ``matrix_sources`` cost may be
+#: at most this multiple of the naive scan's at 1000 pods, measured in the
+#: same run.  Each is the committed record's grouped(N)/naive(1000) ratio
+#: for the per-object walk the engine replaced, so the engine must never
+#: cost more than that walk did; the committed compiled(N)/naive(1000)
+#: ratios sit 4.5x (10k) and 4.0x (50k) under them.
+LARGE_FLEET_LIMITS = {10_000: 0.460, 50_000: 3.013}
 
 
 def test_connectivity_engine_throughput(benchmark):
@@ -52,35 +61,38 @@ def test_connectivity_engine_throughput(benchmark):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("pod_count", (10_000, 50_000))
+@pytest.mark.parametrize("pod_count", sorted(LARGE_FLEET_LIMITS))
 def test_large_fleet_vectorized_surface(pod_count):
-    """10k/50k-pod fleets: the bitset engine must beat the grouped walk.
+    """10k/50k-pod fleets: the bitset engine must stay under the grouped walk.
 
-    Slow-marked: a 50k-pod fleet takes seconds per grouped repeat.  The
-    same sizes are recorded in ``BENCH_connectivity.json`` by
-    ``run.py --full``.
+    Slow-marked: the naive arm at 1000 pods takes seconds.  The same sizes
+    are recorded in ``BENCH_connectivity.json`` by ``run.py --full``.
     """
-    results = run_large_size(pod_count, repeats=1)
-    assert (
-        results["matrix_sources/compiled"] <= results["matrix_sources/grouped"]
-    ), (
-        f"vectorized lost to grouped at {pod_count} pods: "
-        f"{results['matrix_sources/compiled']:,.0f} vs "
-        f"{results['matrix_sources/grouped']:,.0f} ns/src"
+    naive = bench_matrix_sources(build_fleet(1000), repeats=1)["matrix_sources/naive"]
+    compiled = run_large_size(pod_count, repeats=1)["matrix_sources/compiled"]
+    limit = LARGE_FLEET_LIMITS[pod_count] * naive
+    assert compiled <= limit, (
+        f"bitset engine past the grouped walk at {pod_count} pods: "
+        f"{compiled:,.0f} vs limit {limit:,.0f} ns/src "
+        f"({LARGE_FLEET_LIMITS[pod_count]} x naive at 1000 pods)"
     )
 
 
 @pytest.mark.slow
 def test_large_fleet_vectorized_matches_grouped():
-    """Byte-identical surfaces at the 10k-pod size, sampled sources."""
+    """Byte-identical surfaces at the 10k-pod size, sampled sources.
+
+    The reference is the per-attempt scan on its own matrix over the
+    compiled policy index: the naive scan would take minutes here, and the
+    index's decisions are proven equal to it by the property suite.
+    """
     fleet = build_fleet(10_000)
     compiled = fleet.compiled_network()
-    grouped = compiled.reachability_matrix(
-        fleet.policies, fleet.pods, fleet.bindings, vectorized=False
-    )
-    vector = compiled.reachability_matrix(fleet.policies, fleet.pods, fleet.bindings)
+    index = fleet.index()
+    scan = compiled.reachability_matrix(index, fleet.pods, fleet.bindings)
+    vector = compiled.reachability_matrix(index, fleet.pods, fleet.bindings)
     for source in fleet.pods[:: len(fleet.pods) // 8] + [fleet.attacker]:
-        assert vector.endpoints_from(source) == grouped.endpoints_from(source)
+        assert vector.endpoints_from(source) == scan.scan_endpoints(source)
 
 
 def test_matrix_matches_naive_surface_on_bench_fleet():

@@ -136,7 +136,7 @@ class Cluster:
         #: they were computed at (``None`` = never reconciled).
         self._bindings: list[ServiceBinding] = []
         self._bindings_epoch: int | None = None
-        #: Compiled endpoint universes for the vectorized reachability
+        #: Compiled endpoint universes for the bitset reachability
         #: engine, keyed ``(policy_epoch, include_loopback)``; shared across
         #: every matrix built at one epoch, dropped when it grows stale.
         self._universe_cache: dict[tuple[int, bool], object] = {}
@@ -419,15 +419,14 @@ class Cluster:
             return self.policy_index()
         return self.network_policies()
 
-    def reachability_matrix(
-        self, include_loopback: bool = False, vectorized: bool = True
-    ) -> ReachabilityMatrix:
+    def reachability_matrix(self, include_loopback: bool = False) -> ReachabilityMatrix:
         """A batched all-pairs reachability engine over the current state.
 
-        Surfaces run on the vectorized bitmask engine by default, sharing
-        one compiled :class:`~repro.cluster.network.EndpointUniverse` per
+        Surfaces run on the bitset engine, sharing one compiled
+        :class:`~repro.cluster.network.EndpointUniverse` per
         ``(policy_epoch, include_loopback)`` across every matrix of the
-        epoch; ``vectorized=False`` pins the per-object grouped reference.
+        epoch; ``compiled_policies=False`` pins them to the per-attempt
+        reference scan.
         """
         if len(self._universe_cache) > 8:
             self._universe_cache.clear()
@@ -439,7 +438,6 @@ class Cluster:
             self.running_pods(),
             self.service_bindings(),
             include_loopback=include_loopback,
-            vectorized=vectorized,
             universe_cache=self._universe_cache if self.compiled_policies else None,
         )
 

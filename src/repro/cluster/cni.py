@@ -22,6 +22,7 @@ implementation for differential tests and benchmarks.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..k8s import NetworkPolicy
@@ -51,6 +52,25 @@ _DEFAULT_ALLOW = PolicyDecision(allowed=True, reason=DEFAULT_ALLOW_REASON)
 
 #: How many compiled indexes the enforcer keeps before dropping the memo.
 _INDEX_MEMO_LIMIT = 8
+
+
+def scan_isolating(
+    policies: Iterable[NetworkPolicy], destination: RunningPod
+) -> list[NetworkPolicy]:
+    """Policies that select ``destination`` and restrict ingress, in list order.
+
+    The naive scan every compiled isolating lookup is proven against.
+    Host-network pods escape the pod network namespace entirely, so
+    NetworkPolicies attached to them have no effect.
+    """
+    if destination.host_network:
+        return []
+    return [
+        policy
+        for policy in policies
+        if policy.restricts_ingress()
+        and policy.selects(destination.labels, destination.namespace)
+    ]
 
 
 class NetworkPolicyEnforcer:
@@ -121,16 +141,7 @@ class NetworkPolicyEnforcer:
         index = self._resolve_index(policies)
         if index is not None:
             return list(index.isolating(destination))
-        if destination.host_network:
-            # Host-network pods escape the pod network namespace entirely;
-            # NetworkPolicies attached to them have no effect.
-            return []
-        return [
-            policy
-            for policy in policies
-            if policy.restricts_ingress()
-            and policy.selects(destination.labels, destination.namespace)
-        ]
+        return scan_isolating(policies, destination)
 
     def check_ingress(
         self,
@@ -152,7 +163,7 @@ class NetworkPolicyEnforcer:
                 destination
             )
         else:
-            isolating = self.policies_isolating(policies, destination)
+            isolating = scan_isolating(policies, destination)
         return self.decide_ingress(isolating, source, destination, port, protocol)
 
     def decide_ingress(
@@ -205,7 +216,7 @@ class NetworkPolicyEnforcer:
             selecting = (
                 index.isolating(pod)
                 if index is not None
-                else self.policies_isolating(policies, pod)
+                else scan_isolating(policies, pod)
             )
             (isolated if selecting else unprotected).append(pod)
         return isolated, unprotected

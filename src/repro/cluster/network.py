@@ -15,13 +15,15 @@ isolating sets and named ports once, memoizes whole policy decisions by
 source/destination equivalence class, and answers all-pairs reachability
 without re-scanning the policy list per connection attempt.
 
-Surfaces are computed by the *vectorized* engine by default: destination
-endpoints are assigned stable integer ids in an :class:`EndpointUniverse`
-(one per policy epoch), endpoints sharing a policy-decision class are packed
-into int bitmasks, and a source class's reachable surface becomes a handful
-of memoized decisions OR-ed over class masks instead of a per-destination
-Python walk.  The per-object grouped walk stays in-tree behind
-``vectorized=False`` as the differential reference.
+Surfaces are computed by the bitset engine: destination endpoints are
+assigned stable integer ids in an :class:`EndpointUniverse` (one per policy
+epoch), endpoints sharing a policy-decision class are packed into int
+bitmasks, and a source class's reachable surface becomes a handful of
+memoized decisions OR-ed over class masks instead of a per-destination
+Python walk.  Its one reference is the per-attempt scan
+(:meth:`ReachabilityMatrix.scan_endpoints`), which a matrix built without
+the compiled index (``use_index=False`` / ``compiled_policies=False``)
+answers every surface with.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import functools
 from dataclasses import dataclass, field
 
 from ..k8s import NetworkPolicy
-from .cni import NetworkPolicyEnforcer, PolicyDecision
+from .cni import NetworkPolicyEnforcer, PolicyDecision, scan_isolating
 from .endpoints import ServiceBinding
 from .errors import DuplicatePodError
 from .policy_index import PolicyIndex
@@ -219,14 +221,50 @@ def _pack_bits(bits: list[int], size: int) -> int:
     return int.from_bytes(buffer, "little")
 
 
+def _decision_token(
+    index: PolicyIndex,
+    keys: dict[tuple[str, str], tuple[tuple, tuple, bool]],
+    destination: RunningPod,
+    port: int,
+    protocol: str,
+) -> tuple[tuple, tuple | None]:
+    """``(isolating set, memo token)`` of one attempt against ``destination``.
+
+    Two attempts with equal tokens get equal decisions from any source, so
+    the token keys the matrix's decision memo and the universe's decision
+    classes alike.  It is ``None`` for an unisolated destination, whose
+    decision is a source-free allow.  ``keys`` caches each destination's
+    port-independent half, ``(isolating set, named-port key, ports matter)``:
+    named ports join the key only when some isolating policy names one, and
+    the port only when some rule lists ports at all, so pods with different
+    named ports, and every port of a port-free destination, share classes.
+    """
+    ident = destination.ident
+    key = keys.get(ident)
+    if key is None:
+        isolating = index.isolating(destination)
+        ports_matter = bool(isolating) and index.constrains_ports(isolating)
+        if ports_matter and index.uses_named_ports(isolating):
+            named_key = tuple(sorted(destination.named_ports().items()))
+        else:
+            named_key = ()
+        key = keys[ident] = (isolating, named_key, ports_matter)
+    isolating, named_key, ports_matter = key
+    if not isolating:
+        return isolating, None
+    if ports_matter:
+        return isolating, (id(isolating), named_key, port, protocol)
+    return isolating, (id(isolating), named_key, None, None)
+
+
 class _DecisionClass:
     """One policy-decision equivalence class of destination endpoints.
 
-    Every endpoint (pod socket or service backend target) whose decision
-    memo-key tail -- ``(id(isolating set), named ports, port, protocol)``
-    -- is identical lands in one class: a single memoized decision against
-    the representative destination settles the whole pod-endpoint ``mask``
-    and every service backend referencing the class, for any source class.
+    Every endpoint (pod socket or service backend target) with the same
+    :func:`_decision_token` lands in one class: a single memoized decision
+    against the representative destination settles the whole pod-endpoint
+    ``mask`` and every service backend referencing the class, for any
+    source class.
     """
 
     __slots__ = ("mask", "isolating", "representative", "port", "protocol")
@@ -246,10 +284,11 @@ class _ServicePlan:
 
     ``backends`` holds ``(decision token or None, is_loopback, ident)`` for
     every backend whose named target resolves and whose socket exists --
-    the class-independent half of ``_class_service_success``, done once per
-    universe instead of once per source class.  A ``None`` token marks an
-    unisolated backend (its decision is a source-free allow); any other
-    token keys the universe's ``decision_classes``.
+    the source-independent half of ``_attempt_service_connection``'s
+    backend loop, done once per universe instead of once per source class.
+    A ``None`` token marks an unisolated backend (its decision is a
+    source-free allow); any other token keys the universe's
+    ``decision_classes``.
     """
 
     __slots__ = ("endpoint", "backends")
@@ -264,10 +303,11 @@ class EndpointUniverse:
 
     Built once per policy epoch (the cluster facade caches it keyed on
     ``(policy_epoch, include_loopback)``) and shared by every matrix over
-    that snapshot.  Ids follow the grouped reference walk exactly -- pods in
-    list order, sockets in pod order, with the same loopback/resolution
-    gating -- so a surface materialized from a bitmask is byte-identical,
-    entry for entry and in the same order, to the per-object walk.
+    that snapshot.  Ids follow the per-attempt scan exactly -- pods in list
+    order, sockets in pod order, with the same loopback/resolution gating --
+    so a surface materialized from a bitmask is byte-identical, entry for
+    entry and in the same order, to
+    :meth:`ReachabilityMatrix.scan_endpoints`.
     """
 
     __slots__ = ("size", "pod_entries", "free_mask", "full_mask", "decision_classes", "service_plans")
@@ -286,24 +326,11 @@ class EndpointUniverse:
         free_bits: list[int] = []
         class_bits: dict[tuple, list[int]] = {}
         classes: dict[tuple, _DecisionClass] = {}
-        #: destination -> (isolating, named_key, ports_matter), shared with
-        #: the service plan pass below so backends reuse the pod walk's
-        #: lookups.
-        dest_info: dict[tuple[str, str], tuple[tuple, tuple, bool]] = {}
+        #: Destination keys of :func:`_decision_token`, shared with the
+        #: service plan pass below so backends reuse the pod walk's lookups.
+        keys: dict[tuple[str, str], tuple[tuple, tuple, bool]] = {}
         for destination in pods:
-            isolating = index.isolating(destination)
-            # Same gating as ``ReachabilityMatrix._destination_info``: the
-            # named-port key participates in class identity only when some
-            # isolating policy names a port, and the port itself only when
-            # some rule lists ports, so the two layers build identical memo
-            # keys and share decision entries.
-            ports_matter = bool(isolating) and index.constrains_ports(isolating)
-            if ports_matter and index.uses_named_ports(isolating):
-                named_key = tuple(sorted(destination.named_ports().items()))
-            else:
-                named_key = ()
             dest_ident = destination.ident
-            dest_info[dest_ident] = (isolating, named_key, ports_matter)
             # First socket per (port, protocol) wins, as in ``socket_on``:
             # a later duplicate is shadowed by the earlier one's interface.
             first_on: dict[tuple[int, str], Socket] = {}
@@ -328,21 +355,20 @@ class EndpointUniverse:
                         ),
                     )
                 )
-                if not isolating:
+                isolating, token = _decision_token(
+                    index, keys, destination, socket.port, socket.protocol
+                )
+                if token is None:
                     # Decisions for unisolated destinations are source-free
                     # allows; their endpoints join every class surface.
                     free_bits.append(bit)
                     continue
-                if ports_matter:
-                    key = (id(isolating), named_key, socket.port, socket.protocol)
-                else:
-                    key = (id(isolating), named_key, None, None)
-                bits = class_bits.get(key)
+                bits = class_bits.get(token)
                 if bits is None:
-                    classes[key] = _DecisionClass(
+                    classes[token] = _DecisionClass(
                         isolating, destination, socket.port, socket.protocol
                     )
-                    class_bits[key] = [bit]
+                    class_bits[token] = [bit]
                 else:
                     bits.append(bit)
         size = len(pod_entries)
@@ -350,10 +376,10 @@ class EndpointUniverse:
         self.pod_entries = pod_entries
         self.free_mask = _pack_bits(free_bits, size)
         self.full_mask = (1 << size) - 1
-        for key, bits in class_bits.items():
-            classes[key].mask = _pack_bits(bits, size)
+        for token, bits in class_bits.items():
+            classes[token].mask = _pack_bits(bits, size)
         self.service_plans = tuple(
-            self._service_plan(index, binding, service_port, classes, dest_info)
+            self._service_plan(index, binding, service_port, classes, keys)
             for binding in bindings
             for service_port in binding.service.ports
         )
@@ -365,7 +391,7 @@ class EndpointUniverse:
         binding: ServiceBinding,
         service_port,
         classes: dict[tuple, _DecisionClass],
-        dest_info: dict[tuple[str, str], tuple[tuple, tuple]],
+        keys: dict[tuple[str, str], tuple[tuple, tuple, bool]],
     ) -> _ServicePlan:
         service = binding.service
         endpoint = ReachableEndpoint(
@@ -395,30 +421,11 @@ class EndpointUniverse:
             socket = backend.socket_on(target_port, protocol)
             if socket is None:
                 continue
-            info = dest_info.get(backend.ident)
-            if info is None:
-                isolating = index.isolating(backend)
-                ports_matter = bool(isolating) and index.constrains_ports(isolating)
-                if ports_matter and index.uses_named_ports(isolating):
-                    named = tuple(sorted(backend.named_ports().items()))
-                else:
-                    named = ()
-                info = (isolating, named, ports_matter)
-                dest_info[backend.ident] = info
-            isolating, named_key, ports_matter = info
-            if not isolating:
-                token = None
-            else:
-                if ports_matter:
-                    token = (id(isolating), named_key, target_port, protocol)
-                else:
-                    token = (id(isolating), named_key, None, None)
-                if token not in classes:
-                    # Service-only class: no pod-endpoint bits, but its
-                    # verdict is still needed once per source class.
-                    classes[token] = _DecisionClass(
-                        isolating, backend, target_port, protocol
-                    )
+            isolating, token = _decision_token(index, keys, backend, target_port, protocol)
+            if token is not None and token not in classes:
+                # Service-only class: no pod-endpoint bits, but its
+                # verdict is still needed once per source class.
+                classes[token] = _DecisionClass(isolating, backend, target_port, protocol)
             backends.append(
                 (token, socket.interface == "127.0.0.1", backend.ident)
             )
@@ -463,7 +470,7 @@ class ReachabilityMatrix:
       thousand pods probing the same destination port cost one evaluation.
 
     Results are bit-identical to the per-attempt path: decisions come from
-    ``NetworkPolicyEnforcer.check_ingress`` on cache miss, and the
+    ``NetworkPolicyEnforcer.decide_ingress`` on cache miss, and the
     socket/loopback gating mirrors ``connect_pod_to_pod`` exactly.
     """
 
@@ -475,7 +482,6 @@ class ReachabilityMatrix:
         bindings: list[ServiceBinding],
         include_loopback: bool = False,
         naive_policies: list[NetworkPolicy] | None = None,
-        vectorized: bool = True,
         universe_cache: dict | None = None,
     ) -> None:
         self._network = network
@@ -484,10 +490,6 @@ class ReachabilityMatrix:
         self.pods = list(pods)
         self.bindings = list(bindings)
         self.include_loopback = include_loopback
-        #: ``False`` pins class surfaces to the per-object grouped walk --
-        #: the reference implementation the vectorized engine is proven
-        #: byte-identical against.
-        self.vectorized = vectorized
         #: The compiled endpoint universe, built lazily on the first surface
         #: query (connection-attempt-only users never pay for it), optionally
         #: shared across matrices through ``universe_cache`` (the cluster
@@ -499,44 +501,23 @@ class ReachabilityMatrix:
         #: policy list.  This is the pre-compilation reference used by the
         #: differential tests and the before/after benchmarks.
         self._naive_policies = naive_policies
-        #: (namespace, name) -> (isolating, named-port key, hostNetwork,
-        #: ports-matter flag)
-        self._dest_info: dict[tuple[str, str], tuple[tuple, tuple, bool, bool]] = {}
+        #: (namespace, name) -> destination key of :func:`_decision_token`
+        self._dest_keys: dict[tuple[str, str], tuple[tuple, tuple, bool]] = {}
         #: Adaptive tier: the first couple of decisions are answered with the
         #: naive-cost direct scan; the memoized machinery (isolating cache,
-        #: destination info, decision memo) is engaged only once the attempt
+        #: destination keys, decision memo) is engaged only once the attempt
         #: stream is long enough for it to pay.  Single-attempt probes -- the
         #: dominant shape of a per-chart sweep -- therefore cost exactly what
         #: the reference path costs.
         self._naive_tier_left = 2
         #: (namespace, name) -> hashable source equivalence key
         self._source_keys: dict[tuple[str, str], tuple] = {}
-        #: decision memo, keyed by attempt equivalence class
+        #: decision memo, keyed ``(source key, decision token)``
         self._decisions: dict[tuple, PolicyDecision] = {}
         #: source class key -> (pod entries, service entries); the whole
         #: reachable surface of an equivalence class, computed once and
         #: filtered per member (see :meth:`endpoints_from`).
         self._class_surfaces: dict[tuple, tuple[list, list]] = {}
-
-    # Equivalence keys --------------------------------------------------------
-    def _destination_info(self, destination: RunningPod) -> tuple[tuple, tuple, bool, bool]:
-        info = self._dest_info.get(destination.ident)
-        if info is None:
-            isolating = self.index.isolating(destination)
-            # Named ports can only influence a decision when some isolating
-            # policy names one; otherwise every named-port table lands in the
-            # same decision class, so skip building the key (and let pods
-            # with different named ports share memo entries).  When no rule
-            # lists ports at all the decision is port-independent too, so
-            # every probed port of the destination shares one memo entry.
-            ports_matter = bool(isolating) and self.index.constrains_ports(isolating)
-            if ports_matter and self.index.uses_named_ports(isolating):
-                named_key = tuple(sorted(destination.named_ports().items()))
-            else:
-                named_key = ()
-            info = (isolating, named_key, destination.host_network, ports_matter)
-            self._dest_info[destination.ident] = info
-        return info
 
     def _source_key(self, source: RunningPod) -> tuple:
         key = source.ident
@@ -560,26 +541,20 @@ class ReachabilityMatrix:
                 self._naive_policies or [], source, destination, port, protocol
             )
         if self._naive_tier_left and not self._decisions:
-            # Matches the naive ``policies_isolating`` scan exactly (host
-            # network escapes enforcement, original list order preserved),
-            # so tiered decisions are value-identical to memoized ones.
+            # The naive isolating scan keeps the original list order, so
+            # tiered decisions are value-identical to memoized ones.
             self._naive_tier_left -= 1
-            if destination.host_network:
-                isolating = ()
-            else:
-                labels = destination.labels
-                namespace = destination.namespace
-                isolating = tuple(
-                    policy
-                    for policy in self.index.policies
-                    if policy.restricts_ingress()
-                    and policy.selects(labels, namespace)
-                )
             return self._enforcer.decide_ingress(
-                isolating, source, destination, port, protocol
+                scan_isolating(self.index.policies, destination),
+                source,
+                destination,
+                port,
+                protocol,
             )
-        isolating, named_key, host_network, ports_matter = self._destination_info(destination)
-        if not isolating:
+        isolating, token = _decision_token(
+            self.index, self._dest_keys, destination, port, protocol
+        )
+        if token is None:
             # Unisolated destinations resolve to the enforcer's shared
             # default-allow decisions; ``decide_ingress`` short-circuits to a
             # singleton, so routing through the memo would only add a dict
@@ -587,10 +562,7 @@ class ReachabilityMatrix:
             return self._enforcer.decide_ingress(
                 isolating, source, destination, port, protocol
             )
-        if ports_matter:
-            memo_key = (self._source_key(source), id(isolating), named_key, port, protocol)
-        else:
-            memo_key = (self._source_key(source), id(isolating), named_key, None, None)
+        memo_key = (self._source_key(source), token)
         decision = self._decisions.get(memo_key)
         if decision is None:
             decision = self._enforcer.decide_ingress(
@@ -644,22 +616,17 @@ class ReachabilityMatrix:
           reachable solely by that backend pod itself (``same_pod``
           semantics), so such endpoints are attached per-member.
 
-        Results are identical, entry for entry and in the same order, to the
-        per-attempt reference scan; endpoint objects are shared between
-        members of a class, so treat them as read-only.
+        Results are identical, entry for entry and in the same order, to
+        :meth:`scan_endpoints`, which answers directly in naive mode;
+        endpoint objects are shared between members of a class, so treat
+        them as read-only.
         """
         if self.index is None:
-            return self._endpoints_from_uncached(source)
+            return self.scan_endpoints(source)
         class_key = self._source_key(source)
         surface = self._class_surfaces.get(class_key)
         if surface is None:
-            if self.vectorized:
-                surface = self._class_surface_vectorized(source)
-            else:
-                surface = (
-                    self._class_pod_endpoints(source),
-                    self._class_service_endpoints(source),
-                )
+            surface = self._class_surface(source)
             self._class_surfaces[class_key] = surface
         pod_entries, service_entries = surface
         source_key = source.ident
@@ -675,11 +642,19 @@ class ReachabilityMatrix:
         )
         return reachable
 
-    def _endpoints_from_uncached(self, source: RunningPod) -> list[ReachableEndpoint]:
-        """The per-attempt reference scan (naive mode keeps this path)."""
+    def scan_endpoints(self, source: RunningPod) -> list[ReachableEndpoint]:
+        """The per-attempt reference scan: one attempt per socket and port.
+
+        Tries every network-visible socket of every other pod, then every
+        service port, through :meth:`connect` and
+        :meth:`connect_via_service`.  Pods are told apart by
+        ``(namespace, name)`` identity, as in the ``same_pod`` rule, so a
+        copy of the source never shows up in its own surface.
+        """
+        source_ident = source.ident
         reachable: list[ReachableEndpoint] = []
         for destination in self.pods:
-            if destination is source:
+            if destination.ident == source_ident:
                 continue
             for socket in destination.sockets:
                 if not self.include_loopback and not socket.reachable_from_network:
@@ -735,7 +710,7 @@ class ReachabilityMatrix:
                 seen.add(pod.ident)
         return {source.ident: self.endpoints_from(source) for source in self.pods}
 
-    # Vectorized class surfaces ----------------------------------------------
+    # Class surfaces ----------------------------------------------------------
     def endpoint_universe(self) -> EndpointUniverse:
         """The compiled endpoint universe of this snapshot (built lazily).
 
@@ -759,17 +734,16 @@ class ReachabilityMatrix:
             self._universe = universe
         return universe
 
-    def _class_surface_vectorized(self, source: RunningPod) -> tuple[list, list]:
+    def _class_surface(self, source: RunningPod) -> tuple[list, list]:
         """One source class's whole surface, as bitmask set algebra.
 
         Runs every decision class exactly once -- through the same decision
         memo the per-attempt path uses, so ``connect`` and surfaces share
         results -- then ORs the allowed classes' masks over the source-free
         allow mask and materializes the surviving bits in id order (the
-        grouped walk's order).  Service plans replay the reference backend
-        loop against the verdict table: same first-network-accept
-        short-circuit, same loopback ``same_pod`` collection, no per-class
-        re-resolution.
+        scan's order).  Service plans replay the reference backend loop
+        against the verdict table: same first-network-accept short-circuit,
+        same loopback ``same_pod`` collection, no per-class re-resolution.
         """
         universe = self.endpoint_universe()
         memo = self._decisions
@@ -778,7 +752,7 @@ class ReachabilityMatrix:
         verdicts: dict[tuple, bool] = {}
         allowed = universe.free_mask
         for token, decision_class in universe.decision_classes.items():
-            memo_key = (source_key, *token)
+            memo_key = (source_key, token)
             decision = memo.get(memo_key)
             if decision is None:
                 decision = decide(
@@ -812,121 +786,6 @@ class ReachabilityMatrix:
             elif self_only:
                 service_entries.append((frozenset(self_only), plan.endpoint))
         return pod_entries, service_entries
-
-    def _class_pod_endpoints(
-        self, representative: RunningPod
-    ) -> list[tuple[tuple[str, str], ReachableEndpoint]]:
-        """Pod endpoints reachable by every member of one source class.
-
-        Computed with non-``same_pod`` semantics (gating on the socket the
-        connection would actually resolve to, exactly as the per-attempt
-        path does), which is correct for every class member except the
-        destination pod itself -- and that pair is excluded by the caller.
-        """
-        entries: list[tuple[tuple[str, str], ReachableEndpoint]] = []
-        include_loopback = self.include_loopback
-        for destination in self.pods:
-            for socket in destination.sockets:
-                if not include_loopback and not socket.reachable_from_network:
-                    continue
-                resolved = destination.socket_on(socket.port, socket.protocol)
-                if resolved is None or resolved.interface == "127.0.0.1":
-                    continue
-                if self.decision(
-                    representative, destination, socket.port, socket.protocol
-                ).allowed:
-                    entries.append(
-                        (
-                            (destination.namespace, destination.name),
-                            ReachableEndpoint(
-                                kind="pod",
-                                namespace=destination.namespace,
-                                name=destination.name,
-                                port=socket.port,
-                                protocol=socket.protocol,
-                                dynamic=socket.dynamic,
-                                app=destination.app,
-                            ),
-                        )
-                    )
-        return entries
-
-    def _class_service_endpoints(
-        self, representative: RunningPod
-    ) -> list[tuple[frozenset[tuple[str, str]] | None, ReachableEndpoint]]:
-        """Service endpoints reachable by one source class.
-
-        Each entry carries ``None`` when every class member reaches it, or
-        the set of ``(namespace, name)`` keys of the only pods that do --
-        backends whose sole accepting socket is loopback-bound, reachable
-        through the service only by themselves (``same_pod`` semantics).
-        """
-        entries: list[tuple[frozenset[tuple[str, str]] | None, ReachableEndpoint]] = []
-        for binding in self.bindings:
-            service = binding.service
-            for service_port in binding.service.ports:
-                reachable_by_all, self_only = self._class_service_success(
-                    representative, binding, service_port.port, service_port.protocol
-                )
-                if not reachable_by_all and not self_only:
-                    continue
-                entries.append(
-                    (
-                        None if reachable_by_all else frozenset(self_only),
-                        ReachableEndpoint(
-                            kind="service",
-                            namespace=service.namespace,
-                            name=service.name,
-                            port=service_port.port,
-                            protocol=service_port.protocol,
-                            app=service.labels.get("app.kubernetes.io/part-of", ""),
-                        ),
-                    )
-                )
-        return entries
-
-    def _class_service_success(
-        self,
-        representative: RunningPod,
-        binding: ServiceBinding,
-        port: int,
-        protocol: str,
-    ) -> tuple[bool, list[tuple[str, str]]]:
-        """Whether one source class reaches a service port, per member.
-
-        Returns ``(reachable_by_all, self_only_backends)``.  Mirrors
-        ``_attempt_service_connection`` exactly: the service port is looked
-        up by number (the first match wins, as in the per-attempt path),
-        named targets resolve per backend, and a backend accepts when its
-        socket exists, is not loopback-bound, and the policy decision -- a
-        function of the source *class* only -- allows the connection.  A
-        loopback-bound accepting socket counts only for the backend pod
-        itself, which is the single ``same_pod`` case a service hop allows.
-        """
-        service = binding.service
-        service_port = next((p for p in service.ports if p.port == port), None)
-        if service_port is None or not binding.backends:
-            return False, []
-        raw_target = service_port.resolved_target()
-        self_only: list[tuple[str, str]] = []
-        for backend in binding.backends:
-            target_port = (
-                raw_target
-                if isinstance(raw_target, int)
-                else backend.named_ports().get(str(raw_target))
-            )
-            if target_port is None:
-                continue
-            socket = backend.socket_on(target_port, protocol)
-            if socket is None:
-                continue
-            if not self.decision(representative, backend, target_port, protocol).allowed:
-                continue
-            if socket.interface == "127.0.0.1":
-                self_only.append((backend.namespace, backend.name))
-            else:
-                return True, []
-        return False, self_only
 
 
 @dataclass
@@ -1009,7 +868,6 @@ class ClusterNetwork:
         pods: list[RunningPod],
         bindings: list[ServiceBinding],
         include_loopback: bool = False,
-        vectorized: bool = True,
         universe_cache: dict | None = None,
     ) -> ReachabilityMatrix:
         """Compile ``policies`` (if needed) and build a batched matrix.
@@ -1017,31 +875,17 @@ class ClusterNetwork:
         When the enforcer has the compiled engine disabled and ``policies``
         is a raw list, the matrix is built in naive mode: same API, but every
         query takes the uncached reference path (the pre-compilation code).
-        ``vectorized=False`` pins class surfaces to the per-object grouped
-        reference walk.
         """
-        if isinstance(policies, PolicyIndex):
-            return ReachabilityMatrix(
-                self,
-                policies,
-                pods,
-                bindings,
-                include_loopback,
-                vectorized=vectorized,
-                universe_cache=universe_cache,
-            )
-        if not self.enforcer.use_index:
+        if not isinstance(policies, PolicyIndex) and not self.enforcer.use_index:
             return ReachabilityMatrix(
                 self, None, pods, bindings, include_loopback, naive_policies=list(policies)
             )
-        index = self.enforcer.index_for(policies)
         return ReachabilityMatrix(
             self,
-            index,
+            self.enforcer.index_for(policies),
             pods,
             bindings,
             include_loopback,
-            vectorized=vectorized,
             universe_cache=universe_cache,
         )
 
@@ -1058,49 +902,8 @@ class ClusterNetwork:
         This is the lateral-movement surface of a compromised container: the
         paper's Figure 4b counts exactly these endpoints for misconfigured
         applications after enabling network policies.  Runs through a
-        :class:`ReachabilityMatrix` unless the enforcer has the compiled
-        engine disabled, in which case the original per-attempt scan is kept
-        as the reference path.
+        :class:`ReachabilityMatrix`, so an enforcer with the compiled engine
+        disabled answers with the per-attempt reference scan.
         """
-        if isinstance(policies, PolicyIndex) or self.enforcer.use_index:
-            matrix = self.reachability_matrix(policies, pods, bindings, include_loopback)
-            return matrix.endpoints_from(source)
-        reachable: list[ReachableEndpoint] = []
-        for destination in pods:
-            if destination is source:
-                continue
-            for socket in destination.sockets:
-                if not include_loopback and not socket.reachable_from_network:
-                    continue
-                attempt = self.connect_pod_to_pod(
-                    policies, source, destination, socket.port, socket.protocol
-                )
-                if attempt.success:
-                    reachable.append(
-                        ReachableEndpoint(
-                            kind="pod",
-                            namespace=destination.namespace,
-                            name=destination.name,
-                            port=socket.port,
-                            protocol=socket.protocol,
-                            dynamic=socket.dynamic,
-                            app=destination.app,
-                        )
-                    )
-        for binding in bindings:
-            for service_port in binding.service.ports:
-                attempt = self.connect_pod_to_service(
-                    policies, source, binding, service_port.port, service_port.protocol
-                )
-                if attempt.success:
-                    reachable.append(
-                        ReachableEndpoint(
-                            kind="service",
-                            namespace=binding.service.namespace,
-                            name=binding.service.name,
-                            port=service_port.port,
-                            protocol=service_port.protocol,
-                            app=binding.service.labels.get("app.kubernetes.io/part-of", ""),
-                        )
-                    )
-        return reachable
+        matrix = self.reachability_matrix(policies, pods, bindings, include_loopback)
+        return matrix.endpoints_from(source)

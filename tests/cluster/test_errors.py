@@ -98,8 +98,8 @@ class TestDuplicatePodIdentity:
 
     The result dict is keyed on that identity; a duplicate would silently
     overwrite the first pod's surface, so the matrix raises the specific
-    :class:`DuplicatePodError` instead -- on the vectorized and the grouped
-    reference path alike.
+    :class:`DuplicatePodError` instead -- on the bitset engine and the naive
+    reference scan alike.
     """
 
     def _pods(self):
@@ -109,12 +109,10 @@ class TestDuplicatePodIdentity:
             _running_twin("web-0", "10.0.0.3"),  # identity collision
         ]
 
-    @pytest.mark.parametrize("vectorized", (True, False))
-    def test_all_pairs_raises_duplicate_pod_error(self, vectorized):
-        network = ClusterNetwork(enforcer=NetworkPolicyEnforcer({}))
-        matrix = network.reachability_matrix(
-            [], self._pods(), [], vectorized=vectorized
-        )
+    @pytest.mark.parametrize("use_index", (True, False))
+    def test_all_pairs_raises_duplicate_pod_error(self, use_index):
+        network = ClusterNetwork(enforcer=NetworkPolicyEnforcer({}, use_index=use_index))
+        matrix = network.reachability_matrix([], self._pods(), [])
         with pytest.raises(DuplicatePodError, match="default/web-0") as excinfo:
             matrix.all_pairs()
         assert excinfo.value.name == "web-0"
@@ -125,15 +123,16 @@ class TestDuplicatePodIdentity:
 
     def test_per_source_queries_still_work_on_duplicate_snapshot(self):
         # Only the keyed all-pairs result refuses; per-source surfaces stay
-        # answerable, and the vectorized path matches the grouped reference
+        # answerable, and the vectorized path matches the naive reference
         # even on the invalid snapshot (self-exclusion keys on identity, so
         # each twin treats the other as itself).
         pods = self._pods()
         network = ClusterNetwork(enforcer=NetworkPolicyEnforcer({}))
-        grouped = network.reachability_matrix([], pods, [], vectorized=False)
+        naive = ClusterNetwork(enforcer=NetworkPolicyEnforcer({}, use_index=False))
+        oracle = naive.reachability_matrix([], pods, [])
         vector = network.reachability_matrix([], pods, [])
         for pod in pods:
-            assert vector.endpoints_from(pod) == grouped.endpoints_from(pod)
+            assert vector.endpoints_from(pod) == oracle.endpoints_from(pod)
         assert [e.name for e in vector.endpoints_from(pods[1])] == ["web-0", "web-0"]
         assert [e.name for e in vector.endpoints_from(pods[0])] == ["other"]
 

@@ -175,23 +175,27 @@ def test_reachability_surfaces_identical_from_structured_renders(catalog_apps):
 
 @pytest.mark.slow
 def test_vectorized_surfaces_equal_grouped_over_catalogue(catalog_apps):
-    """Bitset-vectorized all-pairs == the grouped reference, byte-identical,
+    """Bitset-vectorized all-pairs == the naive reference scan, byte-identical,
     over the catalogue's policy-bearing charts (both loopback modes)."""
     overrides = {"networkPolicy": {"enabled": True}}
     checked = 0
     for app in catalog_apps:
         if not app.defines_network_policies:
             continue
-        cluster = Cluster(name="vec", behaviors=app.behaviors)
-        cluster.install(render_chart(app.chart, overrides=overrides, cached=False))
+        cluster, naive_cluster = (
+            Cluster(name="vec", behaviors=app.behaviors, compiled_policies=compiled)
+            for compiled in (True, False)
+        )
+        for twin in (cluster, naive_cluster):
+            twin.install(render_chart(app.chart, overrides=overrides, cached=False))
         for include_loopback in (False, True):
-            grouped = cluster.reachability_matrix(
-                include_loopback=include_loopback, vectorized=False
+            naive = naive_cluster.reachability_matrix(
+                include_loopback=include_loopback
             ).all_pairs()
             vector = cluster.reachability_matrix(
                 include_loopback=include_loopback
             ).all_pairs()
-            assert vector == grouped, f"{app.dataset}/{app.name}"
+            assert vector == naive, f"{app.dataset}/{app.name}"
         checked += 1
         if checked >= 60:
             break

@@ -11,6 +11,7 @@ mutations (install / uninstall / restart / direct API writes).
 
 from __future__ import annotations
 
+import copy
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
@@ -229,13 +230,11 @@ class TestCompiledEngineEquivalence:
         pods, policies, bindings = scenario
         naive, compiled = engines()
         matrix = compiled.reachability_matrix(policies, pods, bindings)
-        grouped = compiled.reachability_matrix(policies, pods, bindings, vectorized=False)
         for source in pods:
             expected = naive.reachable_endpoints(policies, source, pods, bindings)
             assert compiled.reachable_endpoints(policies, source, pods, bindings) == expected
             assert matrix.endpoints_from(source) == expected
-            assert grouped.endpoints_from(source) == expected
-        assert matrix.all_pairs() == grouped.all_pairs() == {
+        assert matrix.all_pairs() == {
             (source.namespace, source.name): naive.reachable_endpoints(
                 policies, source, pods, bindings
             )
@@ -461,7 +460,7 @@ def _make_running(name, namespace, labels, sockets, ip):
 
 
 class TestGroupedAllPairs:
-    """The grouped all-pairs path must equal per-source scans exactly.
+    """The class-grouped all-pairs path must equal per-source scans exactly.
 
     The deterministic scenario pins its two exact corrections: self-exclusion
     within an equivalence class, and a loopback-bound backend that is
@@ -504,9 +503,6 @@ class TestGroupedAllPairs:
         naive, compiled = engines()
         for policies in ([], [deny_all_policy("deny", namespace="default")]):
             matrix = compiled.reachability_matrix(policies, pods, bindings)
-            grouped = compiled.reachability_matrix(
-                policies, pods, bindings, vectorized=False
-            )
             expected = {
                 (source.namespace, source.name): naive.reachable_endpoints(
                     policies, source, pods, bindings
@@ -514,7 +510,6 @@ class TestGroupedAllPairs:
                 for source in pods
             }
             assert matrix.all_pairs() == expected
-            assert grouped.all_pairs() == expected
 
     def test_loopback_service_endpoint_is_self_only(self):
         pods, bindings = self._scenario()
@@ -540,18 +535,15 @@ class TestGroupedAllPairs:
 
 
 # ---------------------------------------------------------------------------
-# Bitset-vectorized all-pairs: vectorized == grouped == naive, byte-identical
+# Bitset-vectorized all-pairs: vectorized == naive, byte-identical
 # ---------------------------------------------------------------------------
 
 
-def _assert_triple_identical(policies, pods, bindings, include_loopback=False):
-    """Vectorized, grouped and naive surfaces must be byte-identical."""
+def _assert_matches_naive(policies, pods, bindings, include_loopback=False):
+    """Vectorized and naive surfaces must be byte-identical."""
     naive, compiled = engines()
     vector = compiled.reachability_matrix(
         policies, pods, bindings, include_loopback=include_loopback
-    )
-    grouped = compiled.reachability_matrix(
-        policies, pods, bindings, include_loopback=include_loopback, vectorized=False
     )
     expected = {
         pod.ident: naive.reachable_endpoints(
@@ -560,13 +552,12 @@ def _assert_triple_identical(policies, pods, bindings, include_loopback=False):
         for pod in pods
     }
     assert vector.all_pairs() == expected
-    assert grouped.all_pairs() == expected
     return expected
 
 
 class TestVectorizedAllPairs:
-    """The bitmask engine against its two references, on the exact cases the
-    grouped walk had to special-case: self-exclusion inside an equivalence
+    """The bitmask engine against the naive reference, on the exact cases a
+    class surface has to special-case: self-exclusion inside an equivalence
     class, loopback backends reachable via a service only from the backend
     itself, named ports re-resolved after a restart, matchExpressions
     selectors, and empty endpoint universes.
@@ -598,7 +589,7 @@ class TestVectorizedAllPairs:
 
     def test_self_exclusion_within_equivalence_class(self):
         pods, bindings = self._replica_scenario()
-        surfaces = _assert_triple_identical([], pods, bindings)
+        surfaces = _assert_matches_naive([], pods, bindings)
         for i in range(3):
             pod_names = {
                 e.name for e in surfaces[("default", f"web-{i}")] if e.kind == "pod"
@@ -606,10 +597,21 @@ class TestVectorizedAllPairs:
             # Same class, same surface computation -- but never itself.
             assert pod_names == {f"web-{j}" for j in range(3) if j != i}
 
+    def test_copied_source_is_excluded_by_identity(self):
+        # A pod is never part of its own surface, even when the caller hands
+        # in a copy of it instead of the snapshot's own object: the oracle
+        # scan and the bitset engine both exclude by (namespace, name).
+        pods, bindings = self._replica_scenario()
+        expected = _assert_matches_naive([], pods, bindings)[("default", "web-0")]
+        assert [e.name for e in expected if e.kind == "pod"] == ["web-1", "web-2"]
+        source = copy.copy(pods[0])
+        for network in engines():
+            assert network.reachable_endpoints([], source, pods, bindings) == expected
+
     def test_loopback_service_reachable_from_backend_only(self):
         pods, bindings = self._replica_scenario()
         for include_loopback in (False, True):
-            surfaces = _assert_triple_identical(
+            surfaces = _assert_matches_naive(
                 [], pods, bindings, include_loopback=include_loopback
             )
             for key, endpoints in surfaces.items():
@@ -659,7 +661,7 @@ class TestVectorizedAllPairs:
         )
         cluster.api.apply(named_port_policy)
 
-        def triple_check():
+        def naive_check():
             pods = cluster.running_pods()
             policies = cluster.network_policies()
             bindings = cluster.service_bindings()
@@ -679,28 +681,24 @@ class TestVectorizedAllPairs:
                 }
             ))
             vector = compiled.reachability_matrix(policies, pods, bindings)
-            grouped = compiled.reachability_matrix(
-                policies, pods, bindings, vectorized=False
-            )
             expected = {
                 pod.ident: naive.reachable_endpoints(policies, pod, pods, bindings)
                 for pod in pods
             }
             assert vector.all_pairs() == expected
-            assert grouped.all_pairs() == expected
             return expected
 
-        before = triple_check()
+        before = naive_check()
         sockets_before = {
             (p.name, s.port) for p in cluster.running_pods() for s in p.sockets
         }
         cluster.restart_application("web")
-        after = triple_check()
+        after = naive_check()
         sockets_after = {
             (p.name, s.port) for p in cluster.running_pods() for s in p.sockets
         }
         # The restart moved the dynamic sockets, yet the named-port policy
-        # keeps only "http" reachable: the surfaces stay put and all three
+        # keeps only "http" reachable: the surfaces stay put and both
         # paths re-resolved the name against the fresh sockets identically.
         assert sockets_before != sockets_after
         assert before == after
@@ -742,11 +740,11 @@ class TestVectorizedAllPairs:
         ]
         for policies in ([expression_policies[0]], expression_policies[:2],
                          expression_policies):
-            _assert_triple_identical(policies, pods, [])
+            _assert_matches_naive(policies, pods, [])
 
     def test_empty_universe_fleets(self):
         # No pods at all; pods with no sockets; loopback-only sockets hidden
-        # by include_loopback=False: every variant must agree on all paths.
+        # by include_loopback=False: every variant must agree on both paths.
         silent = [
             _make_running("mute-0", "default", {"app": "mute"}, [], "10.0.0.1"),
             _make_running("mute-1", "prod", {"app": "mute"}, [], "10.0.0.2"),
@@ -759,15 +757,15 @@ class TestVectorizedAllPairs:
                 "10.0.0.3",
             )
         ]
-        assert _assert_triple_identical([], [], []) == {}
-        surfaces = _assert_triple_identical([], silent, [])
+        assert _assert_matches_naive([], [], []) == {}
+        surfaces = _assert_matches_naive([], silent, [])
         assert all(endpoints == [] for endpoints in surfaces.values())
-        surfaces = _assert_triple_identical(
+        surfaces = _assert_matches_naive(
             [deny_all_policy("deny", namespace="default")], silent + loopback_only, []
         )
         assert all(endpoints == [] for endpoints in surfaces.values())
         # With loopback included the universe is non-empty again.
-        surfaces = _assert_triple_identical([], loopback_only, [],
+        surfaces = _assert_matches_naive([], loopback_only, [],
                                             include_loopback=True)
         assert surfaces[("default", "shy-0")] == []
 
