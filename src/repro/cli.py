@@ -23,8 +23,13 @@ Subcommands
 ``watch <dir>``
     Continuously re-verify a directory of Helm charts: each round rescans
     the directory, re-evaluates only the charts whose inputs changed
-    (byte-identical to from-scratch) and prints one summary line.  A chart
-    directory that cannot be loaded is counted as quarantined, not fatal.
+    (byte-identical to from-scratch) and prints one summary line.  The
+    rescan reads only files whose stat signature moved or is too recent to
+    vouch for them, and the M4* pass re-derives only the applications a
+    change touched.  A chart directory that cannot be loaded is counted as
+    quarantined, not fatal.  A ``<dir>`` that is missing or not a directory
+    at start-up is a one-line error on stderr and exit 2; one that
+    disappears later is watched as empty.
 ``attack concourse|thanos``
     Run one of the Section 2.1 proof-of-concept attacks.
 """
@@ -32,6 +37,9 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import errno
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -195,9 +203,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_watch(args: argparse.Namespace) -> int:
     from .experiments import watch_directory
 
-    watch_directory(
-        Path(args.directory), rounds=args.rounds, interval=args.interval
-    )
+    root = Path(args.directory)
+    try:
+        if not stat.S_ISDIR(root.stat().st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+    except OSError as exc:
+        # Otherwise every round would scan nothing and report "no charts".
+        print(f"insidejob watch: {args.directory}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    watch_directory(root, rounds=args.rounds, interval=args.interval)
     return 0
 
 

@@ -31,6 +31,7 @@ from .analyzer import (
 )
 from .cluster_wide import (
     ApplicationInventory,
+    CollisionIndex,
     GlobalCollision,
     find_cross_application_selector_matches,
     find_global_collisions,
@@ -101,6 +102,7 @@ __all__ = [
     "THREAT_MODEL_SUMMARY",
     "build_disclosures",
     "summarize_outcomes",
+    "CollisionIndex",
     "EvaluationSummary",
     "Finding",
     "GlobalCollision",

@@ -31,16 +31,20 @@ Staleness rules
 ---------------
 
 Reuse is sound only for the per-chart (pre-M4*) stage: the cluster-wide
-label-collision pass consumes *every* inventory, so any change anywhere
-can move M4* findings on unchanged charts.  A delta round therefore
-strips M4* findings from reused reports (into fresh
-:class:`~repro.core.AnalysisReport` objects -- the prior result is never
-mutated) and re-runs
-:func:`~repro.experiments.evaluation.apply_cluster_wide_pass` over the
-merged inventories, exactly as a from-scratch sweep would.  A chart whose
-prior attempt failed is always recomputed -- a quarantined failure is
-never "unchanged".  The result is byte-identical to a from-scratch sweep
-by construction; the differential suite in
+label-collision pass consumes *every* inventory, so a change anywhere can
+move M4* findings on unchanged charts.  An in-memory round keeps the
+pass's label groups and selector postings per chart in a
+:class:`~repro.core.CollisionIndex`: it retracts removed, recomputed and
+quarantined charts, adds the new ones, and re-derives M4* findings only
+for the applications whose collision groups or selector matches the
+change touched.  Those reused reports are stripped into fresh
+:class:`~repro.core.AnalysisReport` objects first -- the prior result is
+never mutated -- and every other reused entry keeps its post-M4* report.
+A durable round strips nothing (the store holds pre-M4* reports) and
+re-runs :func:`~repro.experiments.evaluation.apply_cluster_wide_pass`, the
+index's oracle.  A chart whose prior attempt failed is always recomputed
+-- a quarantined failure is never "unchanged".  The result is
+byte-identical to a from-scratch sweep; the differential suite in
 ``tests/experiments/test_delta_evaluation.py`` proves it over the full
 catalogue for randomized change sets, serial and pooled, faults included.
 
@@ -48,7 +52,8 @@ Prior-state sources
 -------------------
 
 *In-memory*: the evaluator chains its own rounds (``_last``), or the
-caller hands any prior ``EvaluationResult``.  This is the watch-mode hot
+caller hands any prior ``EvaluationResult``; the M4* index mirrors only
+``_last``, so any other prior rebuilds it.  This is the watch-mode hot
 path -- no store reads, near-zero cost for a no-op round (the
 ``DELTA_NOOP_RATIO_LIMIT`` gate in ``benchmarks/run.py --check`` pins it
 at <= 5% of a full sweep).
@@ -68,12 +73,16 @@ of on-disk charts, evaluate the delta against the previous round, print one
 summary line per round.  The rescan is content-keyed
 (:func:`scan_chart_directory`): a directory whose bytes, path and
 behaviours held since the last round yields the previous round's chart
-object, so only edited directories are parsed again.
+object, so only edited directories are parsed again.  Stat signatures
+under git's racy-clean rule (:data:`RACY_WINDOW_NS`) establish that the
+bytes held without reading them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
+import stat
 import time
 import traceback
 from collections.abc import Iterable
@@ -85,6 +94,8 @@ from ..cluster import BehaviorRegistry
 from ..core import (
     AnalysisReport,
     AnalyzerSettings,
+    ApplicationInventory,
+    CollisionIndex,
     MisconfigClass,
     MisconfigurationAnalyzer,
 )
@@ -97,6 +108,7 @@ from .evaluation import (
     AnalyzedApplication,
     EvaluationResult,
     _sweep,
+    apply_cluster_wide_pass,
     classifier_fingerprints,
     result_key,
     settings_fingerprint,
@@ -171,14 +183,14 @@ class _PriorRecord:
 
 
 def _strip_cluster_wide(entry: AnalyzedApplication) -> AnalyzedApplication:
-    """A reusable pre-M4* copy of one prior analyzed entry.
+    """A pre-M4* copy of one prior analyzed entry.
 
     Prior in-memory results are *post*-M4*: the cluster-wide pass already
-    appended its findings.  Only :func:`global_collision_findings` emits
+    appended its findings.  Only the M4* pass emits
     :data:`~repro.core.MisconfigClass.M4_GLOBAL` (per-chart rules emit
     M4A/B/C), so filtering it out reconstructs the exact pre-M4* report.
-    The report object is fresh -- the new round's cluster-wide pass must
-    never mutate the prior result's reports.
+    The report object is fresh -- the new round must never mutate the
+    prior result's reports.
     """
     report = entry.report
     findings = [
@@ -194,6 +206,40 @@ def _strip_cluster_wide(entry: AnalyzedApplication) -> AnalyzedApplication:
         inventory=entry.inventory,
         attempts=entry.attempts,
     )
+
+
+def _cluster_wide_delta(
+    result: EvaluationResult,
+    reused: dict[int, AnalyzedApplication],
+    index: CollisionIndex,
+) -> CollisionIndex:
+    """Run an in-memory round's M4* pass through ``index``; return the index.
+
+    Fresh entries are pre-M4* and get their findings.  A reused entry
+    keeps its prior post-M4* report unless ``index`` reports its
+    application as touched; then a stripped copy replaces it and gets the
+    re-derived findings.  Equal to :func:`apply_cluster_wide_pass` over the
+    stripped entries, which the differential suites check.
+    """
+    carried = {id(entry) for entry in reused.values()}
+    keys = [f"{entry.application.dataset}/{entry.application.name}" for entry in result.analyzed]
+    touched = index.update(
+        [
+            ApplicationInventory(application=key, inventory=entry.inventory)
+            for key, entry in zip(keys, result.analyzed)
+        ]
+    )
+    for position, (key, entry) in enumerate(zip(keys, result.analyzed)):
+        if id(entry) in carried:
+            if key not in touched:
+                continue
+            entry = result.analyzed[position] = _strip_cluster_wide(entry)
+        findings = index.findings(key)
+        if findings:
+            for finding in findings:
+                finding.application = entry.application.name
+            entry.report.add(findings)
+    return index
 
 
 class DeltaEvaluator:
@@ -238,6 +284,8 @@ class DeltaEvaluator:
         #: round, so their fingerprints never need re-hashing; pruned each
         #: plan to the objects still alive (prior + current generation).
         self._fp_memo: dict[int, tuple[BuiltApplication, dict]] = {}
+        #: The incremental M4* state of ``_last`` (in-memory rounds only).
+        self._collisions: CollisionIndex | None = None
 
     # Classification ----------------------------------------------------------
     def plan(
@@ -388,10 +436,12 @@ class DeltaEvaluator:
     ) -> EvaluationResult:
         """Run one delta round; byte-identical to a from-scratch sweep.
 
-        Reuses every unchanged chart's pre-M4* report and inventory and
-        hands the rest to the sweep engine (serial fault-isolated, or the
+        Reuses every unchanged chart's report and inventory and hands the
+        rest to the sweep engine (serial fault-isolated, or the
         self-healing process pool when ``workers`` > 1), which merges in
-        catalogue order and re-runs the cluster-wide pass.  ``fault_plan``
+        catalogue order.  The cluster-wide pass then runs incrementally
+        over the evaluator's M4* index (in-memory rounds) or from scratch
+        (durable rounds).  ``fault_plan``
         arms deterministic chaos for the round; a chart that fails
         mid-delta lands on ``result.failed`` -- its stale prior entry is
         never served.  ``resume`` only applies to the durable path
@@ -405,6 +455,12 @@ class DeltaEvaluator:
             # reuse, and its reads re-verify every entry: even a lying
             # journal cannot serve stale results.
             prior = prior_settings_fp = None
+        elif prior is None:
+            prior = self._last
+        # The M4* index mirrors this evaluator's own last round: against
+        # any other prior it starts over.  A round that raises drops it.
+        collisions = self._collisions if prior is self._last else None
+        self._collisions = None
         plan, prior_index = self._plan_with_index(applications, prior, prior_settings_fp)
         reused: dict[int, AnalyzedApplication] = {}
         for index, delta in enumerate(plan.charts):
@@ -416,32 +472,23 @@ class DeltaEvaluator:
             ):
                 reused[index] = record.entry
 
-        if self.store is None and len(reused) == len(applications) and not plan.removed:
-            # Pure no-op round: the chart set is identical and every input
-            # held, so the prior *post*-M4* reports are valid wholesale --
-            # the cluster-wide pass is a pure function of the unchanged
-            # inventories.  Reuse the entries as-is (no strip, no re-pass);
-            # later rounds never mutate them, they always strip into fresh
-            # reports first.  This is what makes a no-op watch round
-            # near-free (the ``DELTA_NOOP_RATIO_LIMIT`` gate).
-            result = EvaluationResult(analyzed=list(reused.values()))
-        else:
-            # The cluster-wide context moved (some chart changed, appeared
-            # or went away): reused entries drop their prior M4* findings
-            # and the engine re-runs the pass over the merged inventories.
-            result = _sweep(
-                applications,
-                self.analyzer,
-                workers=workers,
-                max_attempts=self.max_attempts,
-                chart_timeout=chart_timeout,
-                retry_backoff=self.retry_backoff,
-                fault_plan=fault_plan,
-                reused={index: _strip_cluster_wide(entry) for index, entry in reused.items()},
-                store=self.store,
-                resume=resume,
-            )
+        # Reused in-memory entries carry their prior *post*-M4* reports.
+        result = _sweep(
+            applications,
+            self.analyzer,
+            workers=workers,
+            max_attempts=self.max_attempts,
+            chart_timeout=chart_timeout,
+            retry_backoff=self.retry_backoff,
+            fault_plan=fault_plan,
+            reused=reused,
+            store=self.store,
+            resume=resume,
+        )
         if self.store is None:
+            self._collisions = _cluster_wide_delta(
+                result, reused, collisions or CollisionIndex()
+            )
             result.delta_stats = self._stats(
                 plan,
                 mode="memory",
@@ -451,6 +498,7 @@ class DeltaEvaluator:
                 epoch=self.rounds + 1,
             )
         else:
+            apply_cluster_wide_pass(result)
             stats = result.store_stats
             result.delta_stats = self._stats(
                 plan,
@@ -502,6 +550,144 @@ class DeltaEvaluator:
 #: The dataset every watched chart (and every load failure) belongs to.
 WATCH_DATASET = "watch"
 
+#: How much older than the scan that recorded it a file's mtime and ctime
+#: must be before an unchanged stat signature alone vouches for its bytes.
+#: This is git's racy-clean rule: an edit inside the same timestamp tick as
+#: a scan leaves the signature as it was, so a file whose timestamps fall
+#: inside the window is read again.  Two seconds covers filesystems with
+#: 1 s and 2 s timestamps and coarse kernel clock ticks.  The timestamps are
+#: compared with this host's wall clock, so a filesystem whose clock runs
+#: more than the window behind it (a remote server's) defeats the rule.
+RACY_WINDOW_NS = 2_000_000_000
+
+#: A stat signature: ``(size, mtime_ns, ctime_ns, inode)``.
+Signature = tuple[int, int, int, int]
+
+
+def _scan_clock_ns() -> int:
+    """The scan's clock: wall time, the clock file timestamps are taken from."""
+    return time.time_ns()
+
+
+def _signature(path: str, kind: int = stat.S_IFREG) -> Signature | None:
+    """The scan's one ``stat``: the signature of ``path`` if it has file type ``kind``.
+
+    Symlinks are followed.  ``None`` when ``path`` is absent or of another
+    type.
+    """
+    try:
+        st = os.stat(path)
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    if stat.S_IFMT(st.st_mode) != kind:
+        return None
+    return (st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino)
+
+
+def _digest(data: bytes) -> bytes:
+    return hashlib.blake2b(data, digest_size=16).digest()
+
+
+@dataclass(slots=True)
+class _StatRecord:
+    """What a scan confirmed a chart directory held, by signature and by digest.
+
+    ``paths`` are the directory's ``templates/``, ``Chart.yaml``,
+    ``values.yaml`` and then every entry of ``templates/``, sorted.
+    ``signatures`` and ``digests`` align with them.  Both are ``None`` for
+    a path that is absent or not a regular file, or for ``templates/``
+    not a directory.  ``templates/`` has no digest: its signature vouches
+    for its listing.  ``checked_ns`` is the start of the scan that last
+    confirmed every path.  ``settled`` says that every recorded mtime and
+    ctime predates it by :data:`RACY_WINDOW_NS`.
+    """
+
+    checked_ns: int
+    paths: tuple[str, ...]
+    signatures: tuple[Signature | None, ...]
+    digests: tuple[bytes | None, ...]
+    settled: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.settled = all(map(self.vouches_for, self.signatures))
+
+    def vouches_for(self, signature: Signature | None) -> bool:
+        """Whether ``signature``, if recorded and unchanged, proves its path unchanged."""
+        horizon = self.checked_ns - RACY_WINDOW_NS
+        return signature is None or (signature[1] < horizon and signature[2] < horizon)
+
+
+def _record(directory: str, source: ChartSource, now: int) -> _StatRecord | None:
+    """The record of a directory just read into ``source``; ``None`` if it moved meanwhile.
+
+    The signatures are taken after the bytes were read.  That is sound:
+    anything written after the scan started at ``now`` falls inside the
+    racy window, so the next scan reads it again.
+    """
+    templates = f"{directory}/templates"
+    paths = [templates, f"{directory}/Chart.yaml", f"{directory}/values.yaml"]
+    read = {paths[1]: source.chart_yaml, paths[2]: source.values_yaml}
+    signatures = [_signature(templates, stat.S_IFDIR)]
+    if (signatures[0] is None) != (source.templates is None):
+        return None
+    if signatures[0] is not None:
+        try:
+            listing = sorted(os.listdir(templates))
+        except (FileNotFoundError, NotADirectoryError):
+            return None
+        paths += [f"{templates}/{name}" for name in listing]
+        read.update((f"{templates}/{name}", data) for name, data in source.templates)
+        if not read.keys() <= set(paths):
+            return None  # a template read is gone from the second listing
+    digests: list[bytes | None] = [None]
+    for path in paths[1:]:
+        signature = _signature(path)
+        data = read.get(path)
+        if (signature is None) != (data is None):
+            return None  # appeared or vanished while the directory was read
+        signatures.append(signature)
+        digests.append(None if data is None else _digest(data))
+    return _StatRecord(now, tuple(paths), tuple(signatures), tuple(digests))
+
+
+def _confirm(record: _StatRecord, now: int) -> _StatRecord | None:
+    """``record``, refreshed to the scan at ``now``, while its directory still matches it.
+
+    A settled record whose signatures all held opens nothing.  Otherwise a
+    path whose signature held and predates the recording scan by the racy
+    window is still vouched for; any other file is read once and compared
+    with its digest, and a ``templates/`` directory that is not vouched
+    for is listed again.  ``None`` means something changed or vanished,
+    and the directory must be read afresh.
+    """
+    paths = record.paths
+    current = (_signature(paths[0], stat.S_IFDIR), *map(_signature, paths[1:]))
+    if record.settled and current == record.signatures:
+        return record
+    recorded = record.signatures
+    if current[0] != recorded[0] or not record.vouches_for(current[0]):
+        if current[0] is None or recorded[0] is None:
+            return None
+        try:
+            listing = sorted(os.listdir(paths[0]))
+        except (FileNotFoundError, NotADirectoryError):
+            return None
+        if [f"{paths[0]}/{name}" for name in listing] != list(paths[3:]):
+            return None
+    for path, old, new, digest in zip(paths[1:], recorded[1:], current[1:], record.digests[1:]):
+        if new == old and record.vouches_for(new):
+            continue
+        if new is None or old is None:
+            return None
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            return None
+        if _digest(data) != digest:
+            return None
+    return _StatRecord(now, paths, current, record.digests)
+
 
 @dataclass
 class WatchedChart:
@@ -516,7 +702,9 @@ class WatchedChart:
 
     ``scan_key`` is what the chart was loaded from: its directory, the
     digest of its files' bytes and the behaviours fingerprint at load
-    time.  A rescan returns this very object while all three hold.
+    time.  A rescan returns this very object while all three hold.  The
+    stat record beside it (every file's signature and digest) lets a
+    rescan confirm that without reading the files; a rescan refreshes it.
     """
 
     chart: Chart
@@ -525,6 +713,7 @@ class WatchedChart:
     use_case: str = "watch"
     scan_key: tuple[str, str, str] | None = field(default=None, repr=False, compare=False)
     _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
+    _stat_record: _StatRecord | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def name(self) -> str:
@@ -564,22 +753,22 @@ class ChartScan(list):
         }
 
 
-def _chart_directories(base: Path) -> list[Path]:
+def _chart_directories(base: str) -> list[str]:
     """``base`` itself when it holds a ``Chart.yaml``, else its subdirectories."""
-    if (base / "Chart.yaml").is_file():
+    if os.path.isfile(os.path.join(base, "Chart.yaml")):
         return [base]
     try:
         with os.scandir(base) as listing:
             names = sorted(entry.name for entry in listing if entry.is_dir())
     except (FileNotFoundError, NotADirectoryError):
         return []
-    return [base / name for name in names]
+    return [os.path.join(base, name) for name in names]
 
 
-def _load_failure(directory: Path, exc: Exception) -> AnalysisFailure:
+def _load_failure(directory: str, exc: Exception) -> AnalysisFailure:
     return AnalysisFailure(
         dataset=WATCH_DATASET,
-        name=directory.name,
+        name=os.path.basename(directory),
         stage=FAILURE_STAGE_LOAD,
         error_type=type(exc).__name__,
         message=str(exc),
@@ -600,14 +789,19 @@ def scan_chart_directory(
     every watch round -- charts added to or removed from the directory
     show up as ``added`` / removed in the next delta plan.
 
-    Content-keyed: each directory's files are read once as bytes
-    (:class:`~repro.helm.ChartSource`) and digested.  A chart in
-    ``previous`` loaded from the same directory, with the same digest,
+    Content-keyed: a chart in ``previous`` loaded from the same directory
     under the same behaviours fingerprint is returned as the very same
-    object; any other chart is parsed from the bytes just digested.  A
-    directory that cannot be loaded (unreadable, not UTF-8, malformed
-    YAML) lands on ``failed`` instead of aborting the scan; a file or
-    directory that vanishes mid-scan counts as absent.
+    object while the directory still holds the same bytes.  Its stat
+    record confirms that without opening a file when every signature held
+    and predates the recording scan by :data:`RACY_WINDOW_NS`; a file
+    inside the window, or whose signature moved, is read and compared with
+    its digest.  Any other directory is read once as bytes
+    (:class:`~repro.helm.ChartSource`) and digested, and a ``previous``
+    chart with the same digest is reused; else the chart is parsed from
+    the bytes just digested.  A fresh scan (no ``previous``) reads and
+    digests every file.  A directory that cannot be loaded (unreadable,
+    not UTF-8, malformed YAML) lands on ``failed`` instead of aborting the
+    scan; a file or directory that vanishes mid-scan counts as absent.
 
     Every watched chart is keyed ``watch/<chart name>``, so a directory
     whose chart name an earlier directory (in name order) already took is
@@ -615,19 +809,31 @@ def scan_chart_directory(
     """
     registry = behaviors if behaviors is not None else BehaviorRegistry()
     behaviors_fp = registry.fingerprint()
+    now = _scan_clock_ns()
     reusable = {chart.scan_key: chart for chart in previous if isinstance(chart, WatchedChart)}
+    recorded = {
+        key[0]: chart
+        for key, chart in reusable.items()
+        if key is not None and key[2] == behaviors_fp and chart._stat_record is not None
+    }
     scan = ChartScan()
-    taken: dict[str, Path] = {}
-    for directory in _chart_directories(Path(root)):
+    taken: dict[str, str] = {}
+    for directory in _chart_directories(str(Path(root))):
         try:
-            source = ChartSource.read(directory)
-            if not source.is_chart:
-                continue
-            key = (str(directory), source.digest(), behaviors_fp)
-            chart = reusable.get(key)
-            reused = chart is not None
-            if chart is None:
-                chart = WatchedChart(chart=source.parse(), behaviors=registry, scan_key=key)
+            chart = recorded.get(directory)
+            record = _confirm(chart._stat_record, now) if chart is not None else None
+            reused = record is not None
+            if not reused:
+                source = ChartSource.read(directory)
+                if not source.is_chart:
+                    continue
+                key = (directory, source.digest(), behaviors_fp)
+                chart = reusable.get(key)
+                reused = chart is not None
+                if chart is None:
+                    chart = WatchedChart(chart=source.parse(), behaviors=registry, scan_key=key)
+                record = _record(directory, source, now)
+            chart._stat_record = record
         except (OSError, UnicodeDecodeError, ValuesError) as exc:
             scan.failed.append(_load_failure(directory, exc))
             continue
@@ -689,9 +895,9 @@ def watch_directory(
     """Re-verify a chart directory every ``interval`` seconds.
 
     Each round rescans ``root`` (reusing the evaluator's previous charts
-    for directories whose bytes held), runs one delta round against the
-    previous one (first round: everything ``added``) and prints one
-    summary line.  A directory that cannot be loaded is quarantined on the
+    for directories whose bytes held, see :func:`scan_chart_directory`),
+    runs one delta round against the previous one (first round: everything
+    ``added``) and prints one summary line.  A directory that cannot be loaded is quarantined on the
     round's ``result.failed`` and re-read the next round; the rest of the
     round proceeds.  ``delta_stats["scan"]`` records the scan's
     accounting (:attr:`ChartScan.stats`).  ``rounds`` bounds the loop

@@ -21,9 +21,11 @@ faults at every site).
 
 Full, durable and delta sweeps share one engine, :func:`_sweep`: it takes
 the entries already reused (store loads, or a delta round's unchanged
-charts), computes the rest serially or on the process pool, merges in
-catalogue order and runs the M4* pass.  Only this module knows how charts
-are executed, retried and merged.
+charts), computes the rest serially or on the process pool and merges in
+catalogue order.  Only this module knows how charts are executed, retried
+and merged.  The M4* pass runs on the merged result: from scratch
+(:func:`apply_cluster_wide_pass`) for full and durable sweeps,
+incrementally for a watch's in-memory delta rounds.
 
 The parallel process-pool sweep is additionally *self-healing*: it survives
 ``BrokenProcessPool`` (a worker killed mid-task) by respawning the pool, and
@@ -866,8 +868,8 @@ def _sweep(
     on :class:`_PoolSweep` when ``workers`` > 1 (the pool rebuilds the
     default analyzer from ``analyzer.settings``), else on
     :func:`_run_isolated`.  Each fresh outcome is published to the store
-    the moment it is decided.  Outcomes merge in catalogue order and the
-    cluster-wide M4* pass runs last.
+    the moment it is decided.  Outcomes merge in catalogue order; the
+    caller runs the cluster-wide M4* pass over the merged result.
 
     ``fault_plan``, or else the plan the caller armed, is armed over the
     store load and every chart, and the caller's plan is restored
@@ -929,7 +931,6 @@ def _sweep(
         finally:
             if durable is not None:
                 result.store_stats = durable.finish()
-    apply_cluster_wide_pass(result)
     return result
 
 
@@ -997,7 +998,7 @@ def run_full_evaluation(
     store_obj = store if isinstance(store, (ResultStore, type(None))) else ResultStore(store)
     if resume and store_obj is None:
         raise ValueError("resume=True requires a store")
-    return _sweep(
+    result = _sweep(
         applications,
         analyzer,
         # Pool workers rebuild the default analyzer from its settings alone.
@@ -1009,6 +1010,8 @@ def run_full_evaluation(
         store=store_obj,
         resume=resume,
     )
+    apply_cluster_wide_pass(result)
+    return result
 
 
 def apply_cluster_wide_pass(result: EvaluationResult) -> None:
@@ -1017,12 +1020,11 @@ def apply_cluster_wide_pass(result: EvaluationResult) -> None:
     The global label-collision scan is the one cross-chart stage of the
     pipeline: it consumes *every* analyzed inventory (in catalogue order)
     and appends the resulting M4* findings to the affected reports, through
-    the result's own key index (shared with ``report_for``).  Shared
-    between from-scratch sweeps and the delta evaluator -- a delta round
-    reuses pre-M4* reports and re-runs this pass over the merged
-    inventories, which is how cross-chart edges whose inputs moved (a chart
-    added, removed or re-labelled) are recomputed without re-analyzing
-    unchanged charts.
+    the result's own key index (shared with ``report_for``).  Full and
+    durable sweeps, a durable delta round included, run it over the merged
+    pre-M4* entries.  An in-memory delta round runs the incremental
+    :class:`~repro.core.CollisionIndex` instead, and this pass is its
+    oracle.
     """
     inventories = [
         ApplicationInventory(

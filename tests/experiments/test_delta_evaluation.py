@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import json
 import random
 
@@ -39,7 +40,12 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from repro import faults
 from repro.cluster import BehaviorRegistry, ContainerBehavior, ListenSpec
 from repro.cluster.session import ObservationMemo
-from repro.core import AnalyzerSettings
+from repro.core import (
+    AnalyzerSettings,
+    ApplicationInventory,
+    MisconfigClass,
+    global_collision_findings,
+)
 from repro.datasets import InjectionPlan, build_application, build_catalog
 from repro.experiments import (
     DELTA_ADDED,
@@ -380,6 +386,131 @@ class TestChangeSequences:
                 canonical_evaluation(result),
                 f"round {step + 1} ({op}) vs scratch",
             )
+
+
+# ---------------------------------------------------------------------------
+# The incremental M4* pass: in every round, each report's M4* findings
+# (order included) equal the from-scratch pass over the same analyzed set.
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=1)
+def colliding_base():
+    """Two charts of the catalogue's global label collision group, two outside it."""
+    catalog = build_catalog()
+    inside = [app for app in catalog if app.plan.global_collision]
+    outside = [app for app in catalog if not app.plan.global_collision]
+    return (outside[0], inside[0], inside[1], outside[1])
+
+
+def relabel(apps, index, joins):
+    """Rebuild one chart (same key) inside or outside the global collision group."""
+    app = apps[index % len(apps)]
+    rebuilt = build_application(
+        app.name,
+        app.dataset,
+        InjectionPlan(m1=1, global_collision=joins),
+        dataset=app.dataset,
+        use_case=app.use_case,
+    )
+    mutated = list(apps)
+    mutated[index % len(apps)] = rebuilt
+    return mutated
+
+
+def m4_findings(result) -> dict[str, list[dict]]:
+    return {
+        uid(entry.application): [
+            finding.to_dict()
+            for finding in entry.report.findings
+            if finding.misconfig_class is MisconfigClass.M4_GLOBAL
+        ]
+        for entry in result.analyzed
+    }
+
+
+def scratch_m4_findings(result) -> dict[str, list[dict]]:
+    entries = {uid(entry.application): entry for entry in result.analyzed}
+    expected: dict[str, list[dict]] = {key: [] for key in entries}
+    inventories = [ApplicationInventory(key, entry.inventory) for key, entry in entries.items()]
+    for finding in global_collision_findings(inventories):
+        key = finding.application
+        finding.application = entries[key].application.name
+        expected[key].append(finding.to_dict())
+    return expected
+
+
+m4_operations = st.lists(
+    st.tuples(
+        st.sampled_from(
+            sorted(CHANGE_CLASSES) + ["join", "leave", "quarantine", "readd", "swap"]
+        ),
+        st.integers(0, SAMPLE - 1),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+class TestIncrementalClusterWide:
+    @hyp_settings(max_examples=25, deadline=None)
+    @given(ops=m4_operations)
+    def test_every_round_matches_the_scratch_pass(self, ops):
+        current = list(colliding_base())
+        evaluator = DeltaEvaluator(retry_backoff=BACKOFF)
+        evaluator.evaluate(current)
+        parked = []
+        for step, (op, index) in enumerate(ops):
+            plan = None
+            if op in ("join", "leave"):
+                current = relabel(current, index, joins=op == "join")
+            elif op == "quarantine":
+                # A fault only fires in a chart that runs: edit it too.
+                current = values_tweak(current, index, salt=f"quarantine-{step}")
+                victim = uid(current[index % len(current)])
+                plan = faults.FaultPlan(
+                    faults.FaultSpec(site=faults.OBSERVE, charts=(victim,), attempts=10)
+                )
+            elif op == "remove":
+                if len(current) > 1:
+                    parked.append(current.pop(index % len(current)))
+            elif op == "readd":
+                if parked:
+                    current.insert(index % (len(current) + 1), parked.pop())
+            elif op == "swap":
+                if len(current) > 1:
+                    at = index % (len(current) - 1)
+                    current[at], current[at + 1] = current[at + 1], current[at]
+            elif op == "add":
+                current = add_chart(current, step)
+            else:
+                current = CHANGE_CLASSES[op](current, index)
+            result = evaluator.evaluate(current, fault_plan=plan)
+            label = f"round {step + 1} ({op})"
+            assert m4_findings(result) == scratch_m4_findings(result), label
+            scratch = run_full_evaluation(
+                applications=current, fault_plan=plan, retry_backoff=BACKOFF
+            )
+            assert_identical(canonical_evaluation(scratch), canonical_evaluation(result), label)
+
+    def test_an_earlier_prior_rebuilds_the_index(self):
+        # Round 1 sees the collision pair; round 2 drops one member, so the
+        # other loses its M4* finding.  Round 3 plans against round 1: its
+        # reused entries are the very inventories the index holds, but
+        # their reports carry round 1's collision.
+        base = list(colliding_base())
+        evaluator = DeltaEvaluator(retry_backoff=BACKOFF)
+        first = evaluator.evaluate(base)
+        survivors = [base[0], base[1], base[3]]
+        evaluator.evaluate(survivors)
+        result = evaluator.evaluate(survivors, prior=first)
+        assert result.delta_stats["recomputed"] == 0
+        assert m4_findings(result) == scratch_m4_findings(result)
+        assert_identical(
+            canonical_evaluation(run_full_evaluation(applications=survivors)),
+            canonical_evaluation(result),
+            "earlier prior",
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ whatever the rescan reused.  A seeded multi-round edit stream over a
 catalogue sample written to disk drives it through:
 
 * values edits, including same-size salt swaps a -> b written back to
-  back with the file's mtime restored, so only the bytes tell them apart
-  (a stat-based rescan would serve the stale chart);
+  back with the file's mtime restored, so size and mtime cannot tell them
+  apart: the ctime in the stat signature can (``utime`` cannot set it),
+  and inside the racy window the rescan reads the file again anyway;
 * a comment that changes the bytes of ``values.yaml`` but not its values;
 * a template edit and a ``Chart.yaml`` version bump;
 * a template file added, then deleted;
@@ -23,14 +24,27 @@ broken chart directory is quarantined as a ``load``-stage failure while
 the rest of the round proceeds, and is re-read the next round; a file or
 directory that vanishes mid-scan counts as absent.  The ``slow`` variant
 runs the stream over the full catalogue.
+
+A tree written seconds ago is all inside the racy window
+(:data:`repro.experiments.delta.RACY_WINDOW_NS`), so a plain run re-reads
+every file and checks the byte path.  The *aged* runs move the scan's clock
+past the window, so unchanged signatures vouch for their files: that is
+the stat path, and a no-op round over an aged tree opens no file.  The
+racy-edit test simulates 1 s timestamps: a same-size rewrite in the same
+second as the previous scan keeps its signature, and only the racy rule
+makes the rescan read it again.
 """
 
 from __future__ import annotations
 
+import builtins
+import io
 import os
 import random
 import re
 import shutil
+import stat
+import time
 from pathlib import Path
 
 import pytest
@@ -272,11 +286,48 @@ def tree(tmp_path):
     return ChartTree(tmp_path / "charts", build_catalog()[:SAMPLE])
 
 
+@pytest.fixture
+def aged(monkeypatch):
+    """Move the scan's clock past the racy window: every file written so far is old."""
+    clock = delta_module._scan_clock_ns
+    monkeypatch.setattr(
+        delta_module, "_scan_clock_ns", lambda: clock() + 2 * delta_module.RACY_WINDOW_NS
+    )
+
+
 class TestWatchRoundsMatchScratch:
     @pytest.mark.parametrize("seed", [7, 2026])
     def test_edit_stream(self, tree, seed):
         rng = random.Random(seed)
         run_stream(tree, edit_stream(tree, rng, random_rounds=6))
+
+    @pytest.mark.parametrize("seed", [7, 2026])
+    def test_edit_stream_over_an_aged_tree(self, tree, aged, seed):
+        rng = random.Random(seed)
+        run_stream(tree, edit_stream(tree, rng, random_rounds=6))
+
+    def test_noop_round_over_an_aged_tree_opens_no_file(self, tree, aged):
+        evaluator = DeltaEvaluator()
+        first = watch_round(tree.root, evaluator)
+        charts = list(evaluator._charts)
+        opened: list = []
+
+        def counting(function):
+            def wrapper(path, *args, **kwargs):
+                opened.append(path)
+                return function(path, *args, **kwargs)
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as patch:
+            for module, name in ((builtins, "open"), (io, "open"), (os, "open"),
+                                 (os, "listdir")):
+                patch.setattr(module, name, counting(getattr(module, name)))
+            second = watch_round(tree.root, evaluator)
+        assert opened == []
+        assert second.delta_stats["scan"]["reused"] == SAMPLE
+        assert second.delta_stats["recomputed"] == 0
+        assert all(now is before for now, before in zip(evaluator._charts, charts))
+        assert_identical(canonical_evaluation(first), canonical_evaluation(second), "no-op")
 
     def test_noop_round_recomputes_nothing_and_reuses_every_object(self, tree):
         evaluator = DeltaEvaluator()
@@ -348,6 +399,44 @@ class TestBehaviorsGateReuse:
         assert in_place.delta_stats["scan"]["reused"] == 0
         assert in_place.delta_stats["classified"][DELTA_RE_OBSERVE] == SAMPLE
         assert_matches_scratch(in_place, tree.root, "in-place registration", behaviors=registry)
+
+
+class TestRacyEdits:
+    def test_same_second_rewrite_is_reread_and_recomputed(self, tree, monkeypatch):
+        # A filesystem with 1 s timestamps: the signature floors mtime and ctime.
+        signature = delta_module._signature
+
+        def one_second(path, kind=stat.S_IFREG):
+            found = signature(path, kind)
+            if found is None:
+                return None
+            size, mtime, ctime, inode = found
+            return (size, mtime - mtime % 10**9, ctime - ctime % 10**9, inode)
+
+        monkeypatch.setattr(delta_module, "_signature", one_second)
+        name = tree.names[0]
+        path = str(tree.root / name / "values.yaml")
+        evaluator = DeltaEvaluator()
+        watch_round(tree.root, evaluator)
+        for _ in range(5):
+            # Start just past a second boundary, so that the write, the scan
+            # recording it and the rewrite can share one second.
+            time.sleep(1.02 - time.time() % 1)
+            tree.set_values(name, 1)
+            recorded = watch_round(tree.root, evaluator)
+            assert recorded.delta_stats["recomputed"] == 1
+            before = one_second(path)
+            tree.set_values(name, 2)  # the same size, and set_values restores the mtime
+            if one_second(path) == before:
+                break
+            tree.set_values(name, 0)
+            watch_round(tree.root, evaluator)
+        else:
+            pytest.fail("no rewrite landed in the same second as its scan")
+        result = watch_round(tree.root, evaluator)
+        assert result.delta_stats["scan"]["parsed"] == 1
+        assert result.delta_stats["recomputed"] == 1
+        assert_matches_scratch(result, tree.root, "same-second rewrite")
 
 
 BROKEN = {
@@ -447,5 +536,9 @@ class TestVanishingMidScan:
 @pytest.mark.slow
 class TestFullCatalogueWatch:
     def test_edit_stream_over_the_catalogue(self, tmp_path):
+        tree = ChartTree(tmp_path / "charts", build_catalog())
+        run_stream(tree, edit_stream(tree, random.Random(90210), random_rounds=4))
+
+    def test_edit_stream_over_the_aged_catalogue(self, tmp_path, aged):
         tree = ChartTree(tmp_path / "charts", build_catalog())
         run_stream(tree, edit_stream(tree, random.Random(90210), random_rounds=4))

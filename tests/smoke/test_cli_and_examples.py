@@ -99,6 +99,21 @@ class TestCLI:
         assert lines[0].startswith(f"insidejob analyze: {path}: ")
         assert reason in lines[0]
 
+    @pytest.mark.parametrize(
+        "kind, reason", [("missing", "No such file or directory"), ("file", "Not a directory")]
+    )
+    def test_watch_on_a_missing_root_or_a_file_is_one_line_exit_2(
+        self, capsys, tmp_path, kind, reason
+    ):
+        path = tmp_path / "charts"
+        if kind == "file":
+            path.write_text("not a chart directory\n", encoding="utf-8")
+        code = cli_main(["watch", str(path), "--rounds", "2", "--interval", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"insidejob watch: {path}: {reason}"]
+
     @pytest.mark.parametrize("command", ["catalog", "table2"])
     def test_table2_commands(self, capsys, command):
         code, out = self.run_cli(capsys, command, "--sample", "6")

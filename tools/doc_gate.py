@@ -9,8 +9,11 @@ Fails (exit code 1) when:
 
 * any module under ``src/repro/**`` lacks a module docstring, or
 * any *public entry point* -- a public class, function or method -- in the
-  documented-surface modules (``repro/helm/``, ``repro/cluster/session.py``,
-  ``repro/core/analyzer.py``) lacks a docstring.
+  documented-surface modules (``DOCUMENTED_SURFACE``: ``repro/helm/``,
+  ``repro/cluster/session.py``, ``repro/core/analyzer.py``,
+  ``repro/core/cluster_wide.py``, ``repro/faults.py``,
+  ``repro/experiments/delta.py``, ``repro/experiments/evaluation.py`` and
+  ``repro/store.py``) lacks a docstring.
 
 Private names (leading underscore), dunder methods other than ``__init__``
 -- whose contract the class docstring owns -- and nested defs are exempt.
@@ -33,6 +36,7 @@ DOCUMENTED_SURFACE = (
     "helm/",
     "cluster/session.py",
     "core/analyzer.py",
+    "core/cluster_wide.py",
     "faults.py",
     "experiments/delta.py",
     "experiments/evaluation.py",
