@@ -428,8 +428,6 @@ class Cluster:
         epoch; ``compiled_policies=False`` pins them to the per-attempt
         reference scan.
         """
-        if len(self._universe_cache) > 8:
-            self._universe_cache.clear()
         stale = [key for key in self._universe_cache if key[0] != self.policy_epoch]
         for key in stale:
             del self._universe_cache[key]

@@ -26,6 +26,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..k8s import NetworkPolicy
+from ..memo import remember
 from .policy_index import PolicyIndex
 from .runtime import RunningPod
 
@@ -50,8 +51,8 @@ class PolicyDecision:
 _HOST_NETWORK_ALLOW = PolicyDecision(allowed=True, reason=HOST_NETWORK_ALLOW_REASON)
 _DEFAULT_ALLOW = PolicyDecision(allowed=True, reason=DEFAULT_ALLOW_REASON)
 
-#: How many compiled indexes the enforcer keeps before dropping the memo.
-_INDEX_MEMO_LIMIT = 8
+#: How many compiled indexes the enforcer keeps.
+_INDEX_MEMO_MAXSIZE = 8
 
 
 def scan_isolating(
@@ -117,10 +118,8 @@ class NetworkPolicyEnforcer:
         key = tuple(map(id, policies))
         entry = self._index_memo.get(key)
         if entry is None:
-            if len(self._index_memo) >= _INDEX_MEMO_LIMIT:
-                self._index_memo.clear()
             entry = (tuple(policies), PolicyIndex(policies))
-            self._index_memo[key] = entry
+            remember(self._index_memo, key, entry, _INDEX_MEMO_MAXSIZE)
         return entry[1]
 
     def _resolve_index(

@@ -32,6 +32,7 @@ import functools
 from dataclasses import dataclass, field
 
 from ..k8s import NetworkPolicy
+from ..memo import remember
 from .cni import NetworkPolicyEnforcer, PolicyDecision, scan_isolating
 from .endpoints import ServiceBinding
 from .errors import DuplicatePodError
@@ -189,6 +190,9 @@ def _attempt_service_connection(
         reason=last_reason or "no backend accepted the connection",
     )
 
+
+#: How many endpoint universes a shared ``universe_cache`` keeps.
+_UNIVERSE_CACHE_MAXSIZE = 8
 
 #: byte value -> indices of its set bits, for the pure-python materializer.
 _BYTE_BITS = tuple(
@@ -730,7 +734,7 @@ class ReachabilityMatrix:
                     self.index, self.pods, self.bindings, self.include_loopback
                 )
                 if cache is not None:
-                    cache[key] = universe
+                    remember(cache, key, universe, _UNIVERSE_CACHE_MAXSIZE)
             self._universe = universe
         return universe
 

@@ -34,7 +34,7 @@ typed objects the renderer assembled straight from native dicts.
   behaviour registry fingerprint and the session identity (name, worker
   count, seed, snapshot mode), so repeated observations of identical
   content within one process -- a ``watch`` session's rounds, a sweep's
-  re-rendered override variants -- are served from an in-process LRU memo.
+  re-rendered override variants -- are served from an in-process memo.
   Nothing is persisted: across processes, the result store keeps whole
   chart results instead.
 
@@ -54,6 +54,7 @@ from typing import Callable, Iterator
 from .. import faults
 from ..helm import RenderedChart
 from ..k8s import CronJob, DaemonSet, ObjectMeta, Pod, Workload
+from ..memo import remember
 from ..probe.scanner import RuntimeObservation, RuntimeScanner
 from ..probe.snapshot import ClusterSnapshot, PodSnapshot
 from .behavior import BehaviorRegistry
@@ -279,6 +280,19 @@ class SessionStats:
     memo_hits: int = 0
 
 
+_OBSERVATION_MEMO_MAXSIZE = 2048
+
+
+def _private_copy(observation: RuntimeObservation) -> RuntimeObservation:
+    """A fresh top-level observation: private ``host_ports``, shared snapshots."""
+    return RuntimeObservation(
+        app=observation.app,
+        first=observation.first,
+        second=observation.second,
+        host_ports=set(observation.host_ports),
+    )
+
+
 class ObservationMemo:
     """Content-keyed memo of fast-path runtime observations.
 
@@ -287,23 +301,14 @@ class ObservationMemo:
     snapshot mode); values are private
     :class:`~repro.probe.scanner.RuntimeObservation` copies (fresh
     top-level object, shared read-only snapshots -- the same contract as
-    the render cache's shared entries).  The dict is LRU-bounded: a hit
-    refreshes the entry's recency, eviction drops the least recently used.
-    Recency (rather than the insertion-order FIFO this memo used to keep)
-    is what makes observations survive *delta rounds*
-    (:mod:`repro.experiments.delta`): a long watch session keeps
-    re-touching the unchanged charts' entries every round while edited
-    charts insert a stream of new keys, so under FIFO the hot entries
-    would age out purely by insertion date.  The memo lives and dies with
-    its process.
+    the render cache's shared entries).  Bounded like every memo
+    (:mod:`repro.memo`).  The memo lives and dies with its process.
     """
 
-    def __init__(self, maxsize: int = 2048) -> None:
+    def __init__(self) -> None:
         self._entries: dict[tuple, RuntimeObservation] = {}
-        self._maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -313,23 +318,14 @@ class ObservationMemo:
 
         Hits return a fresh top-level :class:`RuntimeObservation` (private
         ``host_ports`` set, shared snapshots) so caller-side attribute
-        rebinding cannot poison the memo.  A hit also refreshes the key's
-        recency (the LRU contract): an entry consulted every delta round
-        stays resident no matter how much churn newer keys generate.
+        rebinding cannot poison the memo.
         """
-        observation = self._entries.pop(key, None)
+        observation = self._entries.get(key)
         if observation is None:
             self.misses += 1
             return None
-        # Re-insertion order is the recency order.
-        self._entries[key] = observation
         self.hits += 1
-        return RuntimeObservation(
-            app=observation.app,
-            first=observation.first,
-            second=observation.second,
-            host_ports=set(observation.host_ports),
-        )
+        return _private_copy(observation)
 
     def record(self, key: tuple, observation: RuntimeObservation) -> None:
         """Memoize ``observation`` under ``key``.
@@ -337,23 +333,13 @@ class ObservationMemo:
         A private copy is stored -- never the caller's object -- so the
         caller keeps full ownership of what it was handed.
         """
-        self._entries.pop(key, None)
-        self._entries[key] = RuntimeObservation(
-            app=observation.app,
-            first=observation.first,
-            second=observation.second,
-            host_ports=set(observation.host_ports),
-        )
-        while len(self._entries) > self._maxsize:
-            self._entries.pop(next(iter(self._entries)), None)
-            self.evictions += 1
+        remember(self._entries, key, _private_copy(observation), _OBSERVATION_MEMO_MAXSIZE)
 
     def stats(self) -> dict[str, int]:
-        """Hit/miss/eviction/entry counters."""
+        """Hit/miss/entry counters."""
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
             "entries": len(self._entries),
         }
 

@@ -23,9 +23,7 @@ added         no prior record exists for the chart key
 ============  =====================================================
 
 Charts present in the prior state but absent now are *removed*: their
-entries simply do not appear in the merged result (and the lazy
-``report_for`` / ``by_dataset`` indexes rebuild on identity, so no
-orphaned key survives a removal).
+entries simply do not appear in the merged result.
 
 Staleness rules
 ---------------
@@ -246,11 +244,11 @@ class DeltaEvaluator:
     """Incrementally re-evaluate a chart set against its prior state.
 
     One evaluator holds one :class:`~repro.core.MisconfigurationAnalyzer`
-    across rounds, so the render cache and the LRU observation memo stay
-    warm -- an unchanged-but-reclassified chart (say, a no-op touch) costs
-    a cache hit, not a recompute.  ``evaluate`` returns a plain
-    :class:`EvaluationResult` byte-identical to a from-scratch sweep of the
-    same chart set, with ``delta_stats`` carrying the round's accounting.
+    across rounds, so the render cache and the observation memo stay warm:
+    a chart reverted to content an earlier round saw renders and observes
+    from them.  ``evaluate`` returns a plain :class:`EvaluationResult`
+    byte-identical to a from-scratch sweep of the same chart set, with
+    ``delta_stats`` carrying the round's accounting.
 
     With ``store`` set, the evaluator is *durable*: classification reads
     the store's epoch-tagged journal and the sweep engine's

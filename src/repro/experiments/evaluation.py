@@ -59,7 +59,6 @@ proves it, torn stores and injected corruption included).
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import threading
@@ -130,11 +129,6 @@ class AnalysisFailure:
     quarantined: bool = True
 
     @property
-    def key(self) -> tuple[str, str]:
-        """The ``(dataset, name)`` identity, matching ``AnalyzedApplication.key``."""
-        return (self.dataset, self.name)
-
-    @property
     def unique_id(self) -> str:
         """The ``dataset/name`` key used by fault plans and the M4* pass."""
         return f"{self.dataset}/{self.name}"
@@ -178,10 +172,6 @@ class EvaluationResult:
     up on.  Every downstream consumer -- ``summary``, the figures, Table 3,
     the report formatters -- iterates ``analyzed`` only, so they degrade
     gracefully: a failed chart is simply absent, never a crash.
-
-    Lookups go through a lazily-built key index (rebuilt whenever the
-    entries of ``analyzed`` change), replacing the former per-call linear
-    scans.
     """
 
     analyzed: list[AnalyzedApplication] = field(default_factory=list)
@@ -197,10 +187,6 @@ class EvaluationResult:
     #: :class:`repro.experiments.delta.DeltaEvaluator` run records.
     #: Excluded from equality for the same reason as ``store_stats``.
     delta_stats: dict | None = field(default=None, init=False, repr=False, compare=False)
-    _key_index: dict = field(default=None, init=False, repr=False, compare=False)
-    _id_index: dict = field(default=None, init=False, repr=False, compare=False)
-    _dataset_index: dict = field(default=None, init=False, repr=False, compare=False)
-    _indexed_ids: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @property
     def summary(self) -> EvaluationSummary:
@@ -218,67 +204,23 @@ class EvaluationResult:
         """The per-application reports, in catalogue order."""
         return [entry.report for entry in self.analyzed]
 
-    def invalidate_indexes(self) -> None:
-        """Drop the lazy lookup indexes; the next query rebuilds them.
-
-        Mutating ``analyzed`` invalidates automatically (``_index`` compares
-        entry identities, not just length, so a removal-plus-insertion of
-        equal length cannot serve stale answers) -- this hook exists for
-        callers that replaced an entry's *contents* in place and want the
-        rebuild made explicit.
-        """
-        self._key_index = None
-        self._indexed_ids = ()
-
-    def _index(self) -> dict:
-        # Lazily (re)built: callers may mutate ``analyzed`` after
-        # construction, so the index invalidates whenever the entry
-        # identity sequence moved.  Length alone is not enough -- a delta
-        # round that removes one chart and adds another keeps the length
-        # while orphaning keys -- so the check walks the (cheap) id tuple.
-        current_ids = tuple(map(id, self.analyzed))
-        if self._key_index is None or self._indexed_ids != current_ids:
-            self._key_index = {entry.key: entry for entry in self.analyzed}
-            self._id_index = {
-                f"{entry.application.dataset}/{entry.application.name}": entry
-                for entry in self.analyzed
-            }
-            buckets: dict[str, list[AnalyzedApplication]] = {}
-            for entry in self.analyzed:
-                buckets.setdefault(entry.application.dataset, []).append(entry)
-            self._dataset_index = buckets
-            self._indexed_ids = current_ids
-        return self._key_index
-
     def report_for(self, dataset: str, name: str) -> AnalysisReport | None:
         """The report of one application (``None`` if absent or failed)."""
-        entry = self._index().get((dataset, name))
-        return entry.report if entry is not None else None
-
-    def failure_for(self, dataset: str, name: str) -> AnalysisFailure | None:
-        """The failure record of one application, if it was quarantined."""
-        for failure in self.failed:
-            if failure.key == (dataset, name):
-                return failure
+        for entry in self.analyzed:
+            if entry.key == (dataset, name):
+                return entry.report
         return None
 
     def by_dataset(self, dataset: str) -> list[AnalyzedApplication]:
         """Analyzed applications of one dataset, in catalogue order."""
-        self._index()
-        return list(self._dataset_index.get(dataset, ()))
+        return [entry for entry in self.analyzed if entry.application.dataset == dataset]
 
     def by_use_case(self, use_case: str) -> list[AnalyzedApplication]:
-        """Analyzed applications of one use case, in catalogue order.
-
-        (Catalogues group applications by dataset, so concatenating the
-        dataset buckets in first-appearance order preserves it.)
-        """
-        self._index()
+        """Analyzed applications of one use case, in catalogue order."""
         return [
             entry
-            for dataset, bucket in self._dataset_index.items()
-            if USE_CASE_OF_DATASET.get(dataset) == use_case
-            for entry in bucket
+            for entry in self.analyzed
+            if USE_CASE_OF_DATASET.get(entry.application.dataset) == use_case
         ]
 
 
@@ -454,15 +396,8 @@ def classifier_fingerprints(app: BuiltApplication, settings_fp: str) -> dict[str
         "values": values_fp,
         "templates": templates_fp,
         "behaviors": app.behaviors.fingerprint(),
-        "settings": _settings_axis_fp(settings_fp),
+        "settings": hashlib.blake2b(settings_fp.encode("utf-8"), digest_size=16).hexdigest(),
     }
-
-
-@functools.lru_cache(maxsize=16)
-def _settings_axis_fp(settings_fp: str) -> str:
-    """The settings-axis digest, memoized: one settings object serves a
-    whole sweep, so re-hashing it per chart per round is pure waste."""
-    return hashlib.blake2b(settings_fp.encode("utf-8"), digest_size=16).hexdigest()
 
 
 class _DurableSweep:
@@ -1019,10 +954,9 @@ def apply_cluster_wide_pass(result: EvaluationResult) -> None:
 
     The global label-collision scan is the one cross-chart stage of the
     pipeline: it consumes *every* analyzed inventory (in catalogue order)
-    and appends the resulting M4* findings to the affected reports, through
-    the result's own key index (shared with ``report_for``).  Full and
-    durable sweeps, a durable delta round included, run it over the merged
-    pre-M4* entries.  An in-memory delta round runs the incremental
+    and appends the resulting M4* findings to the affected reports.  Full
+    and durable sweeps, a durable delta round included, run it over the
+    merged pre-M4* entries.  An in-memory delta round runs the incremental
     :class:`~repro.core.CollisionIndex` instead, and this pass is its
     oracle.
     """
@@ -1034,12 +968,11 @@ def apply_cluster_wide_pass(result: EvaluationResult) -> None:
         )
         for entry in result.analyzed
     ]
-    # Cluster-wide pass: attribute the extra M4* findings back to the
-    # reports, through the result's own key index (shared with report_for).
-    extra = global_collision_findings(inventories)
-    result._index()
-    for finding in extra:
-        entry = result._id_index.get(finding.application)
+    by_id = {
+        inventory.application: entry for inventory, entry in zip(inventories, result.analyzed)
+    }
+    for finding in global_collision_findings(inventories):
+        entry = by_id.get(finding.application)
         if entry is not None:
             finding.application = entry.application.name
             entry.report.add([finding])

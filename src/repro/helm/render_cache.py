@@ -42,17 +42,19 @@ import hashlib
 from typing import Any, Mapping
 
 from .. import faults
+from ..memo import remember
 from .chart import Chart
 from .renderer import HelmRenderer, ReleaseInfo, RenderedChart
 from .values import canonical_values
+
+_RENDER_CACHE_MAXSIZE = 2048
 
 
 class RenderCache:
     """A bounded memo of fully rendered charts."""
 
-    def __init__(self, renderer: HelmRenderer | None = None, maxsize: int = 2048) -> None:
-        self._renderer = renderer or HelmRenderer()
-        self._maxsize = maxsize
+    def __init__(self) -> None:
+        self._renderer = HelmRenderer()
         #: key -> (release, values, documents, objects, sources, render_fp,
         #: check).  ``render_fp`` is the render fingerprint -- hashed once on
         #: the miss and replayed on every hit, so warm hits stay hash-free.
@@ -150,7 +152,7 @@ class RenderCache:
         documents = list(rendered.documents)
         objects = list(rendered.objects)
         sources = dict(rendered.sources)
-        self._entries[key] = (
+        entry = (
             rendered.release,
             values,
             documents,
@@ -159,11 +161,7 @@ class RenderCache:
             render_fp,
             _check_of(values, documents, objects, sources),
         )
-        while len(self._entries) > self._maxsize:
-            # pop with a default: the process-wide cache behind
-            # render_chart is reachable from any thread, and two evictors
-            # may race for the same oldest key.
-            self._entries.pop(next(iter(self._entries)), None)
+        remember(self._entries, key, entry, _RENDER_CACHE_MAXSIZE)
         return rendered
 
 

@@ -39,6 +39,7 @@ import yaml
 
 from .. import faults
 from ..k8s.yamlio import yaml_load_all
+from ..memo import remember
 from .errors import RenderError
 from .template import DocumentSplit, Fragment, ScalarFragment, StructuredFragment
 
@@ -335,9 +336,7 @@ def _parse_group_text_memo(text: str, source_name: str) -> list[Any]:
     cached = _SKELETON_MEMO.get(text)
     if cached is None:
         cached = _parse_group_text(text, source_name)
-        _SKELETON_MEMO[text] = cached
-        while len(_SKELETON_MEMO) > _SKELETON_MEMO_MAXSIZE:
-            _SKELETON_MEMO.pop(next(iter(_SKELETON_MEMO)), None)
+        remember(_SKELETON_MEMO, text, cached, _SKELETON_MEMO_MAXSIZE)
     return cached
 
 
@@ -619,7 +618,7 @@ def _parse_sequence(lines: list[tuple[int, str]], index: int, indent: int) -> tu
 #: ``(resolved key, rest)`` tuples of immutable scalars/strings, safe to
 #: share; unsupported lines keep raising (never memoized).
 _SPLIT_KEY_MEMO: dict[str, tuple[Any, str]] = {}
-_SPLIT_KEY_MEMO_MAX = 16384
+_SPLIT_KEY_MEMO_MAXSIZE = 16384
 
 
 def _split_key(content: str) -> tuple[Any, str]:
@@ -627,10 +626,9 @@ def _split_key(content: str) -> tuple[Any, str]:
     cached = _SPLIT_KEY_MEMO.get(content)
     if cached is not None:
         return cached
-    result = _split_key_uncached(content)
-    if len(_SPLIT_KEY_MEMO) < _SPLIT_KEY_MEMO_MAX:
-        _SPLIT_KEY_MEMO[content] = result
-    return result
+    return remember(
+        _SPLIT_KEY_MEMO, content, _split_key_uncached(content), _SPLIT_KEY_MEMO_MAXSIZE
+    )
 
 
 def _split_key_uncached(content: str) -> tuple[Any, str]:
@@ -677,9 +675,9 @@ def _resolve_flow(text: str) -> Any:
 #: names, ...), so the per-scalar resolver runs its regex cascade once per
 #: distinct string.  Only successful resolutions are memoized (unsupported
 #: scalars must keep raising for the PyYAML fallback); resolved values are
-#: immutable scalars, safe to share.  The cap bounds adversarial growth.
+#: immutable scalars, safe to share.
 _PLAIN_MEMO: dict[str, Any] = {}
-_PLAIN_MEMO_MAX = 16384
+_PLAIN_MEMO_MAXSIZE = 16384
 
 
 def _resolve_plain(text: str) -> Any:
@@ -691,10 +689,7 @@ def _resolve_plain(text: str) -> Any:
     if ":" in text:
         # Sexagesimal ints/floats and odd mapping shapes live here.
         raise _UnsupportedYaml("colon in plain scalar")
-    resolved = _resolve_plain_uncached(text)
-    if len(_PLAIN_MEMO) < _PLAIN_MEMO_MAX:
-        _PLAIN_MEMO[text] = resolved
-    return resolved
+    return remember(_PLAIN_MEMO, text, _resolve_plain_uncached(text), _PLAIN_MEMO_MAXSIZE)
 
 
 def _resolve_plain_uncached(text: str) -> Any:

@@ -44,6 +44,7 @@ import yaml
 
 from .. import faults
 from ..k8s.yamlio import yaml_dump, yaml_load
+from ..memo import remember
 from .errors import TemplateError
 
 # --------------------------------------------------------------------------
@@ -1019,8 +1020,6 @@ def _compile_range(node: RangeNode) -> Renderer:
 
 #: Compiled templates keyed by (template name, full source) -- content-keyed,
 #: so identical template files shared across charts compile exactly once.
-#: Bounded with insertion-order eviction, so a long-running ``watch`` over
-#: edited templates cannot grow it without limit.
 _COMPILE_CACHE: dict[tuple[str, str], CompiledTemplate] = {}
 _COMPILE_CACHE_MAXSIZE = 4096
 _PARSE_COUNT = 0
@@ -1040,9 +1039,7 @@ def compile_source(source: str, template_name: str = "") -> CompiledTemplate:
         defines: dict[str, list[Renderer]] = {}
         renderers = _compile_nodes(nodes, defines)
         compiled = CompiledTemplate(template_name, renderers, defines)
-        _COMPILE_CACHE[key] = compiled
-        while len(_COMPILE_CACHE) > _COMPILE_CACHE_MAXSIZE:
-            _COMPILE_CACHE.pop(next(iter(_COMPILE_CACHE)), None)
+        remember(_COMPILE_CACHE, key, compiled, _COMPILE_CACHE_MAXSIZE)
     return compiled
 
 

@@ -38,6 +38,7 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
+from ..memo import remember
 from .labels import LabelSet
 from .meta import KubernetesObject
 from .networkpolicy import NetworkPolicy
@@ -282,6 +283,8 @@ class Inventory:
 # Content interning
 # ---------------------------------------------------------------------------
 
+_INTERN_TABLE_MAXSIZE = 65536
+
 
 class InternTable:
     """Typed objects memoized on a canonical manifest fingerprint.
@@ -299,8 +302,7 @@ class InternTable:
     accelerator, never a gate.
     """
 
-    def __init__(self, maxsize: int = 65536) -> None:
-        self._maxsize = maxsize
+    def __init__(self) -> None:
         self._entries: dict[bytes, KubernetesObject] = {}
         self.hits = 0
         self.misses = 0
@@ -340,10 +342,7 @@ class InternTable:
         self.misses += 1
         obj = object_from_dict(document)
         obj.seal()
-        self._entries[key] = obj
-        while len(self._entries) > self._maxsize:
-            self._entries.pop(next(iter(self._entries)), None)
-        return obj
+        return remember(self._entries, key, obj, _INTERN_TABLE_MAXSIZE)
 
 
 _SHARED_INTERN = InternTable()

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from collections.abc import Mapping
 from typing import Iterable, Iterator, Sequence
 
+from ..memo import remember
 from .errors import SelectorError, ValidationError
 
 # Kubernetes label keys are `[prefix/]name` where the name part is at most 63
@@ -37,10 +38,12 @@ VALID_OPERATORS = ("In", "NotIn", "Exists", "DoesNotExist")
 #: values repeat enormously across a catalogue (``app.kubernetes.io/name``
 #: appears on nearly every object), and the regex checks dominate LabelSet
 #: construction on the cold render path.  Only *valid* strings are memoized,
-#: so the error behaviour is unchanged; the caps bound adversarial growth.
-_VALID_KEYS: set[str] = set()
-_VALID_VALUES: set[str] = set()
-_VALIDATION_MEMO_MAX = 16384
+#: so the error behaviour is unchanged.  The ``isinstance`` check stays ahead
+#: of every lookup: an unhashable input must raise ``ValidationError``, not
+#: the lookup's ``TypeError``.
+_VALID_KEYS: dict[str, bool] = {}
+_VALID_VALUES: dict[str, bool] = {}
+_VALIDATION_MEMO_MAXSIZE = 16384
 
 
 def validate_label_key(key: str) -> str:
@@ -58,8 +61,7 @@ def validate_label_key(key: str) -> str:
         raise ValidationError(f"invalid label key prefix: {prefix!r}")
     if not _NAME_RE.match(name):
         raise ValidationError(f"invalid label key name: {name!r}")
-    if len(_VALID_KEYS) < _VALIDATION_MEMO_MAX:
-        _VALID_KEYS.add(key)
+    remember(_VALID_KEYS, key, True, _VALIDATION_MEMO_MAXSIZE)
     return key
 
 
@@ -71,8 +73,7 @@ def validate_label_value(value: str) -> str:
         raise ValidationError("label value must be a string")
     if not _VALUE_RE.match(value):
         raise ValidationError(f"invalid label value: {value!r}")
-    if len(_VALID_VALUES) < _VALIDATION_MEMO_MAX:
-        _VALID_VALUES.add(value)
+    remember(_VALID_VALUES, value, True, _VALIDATION_MEMO_MAXSIZE)
     return value
 
 

@@ -16,6 +16,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Mapping
 
+from ..memo import remember
 from .errors import ImmutableObjectError, ValidationError
 from .labels import LabelSet
 
@@ -67,10 +68,12 @@ class Sealable:
 #: Names that already passed validation -- object and namespace names repeat
 #: across renders (and namespaces across whole catalogues), so the regex
 #: checks on every ``ObjectMeta`` construction are memoized.  Only valid
-#: strings enter the memo; the cap bounds adversarial growth.
-_VALID_DNS_LABELS: set[str] = set()
-_VALID_DNS_SUBDOMAINS: set[str] = set()
-_VALIDATION_MEMO_MAX = 16384
+#: strings enter the memo.  The ``isinstance`` check stays ahead of every
+#: lookup: an unhashable name must raise ``ValidationError``, not the
+#: lookup's ``TypeError``.
+_VALID_DNS_LABELS: dict[str, bool] = {}
+_VALID_DNS_SUBDOMAINS: dict[str, bool] = {}
+_VALIDATION_MEMO_MAXSIZE = 16384
 
 
 def validate_dns_label(value: str, what: str = "name") -> str:
@@ -79,8 +82,7 @@ def validate_dns_label(value: str, what: str = "name") -> str:
         return value
     if not isinstance(value, str) or not _DNS_LABEL_RE.match(value):
         raise ValidationError(f"invalid {what}: {value!r} (must be an RFC 1123 DNS label)")
-    if len(_VALID_DNS_LABELS) < _VALIDATION_MEMO_MAX:
-        _VALID_DNS_LABELS.add(value)
+    remember(_VALID_DNS_LABELS, value, True, _VALIDATION_MEMO_MAXSIZE)
     return value
 
 
@@ -92,8 +94,7 @@ def validate_dns_subdomain(value: str, what: str = "name") -> str:
         raise ValidationError(
             f"invalid {what}: {value!r} (must be an RFC 1123 DNS subdomain)"
         )
-    if len(_VALID_DNS_SUBDOMAINS) < _VALIDATION_MEMO_MAX:
-        _VALID_DNS_SUBDOMAINS.add(value)
+    remember(_VALID_DNS_SUBDOMAINS, value, True, _VALIDATION_MEMO_MAXSIZE)
     return value
 
 

@@ -317,14 +317,15 @@ def _trusted(module: str) -> bool:
     return module in _TRUSTED or module.startswith(_TRUSTED_PREFIXES)
 
 
-def _defect(row: tuple, kind: str | None, schema: int) -> str | None:
+def _defect(row: tuple, kind: str | None) -> str | None:
     """Why an ``entries`` row fails verification, or ``None`` when healthy.
 
-    ``schema`` is the only reason counted as version skew rather than
-    corruption; the others are ``kind``, ``size`` and ``digest``.
+    ``schema`` (a row not at :data:`SCHEMA_VERSION`) is the only reason
+    counted as version skew rather than corruption; the others are
+    ``kind``, ``size`` and ``digest``.
     """
     row_kind, row_schema, digest, size, payload, _ = row
-    if row_schema != schema:
+    if row_schema != SCHEMA_VERSION:
         return "schema"
     if kind is not None and row_kind != kind:
         return "kind"
@@ -350,9 +351,8 @@ class ResultStore:
     per-instance (pool workers each see their own).
     """
 
-    def __init__(self, root: Path | str, schema_version: int = SCHEMA_VERSION) -> None:
+    def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
-        self.schema_version = schema_version
         self.root.mkdir(parents=True, exist_ok=True)
         self._db = _Database(self.root / DB_FILENAME)
         self._lock = threading.Lock()
@@ -384,7 +384,7 @@ class ResultStore:
             with self._lock:
                 self.misses += 1
             return None
-        reason = _defect(row, kind, self.schema_version)
+        reason = _defect(row, kind)
         if reason is None:
             try:
                 value = _TrustedUnpickler(io.BytesIO(row[4])).load()
@@ -409,7 +409,7 @@ class ResultStore:
         try:
             payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
             digest = hashlib.sha256(payload).hexdigest()
-            row = (key, kind, self.schema_version, digest, len(payload), payload, time.time())
+            row = (key, kind, SCHEMA_VERSION, digest, len(payload), payload, time.time())
             self._db.transact(lambda conn: conn.execute(_INSERT_ENTRY, row), faults.STORE_WRITE)
         except Exception:
             with self._lock:
@@ -463,7 +463,7 @@ class ResultStore:
         writers died.
         """
         reasons = self._db.run(
-            lambda conn: [_defect(row, None, self.schema_version) for row in conn.execute(_SELECT_ENTRY)]
+            lambda conn: [_defect(row, None) for row in conn.execute(_SELECT_ENTRY)]
         ) or []
         defects = Counter(reason for reason in reasons if reason is not None)
         return {"healthy": reasons.count(None), "defective": sum(defects.values()), **defects}

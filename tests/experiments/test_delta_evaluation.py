@@ -19,10 +19,10 @@ reduces to canonical-serialization identity via
 * the ``slow``-marked full-catalogue differential over randomized change
   sets (acceptance criterion for this PR).
 
-Satellites pinned here too: the ``EvaluationResult`` lazy-index staleness
-fix (same-length mutate then re-query), ``SweepJournal`` superseded-entry
+Satellites pinned here too: ``EvaluationResult`` lookups after a
+same-length mutation or a removal, ``SweepJournal`` superseded-entry
 semantics under repeated resume+delta cycles, the classifier-fingerprint
-orthogonality table, and the LRU observation memo that keeps watch rounds
+orthogonality table, and the observation memo that keeps a reverted chart
 warm.
 """
 
@@ -39,7 +39,6 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro import faults
 from repro.cluster import BehaviorRegistry, ContainerBehavior, ListenSpec
-from repro.cluster.session import ObservationMemo
 from repro.core import (
     AnalyzerSettings,
     ApplicationInventory,
@@ -643,8 +642,8 @@ class TestJournalSupersededEntries:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: lazy-index staleness -- same-length mutations must re-query
-# fresh, removals must not leave orphaned keys.
+# Satellite: result lookups follow ``analyzed`` -- same-length mutations
+# must re-query fresh, removals must not leave orphaned keys.
 # ---------------------------------------------------------------------------
 
 
@@ -670,13 +669,6 @@ class TestResultIndexStaleness:
         assert gone.key not in [
             entry.key for entry in result.by_dataset(gone.application.dataset)
         ]
-
-    def test_invalidate_indexes_forces_a_rebuild(self, applications):
-        result = run_full_evaluation(applications=applications[:2])
-        result._index()
-        result.invalidate_indexes()
-        assert result._key_index is None
-        assert result.report_for(*result.analyzed[0].key) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -717,8 +709,8 @@ class TestFingerprintSensitivity:
 
 
 # ---------------------------------------------------------------------------
-# Memo reuse across delta rounds: the LRU observation memo keeps reverted
-# charts warm, and recency (not insertion age) governs eviction.
+# Memo reuse across delta rounds: the observation memo keeps reverted charts
+# warm.
 # ---------------------------------------------------------------------------
 
 
@@ -732,23 +724,6 @@ class TestMemoAcrossRounds:
         reverted = evaluator.evaluate(noop_touch(applications, 2))
         assert evaluator.analyzer.session.memo_stats()["hits"] > hits_before
         assert_identical(baseline, canonical_evaluation(reverted), "reverted round")
-
-    def test_memo_lru_prefers_recency_over_insertion_age(self):
-        class _Observation:
-            def __init__(self, app):
-                self.app = app
-                self.first = None
-                self.second = None
-                self.host_ports = set()
-
-        memo = ObservationMemo(maxsize=2)
-        memo.record("hot", _Observation("hot"))
-        memo.record("cold", _Observation("cold"))
-        assert memo.lookup("hot") is not None  # refresh: hot is now newest
-        memo.record("fresh", _Observation("fresh"))  # evicts cold, not hot
-        assert memo.lookup("hot") is not None
-        assert memo.lookup("cold") is None
-        assert memo.stats()["evictions"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,17 @@ class TestEvaluationPipeline:
         assert len(small_evaluation.by_use_case("internal")) == 19
         assert len(small_evaluation.by_use_case("production")) == 10
 
+    def test_use_case_keeps_catalogue_order_when_datasets_interleave(self):
+        # A seed-shuffled catalogue or a watch directory interleaves
+        # datasets; Bitnami and Banzai Cloud share the "sharing" use case.
+        bitnami, banzai = build_dataset("Bitnami"), build_dataset("Banzai Cloud")
+        applications = [bitnami[0], banzai[0], bitnami[1]]
+        result = run_full_evaluation(applications=applications)
+        assert [entry.application.name for entry in result.by_use_case("sharing")] == [
+            app.name for app in applications
+        ]
+        assert result.by_dataset("Bitnami") == [result.analyzed[0], result.analyzed[2]]
+
 
 class TestStats:
     def test_headline_stats(self, small_evaluation):

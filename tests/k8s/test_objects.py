@@ -1,5 +1,7 @@
 """Unit tests for metadata, containers, pods and workload controllers."""
 
+import copy
+
 import pytest
 
 from repro.k8s import (
@@ -21,6 +23,7 @@ from repro.k8s import (
     equality_selector,
     is_compute_unit_kind,
     is_ephemeral_port,
+    objects_from_dicts,
     validate_port_number,
 )
 from tests.conftest import make_deployment
@@ -54,6 +57,43 @@ class TestObjectMeta:
 
     def test_key_is_kind_namespace_name(self):
         assert make_deployment("web").key == ("Deployment", "default", "web")
+
+
+POLICY = {
+    "apiVersion": "networking.k8s.io/v1",
+    "kind": "NetworkPolicy",
+    "metadata": {"name": "deny", "namespace": "prod"},
+    "spec": {
+        "podSelector": {
+            "matchExpressions": [{"key": "app", "operator": "In", "values": ["web"]}]
+        }
+    },
+}
+
+
+class TestBadInputTypes:
+    """A non-string or unhashable name, namespace or selector key is a
+    ``ValidationError``, not the ``TypeError`` of a validation-memo lookup."""
+
+    @pytest.mark.parametrize("interned", [False, True], ids=["fresh", "interned"])
+    @pytest.mark.parametrize("value", [7, ["web"], {"app": "web"}], ids=["int", "list", "dict"])
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("metadata", "name"),
+            ("metadata", "namespace"),
+            ("spec", "podSelector", "matchExpressions", 0, "key"),
+        ],
+        ids=["name", "namespace", "selector-key"],
+    )
+    def test_objects_from_dicts_raises_validation_error(self, path, value, interned):
+        document = copy.deepcopy(POLICY)
+        node = document
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+        with pytest.raises(ValidationError):
+            objects_from_dicts([document], interned=interned)
 
 
 class TestContainerPort:

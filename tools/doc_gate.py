@@ -11,7 +11,7 @@ Fails (exit code 1) when:
 * any *public entry point* -- a public class, function or method -- in the
   documented-surface modules (``DOCUMENTED_SURFACE``: ``repro/helm/``,
   ``repro/cluster/session.py``, ``repro/core/analyzer.py``,
-  ``repro/core/cluster_wide.py``, ``repro/faults.py``,
+  ``repro/core/cluster_wide.py``, ``repro/faults.py``, ``repro/memo.py``,
   ``repro/experiments/delta.py``, ``repro/experiments/evaluation.py`` and
   ``repro/store.py``) lacks a docstring.
 
@@ -38,6 +38,7 @@ DOCUMENTED_SURFACE = (
     "core/analyzer.py",
     "core/cluster_wide.py",
     "faults.py",
+    "memo.py",
     "experiments/delta.py",
     "experiments/evaluation.py",
     "store.py",
