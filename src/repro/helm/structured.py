@@ -15,6 +15,13 @@ text as possible:
   native value is spliced into place (mappings splice entry-by-entry with
   last-wins duplicate semantics, everything else substitutes the scalar
   placeholder);
+* :class:`~repro.helm.template.ScalarFragment` values (interpolated
+  expressions, including those a statement-level ``include`` emits) open a
+  *value run* at a whole value position (after ``": "`` or ``"- "``): the
+  run absorbs glued text and scalars up to the line break, and a run the
+  strict resolver can type becomes one scalar placeholder.  Chart values
+  thus stay out of the skeleton text, and the skeleton parse memo keys on
+  the template's shape;
 * the skeleton itself -- the genuinely free-form text segments -- goes
   through :func:`parse_simple_yaml`, a fast parser for the block-YAML
   subset rendered manifests actually use, with PyYAML as the fallback for
@@ -24,7 +31,10 @@ Every step is guarded: an unplaceable fragment, a placeholder collision, a
 parse error, or an unsupported YAML construct drops the affected group back
 to the reference behaviour -- stringify the fragments, parse the real text
 -- so the structured path can only ever *accelerate* the text path, never
-diverge from it.  The differential suite in
+diverge from it.  The one placeholder allowed to go missing from the parse
+is a scalar one in a skeleton the subset parser built: that grammar drops a
+value only under a later duplicate key (last wins), where the text path
+drops the same value.  The differential suite in
 ``tests/helm/test_structured_render.py`` proves dict-identical output over
 the full catalogue, Hypothesis-generated charts and adversarial templates.
 """
@@ -49,14 +59,16 @@ from .template import DocumentSplit, Fragment, ScalarFragment, StructuredFragmen
 #: path -- a simple count check catches the collision.
 PLACEHOLDER_PREFIX = "__repro_frag_"
 
-#: Parse-result memo keyed on skeleton text.  Override-variant sweeps (the
-#: Figure 4b experiment) re-render the same chart with values that only flow
-#: through *structured* fragments: the skeleton -- placeholder tokens
-#: included -- comes out byte-identical per template, so its parse result
-#: can be reused across cold renders and only the splice differs.  Memoized
-#: results are never mutated: the splice rebuilds every container it touches
-#: and the no-splice path hands out deep-ish copies (:func:`_copy_document`).
-_SKELETON_MEMO: dict[str, list] = {}
+#: Parse-result memo keyed on skeleton text.  Values the assembler can place
+#: reach the skeleton only as placeholder tokens, so it comes out
+#: byte-identical per template shape: a cold catalogue render parses one
+#: skeleton per shape, and override-variant sweeps (the Figure 4b
+#: experiment) re-render the same chart with no fresh parse at all -- only
+#: the splice differs.  Memoized results are never mutated: the splice
+#: rebuilds every container it touches and the no-splice path hands out
+#: deep-ish copies (:func:`_copy_document`).  Entries are
+#: ``(documents, by_subset)`` (see :func:`_parse_group_text`).
+_SKELETON_MEMO: dict[str, tuple[list, bool]] = {}
 _SKELETON_MEMO_MAXSIZE = 4096
 _SKELETON_PARSE_COUNT = 0
 
@@ -65,25 +77,21 @@ def skeleton_parse_count() -> int:
     """How many skeleton texts have actually been parsed (memo misses).
 
     The guard-hook twin of :func:`repro.helm.template.template_parse_count`:
-    re-rendering a chart with override variants that only change structured
-    values must not re-parse its skeletons.
+    re-rendering a chart with override variants that only change
+    placeable values must not re-parse its skeletons.
     """
     return _SKELETON_PARSE_COUNT
 
 
 def clear_skeleton_parse_memo() -> None:
-    """Drop the skeleton parse memo (tests and benchmark cold starts)."""
+    """Drop the skeleton parse and value-run memos (tests and benchmark
+    cold starts)."""
     _SKELETON_MEMO.clear()
+    _RUN_MEMO.clear()
 
 
 class _SpliceError(Exception):
     """The skeleton cannot host the structured values; use the text path."""
-
-
-class _ScalarLayout(Exception):
-    """A scalar placeholder's surroundings defeat clean substitution; the
-    group re-assembles with the scalar texts inlined (the pre-placeholder
-    behaviour, skeleton memo keyed on the joined text)."""
 
 
 class _UnsupportedYaml(Exception):
@@ -162,26 +170,14 @@ def _flush_group(
 
     Returns the skeleton text (placeholders included) for the sources map.
     """
-    try:
-        parts, structs, glued_after_placeholder = _group_parts(group)
-    except _ScalarLayout:
-        # A scalar placeholder turned out to be glued to following text
-        # (``name: {{ .x }}-web``): re-assemble with every scalar inlined
-        # as text, restoring the pre-placeholder behaviour for this group
-        # (memoized on the joined text, one parse per distinct rendering).
-        return _flush_group(
-            [item.text() if type(item) is ScalarFragment else item for item in group],
-            documents,
-            source_name,
-            shared,
-        )
+    parts, table, glued_after_placeholder = _group_parts(group)
     skeleton = "".join(parts)
     if not skeleton.strip():
         # Whitespace-only group: the text path's early-out for blank output
         # (placeholder lines are never blank, so no structure is lost here).
         return skeleton
-    if not structs:
-        parsed = _parse_group_text_memo(skeleton, source_name)
+    if not table:
+        parsed, _ = _parse_group_text_memo(skeleton, source_name)
         if shared:
             # Read-only consumer: hand out the memoized parse directly.
             documents.extend(document for document in parsed if document)
@@ -190,19 +186,25 @@ def _flush_group(
                 _copy_document(document) for document in parsed if document
             )
         return skeleton
-    if glued_after_placeholder or skeleton.count(PLACEHOLDER_PREFIX) != len(structs):
+    if glued_after_placeholder or skeleton.count(PLACEHOLDER_PREFIX) != len(table):
         # Glue on a placeholder line, or a rendered value containing the
         # placeholder prefix: ambiguous layouts go to the reference path.
         documents.extend(_parse_text_fallback(group, source_name))
         return skeleton
     try:
-        parsed = _parse_group_text_memo(skeleton, source_name)
-        table = {token: (as_mapping, value) for token, as_mapping, value in structs}
+        parsed, by_subset = _parse_group_text_memo(skeleton, source_name)
         consumed: set[str] = set()
         spliced = [
             _substitute(document, table, consumed, shared) for document in parsed
         ]
-        if len(consumed) != len(structs):
+        if len(consumed) != len(table) and (
+            not by_subset or any(table[token][0] for token in table.keys() - consumed)
+        ):
+            # The subset parser drops a value only under a later duplicate
+            # key (last wins), where the text path drops the same scalar.  A
+            # dropped mapping splice would have contributed keys, and PyYAML
+            # can hide a token where the real text means something else (a
+            # quoted scalar the run's glue closed, a tag, a comment).
             raise _SpliceError("unconsumed placeholder")
     except (_SpliceError, RenderError):
         documents.extend(_parse_text_fallback(group, source_name))
@@ -211,96 +213,128 @@ def _flush_group(
     return skeleton
 
 
-def _group_parts(group: list) -> tuple[list[str], list[tuple[str, bool, Any]], bool]:
+def _group_parts(group: list) -> tuple[list[str], dict[str, tuple[bool, Any]], bool]:
     """Build one group's skeleton parts and placeholder table.
 
-    Returns ``(parts, structs, glued_after_placeholder)`` where ``structs``
-    holds ``(token, splice_as_mapping, value)`` for every placeholder --
-    structured fragments splice their native value, scalar fragments their
-    pre-resolved scalar.  A scalar fragment becomes a placeholder only when
-    it owns a whole value position: directly after ``": "`` or ``"- "``,
-    followed by a line break (or the end of the group), with rendered text
-    the strict resolver understands.  Everything else contributes rendered
-    text exactly as before; glue discovered *after* a scalar placeholder
-    was already emitted raises :class:`_ScalarLayout` (the caller
-    re-assembles with scalars inlined).
+    Returns ``(parts, table, glued_after_placeholder)`` where ``table``
+    maps every placeholder token to ``(splice_as_mapping, value)`` --
+    structured fragments splice their native value, value runs their
+    pre-resolved scalar.  A scalar fragment directly after ``": "`` or
+    ``"- "`` opens a value run (:func:`_value_run`); a clean run whose
+    joined text the strict resolver understands becomes one placeholder.
+    Everything else contributes rendered text exactly as the text path
+    does.
     """
     parts: list[str] = []
-    structs: list[tuple[str, bool, Any]] = []
-    tail = ""  # last character of the skeleton so far ("_" = placeholder)
-    prev2 = ""  # last two characters, for the value-position check
-    scalar_tail = False  # the trailing placeholder is a scalar's
+    table: dict[str, tuple[bool, Any]] = {}
+    prev2 = ""  # last two characters of the skeleton so far
+    after_placeholder = False  # the skeleton ends with a placeholder token
     glued_after_placeholder = False
-    for item in group:
+    index, total = 0, len(group)
+    while index < total:
+        item = group[index]
+        index += 1
         kind = type(item)
+        rest = ""
         if kind is str:
-            if tail == "_" and not item.startswith("\n"):
-                if scalar_tail:
-                    raise _ScalarLayout(item[:32])
+            if after_placeholder and not item.startswith("\n"):
                 # Text glued onto a placeholder line: the glue would land in
                 # (or next to) the spliced value, which only the text path
                 # can interpret.  Keep building the skeleton for `sources`,
                 # but parse this group via the fallback.
                 glued_after_placeholder = True
-            parts.append(item)
-            tail = item[-1]
-            prev2 = (prev2 + item)[-2:]
-            scalar_tail = False
-            continue
-        if kind is ScalarFragment:
-            rendered = item.rendered
-            if tail == "_":
-                if scalar_tail:
-                    raise _ScalarLayout(rendered[:32])
+            text = item
+        elif kind is ScalarFragment:
+            text = item.rendered
+            if after_placeholder:
                 glued_after_placeholder = True
-            elif prev2 in (": ", "- "):
-                try:
-                    resolved = _resolve_scalar_text(rendered)
-                except _UnsupportedYaml:
-                    pass
-                else:
-                    token = f"{PLACEHOLDER_PREFIX}{len(structs)}__"
+            elif prev2 in (": ", "- ") and "\n" not in text:
+                text, rest, index, clean = _value_run(group, index, text)
+                entry = _RUN_MEMO.get(text) if clean else ()
+                if entry is None:
+                    entry = _resolve_run(text)
+                if entry:
+                    token = f"{PLACEHOLDER_PREFIX}{len(table)}__"
                     parts.append(token)
-                    structs.append((token, False, resolved))
-                    tail = "_"
-                    prev2 = "__"
-                    scalar_tail = True
-                    continue
-            # Mid-line or unresolvable text: inline, the pre-placeholder
-            # behaviour (the skeleton then varies with the value).
-            parts.append(rendered)
-            tail = rendered[-1]
-            prev2 = (prev2 + rendered)[-2:]
-            scalar_tail = False
+                    table[token] = (False, entry[0])
+                    prev2, after_placeholder, text = "__", True, ""
+                # Otherwise the run stays inline text, as the text path has
+                # it (the skeleton then varies with the value).
+        elif item.leading_newline or not prev2 or prev2[-1] == "\n":
+            # A StructuredFragment that owns whole lines: a placeholder.
+            token = f"{PLACEHOLDER_PREFIX}{len(table)}__"
+            prefix = ("\n" if item.leading_newline else "") + " " * item.indent
+            if type(item.value) is dict or isinstance(item.value, Mapping):
+                parts.append(f"{prefix}{token}: null")
+                table[token] = (True, item.value)
+            else:
+                parts.append(prefix + token)
+                table[token] = (False, item.value)
+            prev2, after_placeholder = "__", True
             continue
-        # StructuredFragment
-        if tail == "_" and not item.leading_newline:
-            if scalar_tail:
-                raise _ScalarLayout("structured fragment glue")
-            glued_after_placeholder = True
-        at_line_start = item.leading_newline or not parts or tail == "\n"
-        if not at_line_start:
+        else:
             # Mid-line structure (``foo: {{ toYaml .x }}``): no whole line
             # to own, so this fragment contributes text like the text path.
+            if after_placeholder:
+                glued_after_placeholder = True
             text = item.text()
-            if text:
-                parts.append(text)
-                tail = text[-1]
-                prev2 = (prev2 + text)[-2:]
-            scalar_tail = False
-            continue
-        token = f"{PLACEHOLDER_PREFIX}{len(structs)}__"
-        prefix = ("\n" if item.leading_newline else "") + " " * item.indent
-        if type(item.value) is dict or isinstance(item.value, Mapping):
-            parts.append(f"{prefix}{token}: null")
-            structs.append((token, True, item.value))
-        else:
-            parts.append(prefix + token)
-            structs.append((token, False, item.value))
-        tail = "_"
-        prev2 = "__"
-        scalar_tail = False
-    return parts, structs, glued_after_placeholder
+        if text:
+            parts.append(text)
+            prev2 = (prev2 + text)[-2:]
+            after_placeholder = False
+        if rest:
+            parts.append(rest)
+            prev2 = (prev2 + rest)[-2:]
+            after_placeholder = False
+    return parts, table, glued_after_placeholder
+
+
+def _value_run(group: list, index: int, first: str) -> tuple[str, str, int, bool]:
+    """Collect the value run that scalar text ``first`` opens.
+
+    The run absorbs text and scalars from ``group[index:]`` up to the next
+    line break.  Returns ``(run text, rest, next index, clean)``: ``rest``
+    is what follows the line break inside the text fragment that held it,
+    and ``clean`` says the run owns its whole value position -- it ended at
+    a line break, at a line-leading structured fragment, or at the end of
+    the group.  A scalar containing a line break, or structure emitted
+    mid-line, cuts the run without consuming the cutting fragment.
+    """
+    text = first
+    total = len(group)
+    while index < total:
+        item = group[index]
+        kind = type(item)
+        if kind is str:
+            cut = item.find("\n")
+            if cut >= 0:
+                return text + item[:cut], item[cut:], index + 1, True
+            text += item
+        elif kind is ScalarFragment:
+            if "\n" in item.rendered:
+                return text, "", index, False
+            text += item.rendered
+        else:  # StructuredFragment
+            return text, "", index, item.leading_newline
+        index += 1
+    return text, "", index, True
+
+
+#: Value-run resolution memo: run texts repeat across a catalogue
+#: (protocols, kinds, ports, chart names), so the strict resolver runs once
+#: per distinct text.  An entry is ``(resolved,)`` for a placeable run and
+#: ``()`` for one that stays inline; both are immutable, safe to share.
+_RUN_MEMO: dict[str, tuple] = {}
+_RUN_MEMO_MAXSIZE = 16384
+
+
+def _resolve_run(text: str) -> tuple:
+    """Resolve one clean run's text into its :data:`_RUN_MEMO` entry."""
+    try:
+        entry: tuple = (_resolve_scalar_text(text),)
+    except _UnsupportedYaml:
+        entry = ()
+    return remember(_RUN_MEMO, text, entry, _RUN_MEMO_MAXSIZE)
 
 
 def _resolve_scalar_text(text: str) -> Any:
@@ -312,8 +346,10 @@ def _resolve_scalar_text(text: str) -> Any:
     flow collections, unambiguous plain scalars).  Raises
     :class:`_UnsupportedYaml` whenever the real text could mean anything
     more -- newlines restructure the document, ``#`` can start a comment,
-    a bare ``-`` or document marker is indentation-sensitive -- sending
-    the fragment down the inline-text path instead.
+    a bare ``-`` or document marker is indentation-sensitive, and a flow
+    indicator (``,[]{}``) in a plain scalar splits or closes a flow
+    collection the value may sit in -- sending the run down the inline-text
+    path instead.
     """
     if "\n" in text or _UNSUPPORTED_CHARS_RE.search(text):
         raise _UnsupportedYaml("structural characters in scalar text")
@@ -322,10 +358,16 @@ def _resolve_scalar_text(text: str) -> Any:
         return None
     if stripped == "-" or stripped.startswith(("---", "...")):
         raise _UnsupportedYaml("indicator-only scalar")
+    if (
+        stripped[0] not in "\"'"
+        and stripped not in ("{}", "[]")
+        and _FLOW_INDICATOR_RE.search(stripped)
+    ):
+        raise _UnsupportedYaml("flow indicator in plain scalar")
     return _resolve_flow(stripped)
 
 
-def _parse_group_text_memo(text: str, source_name: str) -> list[Any]:
+def _parse_group_text_memo(text: str, source_name: str) -> tuple[list[Any], bool]:
     """:func:`_parse_group_text`, memoized on the skeleton text.
 
     The memoized result is shared: callers must either rebuild every
@@ -340,16 +382,20 @@ def _parse_group_text_memo(text: str, source_name: str) -> list[Any]:
     return cached
 
 
-def _parse_group_text(text: str, source_name: str) -> list[Any]:
-    """Parse one group's text: fast subset parser first, PyYAML second."""
+def _parse_group_text(text: str, source_name: str) -> tuple[list[Any], bool]:
+    """Parse one group's text: fast subset parser first, PyYAML second.
+
+    Returns ``(documents, by_subset)``: ``by_subset`` says the subset
+    parser built them.
+    """
     global _SKELETON_PARSE_COUNT
     _SKELETON_PARSE_COUNT += 1
     try:
-        return parse_simple_yaml(text)
+        return parse_simple_yaml(text), True
     except _UnsupportedYaml:
         pass
     try:
-        return list(yaml_load_all(text))
+        return list(yaml_load_all(text)), False
     except yaml.YAMLError as exc:
         raise RenderError(
             f"template {source_name} produced invalid YAML: {exc}\n--- output ---\n{text}"
@@ -403,26 +449,31 @@ def _substitute(
     ``shared=True`` (read-only consumers) stops rebuilding once every
     placeholder has been consumed: the group-level count guard guarantees
     the skeleton contains exactly ``len(table)`` placeholder occurrences, so
-    the remaining subtrees are placeholder-free and safe to alias.
+    the remaining subtrees are placeholder-free and safe to alias.  Every
+    string that mentions the placeholder prefix, key or value, must be a
+    whole token of the right kind.
     """
     if shared and len(consumed) == len(table):
         return node
-    # Parsed nodes come from the subset parser or PyYAML's SafeLoader: the
-    # containers are exactly ``dict``/``list`` and the scalars plain types,
-    # so identity checks are safe (an exotic subclass would fall through to
-    # ``return node``, leave its placeholder unconsumed, and send the group
-    # to the text fallback via the unconsumed-placeholder guard).
+    # Parsed nodes come from the subset parser (dicts, lists, plain scalars)
+    # or PyYAML's SafeLoader, so identity checks are safe.  SafeLoader's
+    # other containers -- the tuples of ``!!omap``/``!!pairs``, the sets of
+    # ``!!set`` -- pass through unwalked: a token inside one stays
+    # unconsumed, which :func:`_flush_group` never forgives in a skeleton
+    # PyYAML built.
     kind = type(node)
     if kind is dict:
         out: dict = {}
         for key, value in node.items():
-            entry = table.get(key) if type(key) is str else None
-            if entry is not None:
-                as_mapping, payload = entry
-                if not as_mapping or key in consumed:
+            if type(key) is str and PLACEHOLDER_PREFIX in key:
+                # Only a mapping placeholder may sit in key position; a
+                # scalar's token, or any token fused into a larger key, is a
+                # layout we do not understand.
+                entry = table.get(key)
+                if entry is None or not entry[0] or key in consumed:
                     raise _SpliceError(key)
                 consumed.add(key)
-                for spliced_key, spliced_value in payload.items():
+                for spliced_key, spliced_value in entry[1].items():
                     out[_native_key(spliced_key)] = _native_value(spliced_value)
             else:
                 out[key] = _substitute(value, table, consumed, shared)
@@ -430,17 +481,15 @@ def _substitute(
     if kind is list:
         return [_substitute(item, table, consumed, shared) for item in node]
     if kind is str:
+        if PLACEHOLDER_PREFIX not in node:
+            return node
+        # A mapping's token in value position, a token met twice, or a
+        # token fused into a larger scalar: let the text path handle it.
         entry = table.get(node)
-        if entry is not None:
-            as_mapping, payload = entry
-            if as_mapping or node in consumed:
-                raise _SpliceError(node)
-            consumed.add(node)
-            return _native_value(payload)
-        if PLACEHOLDER_PREFIX in node:
-            # A placeholder fused into a larger scalar: layout we do not
-            # understand, let the text path handle it.
+        if entry is None or entry[0] or node in consumed:
             raise _SpliceError(node)
+        consumed.add(node)
+        return _native_value(entry[1])
     return node
 
 
@@ -516,6 +565,8 @@ _UNSUPPORTED_LEAD = tuple("&*!|>%@`?,}]")
 #: Characters that disqualify a whole group from the fast parser: tabs,
 #: comments, and the YAML 1.1 line breaks this parser does not split on.
 _UNSUPPORTED_CHARS_RE = re.compile("[\t#\r\x85\u2028\u2029]")
+#: Flow indicators: inside a flow collection they end a plain scalar.
+_FLOW_INDICATOR_RE = re.compile(r"[,\[\]{}]")
 
 
 def parse_simple_yaml(text: str) -> list[Any]:

@@ -23,10 +23,13 @@ only the first render of a given template source parses anything at all
 (``template_parse_count`` exposes the parse counter for guard tests).
 
 Compiled closures emit **fragments** rather than plain strings: literal text
-stays ``str``, a ``toYaml`` pipeline (optionally piped through ``nindent`` /
-``indent``) becomes a :class:`StructuredFragment` carrying the *native*
-Python value, and ``---`` separator lines found in literal text become
-:class:`DocumentSplit` markers at compile time.  The classic text path joins
+stays ``str``, an interpolated expression becomes a :class:`ScalarFragment`,
+a ``toYaml`` pipeline (optionally piped through ``nindent`` / ``indent``)
+becomes a :class:`StructuredFragment` carrying the *native* Python value,
+``---`` separator lines found in literal text become :class:`DocumentSplit`
+markers at compile time, and a statement-level ``include`` (optionally piped
+through ``nindent`` / ``indent``) emits the define's own fragment stream,
+re-indented, instead of one joined string.  The classic text path joins
 the fragments back into the exact byte stream the pre-fragment engine
 produced (``CompiledTemplate.render``), while the structured render path
 (``repro.helm.structured``) splices the native values straight into parsed
@@ -449,13 +452,15 @@ class ScalarFragment:
 
     The text path concatenates :attr:`rendered` verbatim -- byte-identical
     to the plain-string emission this class replaced.  The structured
-    assembler may turn a *cleanly placed* scalar (a whole value position,
-    ``key: {{ .x }}`` / ``- {{ .x }}``) into a placeholder so the skeleton
-    parse memo keys on the template's shape instead of the interpolated
-    value: override-variant sweeps (the Figure 4b runs) re-render the same
-    chart with different names and would otherwise miss the memo on every
-    variant.  Anything unclear about the placement falls back to emitting
-    the text inline, exactly as before.
+    assembler opens a *value run* at a scalar in a whole value position
+    (``key: {{ .x }}`` / ``- {{ .x }}``): the run absorbs glued text and
+    scalars up to the line break (``name: {{ .rel }}-{{ .name }}``), and a
+    run the strict resolver can type becomes one placeholder, so the
+    skeleton parse memo keys on the template's shape instead of the
+    interpolated values: override-variant sweeps (the Figure 4b runs)
+    re-render the same chart with different names and would otherwise miss
+    the memo on every variant.  Anything unclear about the run falls back
+    to emitting its text inline, exactly as before.
     """
 
     __slots__ = ("rendered",)
@@ -652,12 +657,8 @@ def _compile_stage(tokens: Sequence[str], piped: bool) -> Callable[..., Any]:
         if head == "include":
 
             def run_include(engine: "TemplateEngine", ctx: RenderContext, *piped_value: Any) -> Any:
-                args = [fn(engine, ctx) for fn in arg_fns]
-                args.extend(piped_value)
-                if not args:
-                    raise TemplateError("include requires a template name")
-                dot = args[1] if len(args) > 1 else ctx.dot
-                return engine.include(str(args[0]), dot, ctx)
+                name, dot = _include_target(arg_fns, engine, ctx, piped_value)
+                return engine.include(name, dot, ctx)
 
             return run_include
         function = _FUNCTIONS.get(head)
@@ -692,6 +693,20 @@ def _compile_stage(tokens: Sequence[str], piped: bool) -> Callable[..., Any]:
         raise TemplateError(f"cannot evaluate expression: {expression!r}")
 
     return unsupported
+
+
+def _include_target(
+    arg_fns: Sequence[ValueFn],
+    engine: "TemplateEngine",
+    ctx: RenderContext,
+    piped_value: Sequence[Any] = (),
+) -> tuple[str, Any]:
+    """Evaluate an ``include``'s arguments into ``(template name, dot)``."""
+    args = [fn(engine, ctx) for fn in arg_fns]
+    args.extend(piped_value)
+    if not args:
+        raise TemplateError("include requires a template name")
+    return str(args[0]), args[1] if len(args) > 1 else ctx.dot
 
 
 def _pipe_segments(tokens: Sequence[str]) -> list[list[str]]:
@@ -849,20 +864,7 @@ def _compile_structured_action(tokens: Sequence[str]) -> Renderer | None:
     The emitted :class:`StructuredFragment` stringifies to the exact bytes
     of the text path, so one compiled form serves both render modes.
     """
-    segments = _pipe_segments(tokens)
-    indent = 0
-    leading_newline = False
-    value_segments = segments
-    last = segments[-1]
-    if (
-        len(segments) >= 2
-        and len(last) == 2
-        and last[0] in ("nindent", "indent")
-        and _INT_RE.fullmatch(last[1])
-    ):
-        indent = int(last[1])
-        leading_newline = last[0] == "nindent"
-        value_segments = segments[:-1]
+    value_segments, indent, leading_newline = _split_indent_stage(_pipe_segments(tokens))
     tail = value_segments[-1]
     if tail == ["toYaml"] and len(value_segments) >= 2:
         value_fn = _compile_pipeline(
@@ -880,6 +882,93 @@ def _compile_structured_action(tokens: Sequence[str]) -> Renderer | None:
         out.append(StructuredFragment(value_fn(engine, ctx), indent, leading_newline))
 
     return emit_structured
+
+
+def _split_indent_stage(
+    segments: list[list[str]],
+) -> tuple[list[list[str]], int, bool]:
+    """Peel a trailing ``| nindent N`` / ``| indent N`` stage off a pipeline.
+
+    Returns ``(value_segments, indent, leading_newline)``; a pipeline
+    without such a stage comes back whole with ``(0, False)``.
+    """
+    last = segments[-1]
+    if (
+        len(segments) >= 2
+        and len(last) == 2
+        and last[0] in ("nindent", "indent")
+        and _INT_RE.fullmatch(last[1])
+    ):
+        return segments[:-1], int(last[1]), last[0] == "nindent"
+    return segments, 0, False
+
+
+def _compile_include_action(tokens: Sequence[str]) -> Renderer | None:
+    """Compile a statement-level ``include`` into a fragment-stream emit.
+
+    Recognized shapes::
+
+        {{ include "name" . }}
+        {{ include "name" $ | nindent 4 }}
+        {{ include "name" . | indent 2 }}
+
+    The define's fragments (:meth:`TemplateEngine.include_fragments`) are
+    re-indented by :func:`_indent`'s rule and emitted in place of one
+    joined string, so their interpolated scalars reach the structured
+    assembler as :class:`ScalarFragment` values.  The stream's text is
+    byte-identical to the string pipeline it replaces.  Anything else
+    returns ``None`` and compiles as an ordinary (string-valued) pipeline.
+    """
+    value_segments, indent, leading_newline = _split_indent_stage(_pipe_segments(tokens))
+    head = value_segments[0]
+    if len(value_segments) != 1 or not head or head[0] != "include":
+        return None
+    arg_fns = tuple(_compile_terms(head[1:]))
+    pad = " " * indent
+
+    def emit_include(engine: "TemplateEngine", ctx: RenderContext, out: list) -> None:
+        name, dot = _include_target(arg_fns, engine, ctx)
+        fragments = engine.include_fragments(name, dot, ctx)
+        if leading_newline:
+            out.append("\n")
+        if pad:
+            _reindent_into(fragments, pad, out)
+        else:
+            out.extend(fragments)
+
+    return emit_include
+
+
+def _reindent_into(fragments: Sequence[Fragment], pad: str, out: list) -> None:
+    """Append ``fragments`` to ``out`` with ``pad`` before every non-empty line.
+
+    The fragment-stream form of :func:`_indent`: a line may span several
+    fragments, so the pad lands before the first character of each
+    non-empty line wherever that character sits, and blank lines stay
+    blank.  A scalar that opens a line gets its pad as separate text, so its
+    own text stays the bare interpolated value.  ``fragments`` holds only
+    ``str`` and :class:`ScalarFragment` items (see
+    :meth:`TemplateEngine.include_fragments`).
+    """
+    at_line_start = True
+    line_pad = "\n" + pad
+    for fragment in fragments:
+        scalar = type(fragment) is ScalarFragment
+        text = fragment.rendered if scalar else fragment
+        if not text:
+            continue
+        if at_line_start and text[0] != "\n":
+            if scalar:
+                out.append(pad)
+            else:
+                text = pad + text
+        padded = _LINE_WITH_TEXT_RE.sub(line_pad, text)
+        out.append(ScalarFragment(padded) if scalar else padded)
+        at_line_start = text[-1] == "\n"
+
+
+#: A line break followed by a non-empty line: where ``_indent`` pads.
+_LINE_WITH_TEXT_RE = re.compile(r"\n(?=[^\n])")
 
 
 def _compile_nodes(
@@ -914,9 +1003,11 @@ def _compile_nodes(
 
             renderers.append(assign)
         elif isinstance(node, ActionNode):
-            structured = _compile_structured_action(node.tokens)
-            if structured is not None:
-                renderers.append(structured)
+            emit = _compile_structured_action(node.tokens) or _compile_include_action(
+                node.tokens
+            )
+            if emit is not None:
+                renderers.append(emit)
                 continue
             pipeline = _compile_pipeline(node.tokens)
 
@@ -1099,12 +1190,14 @@ class TemplateEngine:
         return fragments_text(out)
 
     # Defines ----------------------------------------------------------------
-    def include(self, name: str, dot: Any, ctx: RenderContext) -> str:
-        """Render a ``define`` block to text (``include`` is string-valued).
+    def include_fragments(self, name: str, dot: Any, ctx: RenderContext) -> list[Fragment]:
+        """Render a ``define`` block into its fragment stream.
 
-        Structure emitted inside the define (a ``toYaml`` there) is
-        stringified here: an included template's value participates in
-        string pipelines (``| nindent``), exactly as in Go templates.
+        The stream holds only text and :class:`ScalarFragment` items:
+        structure emitted inside the define (a ``toYaml``, a ``---`` line)
+        becomes its text here, since only the including template knows
+        where the define's output lands.  A statement-level ``include``
+        emits this stream re-indented; :meth:`include` joins it.
         """
         body = self._defines.get(name)
         if body is None:
@@ -1113,7 +1206,20 @@ class TemplateEngine:
         out: list[Fragment] = []
         for fn in body:
             fn(self, child, out)
-        return fragments_text(out)
+        return [
+            fragment if type(fragment) is str or type(fragment) is ScalarFragment
+            else fragment.text()
+            for fragment in out
+        ]
+
+    def include(self, name: str, dot: Any, ctx: RenderContext) -> str:
+        """Render a ``define`` block to text (``include`` is string-valued).
+
+        The joined :meth:`include_fragments` stream: an included template's
+        value participates in string pipelines (``| quote``, ``| trunc``)
+        exactly as in Go templates.
+        """
+        return fragments_text(self.include_fragments(name, dot, ctx))
 
 
 def _build_functions() -> dict[str, Callable[..., Any]]:

@@ -24,6 +24,8 @@ Comparisons of pipeline artefacts go through the shared canonical differ in
 
 from __future__ import annotations
 
+import datetime
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -82,6 +84,22 @@ def assert_template_equivalent(source: str, context: dict) -> list:
     return structured_docs
 
 
+@pytest.fixture
+def text_fallbacks(monkeypatch):
+    """Record the source name of every group that takes the text fallback."""
+    from repro.helm import structured
+
+    calls = []
+    reference_fallback = structured._parse_text_fallback
+
+    def counted_fallback(group, source_name):
+        calls.append(source_name)
+        return reference_fallback(group, source_name)
+
+    monkeypatch.setattr(structured, "_parse_text_fallback", counted_fallback)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # Whole-catalogue conformance
 # ---------------------------------------------------------------------------
@@ -97,6 +115,31 @@ def test_catalogue_structured_equals_text(catalog_apps):
     """Dict-identical documents/objects for every chart of the catalogue."""
     for app in catalog_apps:
         assert_render_equivalent(app.chart)
+
+
+def test_cold_catalogue_parses_one_skeleton_per_shape(catalog_apps, text_fallbacks):
+    """Chart values stay out of skeleton text: a cold structured render of
+    the whole catalogue parses one skeleton per template shape, and no
+    document group falls back to the text path."""
+    from repro.helm import clear_skeleton_parse_memo, skeleton_parse_count
+
+    clear_skeleton_parse_memo()
+    before = skeleton_parse_count()
+    for app in catalog_apps:
+        render_chart(app.chart, cached=False)
+    assert len(catalog_apps) == 290
+    assert skeleton_parse_count() - before <= 14
+    assert text_fallbacks == []
+
+
+def test_clear_skeleton_parse_memo_drops_the_value_run_memo():
+    from repro.helm import clear_skeleton_parse_memo
+    from repro.helm import structured
+
+    assert_template_equivalent("value: {{ .Values.x }}\n", {"Values": {"x": "run"}})
+    assert "run" in structured._RUN_MEMO
+    clear_skeleton_parse_memo()
+    assert structured._RUN_MEMO == {} and structured._SKELETON_MEMO == {}
 
 
 @pytest.mark.slow
@@ -555,22 +598,32 @@ class TestScalarInterpolationMemo:
         )
         assert first[0]["metadata"]["name"] == "app-0"
 
-    def test_catalogue_name_variants_reuse_skeletons(self, catalog_apps):
+    @pytest.mark.parametrize("variant_input", ["nameOverride", "release_name"])
+    def test_catalogue_name_variants_reuse_skeletons(self, catalog_apps, variant_input):
         # The Figure 4b shape: the same charts re-rendered under different
-        # nameOverride values must not re-parse a single skeleton.
+        # names must not re-parse a single skeleton.  Release names reach
+        # ``metadata.name`` glued to other text (``{{ $.Release.Name }}-x``).
         from repro.helm import skeleton_parse_count
+
+        def render_variant(app, variant):
+            if variant_input == "nameOverride":
+                overrides = {"nameOverride": f"variant-{variant}"}
+                return render_chart(app.chart, overrides=overrides, cached=False)
+            return render_chart(app.chart, release_name=f"variant-{variant}", cached=False)
 
         sample = catalog_apps[:8]
         for app in sample:
-            render_chart(app.chart, overrides={"nameOverride": "variant-0"}, cached=False)
+            render_variant(app, 0)
         before = skeleton_parse_count()
         for variant in range(1, 4):
-            overrides = {"nameOverride": f"variant-{variant}"}
             for app in sample:
-                render_chart(app.chart, overrides=overrides, cached=False)
+                rendered = render_variant(app, variant)
         assert skeleton_parse_count() == before, (
             "name-variant re-renders forced fresh skeleton parses"
         )
+        if variant_input == "release_name":
+            names = [document["metadata"]["name"] for document in rendered.documents]
+            assert names and all(name.startswith("variant-3-") for name in names)
 
     @pytest.mark.parametrize(
         "value",
@@ -580,7 +633,7 @@ class TestScalarInterpolationMemo:
             "  padded  ", "with: colon", "# not a comment", "[1, 2]",
             "{a: 1}", '"quoted"', "'single'", "- leading dash", "-",
             "--- doc", "multi\nline", "tab\there", "*anchor", "&ref", "!tag",
-            "| block", "> folded", "%directive", "@at", "`tick",
+            "| block", "> folded", "%directive", "@at", "`tick", "a, b", "x}",
         ],
     )
     def test_interpolated_scalar_matches_text_path(self, value):
@@ -588,7 +641,13 @@ class TestScalarInterpolationMemo:
         # placeholder fast path accepts; anything it cannot type must fall
         # back to byte-identical text behaviour, never diverge.
         context = {"Values": {"x": value}}
-        for source in ("value: {{ .Values.x }}\n", "items:\n  - {{ .Values.x }}\n"):
+        for source in (
+            "value: {{ .Values.x }}\n",
+            "items:\n  - {{ .Values.x }}\n",
+            # A value position inside a multi-line flow mapping, where a
+            # plain scalar ends at the first flow indicator.
+            "flow: {a: {{ .Values.x }}\n  }\n",
+        ):
             try:
                 text_docs = template_documents(source, context, structured=False)
             except Exception:
@@ -609,6 +668,211 @@ class TestScalarInterpolationMemo:
         source = "{{ .Values.k }}: value\n"
         docs = assert_template_equivalent(source, {"Values": {"k": "dynamic"}})
         assert docs[0]["dynamic"] == "value"
+
+
+def skeleton_of(source: str, context: dict) -> str:
+    """The skeleton text the structured path assembles for one template."""
+    fragments = TemplateEngine().render_fragments(source, dict(context), "test.yaml")
+    return assemble_documents(fragments, "test.yaml")[1]
+
+
+class TestValueRuns:
+    """A scalar at a whole value position absorbs glued text and scalars up
+    to the line break; the joined run is one placeholder when the strict
+    resolver can type it and inline text otherwise."""
+
+    @pytest.mark.parametrize(
+        "x, y, expected", [(1, 2, 12), ("tr", "ue", True), ("web", "1.2", "web1.2")]
+    )
+    def test_run_resolves_as_one_scalar(self, x, y, expected, text_fallbacks):
+        context = {"Values": {"x": x, "y": y}}
+        source = "value: {{ .Values.x }}{{ .Values.y }}\n"
+        assert assert_template_equivalent(source, context) == [{"value": expected}]
+        assert skeleton_of(source, context) == f"value: {PLACEHOLDER_PREFIX}0__\n"
+        assert text_fallbacks == []
+
+    def test_list_item_run_with_glued_text(self, text_fallbacks):
+        context = {"Values": {"x": "rel", "y": "web"}}
+        source = "items:\n  - {{ .Values.x }}-{{ .Values.y }}\n  - last\n"
+        docs = assert_template_equivalent(source, context)
+        assert docs == [{"items": ["rel-web", "last"]}]
+        assert PLACEHOLDER_PREFIX in skeleton_of(source, context)
+        assert text_fallbacks == []
+
+    @pytest.mark.parametrize(
+        "source, x, y, expected",
+        [
+            ("value: {{ .Values.x }}:{{ .Values.y }}\n", 1, 30, 90),  # sexagesimal
+            ("value: {{ .Values.x }}-01\n", "2024-01", None, datetime.date(2024, 1, 1)),
+            ("value: {{ .Values.x }} #{{ .Values.y }}\n", "a", "comment", "a"),
+            ("value: {{ .Values.x }}#{{ .Values.y }}\n", "a", "b", "a#b"),
+            ('value: "{{ .Values.x }}-{{ .Values.y }}"\n', "a", "b", "a-b"),
+            ("value: {{ .Values.x | quote }}{{ .Values.y }}\n", "a\\b", "", "a\b"),
+            ("value: {{ .Values.x }}, {{ .Values.y }}\n", "a", "b", "a, b"),
+        ],
+    )
+    def test_run_that_must_stay_text(self, source, x, y, expected):
+        context = {"Values": {"x": x, "y": y}}
+        assert assert_template_equivalent(source, context) == [{"value": expected}]
+        assert PLACEHOLDER_PREFIX not in skeleton_of(source, context)
+
+    @pytest.mark.parametrize(
+        "x, y, expected",
+        [
+            ("a", "b\nother: c", {"value": "ab", "other": "c"}),
+            ("a\nother: c", "b", {"value": "a", "other": "cb"}),
+            ("a", "\nother: c", {"value": "a", "other": "c"}),
+        ],
+    )
+    def test_run_cut_by_a_scalar_with_a_newline(self, x, y, expected):
+        source = "value: {{ .Values.x }}{{ .Values.y }}\nlast: 1\n"
+        docs = assert_template_equivalent(source, {"Values": {"x": x, "y": y}})
+        assert docs == [{**expected, "last": 1}]
+
+    def test_run_ended_by_toYaml_with_nindent(self, text_fallbacks):
+        source = "key: {{ .Values.x }}{{ toYaml .Values.m | nindent 0 }}\n"
+        context = {"Values": {"x": "v", "m": {"b": 1}}}
+        docs = assert_template_equivalent(source, context)
+        assert docs == [{"key": "v", "b": 1}]
+        assert skeleton_of(source, context).count(PLACEHOLDER_PREFIX) == 2
+        assert text_fallbacks == []
+
+    @pytest.mark.parametrize("stage, expected", [("", "vw"), (" | indent 2", "v  w")])
+    def test_run_ended_by_toYaml_without_nindent(self, stage, expected):
+        source = "key: {{ .Values.x }}{{ toYaml .Values.s" + stage + " }}\n"
+        context = {"Values": {"x": "v", "s": "w"}}
+        assert assert_template_equivalent(source, context) == [{"key": expected}]
+        assert PLACEHOLDER_PREFIX not in skeleton_of(source, context)
+
+    def test_duplicate_key_drops_a_scalar_placeholder(self, text_fallbacks):
+        source = "labels:\n  a: {{ .Values.x }}\n  a: {{ .Values.y }}\n"
+        docs = assert_template_equivalent(source, {"Values": {"x": "first", "y": "second"}})
+        assert docs == [{"labels": {"a": "second"}}]
+        assert text_fallbacks == []
+
+    def test_duplicate_key_dropping_a_mapping_placeholder_falls_back(self, text_fallbacks):
+        source = "labels:\n  {{- toYaml .Values.m | nindent 2 }}\nlabels:\n  b: 2\n"
+        docs = assert_template_equivalent(source, {"Values": {"m": {"a": 1}}})
+        assert docs == [{"labels": {"b": 2}}]
+        assert text_fallbacks == ["test.yaml"]
+
+    def test_token_inside_a_comment(self, text_fallbacks):
+        # Comments leave the subset parser, and PyYAML may hide a token
+        # where the real text means something else: strict again.
+        source = "# note: {{ .Values.x }}\nkind: A\n  # - {{ .Values.y }}\n"
+        docs = assert_template_equivalent(source, {"Values": {"x": "v", "y": 7}})
+        assert docs == [{"kind": "A"}]
+        assert text_fallbacks == ["test.yaml"]
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("data: !!omap\n  - a: {{ .Values.x }}\n", {"data": [("a", "v")]}),
+            ("data: !!pairs\n  - a: {{ .Values.x }}\n", {"data": [("a", "v")]}),
+            ("data: !!set\n  a: {{ .Values.x }}\n", {"data": {"a"}}),
+            ("data: !!omap\n  - a: {{ .Values.x }}\nkind: A\n", {"data": [("a", "v")], "kind": "A"}),
+        ],
+    )
+    def test_token_inside_a_tuple_or_set_falls_back(self, source, expected, text_fallbacks):
+        docs = assert_template_equivalent(source, {"Values": {"x": "v"}})
+        assert docs == [expected]
+        assert text_fallbacks == ["test.yaml"]
+
+    def test_dropped_token_in_a_quoted_scalar_the_glue_closed_falls_back(self, text_fallbacks):
+        # The run absorbs the closing quote, so in the skeleton the quoted
+        # scalar runs on over ``m`` and a later duplicate key drops it: the
+        # token goes missing where the real text keeps ``m``.
+        source = 'k: "a: {{ .Values.x }}"\nm: 1"\nk: 2\n'
+        docs = assert_template_equivalent(source, {"Values": {"x": "v"}})
+        assert docs == [{"k": 2, "m": '1"'}]
+        assert text_fallbacks == ["test.yaml"]
+
+    def test_token_fused_into_a_key_falls_back(self, text_fallbacks):
+        # An explicit key spanning a value-position line: the token lands
+        # inside a key, which only the text path can interpret.
+        source = "? a\n  - {{ .Values.x }}\n: v\n"
+        docs = assert_template_equivalent(source, {"Values": {"x": "w"}})
+        assert docs == [{"a - w": "v"}]
+        assert text_fallbacks == ["test.yaml"]
+
+
+class TestFragmentIncludes:
+    """A statement-level ``include`` emits the define's fragment stream."""
+
+    HELPERS = (
+        '{{- define "labels" -}}\n'
+        "part-of: {{ .Chart.Name }}\n"
+        "chart: {{ .Chart.Name }}-{{ .Chart.Version }}\n"
+        "{{- end }}\n"
+    )
+
+    def test_included_scalars_become_placeholders(self, text_fallbacks):
+        source = self.HELPERS + (
+            "metadata:\n"
+            "  labels:\n"
+            "    part-of: {{ .Values.owner }}\n"
+            '    {{- include "labels" . | nindent 4 }}\n'
+        )
+        context = {"Chart": {"Name": "demo", "Version": "1.0"}, "Values": {"owner": "x"}}
+        docs = assert_template_equivalent(source, context)
+        assert docs == [{"metadata": {"labels": {"part-of": "demo", "chart": "demo-1.0"}}}]
+        skeleton = skeleton_of(source, context)
+        assert "demo" not in skeleton and skeleton.count(PLACEHOLDER_PREFIX) == 3
+        assert text_fallbacks == []
+
+    def test_include_inside_a_pipeline_keeps_its_string_value(self):
+        source = self.HELPERS + (
+            'quoted: {{ include "labels" . | quote }}\n'
+            'short: {{ include "labels" . | trunc 7 }}\n'
+        )
+        docs = assert_template_equivalent(source, {"Chart": {"Name": "d", "Version": "1"}})
+        assert docs == [{"quoted": "part-of: d chart: d-1", "short": "part-of"}]
+
+    def test_undefined_define_raises_the_same_template_error(self):
+        from repro.helm.errors import TemplateError
+
+        source = 'labels:\n  {{- include "missing" . | nindent 2 }}\n'
+        messages = []
+        for structured in (False, True):
+            with pytest.raises(TemplateError) as caught:
+                template_documents(source, {}, structured=structured)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert "'missing' is not defined" in messages[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pieces=st.lists(
+            st.sampled_from([
+                "key: ", "text", "\n", "\n\n", "  ", "- ",
+                "{{ .Values.s }}", "{{ .Values.multi }}", "{{ .Values.empty }}",
+                "{{ toYaml .Values.m }}", "\n---\n", '{{ include "inner" . }}',
+                '{{ include "inner" . | indent 3 }}',
+            ]),
+            max_size=12,
+        ),
+        stage=st.sampled_from(["nindent", "indent"]),
+        width=st.integers(min_value=0, max_value=6),
+    )
+    def test_statement_include_matches_indented_string(self, pieces, stage, width):
+        from repro.helm.template import RenderContext, _indent, fragments_text
+
+        source = (
+            '{{- define "inner" -}}in: {{ .Values.s }}\n\nx{{- end -}}'
+            '{{- define "body" -}}' + "".join(pieces) + "{{- end -}}"
+            '{{ include "body" . | ' + f"{stage} {width}" + " }}"
+        )
+        context = {
+            "Values": {"s": "v", "multi": "a\n\nb\n", "empty": "", "m": {"k": [1, 2]}}
+        }
+        engine = TemplateEngine()
+        stream = engine.render_fragments(source, context, "prop.yaml")
+        included = engine.include("body", context, RenderContext(context))
+        expected = _indent(width, included)
+        if stage == "nindent":
+            expected = "\n" + expected
+        assert fragments_text(stream) == expected
+        assert engine.render(source, context, "prop.yaml") == expected
 
 
 class TestFromYamlNative:

@@ -46,6 +46,10 @@ MEMOS = {
         _module_memo(structured, "_PLAIN_MEMO", "_PLAIN_MEMO_MAXSIZE", structured._resolve_plain),
         "p{}",
     ),
+    "value-run": (
+        _module_memo(structured, "_RUN_MEMO", "_RUN_MEMO_MAXSIZE", structured._resolve_run),
+        "r{}",
+    ),
     "label-key": (
         _module_memo(labels, "_VALID_KEYS", "_VALIDATION_MEMO_MAXSIZE", labels.validate_label_key),
         "k{}",
