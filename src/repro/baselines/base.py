@@ -81,10 +81,6 @@ class BaselineTool(ABC):
     def sees_runtime(self) -> bool:
         return self.category in (CATEGORY_RUNTIME, CATEGORY_HYBRID, CATEGORY_PLATFORM)
 
-    @property
-    def sees_manifests(self) -> bool:
-        return self.category in (CATEGORY_STATIC, CATEGORY_HYBRID, CATEGORY_PLATFORM)
-
     def not_applicable(self, misconfig_class: MisconfigClass) -> bool:
         """Whether the class is out of reach *by the nature of the tool*.
 
@@ -114,8 +110,3 @@ class BaselineTool(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name} {self.version}>"
-
-
-def workloads_and_pods(inventory: Inventory):
-    """Helper shared by several tools: every compute unit in the manifests."""
-    return inventory.compute_units()

@@ -158,7 +158,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     store_dir = since or args.resume or args.store
     store = ResultStore(store_dir) if store_dir else None
     if since:
-        from .experiments import DeltaEvaluator
+        from .experiments import DeltaEvaluator, format_delta_counts
 
         evaluator = DeltaEvaluator(store=store)
         result = evaluator.evaluate(
@@ -167,15 +167,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             resume=True,
         )
         delta = result.delta_stats or {}
-        counts = delta.get("classified", {})
-        moved = ", ".join(
-            f"{count} {classification}"
-            for classification, count in counts.items()
-            if count
-        )
         print(
             f"delta: epoch {delta.get('prior_epoch', 0)} -> {delta.get('epoch', 0)}; "
-            f"{moved or 'no charts'}"
+            f"{format_delta_counts(delta)}"
         )
     else:
         result = run_full_evaluation(

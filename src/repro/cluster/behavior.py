@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from ..k8s import Container
 
@@ -42,10 +42,6 @@ class ListenSpec:
     @property
     def is_dynamic(self) -> bool:
         return self.port is None
-
-    @property
-    def is_loopback_only(self) -> bool:
-        return self.interface == LOOPBACK
 
 
 @dataclass
@@ -112,10 +108,6 @@ class BehaviorRegistry:
         behavior.image = image
         self._behaviors[image] = behavior
         self._fingerprint = None
-
-    def register_all(self, behaviors: Mapping[str, ContainerBehavior]) -> None:
-        for image, behavior in behaviors.items():
-            self.register(image, behavior)
 
     def lookup(self, image: str) -> ContainerBehavior:
         """Behaviour for ``image``; unregistered images behave faithfully."""

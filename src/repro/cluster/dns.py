@@ -75,6 +75,3 @@ class ClusterDNS:
             return parts[0], default_namespace
         # "<svc>.<ns>" or "<svc>.<ns>.svc.cluster.local"
         return parts[0], parts[1]
-
-    def known_services(self) -> list[str]:
-        return sorted(self.fqdn(name, namespace) for (namespace, name) in self._bindings)

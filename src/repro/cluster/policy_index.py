@@ -140,10 +140,6 @@ class PolicyIndex:
             self._ingress_by_namespace = buckets
         return buckets
 
-    def has_ingress_policies(self, namespace: str) -> bool:
-        """Whether any ingress-restricting policy exists in ``namespace``."""
-        return namespace in self._namespace_buckets()
-
     def isolating(self, pod: RunningPod) -> tuple[NetworkPolicy, ...]:
         """Policies that select ``pod`` and restrict ingress, in list order.
 

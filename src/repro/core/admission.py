@@ -160,8 +160,5 @@ class NetworkMisconfigurationAdmission:
         )
 
     # Reporting -----------------------------------------------------------------------
-    def warnings_for(self, qualified_name: str) -> list[AdmissionWarning]:
-        return [warning for warning in self.warnings if warning.obj == qualified_name]
-
     def reset(self) -> None:
         self.warnings.clear()

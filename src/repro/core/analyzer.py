@@ -2,9 +2,9 @@
 
 The analyzer takes a Helm chart, renders it (static analysis), observes its
 runtime behaviour with a double snapshot (runtime analysis), then evaluates
-the machine-readable rules of Table 1 against the combined evidence.  A
-final cluster-wide pass over all analyzed applications detects global label
-collisions (M4*).
+the machine-readable rules of Table 1 against the combined evidence.  The
+sweep's final cluster-wide pass over all analyzed applications
+(:mod:`repro.core.cluster_wide`) detects global label collisions (M4*).
 
 Runtime observation goes through an :class:`~repro.cluster.AnalysisSession`:
 cluster skeletons are pooled and recycled between charts instead of rebuilt,
@@ -25,9 +25,8 @@ from ..cluster import AnalysisSession, BehaviorRegistry, Cluster, OBSERVE_FAST
 from ..helm import Chart, RenderedChart, render_chart
 from ..k8s import Inventory, KubernetesObject
 from ..probe import RuntimeObservation
-from .cluster_wide import ApplicationInventory, global_collision_findings
 from .context import AnalysisContext
-from .findings import AnalysisReport, Finding, MisconfigClass
+from .findings import AnalysisReport
 from .rules import RuleRegistry, default_rules, evaluate_fused
 
 #: Analysis modes, used by the ablation experiments.
@@ -276,33 +275,3 @@ class MisconfigurationAnalyzer:
             sources.extend(template.source for template in subchart.templates)
         return any("kind: NetworkPolicy" in source for source in sources)
 
-    # Cluster-wide pass ------------------------------------------------------------------
-    def analyze_cluster_wide(
-        self, applications: list[ApplicationInventory]
-    ) -> dict[str, list[Finding]]:
-        """Detect global collisions (M4*) across all analyzed applications.
-
-        Returns the extra findings grouped by application name, ready to be
-        appended to the per-application reports.
-        """
-        grouped: dict[str, list[Finding]] = {}
-        for finding in global_collision_findings(applications):
-            grouped.setdefault(finding.application, []).append(finding)
-        return grouped
-
-    def merge_cluster_wide(
-        self,
-        reports: dict[str, AnalysisReport],
-        applications: list[ApplicationInventory],
-    ) -> dict[str, AnalysisReport]:
-        """Append M4* findings to the per-application reports, in place."""
-        extra = self.analyze_cluster_wide(applications)
-        for application, findings in extra.items():
-            if application in reports:
-                reports[application].add(findings)
-        return reports
-
-    # Convenience ---------------------------------------------------------------------------
-    def detected_classes(self, report: AnalysisReport) -> set[MisconfigClass]:
-        """The misconfiguration classes present in ``report``."""
-        return report.classes_present()

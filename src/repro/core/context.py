@@ -226,15 +226,3 @@ class AnalysisContext:
                 ports.update(self.observation.dynamic_ports(snapshot, protocol))
             return ports
         return self._port_facts(unit, protocol)[1]
-
-    def open_ports_single_snapshot(self, unit: ComputeUnit, protocol: str = "TCP") -> set[int]:
-        """Ports open in the first snapshot only (no dynamic-port filtering)."""
-        ports: set[int] = set()
-        if self.observation is None:
-            return ports
-        for snapshot in self.snapshots_for(unit):
-            observed = snapshot.open_ports(protocol)
-            if snapshot.host_network:
-                observed = observed - self.observation.host_ports
-            ports.update(observed)
-        return ports

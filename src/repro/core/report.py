@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .findings import AnalysisReport, MisconfigClass, Severity, TABLE_ORDER
+from .findings import AnalysisReport, MisconfigClass, TABLE_ORDER
 
 
 def format_report_text(report: AnalysisReport) -> str:
@@ -109,13 +109,6 @@ class EvaluationSummary:
         for report in self.reports:
             for cls, count in report.count_by_class().items():
                 counts[cls] = counts.get(cls, 0) + count
-        return counts
-
-    def counts_by_severity(self) -> dict[Severity, int]:
-        counts = {severity: 0 for severity in Severity}
-        for report in self.reports:
-            for severity, count in report.by_severity().items():
-                counts[severity] += count
         return counts
 
     # Dataset grouping ----------------------------------------------------------

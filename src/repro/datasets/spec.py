@@ -61,9 +61,6 @@ class ComponentSpec:
     def declared_ports(self) -> list[PortSpec]:
         return [port for port in self.ports if port.declared]
 
-    def opened_ports(self) -> list[PortSpec]:
-        return [port for port in self.ports if port.opened]
-
 
 @dataclass
 class ServicePortSpec:
@@ -127,12 +124,6 @@ class AppSpec:
             if component.name == name:
                 return component
         return None
-
-    def all_port_numbers(self) -> set[int]:
-        numbers: set[int] = set()
-        for component in self.components:
-            numbers.update(port.number for port in component.ports)
-        return numbers
 
 
 @dataclass

@@ -3,10 +3,10 @@
 The paper's premise is *continuous* defense: clusters drift one chart or
 values file at a time, yet a from-scratch sweep re-evaluates all 290
 catalogue charts on every run.  :class:`DeltaEvaluator` closes that gap.
-Given a prior :class:`~repro.experiments.evaluation.EvaluationResult` (or
-the durable :class:`~repro.store.ResultStore` + journal from a previous
-sweep) and the current chart set, it classifies every chart by comparing
-the per-input classifier fingerprints
+Given its own last round (or the durable
+:class:`~repro.store.ResultStore` + journal from a previous sweep) and the
+current chart set, it classifies every chart by comparing the per-input
+classifier fingerprints
 (:func:`~repro.experiments.evaluation.classifier_fingerprints`):
 
 ============  =====================================================
@@ -49,10 +49,11 @@ catalogue for randomized change sets, serial and pooled, faults included.
 Prior-state sources
 -------------------
 
-*In-memory*: the evaluator chains its own rounds (``_last``), or the
-caller hands any prior ``EvaluationResult``; the M4* index mirrors only
-``_last``, so any other prior rebuilds it.  This is the watch-mode hot
-path -- no store reads, near-zero cost for a no-op round (the
+Each round classifies against exactly one prior.
+
+*In-memory*: the evaluator chains its own rounds (``_last``), and the M4*
+index mirrors that last round.  This is the watch-mode hot path -- no
+store reads, near-zero cost for a no-op round (the
 ``DELTA_NOOP_RATIO_LIMIT`` gate in ``benchmarks/run.py --check`` pins it
 at <= 5% of a full sweep).
 
@@ -60,7 +61,9 @@ at <= 5% of a full sweep).
 journal (:func:`repro.store.read_prior_state` -- last-wins, one live
 record per chart key) and the sweep itself is the engine's durable path,
 so content addressing does the reuse and every journal generation is
-totally ordered by epoch.  ``repro sweep --since DIR`` is the CLI spelling.
+totally ordered by epoch.  A record without classifier fingerprints
+classifies its chart as ``added``; the store still reuses its entry by
+content key.  ``repro sweep --since DIR`` is the CLI spelling.
 
 Either way the round runs on the sweep engine of
 :mod:`repro.experiments.evaluation`, the same one a from-scratch sweep
@@ -108,7 +111,6 @@ from .evaluation import (
     _sweep,
     apply_cluster_wide_pass,
     classifier_fingerprints,
-    result_key,
     settings_fingerprint,
 )
 
@@ -176,7 +178,6 @@ class _PriorRecord:
 
     fingerprints: dict | None
     ok: bool
-    result_key: str = ""
     entry: AnalyzedApplication | None = None
 
 
@@ -252,10 +253,9 @@ class DeltaEvaluator:
 
     With ``store`` set, the evaluator is *durable*: classification reads
     the store's epoch-tagged journal and the sweep engine's
-    content-addressed store path does the reuse (an explicit in-memory
-    ``prior`` is ignored -- the store is the prior).  Without it, rounds
-    chain in memory (``prior`` argument, or the evaluator's own last
-    result), which is the near-zero-cost watch path.
+    content-addressed store path does the reuse.  Without it, each round
+    classifies against the evaluator's own last result, which is the
+    near-zero-cost watch path.
     """
 
     def __init__(
@@ -286,36 +286,22 @@ class DeltaEvaluator:
         self._collisions: CollisionIndex | None = None
 
     # Classification ----------------------------------------------------------
-    def plan(
-        self,
-        applications: list[BuiltApplication],
-        prior: EvaluationResult | None = None,
-        prior_settings_fp: str | None = None,
-    ) -> DeltaPlan:
+    def plan(self, applications: list[BuiltApplication]) -> DeltaPlan:
         """Classify ``applications`` against the prior state, computing nothing.
 
-        ``prior`` defaults to the evaluator's own last result (memory mode)
-        or the store's journal (durable mode).  ``prior_settings_fp`` names
-        the settings fingerprint the in-memory prior was computed under
-        when it differs from this evaluator's -- every content-unchanged
-        chart then classifies as re-analyze.
+        The prior is the store's journal (durable mode) or the evaluator's
+        own last result (memory mode).
         """
-        plan, _ = self._plan_with_index(list(applications), prior, prior_settings_fp)
+        plan, _ = self._plan_with_index(list(applications))
         return plan
 
     def _plan_with_index(
-        self,
-        applications: list[BuiltApplication],
-        prior: EvaluationResult | None,
-        prior_settings_fp: str | None,
+        self, applications: list[BuiltApplication]
     ) -> tuple[DeltaPlan, dict[str, _PriorRecord]]:
-        if prior is None and self.store is None:
-            prior = self._last
-        if isinstance(prior, EvaluationResult):
-            prior_index = self._memory_prior_index(prior, prior_settings_fp)
-            prior_epoch = self.rounds
-        elif self.store is not None:
+        if self.store is not None:
             prior_index, prior_epoch = self._store_prior_index()
+        elif self._last is not None:
+            prior_index, prior_epoch = self._memory_prior_index(self._last), self.rounds
         else:
             prior_index, prior_epoch = {}, 0
         deltas = []
@@ -323,8 +309,8 @@ class DeltaEvaluator:
         for app in applications:
             unique_id = f"{app.dataset}/{app.name}"
             current_ids.add(unique_id)
-            current = self._memoized_fingerprints(app, self.settings_fp)
-            deltas.append(self._classify(app, current, prior_index.get(unique_id)))
+            current = self._memoized_fingerprints(app)
+            deltas.append(self._classify(unique_id, current, prior_index.get(unique_id)))
         removed = tuple(
             sorted(unique_id for unique_id in prior_index if unique_id not in current_ids)
         )
@@ -340,34 +326,25 @@ class DeltaEvaluator:
         }
         return plan, prior_index
 
-    def _memoized_fingerprints(self, app: BuiltApplication, settings_fp: str) -> dict:
+    def _memoized_fingerprints(self, app: BuiltApplication) -> dict:
         """The classifier fingerprints of ``app``, hashed once per object.
 
         Keyed by object identity with the object retained in the value, so
         a recycled ``id`` can never serve another chart's fingerprints.
-        Foreign settings fingerprints bypass the memo -- they only occur on
-        explicit ``prior_settings_fp`` handoffs, never in the hot loop.
         """
-        if settings_fp != self.settings_fp:
-            return classifier_fingerprints(app, settings_fp)
         memoized = self._fp_memo.get(id(app))
         if memoized is not None and memoized[0] is app:
             return memoized[1]
-        fingerprints = classifier_fingerprints(app, settings_fp)
+        fingerprints = classifier_fingerprints(app, self.settings_fp)
         self._fp_memo[id(app)] = (app, fingerprints)
         return fingerprints
 
-    def _memory_prior_index(
-        self, prior: EvaluationResult, prior_settings_fp: str | None
-    ) -> dict[str, _PriorRecord]:
-        settings_fp = prior_settings_fp or self.settings_fp
+    def _memory_prior_index(self, prior: EvaluationResult) -> dict[str, _PriorRecord]:
         index: dict[str, _PriorRecord] = {}
         for entry in prior.analyzed:
             unique_id = f"{entry.application.dataset}/{entry.application.name}"
-            # No result_key: an in-memory prior always carries classifier
-            # fingerprints, so the legacy result-key fallback never fires.
             index[unique_id] = _PriorRecord(
-                fingerprints=self._memoized_fingerprints(entry.application, settings_fp),
+                fingerprints=self._memoized_fingerprints(entry.application),
                 ok=True,
                 entry=entry,
             )
@@ -381,21 +358,20 @@ class DeltaEvaluator:
         index: dict[str, _PriorRecord] = {}
         for unique_id, record in state.records.items():
             fingerprints = record.get("fp")
-            index[unique_id] = _PriorRecord(
-                fingerprints=fingerprints if isinstance(fingerprints, dict) else None,
-                ok=record.get("status") == "ok",
-                result_key=str(record.get("result") or ""),
-            )
+            # A record without fingerprints is no prior: its chart is added.
+            if isinstance(fingerprints, dict):
+                index[unique_id] = _PriorRecord(
+                    fingerprints=fingerprints, ok=record.get("status") == "ok"
+                )
         return index, state.epoch
 
     def _classify(
-        self, app: BuiltApplication, current: dict[str, str], prior: _PriorRecord | None
+        self, unique_id: str, current: dict[str, str], prior: _PriorRecord | None
     ) -> ChartDelta:
-        unique_id = f"{app.dataset}/{app.name}"
         if prior is None:
             return ChartDelta(unique_id, DELTA_ADDED, ("no prior record",))
         fingerprints = prior.fingerprints
-        if fingerprints:
+        if fingerprints is not None:
             moved = tuple(
                 axis for axis in _AXES if fingerprints.get(axis) != current[axis]
             )
@@ -413,20 +389,13 @@ class DeltaEvaluator:
                 return ChartDelta(unique_id, DELTA_RE_ANALYZE, ("settings",))
         if not prior.ok:
             return ChartDelta(unique_id, DELTA_RE_RENDER, ("prior failure",))
-        if fingerprints:
-            return ChartDelta(unique_id, DELTA_UNCHANGED)
-        # Pre-fingerprint journal record: the result key is the only signal.
-        if prior.result_key and prior.result_key == result_key(app, self.settings_fp):
-            return ChartDelta(unique_id, DELTA_UNCHANGED)
-        return ChartDelta(unique_id, DELTA_RE_RENDER, ("result key moved",))
+        return ChartDelta(unique_id, DELTA_UNCHANGED)
 
     # Evaluation --------------------------------------------------------------
     def evaluate(
         self,
         applications: list[BuiltApplication] | None = None,
-        prior: EvaluationResult | None = None,
         *,
-        prior_settings_fp: str | None = None,
         workers: int | None = None,
         chart_timeout: float | None = None,
         fault_plan: faults.FaultPlan | None = None,
@@ -447,19 +416,13 @@ class DeltaEvaluator:
         """
         applications = list(applications) if applications is not None else build_catalog()
         self._charts = applications
-        if self.store is not None:
-            # The journal is the prior, classified *before* the sweep rotates
-            # it.  Its records carry no entries, so the store does the
-            # reuse, and its reads re-verify every entry: even a lying
-            # journal cannot serve stale results.
-            prior = prior_settings_fp = None
-        elif prior is None:
-            prior = self._last
-        # The M4* index mirrors this evaluator's own last round: against
-        # any other prior it starts over.  A round that raises drops it.
-        collisions = self._collisions if prior is self._last else None
-        self._collisions = None
-        plan, prior_index = self._plan_with_index(applications, prior, prior_settings_fp)
+        # The M4* index mirrors ``_last``; a round that raises drops it.
+        collisions, self._collisions = self._collisions, None
+        # A durable round classifies against the journal *before* the sweep
+        # rotates it.  Journal records carry no entries, so the store does
+        # the reuse, and its reads re-verify every entry: even a lying
+        # journal cannot serve stale results.
+        plan, prior_index = self._plan_with_index(applications)
         reused: dict[int, AnalyzedApplication] = {}
         for index, delta in enumerate(plan.charts):
             record = prior_index.get(delta.unique_id)
@@ -845,9 +808,8 @@ def scan_chart_directory(
     return scan
 
 
-def format_watch_round(round_number: int, result: EvaluationResult) -> str:
-    """One watch-round summary line: classifications, findings, failures."""
-    stats = result.delta_stats or {}
+def format_delta_counts(stats: dict) -> str:
+    """``N unchanged, …, M removed`` from a round's ``delta_stats`` (non-zero classes only)."""
     counts = stats.get("classified", {})
     parts = [
         f"{counts[classification]} {classification}"
@@ -857,12 +819,17 @@ def format_watch_round(round_number: int, result: EvaluationResult) -> str:
     removed = stats.get("removed") or []
     if removed:
         parts.append(f"{len(removed)} removed")
-    body = ", ".join(parts) if parts else "no charts"
+    return ", ".join(parts) if parts else "no charts"
+
+
+def format_watch_round(round_number: int, result: EvaluationResult) -> str:
+    """One watch-round summary line: classifications, findings, failures."""
+    stats = result.delta_stats or {}
     summary = result.summary
     line = (
         f"round {round_number}: {stats.get('charts', len(result.analyzed))} "
         f"chart{'s' if stats.get('charts', len(result.analyzed)) != 1 else ''} "
-        f"({body}); {summary.total_misconfigurations} findings, "
+        f"({format_delta_counts(stats)}); {summary.total_misconfigurations} findings, "
         f"{summary.affected_applications} affected"
     )
     if result.failed:

@@ -196,13 +196,6 @@ class FaultPlan:
             seen.setdefault(spec.site, None)
         return tuple(seen)
 
-    def spec_firing(self, site: str, key: str | None, attempt: int) -> FaultSpec | None:
-        """The first spec armed at ``site`` that fires for ``key``/``attempt``."""
-        for spec in self._by_site.get(site, ()):
-            if spec.matches(key, attempt):
-                return spec
-        return None
-
 
 def _rebuild_plan(specs: tuple[FaultSpec, ...], seed: int) -> FaultPlan:
     return FaultPlan(*specs, seed=seed)
@@ -220,11 +213,6 @@ def arm(plan: FaultPlan | None) -> None:
     """Install ``plan`` as the process-wide armed plan (``None`` disarms)."""
     global _ARMED
     _ARMED = plan
-
-
-def disarm() -> None:
-    """Remove the armed plan; every fault site goes back to free."""
-    arm(None)
 
 
 def armed_plan() -> FaultPlan | None:

@@ -1179,16 +1179,6 @@ class TemplateEngine:
         compiled = self.register_source(source, template_name)
         return compiled.render_fragments(self, RenderContext(dict(context)))
 
-    def render_nodes(self, nodes: Sequence[Node], ctx: RenderContext) -> str:
-        """Render already-parsed AST nodes (compiled on the fly, uncached)."""
-        defines: dict[str, list[Renderer]] = {}
-        renderers = _compile_nodes(nodes, defines)
-        self._defines.update(defines)
-        out: list[Fragment] = []
-        for fn in renderers:
-            fn(self, ctx, out)
-        return fragments_text(out)
-
     # Defines ----------------------------------------------------------------
     def include_fragments(self, name: str, dot: Any, ctx: RenderContext) -> list[Fragment]:
         """Render a ``define`` block into its fragment stream.

@@ -214,9 +214,6 @@ class NetworkPolicy(KubernetesObject):
     def restricts_ingress(self) -> bool:
         return "Ingress" in self.policy_types
 
-    def restricts_egress(self) -> bool:
-        return "Egress" in self.policy_types
-
     def allows_ingress(
         self,
         peer_labels: Mapping[str, str],

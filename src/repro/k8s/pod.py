@@ -33,12 +33,6 @@ class PodSpec(Sealable):
             declared.update(container.declared_port_numbers(protocol))
         return declared
 
-    def container_named(self, name: str) -> Container | None:
-        for container in self.all_containers():
-            if container.name == name:
-                return container
-        return None
-
     def resolve_port_name(self, name: str) -> int | None:
         """Resolve a named container port to its number, if declared."""
         for container in self.containers:

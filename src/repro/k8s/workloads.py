@@ -53,9 +53,6 @@ class Workload(KubernetesObject):
     def replica_count(self) -> int:
         return max(0, int(self.replicas))
 
-    def is_compute_unit(self) -> bool:
-        return True
-
     # Validation -----------------------------------------------------------
     def validate(self) -> None:
         super().validate()

@@ -52,7 +52,7 @@ continues it -- plus one sealed record per chart, tagged with its epoch
 per-chart classifier fingerprints (values / templates / behaviours /
 settings), which is what lets the delta evaluator
 (:mod:`repro.experiments.delta`) classify *why* a chart needs
-recomputation, not just that its result key moved.
+recomputation; a record without them reads as ``added``.
 :func:`read_prior_state` is the read side.
 
 Fault injection: :data:`repro.faults.STORE_READ` fires at the top of every
@@ -533,10 +533,13 @@ class SweepJournal:
     ones.
     """
 
-    #: The one *expected* rotation reason: a fresh (non-resume) sweep
-    #: deliberately supersedes any prior journal.  :func:`store_hint`
-    #: treats every other reason as degradation worth a hint.
+    #: The *expected* rotation reasons: a fresh (non-resume) sweep
+    #: deliberately supersedes any prior journal, and a resume over a
+    #: changed catalogue or settings starts a new generation (the normal
+    #: case for a delta sweep).  :func:`store_hint` treats every other
+    #: reason as degradation worth a hint.
     ROTATED_FRESH = "superseded by a fresh sweep"
+    ROTATED_IDENTITY = "journal identity mismatch (catalogue or settings changed)"
 
     def __init__(self, root: ResultStore | Path | str, identity: str) -> None:
         store = root if isinstance(root, ResultStore) else None
@@ -578,7 +581,7 @@ class SweepJournal:
             elif schema != SCHEMA_VERSION:
                 reason = "journal header unreadable"
             elif identity != self.identity:
-                reason = "journal identity mismatch (catalogue or settings changed)"
+                reason = self.ROTATED_IDENTITY
             else:
                 return prior, None, records, dropped
             conn.execute(
@@ -610,8 +613,8 @@ class SweepJournal:
         ``fingerprints`` (optional) attaches the chart's delta-classifier
         fingerprints -- values / templates / behaviours / settings, see
         :func:`repro.experiments.evaluation.classifier_fingerprints` -- so a
-        later delta sweep can explain *which* input moved, not just that
-        the content-addressed result key did.
+        later delta sweep can explain *which* input moved.  The delta
+        ignores a record without them: its chart classifies as ``added``.
         """
         if not self.epoch:
             return
@@ -715,14 +718,16 @@ def store_hint(stats: dict[str, int], root: Path | str, rotated: str | None = No
     Returned only when the sweep actually degraded (corruption, version
     skew, read/write errors, failed journal commits or an *unexpected*
     journal rotation -- the deliberate :attr:`SweepJournal.ROTATED_FRESH`
-    supersede is not a problem); a healthy store stays silent.
+    supersede and the :attr:`SweepJournal.ROTATED_IDENTITY` rotation of a
+    resume over a changed catalogue are not problems); a healthy store
+    stays silent.
     """
     problems = [
         f"{stats[field]} {noun if stats[field] == 1 else plural}"
         for field, noun, plural in _PROBLEMS
         if stats.get(field)
     ]
-    if rotated and rotated != SweepJournal.ROTATED_FRESH:
+    if rotated and rotated not in (SweepJournal.ROTATED_FRESH, SweepJournal.ROTATED_IDENTITY):
         problems.append(f"journal rotated ({rotated})")
     if not problems:
         return None

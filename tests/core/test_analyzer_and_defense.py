@@ -140,19 +140,6 @@ class TestClusterWide:
         ]))]
         assert find_global_collisions(single) == []
 
-    def test_merge_cluster_wide_appends_to_reports(self):
-        analyzer = MisconfigurationAnalyzer(settings=AnalyzerSettings(mode=MODE_STATIC))
-        inventories = self._inventories()
-        reports = {
-            entry.application: analyzer.analyze_objects(
-                list(entry.inventory), application=entry.application
-            )
-            for entry in inventories
-        }
-        analyzer.merge_cluster_wide(reports, inventories)
-        assert MisconfigClass.M4_GLOBAL in reports["app-a"].classes_present()
-        assert MisconfigClass.M4_GLOBAL not in reports["app-c"].classes_present()
-
 
 class TestMitigationEngine:
     def _analyze(self, app):

@@ -15,7 +15,8 @@ reduces to canonical-serialization identity via
   without serving its stale prior entry, healthy charts stay
   byte-identical, and the recovery round equals a clean scratch sweep,
 * the durable path: classification from the store's epoch-tagged journal
-  (fingerprint records and the pre-fingerprint result-key fallback alike),
+  (a record without fingerprints reads as ``added``; the store still
+  reuses its entry),
 * the ``slow``-marked full-catalogue differential over randomized change
   sets (acceptance criterion for this PR).
 
@@ -212,24 +213,17 @@ class TestDeltaDifferential:
         evaluator.evaluate(remove_chart(applications, 2))
         assert_identical(before, canonical_evaluation(first), "prior result mutated")
 
-    def test_settings_change_reclassifies_and_matches_scratch(self, applications):
-        prior_settings = AnalyzerSettings()
-        baseline = DeltaEvaluator(settings=prior_settings, retry_backoff=BACKOFF)
-        prior = baseline.evaluate(applications)
+    def test_settings_change_reclassifies_and_matches_scratch(self, applications, tmp_path):
+        # The store, written under the default settings, is the prior.
+        store_dir = tmp_path / "store"
+        run_full_evaluation(applications=applications, store=ResultStore(store_dir))
 
         changed = AnalyzerSettings(seed=2026)
-        evaluator = DeltaEvaluator(settings=changed, retry_backoff=BACKOFF)
-        plan = evaluator.plan(
-            applications,
-            prior=prior,
-            prior_settings_fp=settings_fingerprint(prior_settings),
-        )
+        evaluator = DeltaEvaluator(settings=changed, store=store_dir, retry_backoff=BACKOFF)
+        plan = evaluator.plan(applications)
         assert plan.counts()[DELTA_RE_ANALYZE] == SAMPLE
-        result = evaluator.evaluate(
-            applications,
-            prior=prior,
-            prior_settings_fp=settings_fingerprint(prior_settings),
-        )
+        result = evaluator.evaluate(applications)
+        assert result.delta_stats["recomputed"] == SAMPLE
         scratch = run_full_evaluation(applications=applications, settings=changed)
         assert_identical(
             canonical_evaluation(scratch),
@@ -492,25 +486,6 @@ class TestIncrementalClusterWide:
             )
             assert_identical(canonical_evaluation(scratch), canonical_evaluation(result), label)
 
-    def test_an_earlier_prior_rebuilds_the_index(self):
-        # Round 1 sees the collision pair; round 2 drops one member, so the
-        # other loses its M4* finding.  Round 3 plans against round 1: its
-        # reused entries are the very inventories the index holds, but
-        # their reports carry round 1's collision.
-        base = list(colliding_base())
-        evaluator = DeltaEvaluator(retry_backoff=BACKOFF)
-        first = evaluator.evaluate(base)
-        survivors = [base[0], base[1], base[3]]
-        evaluator.evaluate(survivors)
-        result = evaluator.evaluate(survivors, prior=first)
-        assert result.delta_stats["recomputed"] == 0
-        assert m4_findings(result) == scratch_m4_findings(result)
-        assert_identical(
-            canonical_evaluation(run_full_evaluation(applications=survivors)),
-            canonical_evaluation(result),
-            "earlier prior",
-        )
-
 
 # ---------------------------------------------------------------------------
 # Durable prior state: classification from the store's epoch-tagged journal.
@@ -555,13 +530,14 @@ class TestDurableDelta:
             "pooled store delta vs scratch",
         )
 
-    def test_pre_fingerprint_journal_falls_back_to_result_keys(
+    def test_journal_records_without_fingerprints_classify_added(
         self, applications, tmp_path
     ):
         store_dir = tmp_path / "store"
         run_full_evaluation(applications=applications, store=ResultStore(store_dir))
-        # Strip the fingerprint payloads, simulating a journal written
-        # before records carried them; reseal so the records stay valid.
+        # Strip the fingerprint payloads, leaving records as
+        # ``SweepJournal.record`` writes them without fingerprints; reseal
+        # so the records stay valid.
         for epoch, chart, text in store_db.query(store_dir, "SELECT epoch, chart, record FROM journal"):
             record = json.loads(text)
             record.pop("fp", None)
@@ -573,10 +549,18 @@ class TestDurableDelta:
             )
 
         evaluator = DeltaEvaluator(store=store_dir, retry_backoff=BACKOFF)
-        plan = evaluator.plan(values_tweak(applications, 2))
-        assert plan.charts[2].classification == DELTA_RE_RENDER
-        assert plan.charts[2].reasons == ("result key moved",)
-        assert plan.counts()[DELTA_UNCHANGED] == SAMPLE - 1
+        plan = evaluator.plan(applications)
+        assert plan.counts()[DELTA_ADDED] == SAMPLE
+        assert plan.removed == ()
+        # Only the label moved: the store still reuses every entry.
+        result = evaluator.evaluate(applications)
+        assert result.delta_stats["reused"] == SAMPLE
+        assert result.delta_stats["recomputed"] == 0
+        assert_identical(
+            canonical_evaluation(run_full_evaluation(applications=applications)),
+            canonical_evaluation(result),
+            "fingerprint-less journal vs scratch",
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -506,6 +506,28 @@ class TestJournal:
         assert completed == {}
         assert fresh.rotated_reason == SweepJournal.ROTATED_FRESH
 
+    def test_only_an_unexpected_rotation_hints(self, tmp_path):
+        def rotate(identity, resume):
+            journal = SweepJournal(tmp_path, identity)
+            journal.begin(resume=resume)
+            journal.close()
+            return journal.rotated_reason
+
+        changed = store_key(KIND_RESULT, "different-catalogue")
+        assert rotate(self.IDENTITY, resume=False) is None
+        # A fresh sweep and a resume over a changed catalogue (any delta
+        # round that moved a chart) rotate by design: no hint.
+        assert rotate(self.IDENTITY, resume=False) == SweepJournal.ROTATED_FRESH
+        assert rotate(changed, resume=True) == SweepJournal.ROTATED_IDENTITY
+        for reason in (SweepJournal.ROTATED_FRESH, SweepJournal.ROTATED_IDENTITY):
+            assert store_hint({}, tmp_path, rotated=reason) is None
+        # A header from another schema is damage: it still hints.
+        store_db.execute(tmp_path, "UPDATE journal_header SET schema = schema + 1")
+        reason = rotate(changed, resume=True)
+        assert "journal rotated (journal header unreadable)" in store_hint(
+            {}, tmp_path, rotated=reason
+        )
+
 
 class TestObservationMemo:
     def test_memo_hits_in_process(self, applications):

@@ -8,7 +8,8 @@ actually wired to numbers the delta benchmark emits (never vacuously
 green), ``insidejob watch`` completes a round over an on-disk chart
 directory (and quarantines a broken one without stopping), and
 ``insidejob sweep --since`` reports a delta epoch transition over a
-durable store.
+durable store, removed charts included, without a ``StoreIntegrity``
+hint when only the catalogue changed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 from repro.cli import main as cli_main
 from repro.experiments import DeltaEvaluator, run_full_evaluation
@@ -138,3 +141,21 @@ def test_sweep_since_reports_epoch_transition(capsys, tmp_path):
     assert "delta: epoch 1 -> 1" in out
     assert f"{SAMPLE} unchanged" in out
     assert f"store: {SAMPLE} loaded, 0 computed" in out
+
+
+@pytest.mark.parametrize(
+    ("stored", "current", "counts"),
+    [(4, 5, "4 unchanged, 1 added"), (6, 4, "4 unchanged, 2 removed")],
+    ids=["grown", "shrunk"],
+)
+def test_sweep_since_over_a_changed_catalogue(capsys, tmp_path, stored, current, counts):
+    store_dir = str(tmp_path / "store")
+    assert cli_main(["sweep", "--sample", str(stored), "--store", store_dir]) == 0
+    capsys.readouterr()
+    code = cli_main(["sweep", "--sample", str(current), "--since", store_dir])
+    captured = capsys.readouterr()
+    assert code == 0
+    # A changed catalogue rotates the journal to a new epoch.  That is the
+    # normal case for a delta, not a degraded store.
+    assert f"delta: epoch 1 -> 2; {counts}\n" in captured.out
+    assert "StoreIntegrity" not in captured.err
