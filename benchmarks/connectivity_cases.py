@@ -22,6 +22,7 @@ in seconds.
 
 from __future__ import annotations
 
+import gc
 import statistics
 import time
 from dataclasses import dataclass
@@ -248,6 +249,25 @@ def median_ns(fn, repeats: int = 5) -> float:
     return statistics.median(samples)
 
 
+def paired_median_ns(naive, compiled, repeats: int = 5) -> tuple[float, float]:
+    """Median wall times of ``naive()`` and ``compiled()`` in ns, timed in pairs.
+
+    Each pair runs both arms back to back, the order swapped every pair,
+    with a ``gc.collect()`` before each timed run.  A slow stretch of the
+    host, or garbage earlier work left for the collector, then lands on
+    both arms instead of on whichever arm happened to run through it.
+    """
+    arms = (naive, compiled)
+    samples: tuple[list[int], list[int]] = ([], [])
+    for pair in range(repeats):
+        for index in (0, 1) if pair % 2 == 0 else (1, 0):
+            gc.collect()
+            start = time.perf_counter_ns()
+            arms[index]()
+            samples[index].append(time.perf_counter_ns() - start)
+    return statistics.median(samples[0]), statistics.median(samples[1])
+
+
 # ---------------------------------------------------------------------------
 # Benchmark cases.  Each returns {case_name: ns_per_op} for one fleet size.
 # ---------------------------------------------------------------------------
@@ -270,9 +290,10 @@ def bench_check_ingress(fleet: Fleet, repeats: int = 5) -> dict[str, float]:
             compiled.check_ingress(index, source, destination, port)
 
     run_compiled()  # warm the isolating-set memo once, as in steady state
+    naive_ns, compiled_ns = paired_median_ns(run_naive, run_compiled, repeats)
     return {
-        "check_ingress/naive": median_ns(run_naive, repeats) / len(attempts),
-        "check_ingress/compiled": median_ns(run_compiled, repeats) / len(attempts),
+        "check_ingress/naive": naive_ns / len(attempts),
+        "check_ingress/compiled": compiled_ns / len(attempts),
     }
 
 
@@ -291,9 +312,10 @@ def bench_reachable_endpoints(fleet: Fleet, repeats: int = 5) -> dict[str, float
             fleet.policies, fleet.attacker, fleet.pods, fleet.bindings
         )
 
+    naive_ns, compiled_ns = paired_median_ns(run_naive, run_compiled, repeats)
     return {
-        "reachable_endpoints/naive": median_ns(run_naive, repeats),
-        "reachable_endpoints/compiled": median_ns(run_compiled, repeats),
+        "reachable_endpoints/naive": naive_ns,
+        "reachable_endpoints/compiled": compiled_ns,
     }
 
 
@@ -302,8 +324,8 @@ def _sources(fleet: Fleet, count: int = 16) -> list[RunningPod]:
     return fleet.pods[:: max(len(fleet.pods) // count, 1)][:count]
 
 
-def _compiled_sources_ns(fleet: Fleet, sources: list[RunningPod], repeats: int) -> float:
-    """Per-source cost of the bitset engine answering ``sources``, in ns.
+def _compiled_sources_run(fleet: Fleet, sources: list[RunningPod]):
+    """The bitset engine answering ``sources``: one timed run of its arm.
 
     Shares an epoch-keyed universe cache across matrix constructions,
     exactly as ``Cluster.reachability_matrix`` does, so the median measures
@@ -326,7 +348,7 @@ def _compiled_sources_ns(fleet: Fleet, sources: list[RunningPod], repeats: int) 
         for source in sources:
             matrix.endpoints_from(source)
 
-    return median_ns(run_compiled, repeats) / len(sources)
+    return run_compiled
 
 
 def bench_matrix_sources(
@@ -335,7 +357,7 @@ def bench_matrix_sources(
     """Many sources sharing one ReachabilityMatrix vs per-source naive scans.
 
     ``matrix_sources/compiled`` is the bitset-vectorized engine (see
-    :func:`_compiled_sources_ns`).
+    :func:`_compiled_sources_run`).
     """
     naive = fleet.naive_network()
     sources = _sources(fleet, source_count)
@@ -346,9 +368,12 @@ def bench_matrix_sources(
                 fleet.policies, source, fleet.pods, fleet.bindings
             )
 
+    naive_ns, compiled_ns = paired_median_ns(
+        run_naive, _compiled_sources_run(fleet, sources), repeats
+    )
     return {
-        "matrix_sources/naive": median_ns(run_naive, repeats) / len(sources),
-        "matrix_sources/compiled": _compiled_sources_ns(fleet, sources, repeats),
+        "matrix_sources/naive": naive_ns / len(sources),
+        "matrix_sources/compiled": compiled_ns / len(sources),
     }
 
 
@@ -370,8 +395,10 @@ def run_large_size(pod_count: int, repeats: int = 2) -> dict[str, float]:
     the 30/240/1000 series, which the slow test compares these against).
     """
     fleet = build_fleet(pod_count)
+    sources = _sources(fleet)
     return {
-        "matrix_sources/compiled": _compiled_sources_ns(fleet, _sources(fleet), repeats),
+        "matrix_sources/compiled": median_ns(_compiled_sources_run(fleet, sources), repeats)
+        / len(sources),
     }
 
 

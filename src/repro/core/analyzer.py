@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .. import faults
-from ..cluster import AnalysisSession, BehaviorRegistry, Cluster, OBSERVE_FAST
+from ..cluster import AnalysisSession, BehaviorRegistry, OBSERVE_FAST
 from ..helm import Chart, RenderedChart, render_chart
 from ..k8s import Inventory, KubernetesObject
 from ..probe import RuntimeObservation
@@ -95,21 +95,16 @@ class MisconfigurationAnalyzer:
         self,
         rules: RuleRegistry | None = None,
         settings: AnalyzerSettings | None = None,
-        cluster_factory: Callable[[BehaviorRegistry], Cluster] | None = None,
         session: AnalysisSession | None = None,
     ) -> None:
         self.rules = rules or default_rules()
         self.settings = settings or AnalyzerSettings()
-        #: A caller-supplied ``cluster_factory`` preserves the historical
-        #: semantics -- a fresh factory-built cluster per observation, full
-        #: install-and-scan path (the session enforces this itself).
         self.session = session or AnalysisSession(
             name="analysis",
             worker_count=self.settings.worker_count,
             seed=self.settings.seed,
             observe_mode=self.settings.observe_mode,
             pooled=self.settings.pooled_clusters,
-            cluster_factory=cluster_factory,
         )
 
     # Chart-level analysis ---------------------------------------------------------

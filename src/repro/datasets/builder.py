@@ -542,25 +542,8 @@ def build_values(app: AppSpec) -> dict:
     }
 
 
-def _sorted_tree(value):
-    """Recursively key-sort a values tree.
-
-    The chart adopts the builder's values dict-natively (no ``values.yaml``
-    round trip), but the on-disk form this replaces was dumped with
-    ``sort_keys=True`` and re-parsed -- so mapping iteration order (which
-    ``range`` in templates observes) must stay sorted for charts, renders
-    and fingerprints to be byte-identical with that era.
-    """
-    if isinstance(value, dict):
-        return {key: _sorted_tree(value[key]) for key in sorted(value)}
-    if isinstance(value, list):
-        return [_sorted_tree(item) for item in value]
-    return value
-
-
 def build_chart(app: AppSpec) -> Chart:
     """Build the Helm chart of a synthetic application."""
-    values = build_values(app)
     templates = {
         "_helpers.tpl": _HELPERS_TEMPLATE,
         "components.yaml": _COMPONENTS_TEMPLATE,
@@ -568,15 +551,14 @@ def build_chart(app: AppSpec) -> Chart:
     }
     if app.network_policy.defined:
         templates["networkpolicy.yaml"] = _NETWORKPOLICY_TEMPLATE
-    chart = Chart.from_files(
+    return Chart.from_files(
         name=app.name,
-        values=_sorted_tree(values),
+        values=build_values(app),
         templates=templates,
         version=app.version,
         description=app.description or f"{app.archetype} application",
         organization=app.organization,
     )
-    return chart
 
 
 def build_behaviors(app: AppSpec) -> BehaviorRegistry:
@@ -617,9 +599,9 @@ class BuiltApplication:
     def fingerprint(self) -> str:
         """The chart's content fingerprint, hashed once and cached.
 
-        Sweeps key the render cache on this repeatedly (serial pass, bench
-        reruns, process fan-outs); caching it here means a catalogue is
-        hashed once per build instead of once per consumer.
+        Sweeps key the render cache and the delta classifier on this
+        repeatedly; the cache pickles with the application, so pool workers
+        read it too and a catalogue is hashed once per build.
         """
         if self._fingerprint is None:
             self._fingerprint = self.chart.fingerprint()

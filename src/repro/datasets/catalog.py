@@ -544,17 +544,6 @@ def build_catalog(datasets: tuple[str, ...] = DATASET_ORDER) -> list[BuiltApplic
     return applications
 
 
-def catalog_fingerprints(applications: list[BuiltApplication]) -> list[str]:
-    """Content fingerprints of every application chart, in catalogue order.
-
-    Computed once up front so sweeps (and their process-pool fan-outs) can
-    ship fingerprints to the render cache instead of re-hashing charts.
-    Delegates to the per-application cache, so repeated sweeps over the same
-    built catalogue hash each chart once.
-    """
-    return [app.fingerprint() for app in applications]
-
-
 def prerender_catalog(
     applications: list[BuiltApplication] | None = None,
     overrides: dict | None = None,
@@ -569,10 +558,9 @@ def prerender_catalog(
     from ..helm import render_chart
 
     applications = applications if applications is not None else build_catalog()
-    fingerprints = catalog_fingerprints(applications)
-    for app, fingerprint in zip(applications, fingerprints):
-        render_chart(app.chart, overrides=overrides, fingerprint=fingerprint)
-    return fingerprints
+    for app in applications:
+        render_chart(app.chart, overrides=overrides, fingerprint=app.fingerprint())
+    return [app.fingerprint() for app in applications]
 
 
 def expected_dataset_counts(dataset: str) -> dict[str, int]:

@@ -5,22 +5,29 @@ values file at a time, yet a from-scratch sweep re-evaluates all 290
 catalogue charts on every run.  :class:`DeltaEvaluator` closes that gap.
 Given its own last round (or the durable
 :class:`~repro.store.ResultStore` + journal from a previous sweep) and the
-current chart set, it classifies every chart by comparing the per-input
-classifier fingerprints
-(:func:`~repro.experiments.evaluation.classifier_fingerprints`):
+current chart set, it classifies every chart by comparing the ``chart``,
+``behaviors`` and ``settings`` fingerprints
+(:func:`~repro.experiments.evaluation.key_fingerprints`), the inputs a
+chart's ``result_key`` covers:
 
 ============  =====================================================
 class         meaning
 ============  =====================================================
-unchanged     every input fingerprint equal, prior result healthy --
-              the pre-M4* report and inventory are reused as-is
-re-render     the chart content moved (values and/or templates) --
-              render, observe and analyze run again
+unchanged     all three equal, prior result healthy -- the pre-M4*
+              report and inventory are reused as-is
+re-render     the chart content moved; the reason names ``values``
+              and/or ``templates``, else ``chart`` (metadata or
+              subcharts), or ``prior failure``
 re-observe    the registered container behaviours moved while the
-              chart content held -- the runtime snapshot is stale
-re-analyze    the analyzer settings moved -- rule evaluation is stale
+              chart content held
+re-analyze    the analyzer settings moved
 added         no prior record exists for the chart key
 ============  =====================================================
+
+Every class but ``unchanged`` runs render, observe and analyze again;
+warm caches only make stages cheap.  ``values`` and ``templates`` are
+hashed only for a chart whose ``chart`` fingerprint moved, to name the
+reason.
 
 Charts present in the prior state but absent now are *removed*: their
 entries simply do not appear in the merged result.
@@ -51,8 +58,10 @@ Prior-state sources
 
 Each round classifies against exactly one prior.
 
-*In-memory*: the evaluator chains its own rounds (``_last``), and the M4*
-index mirrors that last round.  This is the watch-mode hot path -- no
+*In-memory*: the evaluator chains its own rounds, keeping the last one's
+entries with the fingerprints taken when it was classified (a registry
+registered into since has moved its live fingerprint), and the M4* index
+mirrors that last round.  This is the watch-mode hot path -- no
 store reads, near-zero cost for a no-op round (the
 ``DELTA_NOOP_RATIO_LIMIT`` gate in ``benchmarks/run.py --check`` pins it
 at <= 5% of a full sweep).
@@ -111,6 +120,7 @@ from .evaluation import (
     _sweep,
     apply_cluster_wide_pass,
     classifier_fingerprints,
+    key_fingerprints,
     settings_fingerprint,
 )
 
@@ -128,9 +138,8 @@ DELTA_CLASSES = (
     DELTA_RE_ANALYZE,
 )
 
-#: The classifier axes compared between prior and current fingerprints
-#: (``chart`` is the aggregate; these four are the orthogonal inputs).
-_AXES = ("values", "templates", "behaviors", "settings")
+#: The render inputs a moved ``chart`` fingerprint is explained by.
+_RENDER_AXES = ("values", "templates")
 
 
 @dataclass(frozen=True)
@@ -174,7 +183,12 @@ class DeltaPlan:
 
 @dataclass
 class _PriorRecord:
-    """One chart's prior state, from either source (memory or journal)."""
+    """One chart's prior state, from either source (memory or journal).
+
+    ``fingerprints`` holds at least :func:`key_fingerprints` as they were
+    when the prior round was classified (a registry registered into since
+    has moved its live fingerprint); ``None`` means a quarantined chart.
+    """
 
     fingerprints: dict | None
     ok: bool
@@ -274,15 +288,13 @@ class DeltaEvaluator:
         #: Completed delta rounds (the in-memory analogue of a journal epoch).
         self.rounds = 0
         self._last: EvaluationResult | None = None
+        #: The :func:`key_fingerprints` of ``_last``'s charts by chart key,
+        #: taken when that round was classified.
+        self._last_keys: dict[str, dict] = {}
         #: The chart set of the last round, replaced every round: a watch
         #: rescan reuses its objects for directories whose bytes held.
         self._charts: list = []
-        #: Classifier fingerprints by application object identity.  A prior
-        #: result's entries are the very objects classified in an earlier
-        #: round, so their fingerprints never need re-hashing; pruned each
-        #: plan to the objects still alive (prior + current generation).
-        self._fp_memo: dict[int, tuple[BuiltApplication, dict]] = {}
-        #: The incremental M4* state of ``_last`` (in-memory rounds only).
+        #: The incremental M4* state of the last round (in-memory rounds only).
         self._collisions: CollisionIndex | None = None
 
     # Classification ----------------------------------------------------------
@@ -290,65 +302,37 @@ class DeltaEvaluator:
         """Classify ``applications`` against the prior state, computing nothing.
 
         The prior is the store's journal (durable mode) or the evaluator's
-        own last result (memory mode).
+        own last round (memory mode).
         """
-        plan, _ = self._plan_with_index(list(applications))
+        plan, _, _ = self._plan_with_index(list(applications))
         return plan
 
     def _plan_with_index(
         self, applications: list[BuiltApplication]
-    ) -> tuple[DeltaPlan, dict[str, _PriorRecord]]:
+    ) -> tuple[DeltaPlan, dict[str, _PriorRecord], dict[str, dict]]:
+        """The plan, the prior it read and each chart's :func:`key_fingerprints`."""
         if self.store is not None:
             prior_index, prior_epoch = self._store_prior_index()
         elif self._last is not None:
-            prior_index, prior_epoch = self._memory_prior_index(self._last), self.rounds
+            prior_index, prior_epoch = self._memory_prior_index(), self.rounds
         else:
             prior_index, prior_epoch = {}, 0
+        keys: dict[str, dict] = {}
         deltas = []
-        current_ids = set()
         for app in applications:
             unique_id = f"{app.dataset}/{app.name}"
-            current_ids.add(unique_id)
-            current = self._memoized_fingerprints(app)
-            deltas.append(self._classify(unique_id, current, prior_index.get(unique_id)))
-        removed = tuple(
-            sorted(unique_id for unique_id in prior_index if unique_id not in current_ids)
-        )
+            current = keys[unique_id] = key_fingerprints(app, self.settings_fp)
+            deltas.append(self._classify(unique_id, app, current, prior_index.get(unique_id)))
+        removed = tuple(sorted(unique_id for unique_id in prior_index if unique_id not in keys))
         plan = DeltaPlan(charts=tuple(deltas), removed=removed, prior_epoch=prior_epoch)
-        alive = {id(app) for app in applications}
-        alive.update(
-            id(record.entry.application)
-            for record in prior_index.values()
-            if record.entry is not None
-        )
-        self._fp_memo = {
-            key: value for key, value in self._fp_memo.items() if key in alive
-        }
-        return plan, prior_index
+        return plan, prior_index, keys
 
-    def _memoized_fingerprints(self, app: BuiltApplication) -> dict:
-        """The classifier fingerprints of ``app``, hashed once per object.
-
-        Keyed by object identity with the object retained in the value, so
-        a recycled ``id`` can never serve another chart's fingerprints.
-        """
-        memoized = self._fp_memo.get(id(app))
-        if memoized is not None and memoized[0] is app:
-            return memoized[1]
-        fingerprints = classifier_fingerprints(app, self.settings_fp)
-        self._fp_memo[id(app)] = (app, fingerprints)
-        return fingerprints
-
-    def _memory_prior_index(self, prior: EvaluationResult) -> dict[str, _PriorRecord]:
+    def _memory_prior_index(self) -> dict[str, _PriorRecord]:
         index: dict[str, _PriorRecord] = {}
-        for entry in prior.analyzed:
+        for entry in self._last.analyzed:
             unique_id = f"{entry.application.dataset}/{entry.application.name}"
-            index[unique_id] = _PriorRecord(
-                fingerprints=self._memoized_fingerprints(entry.application),
-                ok=True,
-                entry=entry,
-            )
-        for failure in prior.failed:
+            index[unique_id] = _PriorRecord(self._last_keys[unique_id], True, entry)
+        for failure in self._last.failed:
             # A quarantined chart has no reusable artefacts: prior-failure.
             index.setdefault(failure.unique_id, _PriorRecord(None, False))
         return index
@@ -366,30 +350,36 @@ class DeltaEvaluator:
         return index, state.epoch
 
     def _classify(
-        self, unique_id: str, current: dict[str, str], prior: _PriorRecord | None
+        self, unique_id: str, app: BuiltApplication, current: dict, prior: _PriorRecord | None
     ) -> ChartDelta:
         if prior is None:
             return ChartDelta(unique_id, DELTA_ADDED, ("no prior record",))
         fingerprints = prior.fingerprints
         if fingerprints is not None:
-            moved = tuple(
-                axis for axis in _AXES if fingerprints.get(axis) != current[axis]
-            )
             if fingerprints.get("chart") != current["chart"]:
-                # The render input moved; name the refined reason when the
-                # orthogonal fingerprints pinpoint it (a metadata or
-                # subchart edit moves only the aggregate).
-                reasons = tuple(
-                    axis for axis in moved if axis in ("values", "templates")
-                ) or ("chart",)
-                return ChartDelta(unique_id, DELTA_RE_RENDER, reasons)
-            if "behaviors" in moved:
+                return ChartDelta(unique_id, DELTA_RE_RENDER, self._render_reasons(app, prior))
+            if fingerprints.get("behaviors") != current["behaviors"]:
                 return ChartDelta(unique_id, DELTA_RE_OBSERVE, ("behaviors",))
-            if "settings" in moved:
+            if fingerprints.get("settings") != current["settings"]:
                 return ChartDelta(unique_id, DELTA_RE_ANALYZE, ("settings",))
         if not prior.ok:
             return ChartDelta(unique_id, DELTA_RE_RENDER, ("prior failure",))
         return ChartDelta(unique_id, DELTA_UNCHANGED)
+
+    def _render_reasons(self, app: BuiltApplication, prior: _PriorRecord) -> tuple[str, ...]:
+        """Which of ``values`` and ``templates`` moved; ``("chart",)`` when neither did.
+
+        Only a moved chart is hashed along these axes: a journal record
+        carries the prior's fingerprints, an in-memory prior its chart.
+        """
+        now = classifier_fingerprints(app, self.settings_fp)
+        before = (
+            prior.fingerprints
+            if prior.entry is None
+            else classifier_fingerprints(prior.entry.application, self.settings_fp)
+        )
+        moved = tuple(axis for axis in _RENDER_AXES if before.get(axis) != now[axis])
+        return moved or ("chart",)
 
     # Evaluation --------------------------------------------------------------
     def evaluate(
@@ -416,13 +406,13 @@ class DeltaEvaluator:
         """
         applications = list(applications) if applications is not None else build_catalog()
         self._charts = applications
-        # The M4* index mirrors ``_last``; a round that raises drops it.
+        # The M4* index mirrors the last round; a round that raises drops it.
         collisions, self._collisions = self._collisions, None
         # A durable round classifies against the journal *before* the sweep
         # rotates it.  Journal records carry no entries, so the store does
         # the reuse, and its reads re-verify every entry: even a lying
         # journal cannot serve stale results.
-        plan, prior_index = self._plan_with_index(applications)
+        plan, prior_index, keys = self._plan_with_index(applications)
         reused: dict[int, AnalyzedApplication] = {}
         for index, delta in enumerate(plan.charts):
             record = prior_index.get(delta.unique_id)
@@ -470,7 +460,7 @@ class DeltaEvaluator:
                 epoch=stats["journal_epoch"],
             )
         self.rounds += 1
-        self._last = result
+        self._last, self._last_keys = result, keys
         return result
 
     def _stats(

@@ -80,7 +80,7 @@ from ..core import (
     STAGE_RENDER,
     global_collision_findings,
 )
-from ..datasets import DATASET_ORDER, BuiltApplication, build_catalog, catalog_fingerprints
+from ..datasets import BuiltApplication, build_catalog
 from ..helm import render_chart
 from ..helm.values import fingerprint_values
 from ..k8s import Inventory
@@ -225,17 +225,14 @@ class EvaluationResult:
 
 
 def _analyze_application(
-    app: BuiltApplication,
-    analyzer: MisconfigurationAnalyzer,
-    fingerprint: str | None = None,
-    stage_errors: bool = False,
+    app: BuiltApplication, analyzer: MisconfigurationAnalyzer, stage_errors: bool = False
 ) -> AnalyzedApplication:
     # One render serves both the analysis and the inventory, and it goes
     # through the shared render cache: re-sweeping the same catalogue is a
     # shared-reference hit per chart.  The inventory is shared too, so its
     # lazy indexes serve both the per-chart rules and the cluster-wide pass.
     def _render() -> tuple:
-        rendered = render_chart(app.chart, fingerprint=fingerprint)
+        rendered = render_chart(app.chart, fingerprint=app.fingerprint())
         return rendered, Inventory(rendered.objects)
 
     rendered, inventory = MisconfigurationAnalyzer._run_stage(
@@ -285,7 +282,6 @@ def _backoff_delay(attempt: int, retry_backoff: float) -> float:
 def _run_isolated(
     app: BuiltApplication,
     analyzer: MisconfigurationAnalyzer,
-    fingerprint: str | None,
     max_attempts: int,
     retry_backoff: float,
 ) -> AnalyzedApplication | AnalysisFailure:
@@ -294,9 +290,7 @@ def _run_isolated(
     for attempt in range(1, max_attempts + 1):
         with faults.fault_scope(key, attempt):
             try:
-                analyzed = _analyze_application(
-                    app, analyzer, fingerprint, stage_errors=True
-                )
+                analyzed = _analyze_application(app, analyzer, stage_errors=True)
                 analyzed.attempts = attempt
                 return analyzed
             except Exception as exc:
@@ -332,71 +326,36 @@ def result_key(app: BuiltApplication, settings_fp: str) -> str:
     )
 
 
+def key_fingerprints(app: BuiltApplication, settings_fp: str) -> dict[str, str]:
+    """The ``chart``, ``behaviors`` and ``settings`` fingerprints of one chart.
+
+    With the chart's key, they are what :func:`result_key` covers: the
+    delta evaluator calls a healthy chart unchanged exactly when these hold.
+    ``chart`` is the application's cached :meth:`~repro.helm.Chart.fingerprint`.
+    """
+    return {
+        "chart": app.fingerprint(),
+        "behaviors": app.behaviors.fingerprint(),
+        "settings": hashlib.blake2b(settings_fp.encode("utf-8"), digest_size=16).hexdigest(),
+    }
+
+
 def classifier_fingerprints(app: BuiltApplication, settings_fp: str) -> dict[str, str]:
     """The delta classifier's per-input fingerprints for one chart.
 
-    Each key fingerprints exactly one axis a delta sweep can move along --
-    ``values`` (the chart's canonical values tree), ``templates`` (the
-    template files by name and source), ``behaviors`` (the registered
-    container behaviours) and ``settings`` (the analyzer settings) -- plus
-    ``chart``, an aggregate over *every* render input (metadata, values,
-    templates, dependencies, packaged subcharts).  The aggregate is
-    composed from the axis digests rather than delegating to
-    :meth:`~repro.helm.Chart.fingerprint`, so a watch round walks each
-    values tree exactly once -- this function runs for every chart on
-    every round and is the hot loop of a no-op delta.  The orthogonality
-    contract (mutating one input flips its own fingerprint and no other)
-    is what lets :class:`repro.experiments.delta.DeltaEvaluator` name the
-    reason a chart is re-verified; it is pinned by the
-    fingerprint-sensitivity suite in
-    ``tests/experiments/test_delta_evaluation.py``.
+    :func:`key_fingerprints` plus ``values`` (the chart's key-sorted values
+    tree) and ``templates`` (the template files by name and source), which
+    only name the reason a chart whose ``chart`` fingerprint moved is
+    re-rendered.  Mutating one input flips its own fingerprint and no other
+    (``chart`` moves with every render input); the fingerprint-sensitivity
+    suite in ``tests/experiments/test_delta_evaluation.py`` pins it.
+    Journal records carry all five.
     """
     chart = app.chart
-    values_fp = fingerprint_values(chart.values)
-
-    templates_digest = hashlib.blake2b(digest_size=16)
-    for template in chart.templates:
-        templates_digest.update(template.name.encode("utf-8"))
-        templates_digest.update(b"\x00")
-        templates_digest.update(template.source.encode("utf-8"))
-        templates_digest.update(b"\x00")
-    templates_fp = templates_digest.hexdigest()
-
-    meta = chart.metadata
-    aggregate = hashlib.blake2b(digest_size=16)
-    for part in (
-        meta.name,
-        meta.version,
-        meta.app_version,
-        meta.description,
-        meta.home,
-        meta.organization,
-        values_fp,
-        templates_fp,
-    ):
-        aggregate.update(part.encode("utf-8"))
-        aggregate.update(b"\x00")
-    for dependency in chart.dependencies:
-        for part in (
-            dependency.name,
-            dependency.version,
-            dependency.repository,
-            dependency.condition,
-            dependency.alias,
-        ):
-            aggregate.update(part.encode("utf-8"))
-            aggregate.update(b"\x00")
-    for name in sorted(chart.subcharts):
-        aggregate.update(name.encode("utf-8"))
-        aggregate.update(chart.subcharts[name].fingerprint().encode("utf-8"))
-        aggregate.update(b"\x00")
-
     return {
-        "chart": aggregate.hexdigest(),
-        "values": values_fp,
-        "templates": templates_fp,
-        "behaviors": app.behaviors.fingerprint(),
-        "settings": hashlib.blake2b(settings_fp.encode("utf-8"), digest_size=16).hexdigest(),
+        **key_fingerprints(app, settings_fp),
+        "values": fingerprint_values(chart.values),
+        "templates": fingerprint_values([(t.name, t.source) for t in chart.templates]),
     }
 
 
@@ -542,16 +501,12 @@ def _pool_worker_init(fault_plan: faults.FaultPlan | None) -> None:
 
 
 def _analyze_application_in_subprocess(
-    app: BuiltApplication,
-    fingerprint: str,
-    settings: AnalyzerSettings,
-    key: str,
-    attempt: int,
+    app: BuiltApplication, settings: AnalyzerSettings, key: str, attempt: int
 ) -> tuple:
     """Process-pool worker: rebuild the (default) analyzer from its settings.
 
-    The parent ships each chart's content fingerprint alongside the chart so
-    workers key straight into their (fork-inherited) render cache without
+    The application arrives with its cached content fingerprint, so workers
+    key straight into their (fork-inherited) render cache without
     re-hashing -- and, when the cache is warm, without re-rendering.  The
     analyzer itself is cached per process (keyed on the settings), keeping
     one warm :class:`~repro.cluster.AnalysisSession` per worker.
@@ -570,7 +525,7 @@ def _analyze_application_in_subprocess(
     with faults.fault_scope(key, attempt):
         faults.fault_point(faults.WORKER_KILL)
         try:
-            analyzed = _analyze_application(app, analyzer, fingerprint, stage_errors=True)
+            analyzed = _analyze_application(app, analyzer, stage_errors=True)
             analyzed.attempts = attempt
             return ("ok", analyzed)
         except Exception as exc:  # ships as data: workers never poison the pool
@@ -595,7 +550,6 @@ class _PoolSweep:
     def __init__(
         self,
         applications: list[BuiltApplication],
-        fingerprints: list[str],
         settings: AnalyzerSettings,
         workers: int,
         max_attempts: int,
@@ -605,7 +559,6 @@ class _PoolSweep:
         on_outcome=None,
     ) -> None:
         self.applications = applications
-        self.fingerprints = fingerprints
         self.settings = settings
         self.workers = workers
         self.max_attempts = max_attempts
@@ -654,7 +607,6 @@ class _PoolSweep:
         return self._spawn_pool().submit(
             _analyze_application_in_subprocess,
             app,
-            self.fingerprints[index],
             self.settings,
             key=f"{app.dataset}/{app.name}",
             attempt=self.attempts[index] + 1,
@@ -838,7 +790,6 @@ def _sweep(
             if pending and workers and workers > 1:
                 fresh = _PoolSweep(
                     pending,
-                    catalog_fingerprints(pending),
                     analyzer.settings,
                     workers,
                     max_attempts,
@@ -850,9 +801,7 @@ def _sweep(
             else:
                 fresh = []
                 for app in pending:
-                    outcome = _run_isolated(
-                        app, analyzer, app.fingerprint(), max_attempts, retry_backoff
-                    )
+                    outcome = _run_isolated(app, analyzer, max_attempts, retry_backoff)
                     if note is not None:
                         note(outcome)
                     fresh.append(outcome)
@@ -870,7 +819,6 @@ def _sweep(
 
 
 def run_full_evaluation(
-    datasets: tuple[str, ...] = DATASET_ORDER,
     analyzer: MisconfigurationAnalyzer | None = None,
     applications: list[BuiltApplication] | None = None,
     workers: int | None = None,
@@ -882,15 +830,15 @@ def run_full_evaluation(
     resume: bool = False,
     settings: AnalyzerSettings | None = None,
 ) -> EvaluationResult:
-    """Analyze the complete catalogue and run the cluster-wide pass.
+    """Analyze ``applications`` (default: the built catalogue), then run the M4* pass.
 
     ``workers`` > 1 fans the charts out on a *process* pool -- real
     parallelism for this CPU-bound, GIL-holding workload.  Charts are fully
     independent (observations share nothing across charts, the rules are
     stateless) and the per-chart inputs and reports are plain picklable
     dataclasses.  Pool workers rebuild the default analyzer from its
-    settings, so a custom ``analyzer`` (whose rules or cluster factory may
-    not pickle) always runs serially.  Result ordering is catalogue order
+    settings, so a custom ``analyzer`` (whose rules or session may not
+    pickle) always runs serially.  Result ordering is catalogue order
     either way, and the cluster-wide M4* pass always runs sequentially
     afterwards over the ordered inventories.
 
@@ -921,14 +869,14 @@ def run_full_evaluation(
     ``settings`` builds the default analyzer from explicit
     :class:`~repro.core.AnalyzerSettings` while keeping every default-path
     optimization (process pools).  It is mutually exclusive with
-    ``analyzer``, whose custom rules or cluster factory the sweep cannot
-    vouch for.
+    ``analyzer``, whose custom rules or session the sweep cannot vouch
+    for.
     """
     custom_analyzer = analyzer is not None
     if custom_analyzer and settings is not None:
         raise ValueError("pass either analyzer or settings, not both")
     analyzer = analyzer or MisconfigurationAnalyzer(settings=settings or AnalyzerSettings())
-    applications = applications if applications is not None else build_catalog(datasets)
+    applications = applications if applications is not None else build_catalog()
 
     store_obj = store if isinstance(store, (ResultStore, type(None))) else ResultStore(store)
     if resume and store_obj is None:

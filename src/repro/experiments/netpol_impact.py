@@ -18,7 +18,7 @@ from ..cluster import (
     OBSERVE_FULL,
     ReachabilityMatrix,
 )
-from ..datasets import DATASET_ORDER, BuiltApplication, build_catalog
+from ..datasets import BuiltApplication, build_catalog
 from ..helm import render_chart
 from ..probe import ReachabilityProbe
 
@@ -119,21 +119,16 @@ def _shared_session(compiled: bool) -> AnalysisSession:
 
 
 def probe_application_with_policies(
-    app: BuiltApplication,
-    compiled: bool = True,
-    fingerprint: str | None = None,
-    session: AnalysisSession | None = None,
-    pooled: bool = True,
+    app: BuiltApplication, compiled: bool = True, pooled: bool = True
 ) -> ApplicationReachability:
     """Force-enable the chart's policies, deploy it, and probe reachability.
 
     ``compiled=False`` pins the cluster to the naive policy evaluator -- the
-    pre-compilation reference path kept for benchmarks.  ``fingerprint``
-    keys the render cache without re-hashing the chart.  The cluster comes
-    from ``session`` (default: a process-wide pooled session, recycled via
-    ``Cluster.reset()`` between charts); ``pooled=False`` rebuilds a
-    throw-away cluster per chart, the seed reference behaviour the
-    conformance suite diffs against.
+    pre-compilation reference path kept for benchmarks.  The cluster comes
+    from a process-wide pooled session, recycled via ``Cluster.reset()``
+    between charts; ``pooled=False`` rebuilds a throw-away cluster per
+    chart, the seed reference behaviour the conformance suite diffs
+    against.
     """
     outcome = ApplicationReachability(
         application=app.name,
@@ -147,13 +142,11 @@ def probe_application_with_policies(
     rendered = render_chart(
         app.chart,
         overrides={"networkPolicy": {"enabled": True}},
-        fingerprint=fingerprint,
+        fingerprint=app.fingerprint(),
     )
-    if session is None and pooled:
-        session = _shared_session(compiled)
     try:
-        if session is not None:
-            with session.lease(app.behaviors) as cluster:
+        if pooled:
+            with _shared_session(compiled).lease(app.behaviors) as cluster:
                 _probe_installed(cluster, app, rendered, outcome)
         else:
             cluster = Cluster(
@@ -238,7 +231,6 @@ def _probe_installed(cluster, app, rendered, outcome) -> None:
 
 
 def run_netpol_impact(
-    datasets: tuple[str, ...] = DATASET_ORDER,
     applications: list[BuiltApplication] | None = None,
     compiled: bool = True,
     pooled: bool = True,
@@ -251,12 +243,10 @@ def run_netpol_impact(
     ``compiled=False`` runs the whole sweep on the naive reference
     evaluator (benchmark baseline).
     """
-    applications = applications if applications is not None else build_catalog(datasets)
+    applications = applications if applications is not None else build_catalog()
     return NetpolImpactResult(
         applications=[
-            probe_application_with_policies(
-                app, compiled=compiled, fingerprint=app.fingerprint(), pooled=pooled
-            )
+            probe_application_with_policies(app, compiled=compiled, pooled=pooled)
             for app in applications
         ]
     )

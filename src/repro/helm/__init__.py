@@ -28,7 +28,6 @@ from .template import (
 )
 from .values import (
     apply_set_strings,
-    canonical_values,
     deep_merge,
     dump_values,
     fingerprint_values,
@@ -57,7 +56,6 @@ __all__ = [
     "TemplateError",
     "ValuesError",
     "apply_set_strings",
-    "canonical_values",
     "clear_skeleton_parse_memo",
     "clear_template_cache",
     "compile_source",

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from .errors import ChartError
-from .values import _feed_values, deep_merge, load_values
+from .values import deep_merge, fingerprint_values, load_values, sorted_tree
 
 
 @dataclass
@@ -84,6 +84,12 @@ class Chart:
     dependencies: list[ChartDependency] = field(default_factory=list)
     subcharts: dict[str, "Chart"] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # Helm reads values as maps, visited in sorted key order: sorting
+        # the tree where it enters makes equal values render and
+        # fingerprint alike whatever order they were written in.
+        self.values = sorted_tree(self.values)
+
     @property
     def name(self) -> str:
         """The chart name from ``Chart.yaml``."""
@@ -119,35 +125,22 @@ class Chart:
         """A content fingerprint over everything that affects rendering.
 
         Covers metadata, default values, template names and sources,
-        dependency declarations and (recursively) packaged subcharts.  Two
-        charts with equal content produce the same fingerprint in any
-        process, so render-cache keys survive the process-pool fan-out and
-        catalogue rebuilds.
+        dependency declarations and (recursively) packaged subcharts, in
+        one :func:`~repro.helm.values.fingerprint_values` pass.  Two charts
+        with equal content produce the same fingerprint in any process, so
+        render-cache keys survive the process-pool fan-out and catalogue
+        rebuilds.
         """
-        digest = hashlib.blake2b(digest_size=16)
-
-        def feed(text: str) -> None:
-            digest.update(text.encode())
-            digest.update(b"\x00")
-
         meta = self.metadata
-        for part in (meta.name, meta.version, meta.app_version, meta.description,
-                     meta.home, meta.organization):
-            feed(part)
-        values_parts: list[bytes] = []
-        _feed_values(values_parts.append, self.values)
-        digest.update(b"".join(values_parts))
-        for template in self.templates:
-            feed(template.name)
-            feed(template.source)
-        for dependency in self.dependencies:
-            for part in (dependency.name, dependency.version, dependency.repository,
-                         dependency.condition, dependency.alias):
-                feed(part)
-        for name in sorted(self.subcharts):
-            feed(name)
-            feed(self.subcharts[name].fingerprint())
-        return digest.hexdigest()
+        return fingerprint_values((
+            (meta.name, meta.version, meta.app_version, meta.description, meta.home,
+             meta.organization),
+            self.values,
+            [(template.name, template.source) for template in self.templates],
+            [(dependency.name, dependency.version, dependency.repository,
+              dependency.condition, dependency.alias) for dependency in self.dependencies],
+            [(name, self.subcharts[name].fingerprint()) for name in sorted(self.subcharts)],
+        ))
 
     # Values handling ----------------------------------------------------------
     def effective_values(self, overrides: Mapping[str, Any] | None = None) -> dict[str, Any]:
@@ -186,8 +179,9 @@ class Chart:
         ``values`` accepts an already-parsed values tree directly -- the
         synthetic catalogue builders construct values as dicts, and handing
         them over dict-natively skips a pointless dump/re-parse round trip
-        per chart.  The dict is adopted by reference (build-and-hand-over, no
-        defensive copy); it is mutually exclusive with ``values_yaml``.
+        per chart.  The chart keeps a key-sorted copy of the tree's dicts
+        and lists (leaves are shared); it is mutually exclusive with
+        ``values_yaml``.
         """
         if values is not None and values_yaml:
             raise ChartError("pass either values_yaml or values, not both")
@@ -195,7 +189,7 @@ class Chart:
             metadata=ChartMetadata(
                 name=name, version=version, description=description, organization=organization
             ),
-            values=dict(values) if values is not None
+            values=values if values is not None
             else load_values(values_yaml) if values_yaml else {},
         )
         for template_name, source in (templates or {}).items():

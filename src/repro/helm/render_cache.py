@@ -4,12 +4,14 @@ Rendering a chart -- template evaluation plus document assembly plus
 typed-object construction -- dominates the catalogue sweep.
 :class:`RenderCache` memoizes full render results (the dict-native
 structured form by default) keyed on ``(chart fingerprint, release
-identity, canonical merged values, structured?)``:
+identity, override fingerprint, structured?)``:
 
 * **Key**: the chart fingerprint covers every input that affects rendering
-  (:meth:`Chart.fingerprint`), and the values component is canonical
-  (:func:`canonical_values`), so equal-but-not-identical override dicts and
-  freshly rebuilt but content-identical charts hit the same entry.
+  (:meth:`Chart.fingerprint`), and the override tree is key-sorted before
+  it is fingerprinted (:func:`~repro.helm.values.sorted_tree`,
+  :func:`~repro.helm.values.fingerprint_values`), so equal-but-not-identical
+  override dicts and freshly rebuilt but content-identical charts hit the
+  same entry.
 * **Shared-reference hits**: entries hold the rendered documents and
   *content-interned sealed objects* (:mod:`repro.k8s.inventory`) directly,
   and every hit returns them by reference behind fresh top-level
@@ -27,9 +29,8 @@ identity, canonical merged values, structured?)``:
   each document's top-level key count), re-verified on every hit; a
   mismatch counts in ``corruptions``, evicts the entry and falls back to a
   fresh recompute instead of serving poisoned state.
-* **Fingerprint shipping**: callers that already know the chart fingerprint
-  (the process-pool fan-out computes them once in the parent) pass it in and
-  skip the re-hash.
+* **Known fingerprints**: a caller that already holds the chart fingerprint
+  (an application caches its own) passes it in and skips the re-hash.
 
 The module-level :func:`shared_render_cache` instance backs
 ``repro.helm.render_chart``; per-experiment caches can be constructed
@@ -45,7 +46,7 @@ from .. import faults
 from ..memo import remember
 from .chart import Chart
 from .renderer import HelmRenderer, ReleaseInfo, RenderedChart
-from .values import canonical_values
+from .values import fingerprint_values, sorted_tree
 
 _RENDER_CACHE_MAXSIZE = 2048
 
@@ -93,10 +94,10 @@ class RenderCache:
     ) -> RenderedChart:
         """Render ``chart`` (or return a verified view of the cached render).
 
-        The key's values component is the canonical form of ``overrides``:
-        together with the chart fingerprint (which covers the chart's default
-        values) it determines the canonical *merged* values exactly, while
-        letting cache hits skip the deep merge entirely.  ``structured``
+        The key's values component fingerprints the key-sorted
+        ``overrides``: together with the chart fingerprint (which covers the
+        chart's default values) it determines the merged values exactly,
+        while letting cache hits skip the deep merge entirely.  ``structured``
         selects the dict-native render pipeline (the default) or the classic
         text path; the flag is part of the key because the two produce
         different ``sources`` maps.
@@ -108,6 +109,7 @@ class RenderCache:
         """
         release = release or ReleaseInfo(name=chart.name)
         fingerprint = fingerprint or chart.fingerprint()
+        overrides = sorted_tree(overrides or {})
         key = (
             fingerprint,
             release.name,
@@ -115,7 +117,7 @@ class RenderCache:
             release.revision,
             release.is_install,
             release.service,
-            canonical_values(overrides or {}),
+            fingerprint_values(overrides),
             structured,
         )
         entry = self._entries.get(key)

@@ -37,7 +37,7 @@ from .chart import Chart
 from .errors import RenderError, TemplateError
 from .structured import assemble_documents
 from .template import TemplateEngine
-from .values import deep_merge, get_path, merged_view
+from .values import deep_merge, get_path, merged_view, sorted_tree
 
 
 @dataclass
@@ -80,7 +80,7 @@ class RenderedChart:
     objects: list[KubernetesObject] = field(default_factory=list)
     sources: dict[str, str] = field(default_factory=dict)
     #: Content fingerprint of the full render identity (chart fingerprint +
-    #: release + canonical overrides + render path), set by the render cache.
+    #: release + override fingerprint + render path), set by the render cache.
     #: ``None`` for uncached renders; consumers that key on render content
     #: (the observation memo) skip memoization when it is absent.
     render_fingerprint: str | None = field(default=None, compare=False)
@@ -141,11 +141,13 @@ class HelmRenderer:
         interned: bool = False,
     ) -> RenderedChart:
         release = release or ReleaseInfo(name=chart.name)
+        # Overrides merge key-sorted, like the chart's own values.
+        overrides = sorted_tree(overrides or {})
         # The interned path produces read-only results (shared objects, shared
         # cache entries), so its values merge can structurally share untouched
         # subtrees with the chart defaults instead of deep-copying them.
         if interned:
-            values = merged_view(chart.values, overrides or {})
+            values = merged_view(chart.values, overrides)
         else:
             values = chart.effective_values(overrides)
         documents: list[dict] = []

@@ -1,8 +1,10 @@
-"""Helm values: deep merging and dotted-path access.
+"""Helm values: deep merging, dotted-path access, key order and fingerprints.
 
 A Helm *manifest* (``values.yaml``) is a nested mapping.  Users override it
 with ``--set`` style assignments or additional value files; overrides are
 merged recursively, with later layers winning, exactly as Helm does.
+Trees are key-sorted where they enter (:func:`sorted_tree`), which makes
+:func:`fingerprint_values` the one content fingerprint of a values tree.
 """
 
 from __future__ import annotations
@@ -145,104 +147,42 @@ def dump_values(values: Mapping[str, Any]) -> str:
     return yaml_dump(dict(values), sort_keys=True, default_flow_style=False)
 
 
-def _feed_values(update, value: Any) -> None:
-    """Feed one values node into a running digest, canonically.
+def sorted_tree(value: Any) -> Any:
+    """``value`` with every mapping's keys in sorted order, recursively.
 
-    Mirrors :func:`canonical_values` semantics -- mapping key order and
-    identity insensitive, ``list`` and ``tuple`` equivalent, scalars
-    tagged by type -- but streams byte chunks straight to ``update``
-    (a ``list.append`` collecting for one hash call, or a running
-    ``digest.update``) instead of materializing a canonical tuple tree
-    and its ``repr``.
+    Helm reads values as maps, whose keys ``range`` and ``toYaml`` visit in
+    sorted order.  Chart values and override trees pass through here where
+    they enter, so equal trees render and fingerprint alike whatever order
+    they were written in.  Mixed-type keys (YAML allows them) sort by type
+    name, then string form.  Dicts and lists are rebuilt; other leaves are
+    shared.
     """
-    kind = type(value)
-    if kind is str:
-        update(b"s")
-        update(value.encode("utf-8"))
-    elif kind is dict:
-        update(b"{")
+    if isinstance(value, dict):
         try:
-            items = sorted(value.items())
+            keys = sorted(value)
         except TypeError:
-            # Mixed-type keys (YAML allows them): fall back to the
-            # canonical_values ordering, by type name and string form.
-            items = sorted(
-                value.items(), key=lambda kv: (type(kv[0]).__name__, str(kv[0]))
-            )
-        for key, item in items:
-            update(f"k{type(key).__name__}:{key}".encode("utf-8"))
-            update(b"\x00")
-            _feed_values(update, item)
-        update(b"}")
-    elif kind is bool:
-        update(b"b1" if value else b"b0")
-    elif kind is int:
-        update(b"i%d" % value)
-    elif kind is float:
-        update(b"f")
-        update(repr(value).encode("utf-8"))
-    elif value is None:
-        update(b"n")
-    elif kind is list or kind is tuple:
-        update(b"[")
-        for item in value:
-            _feed_values(update, item)
-        update(b"]")
-    else:
-        update(f"o{kind.__name__}:{value!r}".encode("utf-8"))
-    update(b"\x00")
+            keys = sorted(value, key=lambda key: (type(key).__name__, str(key)))
+        return {key: sorted_tree(value[key]) for key in keys}
+    if isinstance(value, list):
+        return [sorted_tree(item) for item in value]
+    return value
 
 
 def fingerprint_values(value: Any) -> str:
-    """A blake2b *change-detection* fingerprint of a values tree (hex, 16 bytes).
+    """A blake2b content fingerprint of a plain tree (hex, 16 bytes).
 
-    This is the delta classifier's hot loop -- a watch round re-hashes
-    every chart's values every time -- so the tree is serialized by
-    ``marshal`` in C rather than walked in Python.  The contract is
-    one-sided on purpose: a content change always changes the
-    fingerprint, but a *reordered* mapping with equal content may change
-    it too (``marshal`` preserves insertion order).  Every consumer errs
-    safe on that axis: a spurious mismatch reclassifies the chart for
-    re-rendering, which is wasted work but never a stale reuse.  Use
-    :func:`canonical_values` where order-insensitive equality matters
-    (the render cache's override keys, ``Chart.fingerprint``).
-
-    Marshal version 2 is pinned because later versions emit object
-    back-references, which would make the bytes depend on string-sharing
-    patterns (object identity) rather than content alone.  Trees
-    containing types marshal cannot serialize fall back to the canonical
-    :func:`_feed_values` walk.
+    The tree is serialized by ``marshal`` in C.  Version 2 is pinned because
+    later versions emit back-references, which would make the bytes depend
+    on which objects are shared rather than on content alone.  Marshal
+    keeps mapping order, so equal trees fingerprint alike once
+    :func:`sorted_tree` has ordered them, as it orders every chart's values
+    and every override tree the renderer sees.  A tree holding a leaf
+    marshal cannot write (a YAML date) is hashed by its ``repr`` behind a
+    NUL byte, which no marshal stream starts with, so the two encodings
+    never collide.
     """
     try:
         payload = marshal.dumps(value, 2)
     except ValueError:
-        parts: list[bytes] = []
-        _feed_values(parts.append, value)
-        payload = b"".join(parts)
+        payload = b"\x00" + repr(value).encode("utf-8")
     return hashlib.blake2b(payload, digest_size=16).hexdigest()
-
-
-def canonical_values(value: Any) -> Any:
-    """A hashable, order-insensitive canonical form of a values tree.
-
-    Two values dictionaries that compare equal produce identical canonical
-    forms regardless of key insertion order or object identity -- the render
-    cache keys on this, so equal-but-not-identical overrides share a cache
-    entry.  Mappings sort their items by type name and string form (YAML
-    allows non-string keys, which Python cannot sort against strings).
-    """
-    if isinstance(value, Mapping):
-        return (
-            "map",
-            tuple(
-                sorted(
-                    (type(key).__name__, str(key), canonical_values(item))
-                    for key, item in value.items()
-                )
-            ),
-        )
-    if isinstance(value, (list, tuple)):
-        return ("seq", tuple(canonical_values(item) for item in value))
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return (type(value).__name__, value)
-    return (type(value).__name__, repr(value))

@@ -49,8 +49,8 @@ sweep identity (catalogue + settings + schema) and a monotonically
 increasing *epoch* -- every fresh or rotated sweep advances it, a resume
 continues it -- plus one sealed record per chart, tagged with its epoch
 (readers see only the header's epoch).  Records optionally carry the
-per-chart classifier fingerprints (values / templates / behaviours /
-settings), which is what lets the delta evaluator
+per-chart classifier fingerprints (chart / values / templates /
+behaviours / settings), which is what lets the delta evaluator
 (:mod:`repro.experiments.delta`) classify *why* a chart needs
 recomputation; a record without them reads as ``added``.
 :func:`read_prior_state` is the read side.
@@ -120,11 +120,11 @@ _INSERT_RECORD = "INSERT OR REPLACE INTO journal VALUES (?, ?, ?, ?)"
 def store_key(kind: str, *parts: object) -> str:
     """Derive the content key (sha256 hex) for an entry.
 
-    ``parts`` must be canonical primitives -- strings, ints, bools, ``None``
-    and nested tuples thereof -- whose ``repr`` is deterministic across
-    processes and platforms (the same discipline
-    :func:`repro.helm.values.canonical_values` guarantees).  The key
-    deliberately excludes the schema version: version skew must be
+    ``parts`` must be primitives -- strings, ints, bools, ``None`` and
+    nested tuples thereof -- whose ``repr`` is deterministic across
+    processes and platforms; content fingerprints such as
+    :meth:`repro.helm.Chart.fingerprint` enter as their hex strings.  The
+    key deliberately excludes the schema version: version skew must be
     *detectable* at read time via the row, not silently keyed away.
     """
     material = repr((MAGIC, kind, parts))
@@ -611,7 +611,7 @@ class SweepJournal:
 
         Inside :meth:`deferred` the record is staged instead.
         ``fingerprints`` (optional) attaches the chart's delta-classifier
-        fingerprints -- values / templates / behaviours / settings, see
+        fingerprints -- chart / values / templates / behaviours / settings, see
         :func:`repro.experiments.evaluation.classifier_fingerprints` -- so a
         later delta sweep can explain *which* input moved.  The delta
         ignores a record without them: its chart classifies as ``added``.

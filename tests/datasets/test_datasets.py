@@ -38,8 +38,16 @@ from repro.helm import render_chart
 #: sha256 over canonical JSON of every catalogue app: dataset, name,
 #: version, archetype, every ``InjectionPlan`` field, chart fingerprint and
 #: behaviours fingerprint.  Any change to which app gets which finding, or
-#: to what a chart or its behaviours contain, moves it.
-CATALOGUE_SHA256 = "3fe9409f30d94070b22dd14d4aaf7fc4413c9e3bec39b26e920aae4b51409e36"
+#: to what a chart or its behaviours contain, moves it -- and so does a
+#: change of the chart fingerprint's encoding.
+CATALOGUE_SHA256 = "6afa424b74271f8db791afae48d84bf57c45a8632575bad6a55b5e91d7a7b4a4"
+
+#: sha256 over canonical JSON of every catalogue app's content, with no
+#: fingerprint of the chart in it: dataset, name, every ``InjectionPlan``
+#: field, values as key-sorted JSON, template names and sources, metadata
+#: and behaviours fingerprint.  It holds across fingerprint encodings, so
+#: it tells a changed catalogue from a changed encoding.
+CATALOGUE_CONTENT_SHA256 = "aa090192bede7276e100e5855f2bfa4bd3c2e7f64398cbd1e98293fa88ae326b"
 
 
 class TestInjectionPlan:
@@ -197,6 +205,23 @@ class TestCatalog:
         canonical = json.dumps(records, sort_keys=True, separators=(",", ":"))
         assert len(records) == TABLE2_ROW_SUM_APPLICATIONS
         assert hashlib.sha256(canonical.encode()).hexdigest() == CATALOGUE_SHA256
+
+    def test_catalogue_content_matches_golden_digest(self):
+        """The catalogue's content is pinned apart from any fingerprint encoding."""
+        records = [
+            {
+                "dataset": app.dataset,
+                "name": app.name,
+                "plan": dataclasses.asdict(app.plan),
+                "values": json.dumps(app.chart.values, sort_keys=True),
+                "templates": [[t.name, t.source] for t in app.chart.templates],
+                "metadata": dataclasses.asdict(app.chart.metadata),
+                "behaviors": app.behaviors.fingerprint(),
+            }
+            for app in build_catalog()
+        ]
+        canonical = json.dumps(records, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(canonical.encode()).hexdigest() == CATALOGUE_CONTENT_SHA256
 
     def test_catalogue_plans_without_app_equality(self, monkeypatch):
         """Planning never compares apps by value, which made it quadratic."""

@@ -7,10 +7,12 @@ reduces to canonical-serialization identity via
 :func:`tests.support.diffing.canonical_evaluation`:
 
 * every change class -- values tweaks, template edits, behaviour-seed
-  changes, chart additions, chart removals, no-op touches, settings
-  changes -- in serial and pooled sweeps,
+  changes, chart additions, chart removals, no-op touches, values key
+  reorders, settings changes -- in serial and pooled sweeps,
 * Hypothesis-driven multi-round change sequences (each round delta'd
-  against the previous, each compared to scratch),
+  against the previous, each compared to scratch), and the result-key
+  contract over them: a chart is ``unchanged`` exactly when it was
+  healthy and its ``result_key`` held,
 * chaos interaction: a fault mid-delta quarantines the failing chart
   without serving its stale prior entry, healthy charts stay
   byte-identical, and the recovery round equals a clean scratch sweep,
@@ -55,6 +57,7 @@ from repro.experiments import (
     DELTA_UNCHANGED,
     DeltaEvaluator,
     classifier_fingerprints,
+    result_key,
     run_full_evaluation,
     settings_fingerprint,
 )
@@ -158,6 +161,24 @@ def noop_touch(apps, index):
     return mutated
 
 
+def reversed_keys(tree):
+    """The same tree with every mapping's key order reversed."""
+    if isinstance(tree, dict):
+        return {key: reversed_keys(tree[key]) for key in reversed(list(tree))}
+    if isinstance(tree, list):
+        return [reversed_keys(item) for item in tree]
+    return tree
+
+
+def values_reorder(apps, index):
+    """Rebuild one chart with its values in reversed key order: equal content."""
+    app = apps[index % len(apps)]
+    chart = dataclasses.replace(app.chart, values=reversed_keys(app.chart.values))
+    mutated = list(apps)
+    mutated[index % len(apps)] = dataclasses.replace(app, chart=chart)
+    return mutated
+
+
 CHANGE_CLASSES = {
     "values": values_tweak,
     "template": template_edit,
@@ -165,6 +186,7 @@ CHANGE_CLASSES = {
     "add": add_chart,
     "remove": remove_chart,
     "noop": noop_touch,
+    "reorder": values_reorder,
 }
 
 
@@ -379,6 +401,51 @@ class TestChangeSequences:
                 canonical_evaluation(result),
                 f"round {step + 1} ({op}) vs scratch",
             )
+
+
+# ---------------------------------------------------------------------------
+# The result-key contract: the in-memory prior is a result-key tier.  A
+# chart is unchanged exactly when it was healthy in the previous round and
+# its result_key held; a values key reorder holds it.
+# ---------------------------------------------------------------------------
+
+keyed_operations = st.lists(
+    st.tuples(st.sampled_from(sorted(CHANGE_CLASSES)), st.integers(0, SAMPLE - 1), st.booleans()),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestResultKeyContract:
+    @hyp_settings(max_examples=10, deadline=None)
+    @given(ops=keyed_operations)
+    def test_unchanged_exactly_when_healthy_and_result_key_held(self, ops):
+        settings_fp = settings_fingerprint(AnalyzerSettings())
+        evaluator = DeltaEvaluator(retry_backoff=BACKOFF)
+        current = build_catalog()[:4]
+        previous = evaluator.evaluate(current)
+        keys = {uid(app): result_key(app, settings_fp) for app in current}
+        for step, (op, index, poison) in enumerate(ops):
+            if op == "add":
+                current = add_chart(current, step)
+            else:
+                current = CHANGE_CLASSES[op](current, index)
+            healthy = {uid(entry.application) for entry in previous.analyzed}
+            plan = evaluator.plan(current)
+            for app, delta in zip(current, plan.charts):
+                held = keys.get(uid(app)) == result_key(app, settings_fp)
+                assert (delta.classification == DELTA_UNCHANGED) == (
+                    uid(app) in healthy and held
+                ), f"round {step + 1} ({op}): {delta}"
+            fault_plan = None
+            if poison:
+                victim = uid(current[index % len(current)])
+                fault_plan = faults.FaultPlan(
+                    faults.FaultSpec(site=faults.OBSERVE, charts=(victim,), attempts=10)
+                )
+            previous = evaluator.evaluate(current, fault_plan=fault_plan)
+            assert previous.delta_stats["classified"] == plan.counts()
+            keys = {uid(app): result_key(app, settings_fp) for app in current}
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ import pytest
 
 import repro.helm.chart as chart_module
 from repro.cluster import BehaviorRegistry, ContainerBehavior, ListenSpec
+from repro.core import MisconfigClass
 from repro.datasets import build_catalog
 from repro.experiments import (
     DELTA_ADDED,
@@ -399,6 +400,60 @@ class TestBehaviorsGateReuse:
         assert in_place.delta_stats["scan"]["reused"] == 0
         assert in_place.delta_stats["classified"][DELTA_RE_OBSERVE] == SAMPLE
         assert_matches_scratch(in_place, tree.root, "in-place registration", behaviors=registry)
+
+
+#: Two Deployments whose pod labels are the same ``.Values.podLabels``
+#: mapping: the M4A finding prints that mapping, in its iteration order.
+LABELLED_UNIT = """\
+apiVersion: apps/v1
+kind: Deployment
+metadata:
+  name: {{ .Release.Name }}-UNIT
+spec:
+  selector:
+    matchLabels:
+      {{- toYaml .Values.podLabels | nindent 6 }}
+  template:
+    metadata:
+      labels:
+        {{- toYaml .Values.podLabels | nindent 8 }}
+    spec:
+      containers:
+        - name: UNIT
+          image: watch/UNIT:1.0
+"""
+
+
+class TestValuesKeyOrder:
+    def test_reordered_values_are_unchanged_and_match_scratch(self, tmp_path):
+        root = tmp_path / "charts"
+        chart_dir = root / "labelled"
+        (chart_dir / "templates").mkdir(parents=True)
+        (chart_dir / "Chart.yaml").write_text("apiVersion: v2\nname: labelled\nversion: 1.0.0\n")
+        for unit in ("one", "two"):
+            (chart_dir / "templates" / f"{unit}.yaml").write_text(
+                LABELLED_UNIT.replace("UNIT", unit)
+            )
+        values = chart_dir / "values.yaml"
+        values.write_text("podLabels:\n  tier: web\n  app: shop\n")
+        evaluator = DeltaEvaluator()
+        first = watch_round(root, evaluator)
+        assert_matches_scratch(first, root, "written tier first")
+
+        values.write_text("podLabels:\n  app: shop\n  tier: web\n")
+        reordered = watch_round(root, evaluator)
+        assert reordered.delta_stats["scan"]["parsed"] == 1
+        assert reordered.delta_stats["classified"][DELTA_UNCHANGED] == 1
+        assert reordered.delta_stats["recomputed"] == 0
+        assert_matches_scratch(reordered, root, "rewritten app first")
+        # Helm visits map keys sorted, whatever order values.yaml wrote them in.
+        for result in (first, reordered):
+            [collision] = [
+                finding
+                for finding in result.analyzed[0].report.findings
+                if finding.misconfig_class is MisconfigClass.M4A
+            ]
+            assert "{'app': 'shop', 'tier': 'web'}" in collision.message
 
 
 class TestRacyEdits:

@@ -9,10 +9,17 @@ contract is exactly two-sided:
 * **sensitivity** -- any change to a template (name or source), a canonical
   value, metadata or a packaged subchart must change the fingerprint,
   otherwise the cache would serve renders of a different chart.
+
+A values tree holding a leaf ``marshal`` cannot write (a YAML date) is
+hashed through the ``repr`` fallback, which must keep both sides too.
 """
 
 from __future__ import annotations
 
+import marshal
+from datetime import date, timedelta
+
+import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
@@ -119,3 +126,28 @@ def test_fingerprint_covers_metadata_and_subcharts():
     fingerprint_before = with_sub.fingerprint()
     subchart.values["x"] = 2
     assert with_sub.fingerprint() != fingerprint_before
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree=values_dicts, day=st.dates(min_value=date(1970, 1, 1), max_value=date(2999, 1, 1)))
+def test_dated_values_take_the_repr_fallback_and_keep_both_sides(tree, day):
+    dated = dict(tree, released=day)
+    block = yaml.safe_dump(dated, sort_keys=True, default_flow_style=False)
+    flow = yaml.safe_dump(reordered(dated), sort_keys=False, default_flow_style=True)
+    first, second = chart_with(block), chart_with(flow)
+    assert first.values["released"] == day  # YAML parsed a date, not a string
+    with pytest.raises(ValueError):
+        marshal.dumps(first.values, 2)
+    # The fallback hashes the repr of the tree, which key-sorting makes the
+    # same for both spellings.
+    assert repr(first.values) == repr(second.values)
+    assert first.fingerprint() == second.fingerprint()
+    later = yaml.safe_dump(dict(dated, released=day + timedelta(days=1)), sort_keys=True)
+    assert chart_with(later).fingerprint() != first.fingerprint()
+
+
+def test_mixed_type_keys_sort_by_type_name_then_string():
+    first = chart_with("b: c\n2: d\n1: a\n")
+    second = chart_with("1: a\nb: c\n2: d\n")
+    assert list(first.values) == list(second.values) == [1, 2, "b"]
+    assert first.fingerprint() == second.fingerprint()

@@ -13,6 +13,7 @@ is the uncached, un-interned render.
 from __future__ import annotations
 
 import copy
+import json
 
 import pytest
 
@@ -78,6 +79,66 @@ class TestCacheKeying:
         cache.render(_app().chart)
         cache.render(_app().chart)  # fresh object, identical content
         assert cache.stats() == {"hits": 1, "misses": 1, "corruptions": 0, "entries": 1}
+
+
+PORTS_TEMPLATE = """\
+apiVersion: v1
+kind: ConfigMap
+metadata:
+  name: {{ .Release.Name }}-ports
+data:
+  order: "{{ range $name, $port := .Values.ports }}{{ $name }}={{ $port }};{{ end }}"
+ports:
+  {{- toYaml .Values.ports | nindent 2 }}
+"""
+
+HTTP_FIRST = {"ports": {"http": 80, "admin": 9090}}
+ADMIN_FIRST = {"ports": {"admin": 9090, "http": 80}}
+
+
+def _ports_chart(values=None) -> Chart:
+    return Chart.from_files(
+        "ports", values=copy.deepcopy(values), templates={"ports.yaml": PORTS_TEMPLATE}
+    )
+
+
+def _documents_in_order(rendered) -> str:
+    """The documents as JSON with key order kept, so an order difference shows."""
+    return json.dumps(rendered.documents)
+
+
+class TestValuesKeyOrder:
+    """Values equal up to key order render alike, sorted as Helm's maps are.
+
+    Rendered in either order within one process, cached and uncached.
+    """
+
+    @pytest.mark.parametrize(
+        "orders", [(HTTP_FIRST, ADMIN_FIRST), (ADMIN_FIRST, HTTP_FIRST)], ids=["http", "admin"]
+    )
+    def test_reordered_chart_values_render_alike(self, cache: RenderCache, orders):
+        rendered_orders = []
+        for values in orders:
+            chart = _ports_chart(values)
+            fresh = render_chart(chart, cached=False)
+            assert _documents_in_order(cache.render(chart)) == _documents_in_order(fresh)
+            rendered_orders.append(fresh.documents[0]["data"]["order"])
+        assert rendered_orders == ["admin=9090;http=80;"] * 2
+        assert cache.stats()["hits"] == 1
+
+    @pytest.mark.parametrize(
+        "orders", [(HTTP_FIRST, ADMIN_FIRST), (ADMIN_FIRST, HTTP_FIRST)], ids=["http", "admin"]
+    )
+    def test_reordered_overrides_render_alike(self, cache: RenderCache, orders):
+        chart = _ports_chart()
+        rendered_orders = []
+        for overrides in orders:
+            fresh = render_chart(chart, overrides=copy.deepcopy(overrides), cached=False)
+            cached = cache.render(chart, overrides=copy.deepcopy(overrides))
+            assert _documents_in_order(cached) == _documents_in_order(fresh)
+            rendered_orders.append(fresh.documents[0]["data"]["order"])
+        assert rendered_orders == ["admin=9090;http=80;"] * 2
+        assert cache.stats()["hits"] == 1
 
 
 class TestSharedReferenceHits:
