@@ -1,4 +1,4 @@
-"""Shared scenario builder and timing helpers for the connectivity benchmarks.
+"""Shared fleet scenarios and cases for the connectivity benchmarks.
 
 Used by ``test_bench_connectivity.py`` (pytest harness) and ``run.py`` (the
 JSON-writing bench helper) so both measure exactly the same cases:
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import gc
 import statistics
-import time
 from dataclasses import dataclass
 
 from repro.cluster import (
@@ -51,6 +50,7 @@ from repro.k8s import (
     deny_all_policy,
     equality_selector,
 )
+from timing import sample_ns
 
 NAMESPACES = ("default", "prod", "staging", "infra")
 
@@ -239,16 +239,6 @@ def sample_attempts(fleet: Fleet, count: int = 200) -> list[tuple]:
     return attempts
 
 
-def median_ns(fn, repeats: int = 5) -> float:
-    """Median wall time of ``fn()`` in nanoseconds over ``repeats`` runs."""
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter_ns()
-        fn()
-        samples.append(time.perf_counter_ns() - start)
-    return statistics.median(samples)
-
-
 def paired_median_ns(naive, compiled, repeats: int = 5) -> tuple[float, float]:
     """Median wall times of ``naive()`` and ``compiled()`` in ns, timed in pairs.
 
@@ -257,15 +247,10 @@ def paired_median_ns(naive, compiled, repeats: int = 5) -> tuple[float, float]:
     host, or garbage earlier work left for the collector, then lands on
     both arms instead of on whichever arm happened to run through it.
     """
-    arms = (naive, compiled)
-    samples: tuple[list[int], list[int]] = ([], [])
-    for pair in range(repeats):
-        for index in (0, 1) if pair % 2 == 0 else (1, 0):
-            gc.collect()
-            start = time.perf_counter_ns()
-            arms[index]()
-            samples[index].append(time.perf_counter_ns() - start)
-    return statistics.median(samples[0]), statistics.median(samples[1])
+    naive_ns, compiled_ns = sample_ns(
+        [naive, compiled], repeats, alternate=True, before=gc.collect
+    )
+    return statistics.median(naive_ns), statistics.median(compiled_ns)
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +381,8 @@ def run_large_size(pod_count: int, repeats: int = 2) -> dict[str, float]:
     """
     fleet = build_fleet(pod_count)
     sources = _sources(fleet)
-    return {
-        "matrix_sources/compiled": median_ns(_compiled_sources_run(fleet, sources), repeats)
-        / len(sources),
-    }
+    (compiled_ns,) = sample_ns([_compiled_sources_run(fleet, sources)], repeats)
+    return {"matrix_sources/compiled": statistics.median(compiled_ns) / len(sources)}
 
 
 def format_table(per_size: dict[int, dict[str, float]]) -> str:

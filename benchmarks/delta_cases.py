@@ -25,20 +25,12 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import time
+import itertools
+
+from timing import clear_render_caches, sample_ns
 
 #: Charts salted for the O(changed) case (clamped to the sample size).
 EDIT_COUNT = 4
-
-
-def _clear_render_caches() -> None:
-    from repro.helm import clear_skeleton_parse_memo, clear_template_cache, shared_render_cache
-    from repro.k8s import clear_intern_table
-
-    clear_template_cache()
-    shared_render_cache().clear()
-    clear_skeleton_parse_memo()
-    clear_intern_table()
 
 
 def _rebuilt(applications):
@@ -83,37 +75,41 @@ def run_delta_suite(sample: int | None = None, repeats: int = 3) -> dict[str, fl
         applications = applications[:sample]
     edits = min(EDIT_COUNT, len(applications))
 
-    full = float("inf")
-    for _ in range(max(repeats, 1)):
-        _clear_render_caches()
-        start = time.perf_counter()
-        run_full_evaluation(applications=applications)
-        full = min(full, time.perf_counter() - start)
+    (full,) = sample_ns(
+        [lambda: run_full_evaluation(applications=applications)],
+        repeats,
+        before=clear_render_caches,
+    )
 
     evaluator = DeltaEvaluator()
     evaluator.evaluate(applications)
 
-    noop = float("inf")
-    for _ in range(max(repeats, 1)):
-        rebuilt = _rebuilt(applications)
-        start = time.perf_counter()
-        result = evaluator.evaluate(rebuilt)
-        noop = min(noop, time.perf_counter() - start)
-        if result.delta_stats["recomputed"]:
+    # Each timed round evaluates a catalogue built untimed just before it.
+    pending: list = []
+
+    def no_op_round() -> None:
+        recomputed = evaluator.evaluate(pending.pop()).delta_stats["recomputed"]
+        if recomputed:
             raise RuntimeError(
-                "no-op delta recomputed "
-                f"{result.delta_stats['recomputed']} charts -- the rebuild is "
+                f"no-op delta recomputed {recomputed} charts -- the rebuild is "
                 "not byte-identical and the timing is meaningless"
             )
 
-    edit = float("inf")
-    for round_index in range(max(repeats, 1)):
-        # A fresh salt per repeat: the previous round's salted charts move
-        # again, so every timed round recomputes exactly ``edits`` charts.
-        mutated = _salted(applications, edits, f"round-{round_index}")
-        start = time.perf_counter()
-        evaluator.evaluate(mutated)
-        edit = min(edit, time.perf_counter() - start)
+    (noop,) = sample_ns(
+        [no_op_round], repeats, before=lambda: pending.append(_rebuilt(applications))
+    )
+
+    # A fresh salt per round: the previous round's salted charts move
+    # again, so every timed round recomputes exactly ``edits`` charts.
+    salts = itertools.count()
+    (edit,) = sample_ns(
+        [lambda: evaluator.evaluate(pending.pop())],
+        repeats,
+        before=lambda: pending.append(
+            _salted(applications, edits, f"round-{next(salts)}")
+        ),
+    )
+    full, noop, edit = (min(samples) / 1e9 for samples in (full, noop, edit))
 
     results = {
         "charts": float(len(applications)),

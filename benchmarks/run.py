@@ -1,55 +1,45 @@
 #!/usr/bin/env python
-"""Bench helper: run the connectivity benchmark suite, record the trajectory.
+"""Bench helper: time the gated cases, record the trajectory, run the gate.
 
 Usage (from the repository root)::
 
-    PYTHONPATH=src python benchmarks/run.py [--full] [--smoke] [--output BENCH_connectivity.json]
+    PYTHONPATH=src python benchmarks/run.py [--full] [--smoke] [--check] [--sample N] [--repeats N] [--output F]
 
-Runs the same cases as ``benchmarks/test_bench_connectivity.py`` -- naive
-(pre-PR) vs compiled/cached engine for ``check_ingress``,
+Runs the same connectivity cases as ``benchmarks/test_bench_connectivity.py``
+-- naive (pre-PR) vs compiled/cached engine for ``check_ingress``,
 ``reachable_endpoints`` and the ``ReachabilityMatrix`` at three fleet sizes
--- plus the render-pipeline suite (template compile cache, cold vs warm
-chart render, the cold catalogue render slice text vs structured,
-class-grouped vs per-source all-pairs), the session suite (install/observe
-slice: fresh vs pooled clusters vs install-free fast observation), the
-delta suite (no-op and edit-k incremental rounds vs the from-scratch
-sweep) and an end-to-end Figure 4b sweep over a catalogue sample (the
-whole catalogue with ``--full``), then writes median ns/op per case to a
-JSON file so future PRs have a perf trajectory to compare against.
+-- then the end-to-end Figure 4b sweep (naive vs compiled), the default
+catalogue evaluation, the armed-but-idle fault-hook pair, the durable
+sweep (store off, cold, warm) and the delta suite (no-op and edit-4
+rounds vs the from-scratch sweep) over a catalogue sample (the whole
+catalogue with ``--full``), and writes the results to
+``BENCH_connectivity.json``.  Every timing loop is
+:func:`timing.sample_ns`; the end-to-end sweeps start from *cold* render
+caches, so the recorded seconds measure a first pass over the catalogue.
 
-The end-to-end sweeps start from *cold* render caches, so the recorded
-seconds measure the first pass over a catalogue; warm-path amortization is
-captured separately by the ``chart_render/warm`` case.
-
-``--smoke`` runs a seconds-long sanity pass (one repeat, one fleet size, a
-tiny catalogue sample) and writes no file unless ``--output`` is given --
-wired into CI-style checks via ``tests/smoke``.
-
-The ``analysis`` section records the rule-evaluation slice (reference
-rule-at-a-time vs the compiled single-pass engine) and the warm
-render-cache hit cost (shared-reference interned hits).  ``--check`` runs
-a smoke pass and compares its per-chart end-to-end numbers against the
-committed ``BENCH_connectivity.json`` with a tolerance band
-(``--tolerance``, default 3x), exiting non-zero on regression; the smoke
-suite (``tests/smoke/test_bench_check.py``) wires it into CI.
+``--smoke`` runs a seconds-long pass (one repeat, one fleet size, a
+4-chart sample) and writes no file unless ``--output`` is given.
+``--check`` runs a smoke pass and exits non-zero on regression: its
+per-chart end-to-end numbers against the committed record under a 3x
+band, plus the fault-hook, Figure 4b, ``matrix_sources`` and no-op delta
+ratio gates (see the limits below and ``docs/benchmarks.md``).
+``tests/smoke/test_bench_check.py`` runs it in tier-1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from analysis_cases import run_analysis_suite  # noqa: E402
 from connectivity_cases import format_table, run_large_size, run_size  # noqa: E402
 from delta_cases import run_delta_suite  # noqa: E402
-from render_cases import run_render_suite  # noqa: E402
-from session_cases import run_session_suite  # noqa: E402
+from timing import cold_start, sample_ns  # noqa: E402
 
 from repro.store import atomic_write_text  # noqa: E402
 
@@ -60,42 +50,18 @@ SMOKE_FLEET_SIZES = (30,)
 LARGE_FLEET_SIZES = (10_000, 50_000)
 
 
-def _clear_render_caches() -> None:
-    from repro.helm import clear_skeleton_parse_memo, clear_template_cache, shared_render_cache
-    from repro.k8s import clear_intern_table
+def _catalogue(sample: int | None):
+    """A freshly built catalogue, cut to its first ``sample`` charts."""
+    from repro.datasets import build_catalog
 
-    clear_template_cache()
-    shared_render_cache().clear()
-    clear_skeleton_parse_memo()
-    clear_intern_table()
+    applications = build_catalog()
+    return applications if sample is None else applications[:sample]
 
 
-def _median_cold(sweep, repeats: int) -> float:
-    """Median of ``repeats`` cold runs (caches cleared before each).
-
-    Every run is a genuine first pass over the catalogue; the median only
-    absorbs scheduler noise, in line with the per-case median methodology.
-    Garbage collection is paused during each timed run (the ``timeit``
-    convention) so earlier sweeps' allocation debt is not billed to a later
-    shape -- the collector runs between repeats instead.
-    """
-    import gc
-    import statistics
-
-    timings = []
-    for _ in range(max(repeats, 1)):
-        _clear_render_caches()
-        gc.collect()
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            sweep()
-            timings.append(time.perf_counter() - start)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-    return statistics.median(timings)
+def _cold_minima(arms, repeats: int, *, alternate=False, before=cold_start):
+    """Each arm's fastest of ``repeats`` cold runs, in seconds."""
+    samples = sample_ns(arms, repeats, alternate=alternate, before=before, pause_gc=True)
+    return [min(arm) / 1e9 for arm in samples]
 
 
 def bench_netpol_sweep(sample: int | None, repeats: int = 3) -> dict[str, float]:
@@ -113,39 +79,16 @@ def bench_netpol_sweep(sample: int | None, repeats: int = 3) -> dict[str, float]
     early), and per-pair order alternation, so neither arm systematically
     occupies the quieter slot of a pair.
     """
-    import gc
-
-    from repro.datasets import build_catalog
     from repro.experiments import run_netpol_impact
 
-    applications = build_catalog()
-    if sample is not None:
-        applications = applications[:sample]
+    applications = _catalogue(sample)
 
-    def timed_cold(compiled: bool) -> float:
-        _clear_render_caches()
-        gc.collect()
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            run_netpol_impact(applications=applications, compiled=compiled)
-            return time.perf_counter() - start
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+    def sweep(compiled: bool):
+        return lambda: run_netpol_impact(applications=applications, compiled=compiled)
 
-    for _ in range(2):  # warm-up pairs, discarded
-        timed_cold(True)
-        timed_cold(False)
-    naive = compiled = float("inf")
-    for pair in range(max(repeats, 1)):
-        if pair % 2 == 0:
-            naive = min(naive, timed_cold(False))
-            compiled = min(compiled, timed_cold(True))
-        else:
-            compiled = min(compiled, timed_cold(True))
-            naive = min(naive, timed_cold(False))
+    naive_sweep, compiled_sweep = sweep(False), sweep(True)
+    _cold_minima([compiled_sweep, naive_sweep], 2)  # warm-up pairs, discarded
+    naive, compiled = _cold_minima([naive_sweep, compiled_sweep], repeats, alternate=True)
     return {
         "charts": float(len(applications)),
         "netpol_impact/naive_s": round(naive, 3),
@@ -154,68 +97,27 @@ def bench_netpol_sweep(sample: int | None, repeats: int = 3) -> dict[str, float]
 
 
 def bench_full_evaluation(sample: int | None, repeats: int = 3) -> dict[str, float]:
-    """Full-catalogue evaluation: pre-PR shapes vs current, cold caches.
+    """The default catalogue evaluation, median of cold runs, seconds.
 
-    Three shapes: the PR-1 double-render pipeline, the PR-2 pipeline
-    (single render, throw-away cluster + full install/observe per chart),
-    and the current default (pooled session, install-free observation).
+    Pooled clusters, install-free observation, structured render, interned
+    inventory, compiled rules.  Every run is a genuine first pass over the
+    catalogue; the median only absorbs scheduler noise.  Two discarded
+    cold runs go first: the process's first evaluation sweeps run ~25%
+    slower at the smoke sample, and the committed record and the 3x band
+    were taken with two older evaluation shapes running ahead of this one.
     """
-    from repro.cluster import OBSERVE_FULL
-    from repro.core import AnalyzerSettings, MisconfigurationAnalyzer
-    from repro.datasets import build_catalog
     from repro.experiments import run_full_evaluation
-    from repro.helm import render_chart
-    from repro.k8s import Inventory
 
-    applications = build_catalog()
-    if sample is not None:
-        applications = applications[:sample]
-    analyzer = MisconfigurationAnalyzer(
-        settings=AnalyzerSettings(observe_mode=OBSERVE_FULL, pooled_clusters=False)
-    )
+    applications = _catalogue(sample)
 
-    def render_pre_pr(chart):
-        # The pre-PR engine re-parsed every template on every render and
-        # round-tripped documents through YAML text: bypass the render
-        # cache, drop compiled templates before each render, and pin the
-        # text pipeline so the baseline keeps measuring the old cost.
-        from repro.helm import clear_template_cache
+    def sweep() -> None:
+        run_full_evaluation(applications=applications)
 
-        clear_template_cache()
-        return render_chart(chart, cached=False, structured=False)
-
-    # The pre-PR pipeline rendered every chart twice: once inside
-    # analyze_chart and once more for the cluster-wide inventory.
-    def sweep_double_render() -> None:
-        for app in applications:
-            analyzer.analyze_chart(
-                app.chart,
-                behaviors=app.behaviors,
-                dataset=app.dataset,
-                rendered=render_pre_pr(app.chart),
-            )
-            Inventory(render_pre_pr(app.chart).objects)
-
-    double_render = _median_cold(sweep_double_render, repeats)
-
-    # PR-2 shape: single cached render, but a throw-away cluster with a full
-    # install + double snapshot per chart.
-    def sweep_fresh_full() -> None:
-        run_full_evaluation(
-            applications=applications,
-            analyzer=MisconfigurationAnalyzer(
-                settings=AnalyzerSettings(observe_mode=OBSERVE_FULL, pooled_clusters=False)
-            ),
-        )
-
-    fresh_full = _median_cold(sweep_fresh_full, repeats)
-
-    current = _median_cold(lambda: run_full_evaluation(applications=applications), repeats)
+    sample_ns([sweep], 2, before=cold_start, pause_gc=True)  # warm-up, discarded
+    (current,) = sample_ns([sweep], repeats, before=cold_start, pause_gc=True)
     return {
         "charts": float(len(applications)),
-        "evaluation/double_render_s": round(double_render, 3),
-        "evaluation/fresh_full_s": round(fresh_full, 3),
-        "evaluation/current_s": round(current, 3),
+        "evaluation/current_s": round(statistics.median(current) / 1e9, 3),
     }
 
 
@@ -225,44 +127,27 @@ def measure_fault_overhead(sample: int | None, rounds: int = 1) -> dict[str, flo
     Arms a plan that targets every fault site against a chart key that does
     not exist in the catalogue, so each ``fault_point`` call runs its full
     plan-lookup-and-miss path without ever firing -- the per-sweep tax of
-    keeping the robustness hooks armed.  Runs ``rounds`` alternating
-    disarmed/armed pairs and keeps the *minimum* per arm: injected noise
-    only ever adds time, so the minima are the honest comparison on a busy
-    machine.
+    keeping the robustness hooks armed.  Runs ``rounds`` disarmed/armed
+    pairs and keeps the *minimum* per arm: injected noise only ever adds
+    time, so the minima are the honest comparison on a busy machine.
     """
-    import gc
-
     from repro import faults
-    from repro.datasets import build_catalog
     from repro.experiments import run_full_evaluation
 
-    applications = build_catalog()
-    if sample is not None:
-        applications = applications[:sample]
+    applications = _catalogue(sample)
     idle_plan = faults.FaultPlan(
         *(
             faults.FaultSpec(site, charts=("bench/no-such-chart",))
             for site in faults.FAULT_SITES
         )
     )
-
-    def timed_cold(plan) -> float:
-        _clear_render_caches()
-        gc.collect()
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            run_full_evaluation(applications=applications, fault_plan=plan)
-            return time.perf_counter() - start
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-    disarmed = armed = float("inf")
-    for _ in range(max(rounds, 1)):
-        disarmed = min(disarmed, timed_cold(None))
-        armed = min(armed, timed_cold(idle_plan))
+    disarmed, armed = _cold_minima(
+        [
+            lambda: run_full_evaluation(applications=applications),
+            lambda: run_full_evaluation(applications=applications, fault_plan=idle_plan),
+        ],
+        rounds,
+    )
     return {
         "evaluation/disarmed_s": round(disarmed, 3),
         "evaluation/armed_idle_s": round(armed, 3),
@@ -276,48 +161,36 @@ def bench_store_sweep(sample: int | None, repeats: int = 1) -> dict[str, float]:
     Three shapes of the same evaluation sweep: no store (the baseline), a
     cold store (every chart computes and publishes -- the fsync-bounded
     write-through tax), and a warm store (every chart loads a verified
-    entry instead of rendering/observing/analyzing).  Alternating
-    off/cold pairs keep the minima honest on a busy machine, mirroring
+    entry instead of rendering/observing/analyzing).  Off/cold pairs keep
+    the minima honest on a busy machine, mirroring
     ``measure_fault_overhead``; the warm sweep runs against the store a
     populating sweep just filled, with in-memory caches cleared so reads
     genuinely come from disk.
     """
-    import gc
     import shutil
     import tempfile
 
-    from repro.datasets import build_catalog
     from repro.experiments import run_full_evaluation
 
-    applications = build_catalog()
-    if sample is not None:
-        applications = applications[:sample]
+    applications = _catalogue(sample)
 
-    def timed(store_dir: Path | None) -> float:
-        _clear_render_caches()
-        gc.collect()
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            run_full_evaluation(applications=applications, store=store_dir)
-            return time.perf_counter() - start
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+    def sweep(store_dir: Path | None):
+        return lambda: run_full_evaluation(applications=applications, store=store_dir)
 
     root = Path(tempfile.mkdtemp(prefix="repro-store-bench-"))
+    cold_dir, warm_dir = root / "cold", root / "warm"
+
+    def fresh_cold_start() -> None:
+        shutil.rmtree(cold_dir, ignore_errors=True)  # every cold run starts empty
+        cold_start()
+
     try:
-        off = cold = warm = float("inf")
-        for index in range(max(repeats, 1)):
-            off = min(off, timed(None))
-            cold_dir = root / f"cold{index}"
-            cold = min(cold, timed(cold_dir))
-            shutil.rmtree(cold_dir, ignore_errors=True)
-        warm_dir = root / "warm"
-        run_full_evaluation(applications=applications, store=warm_dir)
-        for _ in range(max(repeats, 1)):
-            warm = min(warm, timed(warm_dir))
+        off, cold = _cold_minima(
+            [sweep(None), sweep(cold_dir)], repeats, before=fresh_cold_start
+        )
+        shutil.rmtree(cold_dir, ignore_errors=True)
+        sweep(warm_dir)()
+        (warm,) = _cold_minima([sweep(warm_dir)], repeats)
     finally:
         shutil.rmtree(root, ignore_errors=True)
     return {
@@ -336,6 +209,10 @@ CHECK_KEYS = (
     "netpol_impact/compiled_s",
     "evaluation/store_warm_s",
 )
+
+#: The band of :func:`check_against_committed`: a fresh per-chart number may
+#: reach this multiple of the committed one.
+TOLERANCE = 3.0
 
 #: ``--check`` also gates the armed-but-idle fault-hook tax: arming a plan
 #: that never fires must stay a low-single-digit-percent cost on the
@@ -378,7 +255,7 @@ DELTA_SAMPLE_FLOOR = 60
 
 
 def check_against_committed(
-    record: dict, committed_path: Path, tolerance: float
+    record: dict, committed_path: Path, tolerance: float = TOLERANCE
 ) -> list[str]:
     """Regression check: fresh per-chart end-to-end numbers vs the committed file.
 
@@ -411,7 +288,8 @@ def check_against_committed(
     return failures
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The command line, with the ``--check`` and ``--smoke`` settings applied."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--output",
@@ -420,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
         "--smoke writes nothing unless set explicitly)",
     )
     parser.add_argument(
-        "--repeats", type=int, default=5, help="timing repeats per case (median is kept)"
+        "--repeats", type=int, default=5, help="timing repeats per case"
     )
     parser.add_argument(
         "--full",
@@ -439,13 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         "--check",
         action="store_true",
         help="run a --smoke pass and fail (exit 1) when per-chart end-to-end "
-        "numbers regress past --tolerance × the committed BENCH_connectivity.json",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=3.0,
-        help="allowed multiplier over the committed per-chart numbers for --check",
+        "numbers regress past 3x the committed BENCH_connectivity.json",
     )
     args = parser.parse_args(argv)
     if args.check:
@@ -455,8 +327,24 @@ def main(argv: list[str] | None = None) -> int:
         args.sample = min(args.sample, 4)
         args.full = False
     args.repeats = max(args.repeats, 1)
-    fleet_sizes = SMOKE_FLEET_SIZES if args.smoke else FLEET_SIZES
+    return args
 
+
+def _samples(args: argparse.Namespace) -> tuple[int | None, int | None]:
+    """The end-to-end catalogue sample and the delta suite's (None: all)."""
+    if args.full:
+        return None, None
+    return args.sample, max(args.sample, DELTA_SAMPLE_FLOOR)
+
+
+def _ratio(before: float, after: float) -> str:
+    # Tiny samples can round a sweep to 0.000s; don't divide by it.
+    return f"{before / after:.2f}x" if after else "n/a"
+
+
+def measure(args: argparse.Namespace) -> tuple[dict[int, dict[str, float]], dict]:
+    """Run every case at ``args``' settings: per-size ns/op and the record."""
+    fleet_sizes = SMOKE_FLEET_SIZES if args.smoke else FLEET_SIZES
     per_size: dict[int, dict[str, float]] = {}
     for pod_count in fleet_sizes:
         per_size[pod_count] = run_size(pod_count, repeats=args.repeats)
@@ -467,67 +355,21 @@ def main(argv: list[str] | None = None) -> int:
             )
     print(format_table(per_size))
 
-    def ratio(before: float, after: float) -> str:
-        # Tiny samples can round a sweep to 0.000s; don't divide by it.
-        return f"{before / after:.2f}x" if after else "n/a"
-
-    render = run_render_suite(
-        repeats=args.repeats, catalog_sample=args.sample if args.smoke else None
-    )
-    print(
-        f"\ntemplate compile: cold {render['template_compile/cold']:,.0f} ns -> "
-        f"cached {render['template_compile/cached']:,.0f} ns "
-        f"({ratio(render['template_compile/cold'], render['template_compile/cached'])})"
-    )
-    print(
-        f"chart render: cold {render['chart_render/cold']:,.0f} ns -> "
-        f"warm {render['chart_render/warm']:,.0f} ns "
-        f"({ratio(render['chart_render/cold'], render['chart_render/warm'])})"
-    )
-    print(
-        f"catalog cold render ({int(render['catalog_render/charts'])} charts): "
-        f"text {render['catalog_render/text']:,.0f} ns/chart -> "
-        f"structured {render['catalog_render/structured']:,.0f} ns/chart "
-        f"({ratio(render['catalog_render/text'], render['catalog_render/structured'])})"
-    )
-    for key in sorted(render):
-        if key.startswith("all_pairs/grouped"):
-            pods = key.rsplit("=", 1)[1]
-            per_source = render[f"all_pairs/per_source/pods={pods}"]
-            print(
-                f"all_pairs pods={pods}: per-source {per_source:,.0f} ns/src -> "
-                f"grouped {render[key]:,.0f} ns/src "
-                f"({ratio(per_source, render[key])})"
-            )
-
-    sample = None if args.full else args.sample
-    session = run_session_suite(sample=sample, repeats=args.repeats)
-    print(
-        f"\ninstall/observe slice over {int(session['charts'])} charts: "
-        f"fresh+full {session['observe/fresh_full_s']}s -> "
-        f"pooled+full {session['observe/pooled_full_s']}s "
-        f"({ratio(session['observe/fresh_full_s'], session['observe/pooled_full_s'])}) -> "
-        f"fast {session['observe/fast_s']}s "
-        f"({ratio(session['observe/fresh_full_s'], session['observe/fast_s'])})"
-    )
+    sample, delta_sample = _samples(args)
     e2e_repeats = 1 if args.smoke else min(args.repeats, 3)
     # The naive-vs-compiled pair is the one recorded comparison where the
     # delta is far below sweep noise, so the recording run takes extra pairs.
     e2e = bench_netpol_sweep(sample, repeats=9 if args.full else e2e_repeats)
     print(
-        f"Figure 4b sweep over {int(e2e['charts'])} charts: "
+        f"\nFigure 4b sweep over {int(e2e['charts'])} charts: "
         f"naive {e2e['netpol_impact/naive_s']}s -> "
         f"compiled {e2e['netpol_impact/compiled_s']}s "
-        f"({ratio(e2e['netpol_impact/naive_s'], e2e['netpol_impact/compiled_s'])})"
+        f"({_ratio(e2e['netpol_impact/naive_s'], e2e['netpol_impact/compiled_s'])})"
     )
-    evaluation = bench_full_evaluation(sample, repeats=e2e_repeats)
-    e2e.update(evaluation)
+    e2e.update(bench_full_evaluation(sample, repeats=e2e_repeats))
     print(
-        f"Catalogue evaluation over {int(evaluation['charts'])} charts: "
-        f"double-render {evaluation['evaluation/double_render_s']}s -> "
-        f"fresh clusters {evaluation['evaluation/fresh_full_s']}s -> "
-        f"pooled+fast {evaluation['evaluation/current_s']}s "
-        f"({ratio(evaluation['evaluation/fresh_full_s'], evaluation['evaluation/current_s'])} over PR-2)"
+        f"catalogue evaluation over {int(e2e['charts'])} charts: "
+        f"{e2e['evaluation/current_s']}s"
     )
     overhead = measure_fault_overhead(sample, rounds=e2e_repeats)
     e2e.update(overhead)
@@ -543,9 +385,8 @@ def main(argv: list[str] | None = None) -> int:
         f"cold store {store_sweep['evaluation/store_cold_s']}s "
         f"({store_sweep['evaluation/store_cold_overhead']:.4f}x) -> "
         f"warm store {store_sweep['evaluation/store_warm_s']}s "
-        f"({ratio(store_sweep['evaluation/store_off_s'], store_sweep['evaluation/store_warm_s'])})"
+        f"({_ratio(store_sweep['evaluation/store_off_s'], store_sweep['evaluation/store_warm_s'])})"
     )
-    delta_sample = sample if sample is None else max(sample, DELTA_SAMPLE_FLOOR)
     delta = run_delta_suite(sample=delta_sample, repeats=e2e_repeats)
     print(
         f"delta rounds over {int(delta['charts'])} charts: "
@@ -555,14 +396,6 @@ def main(argv: list[str] | None = None) -> int:
         f"edit-4 {delta['delta/edit4_s']}s "
         f"({delta.get('delta/edit4_ratio', 0.0):.4f}x)"
     )
-    analysis = run_analysis_suite(sample=sample, repeats=e2e_repeats)
-    print(
-        f"rules slice over {int(analysis['charts'])} charts: "
-        f"reference {analysis['rules/reference']:,.0f} ns/chart -> "
-        f"compiled {analysis['rules/compiled']:,.0f} ns/chart "
-        f"({ratio(analysis['rules/reference'], analysis['rules/compiled'])})"
-    )
-    print(f"warm render hit: shared-reference {analysis['warm_inventory/shared']:,.0f} ns/chart")
 
     record = {
         "suite": "connectivity",
@@ -581,121 +414,134 @@ def main(argv: list[str] | None = None) -> int:
             for case in ("check_ingress", "reachable_endpoints", "matrix_sources")
             if f"{case}/naive" in results
         },
-        "render": {case: round(value, 1) for case, value in render.items()},
-        "session": session,
-        "analysis": analysis,
         "delta": delta,
         "end_to_end": e2e,
     }
-    if args.check:
-        # The gate always compares against the *committed* record --
-        # ``--output`` keeps its write-destination meaning and is simply
-        # unused here (check mode never writes a file).
-        committed = Path(__file__).resolve().parent.parent / "BENCH_connectivity.json"
-        if not committed.exists():
-            print(f"\n--check: no committed record at {committed}")
-            return 1
-        failures = check_against_committed(record, committed, args.tolerance)
-        if any(
-            failure.startswith("evaluation/store_warm_s:") and "exceeds" in failure
-            for failure in failures
-        ):
-            # A 4-chart warm sweep is dominated by fixed per-sweep costs
-            # (journal open, store handles) that a full-catalogue run
-            # amortizes away: remeasure min-of-5 before declaring a
-            # regression.
-            retry = bench_store_sweep(sample, repeats=5)
-            print(
-                f"store-sweep remeasure (min of 5): "
-                f"warm {retry['evaluation/store_warm_s']}s"
-            )
-            record["end_to_end"].update(retry)
-            failures = check_against_committed(record, committed, args.tolerance)
+    return per_size, record
+
+
+def gate(args: argparse.Namespace, per_size: dict[int, dict[str, float]], record: dict) -> int:
+    """``--check``: compare a smoke pass with the committed record; 1 on regression.
+
+    A gate that trips on one noisy smoke reading remeasures with more
+    repeats before it fails.
+    """
+    # The gate always compares against the *committed* record --
+    # ``--output`` keeps its write-destination meaning and is simply
+    # unused here (check mode never writes a file).
+    committed = Path(__file__).resolve().parent.parent / "BENCH_connectivity.json"
+    if not committed.exists():
+        print(f"\n--check: no committed record at {committed}")
+        return 1
+    sample, delta_sample = _samples(args)
+    failures = check_against_committed(record, committed)
+    if any(
+        failure.startswith("evaluation/store_warm_s:") and "exceeds" in failure
+        for failure in failures
+    ):
+        # A 4-chart warm sweep is dominated by fixed per-sweep costs
+        # (journal open, store handles) that a full-catalogue run
+        # amortizes away: remeasure min-of-5 before declaring a
+        # regression.
+        retry = bench_store_sweep(sample, repeats=5)
+        print(
+            f"store-sweep remeasure (min of 5): "
+            f"warm {retry['evaluation/store_warm_s']}s"
+        )
+        record["end_to_end"].update(retry)
+        failures = check_against_committed(record, committed)
+    netpol_ratio = (
+        record["end_to_end"]["netpol_impact/compiled_s"]
+        / record["end_to_end"]["netpol_impact/naive_s"]
+        if record["end_to_end"].get("netpol_impact/naive_s")
+        else 1.0
+    )
+    if netpol_ratio > NETPOL_RATIO_LIMIT:
+        # One cold pair over a 4-chart sample is noisy: remeasure with
+        # min-of-5 alternating pairs before declaring the compiled
+        # Figure 4b path a regression over the naive reference.
+        retry = bench_netpol_sweep(sample, repeats=5)
         netpol_ratio = (
-            record["end_to_end"]["netpol_impact/compiled_s"]
-            / record["end_to_end"]["netpol_impact/naive_s"]
-            if record["end_to_end"].get("netpol_impact/naive_s")
+            retry["netpol_impact/compiled_s"] / retry["netpol_impact/naive_s"]
+            if retry["netpol_impact/naive_s"]
             else 1.0
         )
+        print(f"netpol-impact remeasure (min of 5 pairs): {netpol_ratio:.4f}x")
+        record["end_to_end"].update(retry)
         if netpol_ratio > NETPOL_RATIO_LIMIT:
-            # One cold pair over a 4-chart sample is noisy: remeasure with
-            # min-of-5 alternating pairs before declaring the compiled
-            # Figure 4b path a regression over the naive reference.
-            retry = bench_netpol_sweep(sample, repeats=5)
-            netpol_ratio = (
-                retry["netpol_impact/compiled_s"] / retry["netpol_impact/naive_s"]
-                if retry["netpol_impact/naive_s"]
-                else 1.0
+            failures.append(
+                f"netpol_impact ratio: compiled is {netpol_ratio:.4f}x naive "
+                f"(limit {NETPOL_RATIO_LIMIT:.2f}x)"
             )
-            print(f"netpol-impact remeasure (min of 5 pairs): {netpol_ratio:.4f}x")
-            record["end_to_end"].update(retry)
-            if netpol_ratio > NETPOL_RATIO_LIMIT:
-                failures.append(
-                    f"netpol_impact ratio: compiled is {netpol_ratio:.4f}x naive "
-                    f"(limit {NETPOL_RATIO_LIMIT:.2f}x)"
-                )
-        smoke_results = per_size[fleet_sizes[0]]
-        matrix_limit = MATRIX_RATIO_LIMITS[fleet_sizes[0]]
+    smoke_results = per_size[SMOKE_FLEET_SIZES[0]]
+    matrix_limit = MATRIX_RATIO_LIMITS[SMOKE_FLEET_SIZES[0]]
+    matrix_ratio = (
+        smoke_results["matrix_sources/compiled"]
+        / smoke_results["matrix_sources/naive"]
+    )
+    if matrix_ratio > matrix_limit:
+        # The smoke fleet's surfaces are microseconds: remeasure at 240
+        # pods with median-of-5 before declaring the bitset engine a
+        # regression past the grouped walk it replaced.
+        from connectivity_cases import bench_matrix_sources, build_fleet
+
+        retry = bench_matrix_sources(build_fleet(240), repeats=5)
+        matrix_limit = MATRIX_RATIO_LIMITS[240]
         matrix_ratio = (
-            smoke_results["matrix_sources/compiled"]
-            / smoke_results["matrix_sources/naive"]
+            retry["matrix_sources/compiled"] / retry["matrix_sources/naive"]
+        )
+        print(
+            f"matrix_sources remeasure (240 pods, median of 5): "
+            f"{matrix_ratio:.4f}x naive"
         )
         if matrix_ratio > matrix_limit:
-            # The smoke fleet's surfaces are microseconds: remeasure at 240
-            # pods with median-of-5 before declaring the bitset engine a
-            # regression past the grouped walk it replaced.
-            from connectivity_cases import bench_matrix_sources, build_fleet
-
-            retry = bench_matrix_sources(build_fleet(240), repeats=5)
-            matrix_limit = MATRIX_RATIO_LIMITS[240]
-            matrix_ratio = (
-                retry["matrix_sources/compiled"] / retry["matrix_sources/naive"]
+            failures.append(
+                f"matrix_sources ratio: the bitset engine costs "
+                f"{matrix_ratio:.4f}x the naive scan (limit "
+                f"{matrix_limit:.4f}x, the grouped walk it replaced)"
             )
-            print(
-                f"matrix_sources remeasure (240 pods, median of 5): "
-                f"{matrix_ratio:.4f}x naive"
-            )
-            if matrix_ratio > matrix_limit:
-                failures.append(
-                    f"matrix_sources ratio: the bitset engine costs "
-                    f"{matrix_ratio:.4f}x the naive scan (limit "
-                    f"{matrix_limit:.4f}x, the grouped walk it replaced)"
-                )
-        noop_ratio = record["delta"].get("delta/noop_ratio", 0.0)
+    noop_ratio = record["delta"].get("delta/noop_ratio", 0.0)
+    if noop_ratio > DELTA_NOOP_RATIO_LIMIT:
+        # A no-op delta round over a 4-chart smoke sample lasts
+        # milliseconds; remeasure min-of-5 before declaring the
+        # classification fast path a regression.
+        retry = run_delta_suite(delta_sample, repeats=5)
+        noop_ratio = retry.get("delta/noop_ratio", 0.0)
+        print(f"delta no-op remeasure (min of 5): {noop_ratio:.4f}x")
+        record["delta"] = retry
         if noop_ratio > DELTA_NOOP_RATIO_LIMIT:
-            # A no-op delta round over a 4-chart smoke sample lasts
-            # milliseconds; remeasure min-of-5 before declaring the
-            # classification fast path a regression.
-            retry = run_delta_suite(delta_sample, repeats=5)
-            noop_ratio = retry.get("delta/noop_ratio", 0.0)
-            print(f"delta no-op remeasure (min of 5): {noop_ratio:.4f}x")
-            record["delta"] = retry
-            if noop_ratio > DELTA_NOOP_RATIO_LIMIT:
-                failures.append(
-                    f"delta/noop_ratio: a no-op delta round costs {noop_ratio:.4f}x "
-                    f"the full sweep (limit {DELTA_NOOP_RATIO_LIMIT:.2f}x)"
-                )
-        if record["end_to_end"]["evaluation/fault_overhead"] > FAULT_OVERHEAD_LIMIT:
-            # A single cold pair is noisy on a loaded machine: before
-            # declaring a regression, remeasure with min-of-5 pairs.
-            retry = measure_fault_overhead(sample, rounds=5)
-            print(
-                f"fault-overhead remeasure (min of 5 pairs): "
-                f"{retry['evaluation/fault_overhead']:.4f}x"
+            failures.append(
+                f"delta/noop_ratio: a no-op delta round costs {noop_ratio:.4f}x "
+                f"the full sweep (limit {DELTA_NOOP_RATIO_LIMIT:.2f}x)"
             )
-            if retry["evaluation/fault_overhead"] > FAULT_OVERHEAD_LIMIT:
-                failures.append(
-                    f"evaluation/fault_overhead: armed-but-idle hooks cost "
-                    f"{retry['evaluation/fault_overhead']:.4f}x "
-                    f"(limit {FAULT_OVERHEAD_LIMIT:.2f}x)"
-                )
-        if failures:
-            print("\n--check FAILED:")
-            for failure in failures:
-                print(f"  {failure}")
-            return 1
-        print(f"\n--check passed (tolerance {args.tolerance:.1f}x vs {committed.name})")
-        return 0
+    if record["end_to_end"]["evaluation/fault_overhead"] > FAULT_OVERHEAD_LIMIT:
+        # A single cold pair is noisy on a loaded machine: before
+        # declaring a regression, remeasure with min-of-5 pairs.
+        retry = measure_fault_overhead(sample, rounds=5)
+        print(
+            f"fault-overhead remeasure (min of 5 pairs): "
+            f"{retry['evaluation/fault_overhead']:.4f}x"
+        )
+        if retry["evaluation/fault_overhead"] > FAULT_OVERHEAD_LIMIT:
+            failures.append(
+                f"evaluation/fault_overhead: armed-but-idle hooks cost "
+                f"{retry['evaluation/fault_overhead']:.4f}x "
+                f"(limit {FAULT_OVERHEAD_LIMIT:.2f}x)"
+            )
+    if failures:
+        print("\n--check FAILED:")
+        for failure in failures:
+            print(f"  {failure}")
+        return 1
+    print(f"\n--check passed (tolerance {TOLERANCE:.1f}x vs {committed.name})")
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
+    per_size, record = measure(args)
+    if args.check:
+        return gate(args, per_size, record)
     if args.output is None and args.smoke:
         print("\nsmoke pass complete (no file written)")
         return 0

@@ -154,7 +154,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .experiments import run_full_evaluation
     from .store import ResultStore, store_hint
 
-    since = getattr(args, "since", "")
+    since = args.since
     store_dir = since or args.resume or args.store
     store = ResultStore(store_dir) if store_dir else None
     if since:
@@ -276,15 +276,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="parallel workers (0 = serial)",
     )
-    sweep.add_argument(
+    # One store per sweep: naming two is a usage error, not a silent pick.
+    store_flags = sweep.add_mutually_exclusive_group()
+    store_flags.add_argument(
         "--store", default="", help="result-store directory to read and feed"
     )
-    sweep.add_argument(
+    store_flags.add_argument(
         "--resume",
         default="",
         help="resume an interrupted sweep from this store directory",
     )
-    sweep.add_argument(
+    store_flags.add_argument(
         "--since",
         default="",
         help="incremental sweep: classify against this store's journal and "

@@ -9,7 +9,7 @@ hooks.  When no plan is armed, :func:`fault_point` is a single global load
 and ``None`` check; an armed-but-idle plan (sites armed for charts that
 never run) adds one dict lookup and a frozenset membership test per call --
 the benchmark gate (``benchmarks/run.py --check``) pins the end-to-end
-overhead under 2%.
+overhead under 3% (``FAULT_OVERHEAD_LIMIT``).
 
 Sites (:data:`FAULT_SITES`) cover every stage a chart analysis passes
 through:

@@ -37,7 +37,7 @@ from .chart import Chart
 from .errors import RenderError, TemplateError
 from .structured import assemble_documents
 from .template import TemplateEngine
-from .values import deep_merge, get_path, merged_view, sorted_tree
+from .values import deep_merge, get_path, in_key_order, merged_view, sorted_tree
 
 
 @dataclass
@@ -253,11 +253,11 @@ class HelmRenderer:
         merged = merge(subchart.values, scoped if isinstance(scoped, Mapping) else {})
         global_values = parent_values.get("global")
         if isinstance(global_values, Mapping):
-            if shared and merged is subchart.values:
-                # merged_view may alias the subchart defaults; don't write
-                # the global layer through to them.
-                merged = dict(merged)
-            merged["global"] = merge(merged.get("global", {}), global_values)
+            # A fresh mapping: merged_view may alias the subchart defaults,
+            # and a new "global" key must take its sorted place.
+            merged = in_key_order(
+                {**merged, "global": merge(merged.get("global", {}), global_values)}
+            )
         return merged
 
     @staticmethod

@@ -49,6 +49,7 @@ from .. import faults
 from ..k8s.yamlio import yaml_dump, yaml_load
 from ..memo import remember
 from .errors import TemplateError
+from .values import in_key_order, sorted_keys, sorted_tree
 
 # --------------------------------------------------------------------------
 # Lexing
@@ -729,7 +730,8 @@ def _native_roundtrip(value: Any) -> Any:
     """What ``fromYaml (toYaml value)`` produces, without the text round trip.
 
     Plain trees (mappings, sequences, scalars) survive a YAML dump/load as
-    fresh copies with tuples becoming lists; anything subtler -- strings the
+    fresh copies with tuples becoming lists and keys sorted, as
+    ``fromYaml`` sorts them; anything subtler -- strings the
     YAML resolver would re-type (``"2024-01-01"``, ``"yes"``), exotic
     objects -- falls back to the real dump+load so the peephole is
     observation-equivalent to the two text stages it replaces.
@@ -739,7 +741,7 @@ def _native_roundtrip(value: Any) -> Any:
     except _NotPlainYaml:
         pass
     try:
-        return yaml_load(_to_yaml(value))
+        return sorted_tree(yaml_load(_to_yaml(value)))
     except TemplateError:
         raise
     except Exception as exc:  # noqa: BLE001 - mirror run_function's wrapping
@@ -763,7 +765,9 @@ def _native_yaml_copy(value: Any) -> Any:
     if isinstance(value, (bool, int, float)) or value is None:
         return value
     if isinstance(value, Mapping):
-        return {_native_yaml_copy(key): _native_yaml_copy(item) for key, item in value.items()}
+        return {
+            _native_yaml_copy(key): _native_yaml_copy(value[key]) for key in sorted_keys(value)
+        }
     if isinstance(value, (list, tuple)):
         return [_native_yaml_copy(item) for item in value]
     raise _NotPlainYaml(value)
@@ -1266,7 +1270,7 @@ def _build_functions() -> dict[str, Callable[..., Any]]:
         "splitList": lambda separator, value: str(value).split(str(separator)),
         "toString": _format_value,
         "toYaml": _to_yaml,
-        "fromYaml": lambda value: yaml_load(str(value)),
+        "fromYaml": lambda value: sorted_tree(yaml_load(str(value))),
         "toJson": lambda value: yaml_dump(value, default_flow_style=True).strip(),
         "indent": _indent,
         "nindent": lambda spaces, text: "\n" + _indent(spaces, text),
@@ -1296,9 +1300,9 @@ def _build_functions() -> dict[str, Callable[..., Any]]:
         "coalesce": lambda *values: next((v for v in values if _is_truthy(v)), None),
         "ternary": ternary,
         "list": lambda *values: list(values),
-        "dict": lambda *pairs: {
-            str(pairs[i]): pairs[i + 1] for i in range(0, len(pairs) - 1, 2)
-        },
+        "dict": lambda *pairs: in_key_order(
+            {str(pairs[i]): pairs[i + 1] for i in range(0, len(pairs) - 1, 2)}
+        ),
         "get": lambda mapping, key: (mapping or {}).get(key),
         "hasKey": lambda mapping, key: key in (mapping or {}),
         "keys": lambda mapping: sorted((mapping or {}).keys()),

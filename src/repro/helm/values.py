@@ -3,8 +3,9 @@
 A Helm *manifest* (``values.yaml``) is a nested mapping.  Users override it
 with ``--set`` style assignments or additional value files; overrides are
 merged recursively, with later layers winning, exactly as Helm does.
-Trees are key-sorted where they enter (:func:`sorted_tree`), which makes
-:func:`fingerprint_values` the one content fingerprint of a values tree.
+Trees are key-sorted where they enter (:func:`sorted_tree`) and merges
+keep them so, which makes :func:`fingerprint_values` the one content
+fingerprint of a values tree.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ def deep_merge(base: Mapping[str, Any], override: Mapping[str, Any]) -> dict[str
     """Recursively merge ``override`` on top of ``base`` and return a new dict.
 
     Mappings are merged key by key; any other type (including lists) is
-    replaced wholesale, matching Helm's coalescing behaviour.
+    replaced wholesale, matching Helm's coalescing behaviour.  Each merged
+    mapping lists its keys in :func:`sorted_keys` order, so an override's
+    new keys do not trail the base's.
     """
     merged: dict[str, Any] = copy.deepcopy(dict(base))
     for key, value in override.items():
@@ -34,7 +37,7 @@ def deep_merge(base: Mapping[str, Any], override: Mapping[str, Any]) -> dict[str
             merged[key] = deep_merge(existing, value)
         else:
             merged[key] = copy.deepcopy(value)
-    return merged
+    return in_key_order(merged)
 
 
 def merged_view(base: Mapping[str, Any], override: Mapping[str, Any]) -> dict[str, Any]:
@@ -57,7 +60,7 @@ def merged_view(base: Mapping[str, Any], override: Mapping[str, Any]) -> dict[st
             merged[key] = merged_view(existing, value)
         else:
             merged[key] = value
-    return merged
+    return in_key_order(merged)
 
 
 def get_path(values: Mapping[str, Any], path: str, default: Any = None) -> Any:
@@ -147,22 +150,33 @@ def dump_values(values: Mapping[str, Any]) -> str:
     return yaml_dump(dict(values), sort_keys=True, default_flow_style=False)
 
 
+def sorted_keys(mapping: Mapping[Any, Any]) -> list[Any]:
+    """``mapping``'s keys in Helm's map order: sorted.
+
+    Mixed-type keys (YAML allows them) sort by type name, then string form.
+    """
+    try:
+        return sorted(mapping)
+    except TypeError:
+        return sorted(mapping, key=lambda key: (type(key).__name__, str(key)))
+
+
+def in_key_order(mapping: Mapping[Any, Any]) -> dict[Any, Any]:
+    """A dict of ``mapping``'s items in :func:`sorted_keys` order (one level)."""
+    return {key: mapping[key] for key in sorted_keys(mapping)}
+
+
 def sorted_tree(value: Any) -> Any:
     """``value`` with every mapping's keys in sorted order, recursively.
 
     Helm reads values as maps, whose keys ``range`` and ``toYaml`` visit in
     sorted order.  Chart values and override trees pass through here where
     they enter, so equal trees render and fingerprint alike whatever order
-    they were written in.  Mixed-type keys (YAML allows them) sort by type
-    name, then string form.  Dicts and lists are rebuilt; other leaves are
+    they were written in.  Dicts and lists are rebuilt; other leaves are
     shared.
     """
     if isinstance(value, dict):
-        try:
-            keys = sorted(value)
-        except TypeError:
-            keys = sorted(value, key=lambda key: (type(key).__name__, str(key)))
-        return {key: sorted_tree(value[key]) for key in keys}
+        return {key: sorted_tree(value[key]) for key in sorted_keys(value)}
     if isinstance(value, list):
         return [sorted_tree(item) for item in value]
     return value

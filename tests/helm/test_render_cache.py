@@ -141,6 +141,65 @@ class TestValuesKeyOrder:
         assert cache.stats()["hits"] == 1
 
 
+def _configmap_chart(data_line: str, values=None) -> Chart:
+    """One ConfigMap whose ``data`` holds ``data_line``."""
+    template = (
+        "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: order\ndata:\n"
+        f"  {data_line}\n"
+    )
+    return Chart.from_files("order", values=values, templates={"cm.yaml": template})
+
+
+def _render_both_ways(cache: RenderCache, chart: Chart, structured: bool, overrides=None):
+    """The uncached and the cached render, on one render path."""
+    fresh = render_chart(chart, overrides=overrides, cached=False, structured=structured)
+    cached = cache.render(chart, overrides=overrides, structured=structured)
+    return fresh, cached
+
+
+class TestBuiltMapKeyOrder:
+    """Maps built by templates and merges iterate sorted, as Helm's do.
+
+    Each case renders uncached and cached on both render paths.
+    """
+
+    CASES = {
+        "dict": ('x: "{{ range $k, $v := dict "b" 1 "a" 2 }}{{ $k }};{{ end }}"', "a;b;"),
+        "fromYaml": (
+            'x: "{{ range $k, $v := fromYaml "{zz: 1, aa: 2}" }}{{ $k }};{{ end }}"',
+            "aa;zz;",
+        ),
+        "toYaml": ('x: {{ toYaml (dict "zz" "1" "aa" "2") | quote }}', "aa: '2' zz: '1'"),
+    }
+
+    @pytest.mark.parametrize("structured", [True, False], ids=["structured", "text"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_template_built_maps_iterate_sorted(self, cache: RenderCache, case, structured):
+        line, expected = self.CASES[case]
+        for rendered in _render_both_ways(cache, _configmap_chart(line), structured):
+            assert rendered.documents[0]["data"]["x"] == expected
+
+    @pytest.mark.parametrize("structured", [True, False], ids=["structured", "text"])
+    def test_override_keys_take_their_sorted_place(self, cache: RenderCache, structured):
+        chart = _configmap_chart(
+            'x: "{{ range $k, $v := .Values }}{{ $k }};{{ end }}"', {"c": 1, "a": 2}
+        )
+        for rendered in _render_both_ways(cache, chart, structured, overrides={"b": 3}):
+            assert rendered.documents[0]["data"]["x"] == "a;b;c;"
+            assert list(rendered.values) == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("structured", [True, False], ids=["structured", "text"])
+    def test_global_layer_takes_its_sorted_place(self, cache: RenderCache, structured):
+        chart = Chart.from_files("parent", values={"global": {"region": "eu"}})
+        chart.add_subchart(
+            _configmap_chart(
+                'x: "{{ range $k, $v := .Values }}{{ $k }};{{ end }}"', {"a": 1, "z": 2}
+            )
+        )
+        for rendered in _render_both_ways(cache, chart, structured):
+            assert rendered.documents[0]["data"]["x"] == "a;global;z;"
+
+
 class TestSharedReferenceHits:
     def test_warm_hits_share_sealed_objects(self):
         cache = RenderCache()

@@ -11,6 +11,7 @@ actually caught -- the gate is not vacuously green.
 from __future__ import annotations
 
 import importlib.util
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +30,6 @@ def _load_run_module():
     return module
 
 
-@pytest.mark.slow
 def test_bench_check_passes_on_the_tree():
     result = subprocess.run(
         [sys.executable, str(REPO_ROOT / "benchmarks" / "run.py"), "--check"],
@@ -39,6 +39,33 @@ def test_bench_check_passes_on_the_tree():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "--check passed" in result.stdout
+
+
+def test_check_measures_every_gated_figure():
+    # --check's measurement alone (not its comparison): every figure a gate
+    # reads comes out present and finite, so deleting a case cannot
+    # silently leave a gate without its input.  The Figure 4b arms read
+    # 0.0 on the smoke sample (no NetworkPolicy in its charts), so only
+    # finiteness is asserted.
+    bench_run = _load_run_module()
+    per_size, record = bench_run.measure(bench_run.parse_args(["--check"]))
+    e2e = record["end_to_end"]
+    smoke_fleet = per_size[bench_run.SMOKE_FLEET_SIZES[0]]
+    figures = {key: e2e[key] for key in bench_run.CHECK_KEYS}
+    figures.update(
+        {
+            key: e2e[key]
+            for key in (
+                "netpol_impact/naive_s",
+                "netpol_impact/compiled_s",
+                "evaluation/fault_overhead",
+            )
+        }
+    )
+    figures["matrix_sources/naive"] = smoke_fleet["matrix_sources/naive"]
+    figures["matrix_sources/compiled"] = smoke_fleet["matrix_sources/compiled"]
+    figures["delta/noop_ratio"] = record["delta"]["delta/noop_ratio"]
+    assert all(math.isfinite(value) for value in figures.values()), figures
 
 
 def test_check_detects_regression(tmp_path):

@@ -50,6 +50,18 @@ def test_sweep_cold_then_warm(capsys, tmp_path):
     assert "StoreIntegrity" not in err  # healthy store stays silent
 
 
+@pytest.mark.parametrize(
+    "flags", [("--store", "--since"), ("--store", "--resume"), ("--resume", "--since")]
+)
+def test_sweep_takes_one_store_flag(capsys, tmp_path, flags):
+    first, second = tmp_path / "first", tmp_path / "second"
+    with pytest.raises(SystemExit) as exit_info:
+        run_sweep(capsys, flags[0], str(first), flags[1], str(second))
+    assert exit_info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not first.exists() and not second.exists()
+
+
 def test_sweep_resume_continues_quietly(capsys, tmp_path):
     store_dir = str(tmp_path / "store")
     run_sweep(capsys, "--store", store_dir)
