@@ -3,7 +3,9 @@
 The per-application rules only see one chart at a time.  Once every
 application has been analyzed individually, the paper performs a second pass
 over the whole cluster, looking for labels and selectors that collide across
-*different* applications (Section 4.2.1).
+*different* applications (Section 4.2.1).  It reads each application's
+:class:`~repro.k8s.LabelSurface` -- compute-unit labels and service
+selectors -- and nothing else of its objects.
 
 :func:`global_collision_findings` is the from-scratch pass.
 :class:`CollisionIndex` keeps the pass's state between rounds of a watch, so
@@ -15,17 +17,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..k8s import Inventory, LabelSet
+from ..k8s import Inventory, LabelSet, LabelSurface
 from .findings import Finding, MisconfigClass
 
 
 @dataclass
 class ApplicationInventory:
-    """The static inventory of one application, tagged with its identity."""
+    """One application's objects, tagged with its identity.
+
+    ``inventory`` is an :class:`~repro.k8s.Inventory` or its
+    :class:`~repro.k8s.LabelSurface`; the M4* pass reads only the surface.
+    """
 
     application: str
-    inventory: Inventory
-    dataset: str = ""
+    inventory: Inventory | LabelSurface
 
 
 @dataclass
@@ -45,13 +50,9 @@ def find_global_collisions(applications: list[ApplicationInventory]) -> list[Glo
     """Group compute units from *different* applications sharing identical labels."""
     groups: dict[LabelSet, list[tuple[str, str]]] = {}
     for entry in applications:
-        for unit in entry.inventory.compute_units():
-            labels = unit.pod_labels()
-            if type(labels) is not LabelSet:
-                labels = LabelSet(labels)
-            if not labels:
-                continue
-            groups.setdefault(labels, []).append((entry.application, unit.qualified_name()))
+        for name, _, labels in entry.inventory.label_surface().units:
+            if labels:
+                groups.setdefault(labels, []).append((entry.application, name))
     collisions: list[GlobalCollision] = []
     for labels, members in groups.items():
         applications_involved = {application for application, _ in members}
@@ -70,9 +71,10 @@ def find_cross_application_selector_matches(
     label sets, a service can accidentally (or maliciously) select compute
     units belonging to a different application deployed in the same cluster.
 
-    The unit inventory is flattened once into a per-namespace index with
-    pre-hashed label items, and every ``(key, value)`` pair additionally
-    gets a posting list of the units carrying it.  A pure ``matchLabels``
+    The units of every label surface are flattened once into a
+    per-namespace index with pre-hashed label items, and every ``(key,
+    value)`` pair additionally gets a posting list of the units carrying
+    it.  A pure ``matchLabels``
     selector then only examines its *rarest* label's posting list (subset
     test on pre-hashed items) instead of every unit in the namespace --
     selectors name application-specific labels, so the examined list is
@@ -81,29 +83,25 @@ def find_cross_application_selector_matches(
     quadratic tail of the catalogue evaluation.
     """
     #: namespace -> [(application, qualified name, hashed labels, labels)]
-    units_by_namespace: dict[str, list[tuple[str, str, frozenset, dict]]] = {}
+    units_by_namespace: dict[str, list[tuple[str, str, frozenset, LabelSet]]] = {}
     #: namespace -> (key, value) -> indices into the namespace's unit list.
     postings: dict[str, dict[tuple[str, str], list[int]]] = {}
     for entry in applications:
-        for unit in entry.inventory.compute_units():
-            labels = dict(unit.pod_labels())
-            bucket = units_by_namespace.setdefault(unit.namespace, [])
-            posting = postings.setdefault(unit.namespace, {})
+        for name, namespace, labels in entry.inventory.label_surface().units:
+            bucket = units_by_namespace.setdefault(namespace, [])
+            posting = postings.setdefault(namespace, {})
             index = len(bucket)
-            bucket.append(
-                (entry.application, unit.qualified_name(), frozenset(labels.items()), labels)
-            )
-            for item in labels.items():
+            items = labels.item_set()
+            bucket.append((entry.application, name, items, labels))
+            for item in items:
                 posting.setdefault(item, []).append(index)
     collisions: list[GlobalCollision] = []
     for entry in applications:
-        for service in entry.inventory.services():
-            if not service.has_selector:
-                continue
-            candidates = units_by_namespace.get(service.namespace, ())
-            match_items = service.selector.as_match_items()
+        for service_name, namespace, selector in entry.inventory.label_surface().services:
+            candidates = units_by_namespace.get(namespace, ())
+            match_items = selector.as_match_items()
             if match_items and candidates:
-                posting = postings[service.namespace]
+                posting = postings[namespace]
                 lists = [posting.get(item) for item in match_items]
                 if any(entry_list is None for entry_list in lists):
                     continue  # a selector label no unit carries: no matches
@@ -116,14 +114,14 @@ def find_cross_application_selector_matches(
                 and (
                     match_items <= label_items
                     if match_items is not None
-                    else service.selector.matches(labels)
+                    else selector.matches(labels)
                 )
             ]
             if foreign_members:
                 collisions.append(
                     GlobalCollision(
-                        labels=service.selector.match_labels.to_dict(),
-                        members=[(entry.application, service.qualified_name())] + foreign_members,
+                        labels=selector.match_labels.to_dict(),
+                        members=[(entry.application, service_name)] + foreign_members,
                     )
                 )
     return collisions
@@ -182,7 +180,7 @@ def global_collision_findings(applications: list[ApplicationInventory]) -> list[
 
 
 class _Unit:
-    """One compute unit as the index holds it; ``index`` is its inventory position."""
+    """One compute unit as the index holds it; ``index`` is its surface position."""
 
     __slots__ = ("application", "index", "name", "namespace", "labels", "items")
 
@@ -220,9 +218,9 @@ class _Service:
 
 @dataclass(slots=True)
 class _Chart:
-    """What one application contributes to the index, and from which inventory."""
+    """What one application contributes to the index, and from which surface."""
 
-    inventory: Inventory
+    surface: LabelSurface
     units: list[_Unit]
     services: list[_Service]
 
@@ -232,7 +230,8 @@ class CollisionIndex:
 
     :meth:`update` brings the index to one round's analyzed set: it
     retracts the contributions of applications that went away or whose
-    inventory is a different object, adds the new ones, and returns every
+    :class:`~repro.k8s.LabelSurface` is a different object (an inventory
+    stands for its memoized surface), adds the new ones, and returns every
     application whose M4* findings may have moved -- the changed ones and
     every application sharing a label group or a selector match with
     them, before or after.  :meth:`findings` re-derives one application's
@@ -242,7 +241,7 @@ class CollisionIndex:
     Order matters to the from-scratch pass: label groups rank by their
     first member in catalogue order, selector matches by the owning
     service's position.  So when two applications that both kept their
-    inventory swap places, the index starts over and reports every
+    surface swap places, the index starts over and reports every
     application.  It holds only the last update's applications, so a long
     watch keeps bounded memory.  :func:`global_collision_findings` over
     the same applications is the oracle.  Application keys must be unique.
@@ -270,7 +269,7 @@ class CollisionIndex:
             entry.application
             for entry in applications
             if (chart := self._charts.get(entry.application)) is not None
-            and chart.inventory is entry.inventory
+            and chart.surface is entry.inventory.label_surface()
         ]
         order = [self._position[application] for application in kept]
         if any(before > after for before, after in zip(order, order[1:])):
@@ -368,15 +367,10 @@ class CollisionIndex:
 
     def _add(self, entry: ApplicationInventory) -> _Chart:
         application = entry.application
-        chart = _Chart(entry.inventory, [], [])
-        for index, unit in enumerate(entry.inventory.compute_units()):
-            labels = unit.pod_labels()
-            if type(labels) is not LabelSet:
-                labels = LabelSet(labels)
-            record = _Unit(
-                application, index, unit.qualified_name(), unit.namespace, labels,
-                labels.item_set(),
-            )
+        surface = entry.inventory.label_surface()
+        chart = _Chart(surface, [], [])
+        for index, (name, namespace, labels) in enumerate(surface.units):
+            record = _Unit(application, index, name, namespace, labels, labels.item_set())
             chart.units.append(record)
             self._units.setdefault(record.namespace, set()).add(record)
             if record.items:
@@ -384,12 +378,9 @@ class CollisionIndex:
                 posting = self._postings.setdefault(record.namespace, {})
                 for item in record.items:
                     posting.setdefault(item, set()).add(record)
-        for index, service in enumerate(entry.inventory.services()):
-            if not service.has_selector:
-                continue
+        for index, (name, namespace, selector) in enumerate(surface.services):
             record = _Service(
-                application, index, service.qualified_name(), service.namespace,
-                service.selector, service.selector.as_match_items(),
+                application, index, name, namespace, selector, selector.as_match_items()
             )
             chart.services.append(record)
             if record.items:

@@ -14,7 +14,7 @@ chart's ``result_key`` covers:
 class         meaning
 ============  =====================================================
 unchanged     all three equal, prior result healthy -- the pre-M4*
-              report and inventory are reused as-is
+              report and label surface are reused as-is
 re-render     the chart content moved; the reason names ``values``
               and/or ``templates``, else ``chart`` (metadata or
               subcharts), or ``prior failure``
@@ -36,9 +36,9 @@ Staleness rules
 ---------------
 
 Reuse is sound only for the per-chart (pre-M4*) stage: the cluster-wide
-label-collision pass consumes *every* inventory, so a change anywhere can
-move M4* findings on unchanged charts.  An in-memory round keeps the
-pass's label groups and selector postings per chart in a
+label-collision pass consumes *every* chart's label surface, so a change
+anywhere can move M4* findings on unchanged charts.  An in-memory round
+keeps the pass's label groups and selector postings per chart in a
 :class:`~repro.core.CollisionIndex`: it retracts removed, recomputed and
 quarantined charts, adds the new ones, and re-derives M4* findings only
 for the applications whose collision groups or selector matches the
@@ -216,7 +216,7 @@ def _strip_cluster_wide(entry: AnalyzedApplication) -> AnalyzedApplication:
         report=AnalysisReport(
             application=report.application, dataset=report.dataset, findings=findings
         ),
-        inventory=entry.inventory,
+        surface=entry.surface,
         attempts=entry.attempts,
     )
 
@@ -238,7 +238,7 @@ def _cluster_wide_delta(
     keys = [f"{entry.application.dataset}/{entry.application.name}" for entry in result.analyzed]
     touched = index.update(
         [
-            ApplicationInventory(application=key, inventory=entry.inventory)
+            ApplicationInventory(application=key, inventory=entry.surface)
             for key, entry in zip(keys, result.analyzed)
         ]
     )
@@ -393,7 +393,7 @@ class DeltaEvaluator:
     ) -> EvaluationResult:
         """Run one delta round; byte-identical to a from-scratch sweep.
 
-        Reuses every unchanged chart's report and inventory and hands the
+        Reuses every unchanged chart's report and label surface and hands the
         rest to the sweep engine (serial fault-isolated, or the
         self-healing process pool when ``workers`` > 1), which merges in
         catalogue order.  The cluster-wide pass then runs incrementally

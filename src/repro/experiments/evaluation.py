@@ -41,17 +41,18 @@ Durability and resume
 ---------------------
 
 ``run_full_evaluation(store=...)`` makes the sweep *durable*: every
-completed chart's report and inventory are published to a content-addressed
-:class:`~repro.store.ResultStore` the moment the chart finishes (not at the
-end of the sweep -- a killed process loses only its in-flight chart), keyed
-on :func:`result_key` (chart fingerprint + behaviours + analyzer settings),
-and a sealed :class:`~repro.store.SweepJournal` record of the chart's
-completion commits in the same transaction.  Every durable sweep consults
+completed chart's report and label surface are published to a
+content-addressed :class:`~repro.store.ResultStore` the moment the chart
+finishes (not at the end of the sweep -- a killed process loses only its
+in-flight chart), keyed on :func:`result_key` (chart fingerprint +
+behaviours + analyzer settings), and a sealed
+:class:`~repro.store.SweepJournal` record of the chart's completion
+commits in the same transaction.  Every durable sweep consults
 the store first -- content addressing makes a warm entry valid in any
 sweep with the same inputs -- so ``resume=True`` (the CLI's ``repro sweep
 --resume``) is about journal continuity and reporting, while the
 skip-completed behaviour itself needs no flag.  Persisted entries hold the pre-M4* report: the cluster-wide
-pass re-runs over loaded and fresh inventories alike, so store-on,
+pass re-runs over loaded and fresh label surfaces alike, so store-on,
 store-off and crash-then-resume sweeps produce byte-identical results (the
 durability differential suite in ``tests/experiments/test_store_durability.py``
 proves it, torn stores and injected corruption included).
@@ -83,7 +84,7 @@ from ..core import (
 from ..datasets import BuiltApplication, build_catalog
 from ..helm import render_chart
 from ..helm.values import fingerprint_values
-from ..k8s import Inventory
+from ..k8s import Inventory, LabelSurface
 
 #: Use-case grouping used by the Section 4.3.1 statistics.
 USE_CASE_OF_DATASET = {
@@ -148,11 +149,16 @@ class AnalysisFailure:
 
 @dataclass
 class AnalyzedApplication:
-    """One application together with its analysis artefacts."""
+    """One application together with its analysis artefacts.
+
+    ``surface`` is the chart's :class:`~repro.k8s.LabelSurface`, the one
+    input the cluster-wide M4* pass reads; computed, pool-returned and
+    store-loaded entries all carry it, and none keeps the inventory.
+    """
 
     application: BuiltApplication
     report: AnalysisReport
-    inventory: Inventory
+    surface: LabelSurface
     #: How many attempts the analysis took (1 = first try; >1 means a
     #: transient failure was healed by retry).
     attempts: int = 1
@@ -229,8 +235,8 @@ def _analyze_application(
 ) -> AnalyzedApplication:
     # One render serves both the analysis and the inventory, and it goes
     # through the shared render cache: re-sweeping the same catalogue is a
-    # shared-reference hit per chart.  The inventory is shared too, so its
-    # lazy indexes serve both the per-chart rules and the cluster-wide pass.
+    # shared-reference hit per chart.  The rules read the inventory; the
+    # entry keeps only its label surface for the cluster-wide pass.
     def _render() -> tuple:
         rendered = render_chart(app.chart, fingerprint=app.fingerprint())
         return rendered, Inventory(rendered.objects)
@@ -246,7 +252,9 @@ def _analyze_application(
         inventory=inventory,
         stage_errors=stage_errors,
     )
-    return AnalyzedApplication(application=app, report=report, inventory=inventory)
+    return AnalyzedApplication(
+        application=app, report=report, surface=inventory.label_surface()
+    )
 
 
 def _failure_payload(exc: BaseException) -> tuple[str, str, str, str]:
@@ -312,8 +320,8 @@ def settings_fingerprint(settings: AnalyzerSettings) -> str:
 def result_key(app: BuiltApplication, settings_fp: str) -> str:
     """The content key of one chart's evaluation result.
 
-    Covers everything the (pre-M4*) report and inventory are a function of:
-    the catalogue identity, the chart content fingerprint, the registered
+    Covers everything the (pre-M4*) report and label surface are a function
+    of: the catalogue identity, the chart content fingerprint, the registered
     behaviours, and the analyzer settings (via :func:`settings_fingerprint`).
     """
     return store_key(
@@ -370,7 +378,8 @@ class _DurableSweep:
     faults replay deterministically.  That commit is the chart's crash
     point -- crash safety comes from never holding completed work only in
     memory -- and it always happens *before* the cluster-wide M4* pass,
-    which re-runs over loaded and fresh inventories alike.  The engine
+    which re-runs over loaded and fresh label surfaces alike.  A result
+    row holds ``{"report", "surface", "attempts"}``.  The engine
     guarantees unique chart keys, so each ``dataset/name`` maps to exactly
     one catalogue index.
     """
@@ -417,7 +426,7 @@ class _DurableSweep:
                     entry = AnalyzedApplication(
                         application=app,
                         report=payload["report"],
-                        inventory=payload["inventory"],
+                        surface=payload["surface"],
                         attempts=int(payload.get("attempts", 1)),
                     )
                 except KeyError:
@@ -456,7 +465,7 @@ class _DurableSweep:
                 self.keys[index],
                 {
                     "report": outcome.report,
-                    "inventory": outcome.inventory,
+                    "surface": outcome.surface,
                     "attempts": outcome.attempts,
                 },
                 kind=KIND_RESULT,
@@ -840,7 +849,7 @@ def run_full_evaluation(
     settings, so a custom ``analyzer`` (whose rules or session may not
     pickle) always runs serially.  Result ordering is catalogue order
     either way, and the cluster-wide M4* pass always runs sequentially
-    afterwards over the ordered inventories.
+    afterwards over the ordered label surfaces.
 
     Fault isolation: a failing chart is retried up to ``max_attempts``
     times with capped exponential backoff (``retry_backoff`` seconds,
@@ -901,18 +910,17 @@ def apply_cluster_wide_pass(result: EvaluationResult) -> None:
     """Run the cluster-wide M4* pass over ``result`` and attribute findings.
 
     The global label-collision scan is the one cross-chart stage of the
-    pipeline: it consumes *every* analyzed inventory (in catalogue order)
-    and appends the resulting M4* findings to the affected reports.  Full
-    and durable sweeps, a durable delta round included, run it over the
-    merged pre-M4* entries.  An in-memory delta round runs the incremental
-    :class:`~repro.core.CollisionIndex` instead, and this pass is its
-    oracle.
+    pipeline: it consumes *every* analyzed entry's label surface (in
+    catalogue order) and appends the resulting M4* findings to the
+    affected reports.  Full and durable sweeps, a durable delta round
+    included, run it over the merged pre-M4* entries.  An in-memory delta
+    round runs the incremental :class:`~repro.core.CollisionIndex`
+    instead, and this pass is its oracle.
     """
     inventories = [
         ApplicationInventory(
             application=f"{entry.application.dataset}/{entry.application.name}",
-            inventory=entry.inventory,
-            dataset=entry.application.dataset,
+            inventory=entry.surface,
         )
         for entry in result.analyzed
     ]

@@ -30,6 +30,10 @@ is alive -- true by construction for interned (sealed) objects, and by
 convention everywhere else (mutating consumers such as the mitigation
 engine work on thawed deep copies and build fresh inventories after
 patching).
+
+An inventory lives for one chart's analysis.  What outlives it is its
+:class:`LabelSurface`, the labels and selectors the cluster-wide M4* pass
+reads: analyzed entries and stored results carry the surface instead.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from ..memo import remember
-from .labels import LabelSet
+from .labels import LabelSet, Selector
 from .meta import KubernetesObject
 from .networkpolicy import NetworkPolicy
 from .pod import Pod, PodTemplateSpec
@@ -121,6 +125,25 @@ class ComputeUnit:
         return self._host_network
 
 
+@dataclass(frozen=True, slots=True)
+class LabelSurface:
+    """A chart's labels and selectors: all the cluster-wide M4* pass reads.
+
+    ``units`` holds ``(qualified name, namespace, pod labels)`` per compute
+    unit, in :meth:`Inventory.compute_units` order; ``services`` holds
+    ``(qualified name, namespace, selector)`` per service that has a
+    selector, in :meth:`Inventory.services` order.  A stored chart result
+    keeps this record instead of its objects.
+    """
+
+    units: tuple[tuple[str, str, LabelSet], ...]
+    services: tuple[tuple[str, str, Selector], ...]
+
+    def label_surface(self) -> "LabelSurface":
+        """The surface itself: M4* readers take a surface or an inventory alike."""
+        return self
+
+
 class Inventory:
     """An immutable, indexed collection of Kubernetes objects."""
 
@@ -143,6 +166,7 @@ class Inventory:
         #: id(service) -> (service, selected units); the service reference is
         #: kept so the id stays valid for the memo's lifetime.
         self._selected_units: dict[int, tuple[Service, list[ComputeUnit]]] = {}
+        self._surface: LabelSurface | None = None
 
     # The lazy caches are derived state: pickling ships only the objects and
     # rebuilds indexes on demand in the receiving process.
@@ -191,6 +215,25 @@ class Inventory:
         if self._pods is None:
             self._pods = [obj for obj in self._objects if isinstance(obj, Pod)]
         return self._pods
+
+    def label_surface(self) -> LabelSurface:
+        """The :class:`LabelSurface` of these objects, built once."""
+        if self._surface is None:
+            units = []
+            for unit in self.compute_units():
+                labels = unit.pod_labels()
+                if type(labels) is not LabelSet:
+                    labels = LabelSet(labels)
+                units.append((unit.qualified_name(), unit.namespace, labels))
+            self._surface = LabelSurface(
+                tuple(units),
+                tuple(
+                    (service.qualified_name(), service.namespace, service.selector)
+                    for service in self.services()
+                    if service.has_selector
+                ),
+            )
+        return self._surface
 
     # Selector indexes -------------------------------------------------------
     def _services_by_namespace(self) -> dict[str, list]:

@@ -112,6 +112,16 @@ class LabelSet(Mapping[str, str]):
     def __len__(self) -> int:
         return len(self._labels)
 
+    # Pickling ships the labels alone: the memoized hash depends on the
+    # writing process's string-hash seed, and the item set is derived.
+    def __getstate__(self) -> dict[str, str]:
+        return self._labels
+
+    def __setstate__(self, state: dict[str, str]) -> None:
+        self._labels = state
+        self._hash = None
+        self._items = None
+
     def item_set(self) -> frozenset:
         """The labels as a hashable ``frozenset`` of ``(key, value)`` pairs.
 

@@ -1,8 +1,11 @@
 """Crash-safe content-addressed result store with a resumable sweep journal.
 
 The evaluation pipeline is deterministic in content: a chart's evaluation
-report and inventory are a pure function of its identity, its content
-fingerprint, the behavior registry and the analyzer settings.  This module
+report and label surface (:class:`repro.k8s.LabelSurface`, what the
+cluster-wide M4* pass reads of its objects) are a pure function of its
+identity, its content fingerprint, the behavior registry and the analyzer
+settings.  A result row holds the pre-M4* report, the surface and the
+attempt count, never the chart's objects.  This module
 turns that determinism into durability -- a :class:`ResultStore` maps
 content keys (sha256 over the canonical inputs, see :func:`store_key`) to
 verified stored results, so a crashed or interrupted sweep loses nothing
@@ -82,9 +85,10 @@ from . import faults
 
 #: Entry-format constants.  ``SCHEMA_VERSION`` governs compatibility: a row
 #: whose schema differs from the reader's is *version skew* -- the entry is
-#: evicted and recomputed (and ``tools/store_gc.py`` prunes them).
+#: evicted and recomputed (and ``tools/store_gc.py`` prunes them).  Version
+#: 2 rows hold a label surface where version 1 rows held an inventory.
 MAGIC = "repro-store"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: The entry kind of a chart result (recorded per row, checked on read);
 #: ``tools/store_gc.py`` prunes rows of any other kind.

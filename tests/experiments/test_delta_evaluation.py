@@ -492,7 +492,7 @@ def m4_findings(result) -> dict[str, list[dict]]:
 def scratch_m4_findings(result) -> dict[str, list[dict]]:
     entries = {uid(entry.application): entry for entry in result.analyzed}
     expected: dict[str, list[dict]] = {key: [] for key in entries}
-    inventories = [ApplicationInventory(key, entry.inventory) for key, entry in entries.items()]
+    inventories = [ApplicationInventory(key, entry.surface) for key, entry in entries.items()]
     for finding in global_collision_findings(inventories):
         key = finding.application
         finding.application = entries[key].application.name

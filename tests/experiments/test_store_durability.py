@@ -5,6 +5,10 @@ what it computes**.  Every scenario reduces to byte-identity against a
 store-free baseline via :func:`tests.support.diffing.canonical_evaluation`:
 
 * store off == cold store == warm store,
+* identical evaluations compare equal as ``EvaluationResult`` values,
+  whether computed or loaded,
+* a store written under another string-hash seed serves the same M4*
+  findings: a loaded label set rehashes in the reader,
 * an interrupted sweep resumed finishes with identical output,
 * a writer killed after its inserts and before ``COMMIT`` (a genuine
   ``kill -9`` mid-publish) leaves no torn entry and loses only the chart it
@@ -27,6 +31,7 @@ differential covers all 290 charts (acceptance criterion for PR 7).
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -43,6 +48,8 @@ from repro.core import AnalyzerSettings
 from repro.datasets import build_catalog
 from repro.experiments import run_full_evaluation
 from repro.experiments.evaluation import result_key, settings_fingerprint
+from repro.helm import render_chart
+from repro.k8s import Inventory
 from repro.store import (
     KIND_RESULT,
     ResultStore,
@@ -145,6 +152,33 @@ class TestStoreDifferential:
         assert resumed.store_stats["computed"] == SAMPLE - SAMPLE // 2
         assert_identical(baseline, canonical_evaluation(resumed), "resumed sweep")
 
+    def test_identical_evaluations_compare_equal(self, applications, tmp_path):
+        # Where results came from must never make two identical
+        # evaluations compare different.
+        store_off = run_full_evaluation(applications=applications)
+        assert store_off == run_full_evaluation(applications=applications)
+        store_dir = tmp_path / "store"
+        run_full_evaluation(applications=applications, store=ResultStore(store_dir))
+        warm = run_full_evaluation(applications=applications, store=ResultStore(store_dir))
+        assert warm.store_stats["loaded"] == SAMPLE
+        assert warm == store_off
+
+    def test_label_surface_round_trips_through_the_decoder(self, applications):
+        inventory = Inventory(render_chart(applications[0].chart).objects)
+        surface = inventory.label_surface()
+        assert inventory.label_surface() is surface
+        assert surface.label_surface() is surface
+        assert surface.units and surface.services
+        for _, _, labels in surface.units:
+            hash(labels)  # the memo a writer's M4* pass leaves behind
+        payload = pickle.dumps(surface, protocol=pickle.HIGHEST_PROTOCOL)
+        loaded = store_module._TrustedUnpickler(io.BytesIO(payload)).load()
+        assert loaded == surface
+        label_sets = [labels for _, _, labels in loaded.units]
+        label_sets += [selector.match_labels for _, _, selector in loaded.services]
+        for labels in label_sets:
+            assert labels._hash is None and labels._items is None
+
     def test_resume_requires_a_store(self, applications):
         with pytest.raises(ValueError):
             run_full_evaluation(applications=applications, resume=True)
@@ -220,6 +254,26 @@ with open(out_path, "w", encoding="utf-8") as handle:
 
 
 class TestCrashAndConcurrency:
+    def test_store_written_under_another_hash_seed(self, tmp_path):
+        # Catalogue positions 51 and 52 carry the same pod labels, an M4*
+        # collision.  The writer stores position 51; the reader, under a
+        # different string-hash seed, loads it and computes position 52.
+        def sweep(hash_seed: str, *args: str) -> list[str]:
+            env = subprocess_env()
+            env["PYTHONHASHSEED"] = hash_seed
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "sweep", *args],
+                capture_output=True, text=True, env=env, cwd=str(REPO_ROOT), timeout=300,
+            )
+            assert done.returncode == 0, done.stderr
+            return done.stdout.splitlines()
+
+        store_dir = str(tmp_path / "store")
+        sweep("1", "--sample", "52", "--store", store_dir)
+        durable = sweep("2", "--sample", "53", "--store", store_dir)
+        assert durable[-1].startswith("store: 52 loaded, 1 computed")
+        assert durable[:-1] == sweep("2", "--sample", "53")
+
     def test_kill_nine_mid_publish_then_resume(self, applications, baseline, tmp_path):
         store_dir = tmp_path / "store"
         victim = SAMPLE // 2
