@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from .errors import ChartError
-from .values import deep_merge, fingerprint_values, load_values, sorted_tree
+from .values import _load_mapping, deep_merge, fingerprint_values, load_values, sorted_tree
 
 
 @dataclass
@@ -307,10 +307,14 @@ class ChartSource:
 
         Text decodes as UTF-8 with universal newlines (CRLF and CR become
         LF).  Raises ``UnicodeDecodeError`` on bytes that are not UTF-8
-        and :class:`ValuesError` when ``Chart.yaml`` or ``values.yaml`` is
-        not a YAML mapping.
+        and a :class:`ValuesError` naming the file when ``Chart.yaml`` or
+        ``values.yaml`` is not a YAML mapping.
         """
-        meta = load_values(_decode(self.chart_yaml)) if self.chart_yaml is not None else {}
+        meta = (
+            _load_mapping(_decode(self.chart_yaml), "Chart.yaml")
+            if self.chart_yaml is not None
+            else {}
+        )
         chart = Chart(
             metadata=ChartMetadata(
                 name=str(meta.get("name") or self.path.name),

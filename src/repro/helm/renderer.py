@@ -29,10 +29,8 @@ from dataclasses import dataclass, field
 from collections.abc import Mapping
 from typing import Any
 
-import yaml
-
 from ..k8s import Inventory, KubernetesObject, objects_from_dicts
-from ..k8s.yamlio import yaml_load_all
+from ..k8s.yamlio import pyyaml, yaml_load_all
 from .chart import Chart
 from .errors import RenderError, TemplateError
 from .structured import assemble_documents
@@ -266,7 +264,7 @@ class HelmRenderer:
             return []
         try:
             parsed = list(yaml_load_all(rendered))
-        except yaml.YAMLError as exc:
+        except pyyaml().YAMLError as exc:
             raise RenderError(
                 f"template {source_name} produced invalid YAML: {exc}\n--- output ---\n{rendered}"
             ) from exc

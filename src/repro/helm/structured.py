@@ -41,14 +41,13 @@ the full catalogue, Hypothesis-generated charts and adversarial templates.
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Mapping
 from typing import Any, Iterable
 
-import yaml
-
 from .. import faults
-from ..k8s.yamlio import yaml_load_all
+from ..k8s.yamlio import pyyaml, yaml_load_all
 from ..memo import remember
 from .errors import RenderError
 from .template import DocumentSplit, Fragment, ScalarFragment, StructuredFragment
@@ -346,10 +345,10 @@ def _resolve_scalar_text(text: str) -> Any:
     flow collections, unambiguous plain scalars).  Raises
     :class:`_UnsupportedYaml` whenever the real text could mean anything
     more -- newlines restructure the document, ``#`` can start a comment,
-    a bare ``-`` or document marker is indentation-sensitive, and a flow
-    indicator (``,[]{}``) in a plain scalar splits or closes a flow
-    collection the value may sit in -- sending the run down the inline-text
-    path instead.
+    a character PyYAML's reader refuses fails the whole parse, a bare ``-``
+    or document marker is indentation-sensitive, and a flow indicator
+    (``,[]{}``) in a plain scalar splits or closes a flow collection the
+    value may sit in -- sending the run down the inline-text path instead.
     """
     if "\n" in text or _UNSUPPORTED_CHARS_RE.search(text):
         raise _UnsupportedYaml("structural characters in scalar text")
@@ -386,17 +385,21 @@ def _parse_group_text(text: str, source_name: str) -> tuple[list[Any], bool]:
     """Parse one group's text: fast subset parser first, PyYAML second.
 
     Returns ``(documents, by_subset)``: ``by_subset`` says the subset
-    parser built them.
+    parser built them.  Skeleton text holding a ``#`` goes straight to
+    PyYAML (the subset parser's comment grammar is for chart files): a
+    comment can hide a placeholder token, and a token missing from a
+    subset parse may only be a duplicate key's.
     """
     global _SKELETON_PARSE_COUNT
     _SKELETON_PARSE_COUNT += 1
-    try:
-        return parse_simple_yaml(text), True
-    except _UnsupportedYaml:
-        pass
+    if "#" not in text:
+        try:
+            return parse_simple_yaml(text), True
+        except _UnsupportedYaml:
+            pass
     try:
         return list(yaml_load_all(text)), False
-    except yaml.YAMLError as exc:
+    except pyyaml().YAMLError as exc:
         raise RenderError(
             f"template {source_name} produced invalid YAML: {exc}\n--- output ---\n{text}"
         ) from exc
@@ -423,7 +426,7 @@ def _parse_text_fallback(group: list, source_name: str) -> list[dict]:
         return []
     try:
         parsed = list(yaml_load_all(text))
-    except yaml.YAMLError as exc:
+    except pyyaml().YAMLError as exc:
         raise RenderError(
             f"template {source_name} produced invalid YAML: {exc}\n--- output ---\n{text}"
         ) from exc
@@ -526,20 +529,23 @@ def _native_key(key: Any) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Fast parser for the block-YAML subset rendered skeletons use
+# Fast parser for the block-YAML subset skeletons and chart files use
 # ---------------------------------------------------------------------------
 #
-# Rendered manifests are almost entirely plain block YAML: nested mappings,
-# block sequences, inline scalars, the occasional ``{}``/``[]``.  Parsing
-# that subset directly is several times faster than a general YAML load
-# (even libyaml's C scanner pays Python-side construction and resolution).
-# The parser *must never guess*: any construct outside the subset -- flow
-# collections, quotes it cannot decode exactly, anchors, tags, block
-# scalars, comments, tabs, multi-line or ambiguous plain scalars -- raises
+# Rendered manifests, ``values.yaml`` and ``Chart.yaml`` are almost entirely
+# plain block YAML: nested mappings, block sequences, inline scalars, the
+# occasional ``{}``/``[]``, and in hand-written chart files comments.
+# Parsing that subset directly is several times faster than a general YAML
+# load (even libyaml's C scanner pays Python-side construction and
+# resolution).  The parser *must never guess*: any construct outside the
+# subset -- flow collections, quotes it cannot decode exactly, anchors,
+# tags, block scalars, tabs, characters PyYAML refuses, a comment on a line
+# with a quote, multi-line or ambiguous plain scalars -- raises
 # ``_UnsupportedYaml`` and the caller re-parses with PyYAML.  Scalar
 # resolution replicates PyYAML's YAML 1.1 ``SafeLoader`` rules (booleans,
 # ints with base prefixes, floats, nulls); anything it is not sure about
-# (timestamps, sexagesimals, ``=``) bails out.
+# (timestamps, sexagesimals, ``=``, a base prefix without digits, a decimal
+# past ``int()``'s digit limit) bails out.
 
 _BOOL_VALUES = {
     "yes": True, "Yes": True, "YES": True, "true": True, "True": True, "TRUE": True,
@@ -552,19 +558,27 @@ _INT_PLAIN_RE = re.compile(r"[-+]?(?:0|[1-9][0-9_]*)\Z")
 _INT_BASE_RE = re.compile(r"[-+]?0(?:b[0-1_]+|x[0-9a-fA-F_]+|[0-7_]+)\Z")
 _FLOAT_PLAIN_RE = re.compile(
     r"(?:[-+]?(?:[0-9][0-9_]*)\.[0-9_]*(?:[eE][-+][0-9]+)?"
-    r"|\.[0-9_]+(?:[eE][-+][0-9]+)?"
+    r"|\.[0-9][0-9_]*(?:[eE][-+][0-9]+)?"
     r"|[-+]?\.(?:inf|Inf|INF)"
     r"|\.(?:nan|NaN|NAN))\Z"
 )
 #: Plain scalars PyYAML may resolve to types we do not reproduce: timestamps
-#: (dates), sexagesimal numbers (handled by the ``:`` bail-out anyway) and
-#: the ``=`` value special.  Conservative by construction.
-_AMBIGUOUS_PLAIN_RE = re.compile(r"(?:[0-9][0-9]{3}-[0-9][0-9]?-[0-9][0-9]?|=)")
+#: (dates), sexagesimal numbers (handled by the ``:`` bail-out anyway), the
+#: ``=`` value special and the ``<<`` merge key, which SafeLoader refuses
+#: as a value.  Conservative by construction.
+_AMBIGUOUS_PLAIN_RE = re.compile(r"(?:[0-9][0-9]{3}-[0-9][0-9]?-[0-9][0-9]?|=|<<)")
 #: Leading characters that start YAML constructs outside the subset.
 _UNSUPPORTED_LEAD = tuple("&*!|>%@`?,}]")
-#: Characters that disqualify a whole group from the fast parser: tabs,
-#: comments, and the YAML 1.1 line breaks this parser does not split on.
-_UNSUPPORTED_CHARS_RE = re.compile("[\t#\r\x85\u2028\u2029]")
+#: What PyYAML's reader refuses anywhere: the complement of its printable set.
+_NON_PRINTABLE = "\x00-\x08\x0b\x0c\x0e-\x1f\x7f-\x84\x86-\x9f\ud800-\udfff\ufffe\uffff"
+#: Characters that keep a value run inline: tabs, ``#`` (a comment may
+#: start there), the YAML 1.1 line breaks the parser does not split on, and
+#: what PyYAML refuses.
+_UNSUPPORTED_CHARS_RE = re.compile(f"[\t#\r\x85\u2028\u2029{_NON_PRINTABLE}]")
+#: Characters that send a whole text to PyYAML: the same less ``#``, plus a
+#: byte-order mark anywhere but at the start (libyaml skips one at any line
+#: start, the pure-Python reader only at the start of the stream).
+_UNSUPPORTED_TEXT_RE = re.compile(f"[\t\r\x85\u2028\u2029\ufeff{_NON_PRINTABLE}]")
 #: Flow indicators: inside a flow collection they end a plain scalar.
 _FLOW_INDICATOR_RE = re.compile(r"[,\[\]{}]")
 
@@ -572,18 +586,28 @@ _FLOW_INDICATOR_RE = re.compile(r"[,\[\]{}]")
 def parse_simple_yaml(text: str) -> list[Any]:
     """Parse block-YAML subset ``text`` into its (non-empty) documents.
 
-    Raises :class:`_UnsupportedYaml` whenever the text could mean anything
-    the subset does not model bit-exactly; the caller falls back to PyYAML.
+    A byte-order mark opening the text is skipped, as PyYAML skips it.
+    Comments are read conservatively: a line whose content starts with
+    ``#`` is skipped, and a line with no quote character is cut at its
+    first ``" #"``; a line holding both a ``#`` and a quote leaves the
+    subset.  Raises :class:`_UnsupportedYaml` whenever the text could mean
+    anything the subset does not model bit-exactly; the caller falls back
+    to PyYAML.
     """
-    if _UNSUPPORTED_CHARS_RE.search(text):
-        # Tabs, comments, and every non-"\n" YAML 1.1 line break (CR, NEL,
-        # LS, PS): this parser splits on "\n" only, PyYAML does not.
-        raise _UnsupportedYaml("tabs, comments or exotic line breaks")
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    if _UNSUPPORTED_TEXT_RE.search(text):
+        # Tabs, every non-"\n" YAML 1.1 line break (CR, NEL, LS, PS) --
+        # this parser splits on "\n" only, PyYAML does not -- an inner
+        # byte-order mark, and what PyYAML's reader refuses.
+        raise _UnsupportedYaml("tabs, exotic line breaks or unprintable characters")
     lines: list[tuple[int, str]] = []
     for raw in text.split("\n"):
         stripped = raw.strip(" ")
-        if not stripped:
+        if not stripped or stripped[0] == "#":
             continue
+        if "#" in stripped:
+            stripped = _cut_comment(stripped)
         if stripped.startswith(("---", "...")):
             raise _UnsupportedYaml("document markers in group text")
         lines.append((len(raw) - len(raw.lstrip(" ")), stripped))
@@ -593,6 +617,19 @@ def parse_simple_yaml(text: str) -> list[Any]:
     if next_index != len(lines):
         raise _UnsupportedYaml("trailing content")
     return [value] if value is not None else []
+
+
+def _cut_comment(content: str) -> str:
+    """``content`` without its trailing comment.
+
+    A ``#`` starts a comment only after a space (``a#b`` is one plain
+    scalar).  Inside quotes it may be text, so a line holding a quote is
+    left to PyYAML.
+    """
+    if "'" in content or '"' in content:
+        raise _UnsupportedYaml("comment character on a line with quotes")
+    cut = content.find(" #")
+    return content if cut < 0 else content[:cut].rstrip(" ")
 
 
 def _parse_node(lines: list[tuple[int, str]], index: int, indent: int) -> tuple[Any, int]:
@@ -692,10 +729,10 @@ def _split_key_uncached(content: str) -> tuple[Any, str]:
         key_text, rest = content[:cut], content[cut + 2 :].strip(" ")
         if ": " in rest or rest.endswith(":"):
             raise _UnsupportedYaml("nested colon in value")
+    # Spaces between a plain key and its colon are not part of the key.
+    key_text = key_text.rstrip(" ")
     if not key_text or key_text[0] in "\"'{[" or key_text.startswith(_UNSUPPORTED_LEAD):
         raise _UnsupportedYaml("non-plain mapping key")
-    if key_text == "<<":
-        raise _UnsupportedYaml("merge key")
     return _resolve_plain(key_text), rest
 
 
@@ -751,7 +788,11 @@ def _resolve_plain_uncached(text: str) -> Any:
     head = text[0]
     if head.isdigit() or head in "+-.":
         if _INT_PLAIN_RE.match(text):
-            return int(text.replace("_", ""))
+            try:
+                return int(text.replace("_", ""))
+            except ValueError:
+                # Past int()'s digit limit; PyYAML's constructor raises too.
+                raise _UnsupportedYaml("integer too long to convert") from None
         if _INT_BASE_RE.match(text):
             return _int_with_base(text)
         if _FLOAT_PLAIN_RE.match(text):
@@ -766,6 +807,9 @@ def _resolve_plain_uncached(text: str) -> Any:
 def _int_with_base(text: str) -> int:
     sign = -1 if text[0] == "-" else 1
     magnitude = text.lstrip("+-").replace("_", "")
+    if magnitude in ("0b", "0x"):
+        # PyYAML's rule matches, and its constructor raises ValueError.
+        raise _UnsupportedYaml("base prefix without digits")
     if magnitude.startswith("0b"):
         return sign * int(magnitude[2:], 2)
     if magnitude.startswith("0x"):
@@ -773,10 +817,17 @@ def _int_with_base(text: str) -> int:
     return sign * int(magnitude[1:] or "0", 8)
 
 
+#: PyYAML's NaN: one object for every ``.nan``, computed the way its
+#: ``SafeConstructor`` computes it.  Both show: its sign bit is set (so
+#: ``marshal``, and with it the chart fingerprint, sees the same bytes), and
+#: two ``.nan`` keys of one mapping are one key.
+_NAN = -math.inf / math.inf
+
+
 def _float_value(text: str) -> float:
     lowered = text.replace("_", "").lower()
     if lowered.endswith(".inf"):
         return float("-inf") if lowered[0] == "-" else float("inf")
     if lowered.endswith(".nan"):
-        return float("nan")
+        return _NAN
     return float(lowered)

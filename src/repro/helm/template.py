@@ -38,15 +38,14 @@ documents without ever dumping them to YAML text.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from collections.abc import Mapping
 from typing import Any, Callable, Sequence
 
-import yaml
-
 from .. import faults
-from ..k8s.yamlio import yaml_dump, yaml_load
+from ..k8s.yamlio import pyyaml, yaml_dump, yaml_load
 from ..memo import remember
 from .errors import TemplateError
 from .values import in_key_order, sorted_keys, sorted_tree
@@ -752,14 +751,16 @@ class _NotPlainYaml(Exception):
     """Raised when a value cannot be round-tripped without real YAML."""
 
 
-_YAML_RESOLVER = yaml.resolver.Resolver()
+@functools.cache
+def _yaml_resolver() -> Any:
+    """PyYAML's implicit-tag resolver, built on first use."""
+    return pyyaml().resolver.Resolver()
 
 
 def _native_yaml_copy(value: Any) -> Any:
     if isinstance(value, str):
-        if _YAML_RESOLVER.resolve(yaml.nodes.ScalarNode, value, (True, False)) != (
-            "tag:yaml.org,2002:str"
-        ):
+        tag = _yaml_resolver().resolve(pyyaml().nodes.ScalarNode, value, (True, False))
+        if tag != "tag:yaml.org,2002:str":
             raise _NotPlainYaml(value)
         return value
     if isinstance(value, (bool, int, float)) or value is None:

@@ -1,11 +1,12 @@
-"""Helm values: deep merging, dotted-path access, key order and fingerprints.
+"""Helm values: loading, deep merging, dotted-path access, key order and fingerprints.
 
 A Helm *manifest* (``values.yaml``) is a nested mapping.  Users override it
 with ``--set`` style assignments or additional value files; overrides are
 merged recursively, with later layers winning, exactly as Helm does.
 Trees are key-sorted where they enter (:func:`sorted_tree`) and merges
 keep them so, which makes :func:`fingerprint_values` the one content
-fingerprint of a values tree.
+fingerprint of a values tree.  Chart files load through the render path's
+block-YAML subset parser, with PyYAML as the fallback and the oracle.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ import marshal
 from collections.abc import Mapping
 from typing import Any, Iterable
 
-import yaml
-
-from ..k8s.yamlio import yaml_dump, yaml_load
+from ..k8s.yamlio import pyyaml, yaml_dump, yaml_load
 from .errors import ValuesError
 
 
@@ -134,14 +133,40 @@ def apply_set_strings(values: Mapping[str, Any], assignments: Iterable[str]) -> 
 
 def load_values(text: str) -> dict[str, Any]:
     """Parse a ``values.yaml`` document; an empty document yields ``{}``."""
+    return _load_mapping(text, "values.yaml")
+
+
+def _load_mapping(text: str, name: str) -> dict[str, Any]:
+    """The top-level mapping of chart file ``name`` (``{}`` when empty).
+
+    The block-YAML subset parser
+    (:func:`repro.helm.structured.parse_simple_yaml`) reads the text when
+    it can, comments included; PyYAML, the oracle it equals, reads
+    anything outside the subset, so a file of plain block YAML never
+    imports PyYAML.  Raises :class:`ValuesError` naming ``name`` when the
+    text is not YAML, holds a value PyYAML cannot construct (a date such
+    as ``2024-13-45``) or is not a mapping.
+    """
+    # structured imports template, which imports this module.
+    from .structured import _UnsupportedYaml, parse_simple_yaml
+
     try:
-        data = yaml_load(text)
-    except yaml.YAMLError as exc:
-        raise ValuesError(f"invalid values YAML: {exc}") from exc
+        documents = parse_simple_yaml(text)
+    except _UnsupportedYaml:
+        documents = None  # PyYAML reads it below, outside this handler
+    if documents is not None:
+        data = documents[0] if documents else None
+    else:
+        try:
+            data = yaml_load(text)
+        except (pyyaml().YAMLError, ValueError) as exc:
+            # PyYAML calls a string input "<unicode string>": name the file.
+            detail = str(exc).replace('"<unicode string>"', f'"{name}"')
+            raise ValuesError(f"invalid YAML in {name}: {detail}") from exc
     if data is None:
         return {}
     if not isinstance(data, dict):
-        raise ValuesError("values.yaml must contain a mapping at the top level")
+        raise ValuesError(f"{name} must contain a mapping at the top level")
     return data
 
 

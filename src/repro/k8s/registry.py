@@ -10,11 +10,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Callable, Iterable
 
-import yaml
-
 from .errors import ParseError
 from .meta import KubernetesObject
-from .yamlio import yaml_dump_all, yaml_load_all
+from .yamlio import pyyaml, yaml_dump_all, yaml_load_all
 from .misc import (
     ClusterRole,
     ClusterRoleBinding,
@@ -100,7 +98,7 @@ def load_yaml(text: str) -> list[KubernetesObject]:
     """Parse multi-document YAML text into model objects."""
     try:
         documents = list(yaml_load_all(text))
-    except yaml.YAMLError as exc:
+    except pyyaml().YAMLError as exc:
         raise ParseError(f"invalid YAML: {exc}") from exc
     return objects_from_dicts(documents)
 

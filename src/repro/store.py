@@ -688,9 +688,10 @@ def read_prior_state(root: Path | str) -> PriorState:
     This is the read-only side of :class:`SweepJournal`: it never writes,
     never rotates, and never creates the database; a missing or unreadable
     journal reads as no prior state (records that fail their seal are
-    counted in ``dropped_lines``).  The delta evaluator uses it to classify
-    charts against what the store last recorded before deciding what to
-    recompute.
+    counted in ``dropped_lines``).  A header at another schema is
+    unreadable, as :meth:`SweepJournal.begin` rotates it.  The delta
+    evaluator uses it to classify charts against what the store last
+    recorded before deciding what to recompute.
     """
     database = _Database(Path(root) / DB_FILENAME)
     try:
@@ -700,7 +701,9 @@ def read_prior_state(root: Path | str) -> PriorState:
     finally:
         database.close()
     header, records, dropped = found or (None, {}, 0)
-    epoch, identity, _ = header or (0, None, None)
+    if header is None or header[2] != SCHEMA_VERSION:
+        return PriorState(epoch=0, identity=None, records={})
+    epoch, identity, _ = header
     return PriorState(epoch=epoch, identity=identity, records=records, dropped_lines=dropped)
 
 

@@ -498,6 +498,11 @@ BROKEN = {
     "invalid-yaml": ("values.yaml", b"key: [unclosed\n", "ValuesError"),
     "list-values": ("values.yaml", b"- a\n- b\n", "ValuesError"),
     "invalid-chart-yaml": ("Chart.yaml", b"name: [unclosed\n", "ValuesError"),
+    "list-chart-yaml": ("Chart.yaml", b"- not\n- a mapping\n", "ValuesError"),
+    # PyYAML's date constructor raises ValueError: still a load failure.
+    "invalid-date-values": ("values.yaml", b"when: 2024-13-45\n", "ValuesError"),
+    # Past int()'s 4300-digit limit PyYAML's int constructor raises ValueError.
+    "long-int-values": ("values.yaml", b"n: " + b"1" * 5000 + b"\n", "ValuesError"),
     "non-utf8-values": ("values.yaml", b"key: \xff\xfe\n", "UnicodeDecodeError"),
     "non-utf8-template": (f"templates/{EXTRA_TEMPLATE}", b"\xc3\x28\n", "UnicodeDecodeError"),
 }
@@ -550,6 +555,17 @@ class TestBrokenDirectories:
         assert fixed.delta_stats["classified"][DELTA_ADDED] == 1
         assert_matches_scratch(fixed, tree.root, f"{case} fixed")
         assert "quarantined" not in lines[-1]
+
+    @pytest.mark.parametrize(
+        "case", sorted(case for case in BROKEN if BROKEN[case][2] == "ValuesError")
+    )
+    def test_load_failure_names_its_file(self, tree, case):
+        relative, data, _ = BROKEN[case]
+        (tree.root / tree.names[2] / relative).write_bytes(data)
+        [failure] = watch_round(tree.root, DeltaEvaluator()).failed
+        other = "values.yaml" if relative == "Chart.yaml" else "Chart.yaml"
+        assert relative in failure.message and other not in failure.message
+        assert "<unicode string>" not in failure.message
 
 
 class TestVanishingMidScan:

@@ -2,13 +2,15 @@
 
 ``Chart.from_directory`` and watch mode's rescan share one byte reader and
 parser (:class:`repro.helm.ChartSource`).  These tests pin it against a
-per-file ``Path.read_text`` loader kept here as the reference, on the
-inputs where a byte reader could drift: CRLF and CR line endings, a
+per-file ``Path.read_text`` and PyYAML loader kept here as the reference,
+on the inputs where a byte reader could drift: CRLF and CR line endings, a
 missing ``Chart.yaml`` (the directory-name fallback), a missing
-``values.yaml``, a missing ``templates/``, and non-file entries inside
-``templates/``.  Malformed inputs must fail the same way.  They also pin
-the digest the rescan keys on and the digest-then-parse rule: a chart is
-parsed from the bytes that were digested, never from a second read.
+``values.yaml``, a missing ``templates/``, non-file entries inside
+``templates/``, and hand-written chart files (comments, spaced keys, a
+byte-order mark), which stay on the subset parser.  Malformed inputs must
+fail the same way.  They also pin the digest the rescan
+keys on and the digest-then-parse rule: a chart is parsed from the bytes
+that were digested, never from a second read.
 """
 
 from __future__ import annotations
@@ -16,19 +18,33 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+import yaml
 
-from repro.helm import Chart, ChartMetadata, ChartSource, ValuesError, load_values
+from repro.helm import Chart, ChartMetadata, ChartSource, ValuesError
+from repro.k8s.yamlio import yaml_load
+
+
+def reference_mapping(text: str) -> dict:
+    """PyYAML's reading of one chart file: a mapping, ``{}`` when empty."""
+    try:
+        loaded = yaml_load(text)
+    except yaml.YAMLError as exc:
+        raise ValuesError(str(exc)) from exc
+    if loaded is None:
+        return {}
+    if not isinstance(loaded, dict):
+        raise ValuesError("not a mapping")
+    return loaded
 
 
 def reference_from_directory(path: Path) -> Chart:
-    """The reference loader: ``is_file``/``is_dir`` checks plus ``read_text``."""
+    """The reference loader: ``is_file``/``is_dir`` checks, ``read_text``
+    and PyYAML."""
     root = Path(path)
     meta: dict = {}
     chart_yaml = root / "Chart.yaml"
     if chart_yaml.is_file():
-        loaded = load_values(chart_yaml.read_text(encoding="utf-8"))
-        if isinstance(loaded, dict):
-            meta = loaded
+        meta = reference_mapping(chart_yaml.read_text(encoding="utf-8"))
     values_file = root / "values.yaml"
     chart = Chart(
         metadata=ChartMetadata(
@@ -37,7 +53,7 @@ def reference_from_directory(path: Path) -> Chart:
             app_version=str(meta.get("appVersion") or ""),
             description=str(meta.get("description") or ""),
         ),
-        values=load_values(values_file.read_text(encoding="utf-8"))
+        values=reference_mapping(values_file.read_text(encoding="utf-8"))
         if values_file.is_file()
         else {},
     )
@@ -59,6 +75,16 @@ TEMPLATE = (
     "spec:\n  ports:\n    - port: {{ .Values.service.port }}\n"
 )
 HELPER = '{{- define "sample.name" -}}\n{{ .Chart.Name }}\n{{- end -}}\n'
+#: Hand-written chart files: a byte-order mark, comments, spaced keys.
+COMMENTED_CHART_YAML = (
+    "\ufeff# A hand-written chart.\napiVersion: v2\nname: sample  # the chart\n"
+    "version : 1.2.3\n"
+)
+COMMENTED_VALUES_YAML = (
+    "\ufeff# Default values.\n\nimage: example/web # pinned\nservice:\n"
+    "  # the port the Service exposes\n  port : 80\n  tags:\n    - a#1 # first\n"
+    "    - # empty\n# trailing note\n"
+)
 
 
 def write_chart(root: Path, newline: str = "\n", chart=True, values=True, templates=True) -> Path:
@@ -96,6 +122,13 @@ def with_empty_files(root: Path) -> Path:
     return root
 
 
+def with_commented_files(root: Path) -> Path:
+    write_chart(root)
+    (root / "Chart.yaml").write_text(COMMENTED_CHART_YAML, encoding="utf-8")
+    (root / "values.yaml").write_text(COMMENTED_VALUES_YAML, encoding="utf-8")
+    return root
+
+
 def with_directories_named_like_files(root: Path) -> Path:
     write_chart(root, chart=False, values=False)
     (root / "Chart.yaml").mkdir()
@@ -112,6 +145,7 @@ LAYOUTS = {
     "no-values-yaml": lambda root: write_chart(root, values=False),
     "no-templates": lambda root: write_chart(root, templates=False),
     "non-file-template-entries": with_non_file_entries,
+    "commented-files": with_commented_files,
     "directories-named-like-files": with_directories_named_like_files,
     "empty-files": with_empty_files,
     "absent-directory": lambda root: None,
@@ -127,6 +161,19 @@ class TestFromDirectoryMatchesReference:
         loaded = Chart.from_directory(root)
         assert loaded == expected
         assert loaded.fingerprint() == expected.fingerprint()
+
+    def test_commented_files_stay_on_the_subset_parser(self, tmp_path, monkeypatch):
+        from repro.helm import values as values_module
+
+        def no_fallback(text):
+            raise AssertionError(f"left the subset parser: {text!r}")
+
+        monkeypatch.setattr(values_module, "yaml_load", no_fallback)
+        chart = Chart.from_directory(with_commented_files(tmp_path / "my-chart"))
+        assert (chart.name, chart.version) == ("sample", "1.2.3")
+        assert chart.values == {
+            "image": "example/web", "service": {"port": 80, "tags": ["a#1", None]},
+        }
 
     def test_newlines_decode_like_read_text(self, tmp_path):
         crlf = Chart.from_directory(write_chart(tmp_path / "crlf", newline="\r\n"))

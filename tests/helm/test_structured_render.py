@@ -503,7 +503,7 @@ class TestScalarResolutionParity:
         "literal",
         [
             "8080", "-5", "+3", "0", "0x1F", "0b101", "010", "08", "1_000",
-            "1.5", "-0.5", ".5", "1e5", "1.0e5", ".inf", "-.inf",
+            "1.5", "-0.5", ".5", "1e5", "1.0e5", ".inf", "-.inf", "._1", "._", "1._",
             "true", "False", "yes", "NO", "on", "Off",
             "null", "Null", "~",
             "plain-string", "a b c", "v1.2.3", "8.15.3", "acme/image-name",
@@ -521,6 +521,64 @@ class TestScalarResolutionParity:
         structured = template_documents("value: .nan\n", {}, structured=True)
         assert math.isnan(text[0]["value"]) and math.isnan(structured[0]["value"])
 
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ('port : "80"\n', {"port": "80"}),
+            ("7 : v\n", {7: "v"}),
+            ("spec :\n  replicas  : 2\n", {"spec": {"replicas": 2}}),
+            ("- name : a\n", [{"name": "a"}]),
+        ],
+    )
+    def test_spaced_key_matches_text_path(self, source, expected):
+        assert assert_template_equivalent(source, {}) == [expected]
+
+    def test_leading_byte_order_mark_is_skipped(self):
+        source = "\ufeffapiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: bom\n"
+        chart = Chart.from_files("adv-bom", templates={"cm.yaml": source})
+        rendered = assert_render_equivalent(chart)
+        assert rendered.documents[0]["apiVersion"] == "v1"
+
+    def test_inner_byte_order_mark_leaves_the_subset(self):
+        from repro.helm.structured import _UnsupportedYaml
+
+        with pytest.raises(_UnsupportedYaml):
+            parse_simple_yaml("a: 1\n\ufeffb: 2\n")
+
+    def test_unprintable_character_fails_identically(self):
+        from repro.helm.errors import RenderError
+
+        source = "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: a\x01b\n"
+        for structured in (False, True):
+            chart = Chart.from_files(f"adv-ctl-{structured}", templates={"cm.yaml": source})
+            with pytest.raises(RenderError):
+                render_chart(chart, cached=False, structured=structured)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "# header\nkind: A # trailing\n",
+            "a: # empty\n  b: 1  #  two spaces\n",
+            "a:\n# at column 0\n  - x # one\n  - # none\n",
+            "a: b#c\n",
+            "- #c\n  a: 1\n",
+        ],
+    )
+    def test_comment_grammar_matches_pyyaml(self, source, text_fallbacks):
+        assert parse_simple_yaml(source) == list(yaml_load_all(source))
+        assert_template_equivalent(source, {})
+        assert text_fallbacks == []
+
+    @pytest.mark.parametrize(
+        "source", ['a: "x # y"\n', "a: 'b' # c\n", 'a: "#fff"\n', "a: it's # c\n"]
+    )
+    def test_comment_character_beside_a_quote_leaves_the_subset(self, source):
+        from repro.helm.structured import _UnsupportedYaml
+
+        with pytest.raises(_UnsupportedYaml):
+            parse_simple_yaml(source)
+        assert_template_equivalent(source, {})
+
     def test_value_special_scalar_fails_identically(self):
         # "=" resolves to the YAML value tag, which SafeLoader cannot
         # construct: both render paths must surface the same RenderError.
@@ -533,6 +591,17 @@ class TestScalarResolutionParity:
         with pytest.raises(RenderError):
             render_chart(Chart.from_files("adv-eq-b", **chart_kwargs), cached=False,
                          structured=True)
+
+    @pytest.mark.parametrize("source", ["value: <<\n", "value: {{ .Values.x }}\n"])
+    def test_merge_key_as_a_value_fails_identically(self, source):
+        # "<<" resolves to the merge tag, which SafeLoader refuses as a value.
+        from repro.helm.errors import RenderError
+
+        for structured in (False, True):
+            chart = Chart.from_files(f"adv-merge-{structured}", values={"x": "<<"},
+                                     templates={"merge.yaml": source})
+            with pytest.raises(RenderError):
+                render_chart(chart, cached=False, structured=structured)
 
     def test_fast_parser_handles_catalogue_shapes(self):
         # Sanity: the common shapes stay on the fast path (no exception).

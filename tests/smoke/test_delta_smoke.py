@@ -23,7 +23,7 @@ import pytest
 from repro.cli import main as cli_main
 from repro.experiments import DeltaEvaluator, run_full_evaluation
 from repro.datasets import build_catalog
-from repro.helm import dump_values
+from tests.support.chart_dirs import write_chart_dir
 from tests.support.diffing import assert_identical, canonical_evaluation
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -90,24 +90,9 @@ def test_delta_gate_is_wired():
     assert "delta/edit4_s" in results
 
 
-def _write_chart_dir(root: Path, app) -> None:
-    chart_dir = root / app.name
-    (chart_dir / "templates").mkdir(parents=True)
-    (chart_dir / "Chart.yaml").write_text(
-        dump_values(app.chart.metadata.to_dict()), encoding="utf-8"
-    )
-    (chart_dir / "values.yaml").write_text(
-        dump_values(app.chart.values), encoding="utf-8"
-    )
-    for template in app.chart.templates:
-        (chart_dir / "templates" / template.name).write_text(
-            template.source, encoding="utf-8"
-        )
-
-
 def test_watch_cli_completes_a_round(capsys, tmp_path):
     for app in build_catalog()[:2]:
-        _write_chart_dir(tmp_path, app)
+        write_chart_dir(tmp_path, app)
     code = cli_main(["watch", str(tmp_path), "--rounds", "1", "--interval", "0"])
     out = capsys.readouterr().out
     assert code == 0
@@ -116,7 +101,7 @@ def test_watch_cli_completes_a_round(capsys, tmp_path):
 
 def test_watch_cli_quarantines_a_broken_chart(capsys, tmp_path):
     for app in build_catalog()[:2]:
-        _write_chart_dir(tmp_path, app)
+        write_chart_dir(tmp_path, app)
     broken = tmp_path / "broken"
     broken.mkdir()
     (broken / "values.yaml").write_text("replicas: [unclosed\n", encoding="utf-8")

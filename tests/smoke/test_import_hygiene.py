@@ -1,11 +1,14 @@
-"""Import hygiene: a fresh ``insidejob sweep`` never loads numpy, a pool or SQLite.
+"""Import hygiene: a fresh ``insidejob sweep`` never loads numpy, a pool, SQLite or PyYAML.
 
 numpy backs only the bitset branch of ``EndpointUniverse.materialize`` and is
 imported on the first call that needs it.  ``multiprocessing`` backs only the
 sweep engine's process pool and is imported when that pool is spawned, so a
 serial ``sweep`` or ``figure4b`` never loads it.  ``sqlite3`` backs only the
 result store and is imported when a store first opens its database, so only
-``sweep --store`` loads it.  Each case runs in a fresh
+``sweep --store`` loads it.  PyYAML backs only the subset parser's
+fallbacks, the text render path and ``analyze``'s manifest files, so
+``sweep``, ``figure4b`` and a ``watch`` over catalogue charts never load
+it, while ``analyze`` does.  Each case runs in a fresh
 interpreter, because the test process itself may already hold these
 modules.  The checks are on ``sys.modules`` and output only, never on
 timings.
@@ -21,6 +24,10 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
+
+from repro.datasets import build_catalog
+from tests.support.chart_dirs import write_chart_dir
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -92,22 +99,22 @@ def test_both_backends_give_the_same_surface(runs):
     assert runs["block"]["surface"] == surface
 
 
-#: Runs the CLI with the given arguments, then reports which of the pool and
-#: SQLite modules the run loaded, on the last line of output.
+#: Runs the CLI with the given arguments, then reports which of the pool,
+#: SQLite and PyYAML modules the run loaded, on the last line of output.
 CLI_SCRIPT = """
 import json, sys
 from repro.cli import main
 main(sys.argv[1:])
 print(json.dumps(sorted(
-    name for name in ("multiprocessing", "concurrent.futures.process", "sqlite3")
+    name for name in ("multiprocessing", "concurrent.futures.process", "sqlite3", "yaml")
     if name in sys.modules
 )))
 """
 
 
 def _cli(*args: str) -> tuple[str, list[str]]:
-    """(CLI output, pool and SQLite modules loaded) of one run in a fresh
-    interpreter."""
+    """(CLI output, pool, SQLite and PyYAML modules loaded) of one run in a
+    fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     completed = subprocess.run(
@@ -128,6 +135,7 @@ def serial_sweep() -> tuple[str, list[str]]:
 
 
 def test_serial_sweep_loads_no_process_pool(serial_sweep):
+    """``modules`` also lists SQLite and PyYAML: neither loads."""
     output, modules = serial_sweep
     assert "Total" in output
     assert modules == []
@@ -139,6 +147,7 @@ def figure4b() -> tuple[str, list[str]]:
 
 
 def test_figure4b_loads_no_process_pool(figure4b):
+    """``modules`` also lists SQLite and PyYAML: neither loads."""
     output, modules = figure4b
     assert "Dataset" in output
     assert modules == []
@@ -160,3 +169,27 @@ def test_pooled_sweep_prints_the_serial_table(serial_sweep):
     output, modules = _cli("sweep", "--sample", "3", "--workers", "2")
     assert output == serial_sweep[0]
     assert "multiprocessing" in modules
+
+
+def test_watch_over_catalogue_charts_leaves_pyyaml_unloaded(tmp_path):
+    # This process writes the charts (dump_values is PyYAML's dumper); the
+    # watch runs fresh, so only its own chart loading shows.
+    for app in build_catalog()[:3]:
+        write_chart_dir(tmp_path, app)
+    output, modules = _cli("watch", str(tmp_path), "--rounds", "1", "--interval", "0")
+    assert output.startswith("round 1: 3 charts (3 added)")
+    assert "yaml" not in modules
+
+
+def test_analyze_loads_pyyaml_on_first_use(tmp_path):
+    manifest = tmp_path / "manifests.yaml"
+    manifest.write_text(
+        yaml.safe_dump_all([
+            {"apiVersion": "v1", "kind": "Service", "metadata": {"name": "web"},
+             "spec": {"selector": {"app": "web"}, "ports": [{"port": 80}]}},
+        ]),
+        encoding="utf-8",
+    )
+    output, modules = _cli("analyze", str(manifest))
+    assert "[M5D]" in output  # the selector matches no pod
+    assert "yaml" in modules

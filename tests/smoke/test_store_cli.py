@@ -70,6 +70,20 @@ def test_sweep_resume_continues_quietly(capsys, tmp_path):
     assert f"store: {SAMPLE} loaded, 0 computed" in out
 
 
+def test_since_over_an_older_schema_reads_no_prior_state(capsys, tmp_path):
+    # A store written at schema 1: its journal header is unreadable, so the
+    # delta has no prior and every chart is added, not falsely unchanged.
+    store_dir = tmp_path / "store"
+    run_sweep(capsys, "--store", str(store_dir))
+    store_db.execute(store_dir, "UPDATE journal_header SET schema = 1")
+    store_db.execute(store_dir, "UPDATE entries SET schema = 1")
+    code, out, err = run_sweep(capsys, "--since", str(store_dir))
+    assert code == 0
+    assert f"delta: epoch 0 -> 2; {SAMPLE} added" in out
+    assert f"store: 0 loaded, {SAMPLE} computed" in out
+    assert "journal header unreadable" in err
+
+
 @pytest.mark.parametrize("damage", ["truncate", "garbage"])
 def test_sweep_over_corrupt_store_hints_and_recomputes(capsys, tmp_path, damage):
     store_dir = tmp_path / "store"
