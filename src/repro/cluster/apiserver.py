@@ -7,7 +7,7 @@ admission controllers on every create/update, which is how the paper's
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Protocol
+from typing import Protocol
 
 from ..k8s import Inventory, KubernetesObject
 from .errors import AdmissionError, AlreadyExistsError, NotFoundError
@@ -139,20 +139,6 @@ class APIServer:
             {"verb": "create", "object": obj.qualified_name(), "decision": "allowed"}
         )
         return obj
-
-    def apply_all(
-        self, objects: Iterable[KubernetesObject], on_error: Callable[[KubernetesObject, Exception], None] | None = None
-    ) -> list[KubernetesObject]:
-        """Apply many objects, optionally collecting per-object errors."""
-        applied: list[KubernetesObject] = []
-        for obj in objects:
-            try:
-                applied.append(self.apply(obj))
-            except Exception as exc:  # noqa: BLE001 - propagated through callback
-                if on_error is None:
-                    raise
-                on_error(obj, exc)
-        return applied
 
     def delete(self, kind: str, name: str, namespace: str = "default") -> KubernetesObject:
         obj = self.store.delete(kind, name, namespace)

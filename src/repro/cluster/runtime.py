@@ -33,9 +33,6 @@ class Socket:
         """Loopback-only sockets are unreachable from other pods."""
         return self.interface != "127.0.0.1"
 
-    def describe(self) -> str:
-        return f"{self.protocol.lower()} {self.interface}:{self.port} ({self.process or self.container})"
-
 
 @dataclass
 class RunningPod:

@@ -10,7 +10,6 @@ from .services import (
     ServiceTargetsUndeclaredPortRule,
     ServiceTargetsUnopenedPortRule,
     ServiceWithoutTargetRule,
-    service_target_summary,
 )
 
 __all__ = [
@@ -35,5 +34,4 @@ __all__ = [
     "default_rule",
     "default_rules",
     "evaluate_fused",
-    "service_target_summary",
 ]

@@ -261,19 +261,3 @@ class ServiceWithoutTargetRule(Rule):
                 ),
             )
         )
-
-
-def service_target_summary(context: AnalysisContext, service: Service) -> dict:
-    """Debugging helper: how each port of a service resolves at runtime."""
-    units = context.units_selected_by(service)
-    summary: dict = {"service": service.qualified_name(), "targets": []}
-    for service_port in service.ports:
-        summary["targets"].append(
-            {
-                "port": service_port.port,
-                "target": service_port.resolved_target(),
-                "resolved": _resolve_target_port(service_port, units),
-                "backends": [unit.qualified_name() for unit in units],
-            }
-        )
-    return summary

@@ -544,25 +544,6 @@ def build_catalog(datasets: tuple[str, ...] = DATASET_ORDER) -> list[BuiltApplic
     return applications
 
 
-def prerender_catalog(
-    applications: list[BuiltApplication] | None = None,
-    overrides: dict | None = None,
-) -> list[str]:
-    """Warm the shared render cache for every application chart.
-
-    Returns the chart fingerprints in catalogue order.  After this, any
-    consumer rendering the same (chart, values) pairs -- the full evaluation,
-    the Figure 4b sweep, forked pool workers -- pays only a verified
-    shared-reference cache hit per chart.
-    """
-    from ..helm import render_chart
-
-    applications = applications if applications is not None else build_catalog()
-    for app in applications:
-        render_chart(app.chart, overrides=overrides, fingerprint=app.fingerprint())
-    return [app.fingerprint() for app in applications]
-
-
 def expected_dataset_counts(dataset: str) -> dict[str, int]:
     """The Table 2 row for one dataset, keyed by misconfiguration class."""
     targets = DATASETS[dataset].targets

@@ -81,11 +81,12 @@ uses: this module only decides which entries are reused.
 ``insidejob watch <dir>`` drives :func:`watch_directory`: scan a directory
 of on-disk charts, evaluate the delta against the previous round, print one
 summary line per round.  The rescan is content-keyed
-(:func:`scan_chart_directory`): a directory whose bytes, path and
-behaviours held since the last round yields the previous round's chart
-object, so only edited directories are parsed again.  Stat signatures
-under git's racy-clean rule (:data:`RACY_WINDOW_NS`) establish that the
-bytes held without reading them.
+(:func:`scan_chart_directory`): a directory whose stat record still holds
+under the same behaviours yields the previous round's chart object, so
+only edited directories are parsed again.  Stat signatures under git's
+racy-clean rule (:data:`RACY_WINDOW_NS`) establish that the bytes held
+without reading them; a file the signatures cannot vouch for is compared
+by digest.
 """
 
 from __future__ import annotations
@@ -651,18 +652,18 @@ class WatchedChart:
     hypothesis for charts we have never observed.  Plain picklable, so
     pooled delta rounds fan watched charts out like catalogue ones.
 
-    ``scan_key`` is what the chart was loaded from: its directory, the
-    digest of its files' bytes and the behaviours fingerprint at load
-    time.  A rescan returns this very object while all three hold.  The
-    stat record beside it (every file's signature and digest) lets a
-    rescan confirm that without reading the files; a rescan refreshes it.
+    ``scan_key`` is what the chart was loaded from: its directory and the
+    behaviours fingerprint at load time.  A rescan under the same
+    behaviours returns this very object while the stat record beside it
+    (every file's signature and digest) confirms that the directory still
+    holds the bytes the chart was parsed from; a rescan refreshes it.
     """
 
     chart: Chart
     behaviors: BehaviorRegistry = field(default_factory=BehaviorRegistry)
     dataset: str = WATCH_DATASET
     use_case: str = "watch"
-    scan_key: tuple[str, str, str] | None = field(default=None, repr=False, compare=False)
+    scan_key: tuple[str, str] | None = field(default=None, repr=False, compare=False)
     _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
     _stat_record: _StatRecord | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -742,17 +743,17 @@ def scan_chart_directory(
 
     Content-keyed: a chart in ``previous`` loaded from the same directory
     under the same behaviours fingerprint is returned as the very same
-    object while the directory still holds the same bytes.  Its stat
-    record confirms that without opening a file when every signature held
-    and predates the recording scan by :data:`RACY_WINDOW_NS`; a file
-    inside the window, or whose signature moved, is read and compared with
-    its digest.  Any other directory is read once as bytes
-    (:class:`~repro.helm.ChartSource`) and digested, and a ``previous``
-    chart with the same digest is reused; else the chart is parsed from
-    the bytes just digested.  A fresh scan (no ``previous``) reads and
-    digests every file.  A directory that cannot be loaded (unreadable,
-    not UTF-8, malformed YAML) lands on ``failed`` instead of aborting the
-    scan; a file or directory that vanishes mid-scan counts as absent.
+    object while its stat record vouches that the directory still holds
+    the same bytes.  The record confirms that without opening a file when
+    every signature held and predates the recording scan by
+    :data:`RACY_WINDOW_NS`; a file inside the window, or whose signature
+    moved, is read and compared with its digest.  Any other directory is
+    read once as bytes (:class:`~repro.helm.ChartSource`) and parsed from
+    them, and its record digests the same bytes.  A fresh scan (no
+    ``previous``) reads and parses every directory.  A directory that
+    cannot be loaded (unreadable, not UTF-8, malformed YAML) lands on
+    ``failed`` instead of aborting the scan; a file or directory that
+    vanishes mid-scan counts as absent.
 
     Every watched chart is keyed ``watch/<chart name>``, so a directory
     whose chart name an earlier directory (in name order) already took is
@@ -761,11 +762,12 @@ def scan_chart_directory(
     registry = behaviors if behaviors is not None else BehaviorRegistry()
     behaviors_fp = registry.fingerprint()
     now = _scan_clock_ns()
-    reusable = {chart.scan_key: chart for chart in previous if isinstance(chart, WatchedChart)}
     recorded = {
-        key[0]: chart
-        for key, chart in reusable.items()
-        if key is not None and key[2] == behaviors_fp and chart._stat_record is not None
+        chart.scan_key[0]: chart
+        for chart in previous
+        if isinstance(chart, WatchedChart)
+        and chart._stat_record is not None
+        and chart.scan_key[1] == behaviors_fp
     }
     scan = ChartScan()
     taken: dict[str, str] = {}
@@ -778,11 +780,8 @@ def scan_chart_directory(
                 source = ChartSource.read(directory)
                 if not source.is_chart:
                     continue
-                key = (directory, source.digest(), behaviors_fp)
-                chart = reusable.get(key)
-                reused = chart is not None
-                if chart is None:
-                    chart = WatchedChart(chart=source.parse(), behaviors=registry, scan_key=key)
+                key = (directory, behaviors_fp)
+                chart = WatchedChart(chart=source.parse(), behaviors=registry, scan_key=key)
                 record = _record(directory, source, now)
             chart._stat_record = record
         except (OSError, UnicodeDecodeError, ValuesError) as exc:
@@ -850,9 +849,10 @@ def watch_directory(
     """Re-verify a chart directory every ``interval`` seconds.
 
     Each round rescans ``root`` (reusing the evaluator's previous charts
-    for directories whose bytes held, see :func:`scan_chart_directory`),
-    runs one delta round against the previous one (first round: everything
-    ``added``) and prints one summary line.  A directory that cannot be loaded is quarantined on the
+    for directories whose stat records held, see
+    :func:`scan_chart_directory`), runs one delta round against the
+    previous one (first round: everything ``added``) and prints one
+    summary line.  A directory that cannot be loaded is quarantined on the
     round's ``result.failed`` and re-read the next round; the rest of the
     round proceeds.  ``delta_stats["scan"]`` records the scan's
     accounting (:attr:`ChartScan.stats`).  ``rounds`` bounds the loop

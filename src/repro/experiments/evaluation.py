@@ -206,10 +206,6 @@ class EvaluationResult:
         """The analyzed applications, in catalogue order."""
         return [entry.application for entry in self.analyzed]
 
-    def reports(self) -> list[AnalysisReport]:
-        """The per-application reports, in catalogue order."""
-        return [entry.report for entry in self.analyzed]
-
     def report_for(self, dataset: str, name: str) -> AnalysisReport | None:
         """The report of one application (``None`` if absent or failed)."""
         for entry in self.analyzed:

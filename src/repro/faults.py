@@ -189,13 +189,6 @@ class FaultPlan:
     def __reduce__(self):
         return (_rebuild_plan, (self.specs, self.seed))
 
-    def sites(self) -> tuple[str, ...]:
-        """The distinct sites this plan arms, in spec order."""
-        seen: dict[str, None] = {}
-        for spec in self.specs:
-            seen.setdefault(spec.site, None)
-        return tuple(seen)
-
 
 def _rebuild_plan(specs: tuple[FaultSpec, ...], seed: int) -> FaultPlan:
     return FaultPlan(*specs, seed=seed)

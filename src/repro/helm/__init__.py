@@ -9,7 +9,6 @@ from .chart import (
     Chart,
     ChartDependency,
     ChartMetadata,
-    ChartRepository,
     ChartSource,
     ChartTemplate,
 )
@@ -27,13 +26,11 @@ from .template import (
     tokenize_expression,
 )
 from .values import (
-    apply_set_strings,
     deep_merge,
     dump_values,
     fingerprint_values,
     get_path,
     load_values,
-    parse_set_string,
     set_path,
 )
 
@@ -42,7 +39,6 @@ __all__ = [
     "ChartDependency",
     "ChartError",
     "ChartMetadata",
-    "ChartRepository",
     "ChartSource",
     "ChartTemplate",
     "CompiledTemplate",
@@ -55,7 +51,6 @@ __all__ = [
     "TemplateEngine",
     "TemplateError",
     "ValuesError",
-    "apply_set_strings",
     "clear_skeleton_parse_memo",
     "clear_template_cache",
     "compile_source",
@@ -64,7 +59,6 @@ __all__ = [
     "fingerprint_values",
     "get_path",
     "load_values",
-    "parse_set_string",
     "parse_template",
     "render_chart",
     "set_path",

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import hashlib
-import marshal
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from .errors import ChartError
 from .values import _load_mapping, deep_merge, fingerprint_values, load_values, sorted_tree
@@ -244,10 +242,10 @@ class ChartSource:
     """The files of one on-disk chart directory, read once as raw bytes.
 
     The one loader behind :meth:`Chart.from_directory` and watch mode's
-    rescan: :meth:`read` takes the bytes, :meth:`digest` keys them and
-    :meth:`parse` builds the chart from exactly those bytes, so the files
-    cannot change between the digest and the parse.  ``None`` marks an
-    absent ``Chart.yaml``, ``values.yaml`` or ``templates/`` -- missing,
+    rescan: :meth:`read` takes the bytes once and :meth:`parse` builds the
+    chart from exactly those bytes, so the rescan's stat record (which
+    digests the same bytes) and the chart cannot disagree.  ``None`` marks
+    an absent ``Chart.yaml``, ``values.yaml`` or ``templates/`` -- missing,
     of another file type, or vanished between listing and reading.
     ``templates`` holds ``(file name, bytes)`` pairs sorted by name.
     """
@@ -295,13 +293,6 @@ class ChartSource:
             or self.templates is not None
         )
 
-    def digest(self) -> str:
-        """A blake2b digest of the bytes read (an absent file and an empty one differ)."""
-        # Marshal version 2 emits no back-references, so the payload
-        # depends on content alone, never on which objects are shared.
-        payload = marshal.dumps((self.chart_yaml, self.values_yaml, self.templates), 2)
-        return hashlib.blake2b(payload, digest_size=16).hexdigest()
-
     def parse(self) -> Chart:
         """The chart these bytes hold.
 
@@ -329,41 +320,3 @@ class ChartSource:
         for name, data in self.templates or ():
             chart.add_template(name, _decode(data))
         return chart
-
-
-class ChartRepository:
-    """An in-memory chart repository, the stand-in for ArtifactHub."""
-
-    def __init__(self) -> None:
-        self._charts: dict[tuple[str, str], Chart] = {}
-
-    def publish(self, chart: Chart, organization: str = "") -> None:
-        """Publish ``chart`` under ``organization`` (stamped onto its metadata)."""
-        if organization:
-            chart.metadata.organization = organization
-        self._charts[(chart.metadata.organization, chart.name)] = chart
-
-    def get(self, name: str, organization: str = "") -> Chart:
-        """Fetch a published chart; raises :class:`ChartError` when missing."""
-        chart = self._charts.get((organization, name))
-        if chart is None:
-            raise ChartError(f"chart {organization}/{name} is not published")
-        return chart
-
-    def charts(self, organization: str | None = None) -> list[Chart]:
-        """All published charts, optionally filtered to one organization."""
-        return [
-            chart
-            for (org, _), chart in sorted(self._charts.items())
-            if organization is None or org == organization
-        ]
-
-    def organizations(self) -> list[str]:
-        """The organizations that have published at least one chart."""
-        return sorted({org for org, _ in self._charts})
-
-    def __len__(self) -> int:
-        return len(self._charts)
-
-    def __iter__(self) -> Iterable[Chart]:
-        return iter(self.charts())

@@ -2,9 +2,9 @@
 
 Rendering a chart -- template evaluation plus document assembly plus
 typed-object construction -- dominates the catalogue sweep.
-:class:`RenderCache` memoizes full render results (the dict-native
-structured form by default) keyed on ``(chart fingerprint, release
-identity, override fingerprint, structured?)``:
+:class:`RenderCache` memoizes full dict-native (structured) render
+results keyed on ``(chart fingerprint, release identity, override
+fingerprint)``:
 
 * **Key**: the chart fingerprint covers every input that affects rendering
   (:meth:`Chart.fingerprint`), and the override tree is key-sorted before
@@ -32,9 +32,10 @@ identity, override fingerprint, structured?)``:
 * **Known fingerprints**: a caller that already holds the chart fingerprint
   (an application caches its own) passes it in and skips the re-hash.
 
-The module-level :func:`shared_render_cache` instance backs
-``repro.helm.render_chart``; per-experiment caches can be constructed
-directly for isolation.
+The text path is the structured path's oracle and is never cached
+(``render_chart(structured=False)`` renders it fresh).  The module-level
+:func:`shared_render_cache` instance backs ``repro.helm.render_chart``;
+per-experiment caches can be constructed directly for isolation.
 """
 
 from __future__ import annotations
@@ -90,17 +91,13 @@ class RenderCache:
         release: ReleaseInfo | None = None,
         overrides: Mapping[str, Any] | None = None,
         fingerprint: str | None = None,
-        structured: bool = True,
     ) -> RenderedChart:
-        """Render ``chart`` (or return a verified view of the cached render).
+        """Render ``chart`` structured (or return a verified view of the cached render).
 
         The key's values component fingerprints the key-sorted
         ``overrides``: together with the chart fingerprint (which covers the
         chart's default values) it determines the merged values exactly,
-        while letting cache hits skip the deep merge entirely.  ``structured``
-        selects the dict-native render pipeline (the default) or the classic
-        text path; the flag is part of the key because the two produce
-        different ``sources`` maps.
+        while letting cache hits skip the deep merge entirely.
 
         A hit re-verifies the entry's shape check first: a corrupted entry
         is evicted and recomputed rather than served.  A verified hit
@@ -118,7 +115,6 @@ class RenderCache:
             release.is_install,
             release.service,
             fingerprint_values(overrides),
-            structured,
         )
         entry = self._entries.get(key)
         if entry is not None:
@@ -143,10 +139,7 @@ class RenderCache:
             self._entries.pop(key, None)
         self.misses += 1
         render_fp = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
-        if structured:
-            rendered = self._renderer.render_structured(chart, release, overrides, interned=True)
-        else:
-            rendered = self._renderer.render(chart, release, overrides, interned=True)
+        rendered = self._renderer.render_structured(chart, release, overrides, interned=True)
         rendered.render_fingerprint = render_fp
         # The entry keeps its own top-level containers, so callers that
         # append to the returned lists cannot grow the cached render.

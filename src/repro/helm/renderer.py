@@ -106,10 +106,9 @@ class HelmRenderer:
         chart: Chart,
         release: ReleaseInfo | None = None,
         overrides: Mapping[str, Any] | None = None,
-        interned: bool = False,
     ) -> RenderedChart:
         """Render ``chart`` via the text path (the reference implementation)."""
-        return self._render(chart, release, overrides, structured=False, interned=interned)
+        return self._render(chart, release, overrides, structured=False)
 
     def render_structured(
         self,
@@ -289,17 +288,15 @@ def render_chart(
     a fresh, un-interned render (the differential tests compare both paths);
     ``fingerprint`` skips re-hashing the chart when the caller already knows
     its content fingerprint.  ``structured=False`` pins the classic text
-    render pipeline, the reference implementation the structured default is
-    differentially tested against.
+    render pipeline, the oracle the structured default is differentially
+    tested against.  It always renders fresh and un-interned, whatever
+    ``cached`` says: the render cache holds structured renders only.
     """
     release = ReleaseInfo(name=release_name or chart.name, namespace=namespace)
+    if not structured:
+        return HelmRenderer().render(chart, release, overrides)
     if not cached:
-        renderer = HelmRenderer()
-        if structured:
-            return renderer.render_structured(chart, release, overrides)
-        return renderer.render(chart, release, overrides)
+        return HelmRenderer().render_structured(chart, release, overrides)
     from .render_cache import shared_render_cache
 
-    return shared_render_cache().render(
-        chart, release, overrides, fingerprint=fingerprint, structured=structured
-    )
+    return shared_render_cache().render(chart, release, overrides, fingerprint=fingerprint)

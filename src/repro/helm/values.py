@@ -15,7 +15,7 @@ import copy
 import hashlib
 import marshal
 from collections.abc import Mapping
-from typing import Any, Iterable
+from typing import Any
 
 from ..k8s.yamlio import pyyaml, yaml_dump, yaml_load
 from .errors import ValuesError
@@ -88,47 +88,6 @@ def set_path(values: dict[str, Any], path: str, value: Any) -> None:
             current[part] = node
         current = node
     current[parts[-1]] = value
-
-
-def parse_set_string(assignment: str) -> tuple[str, Any]:
-    """Parse a single ``--set key=value`` assignment into ``(path, value)``.
-
-    Values are coerced the way Helm does: ``true``/``false`` become booleans,
-    integers become ``int``, ``null`` becomes ``None``; anything else stays a
-    string.
-    """
-    if "=" not in assignment:
-        raise ValuesError(f"invalid --set assignment: {assignment!r}")
-    path, _, raw = assignment.partition("=")
-    path = path.strip()
-    raw = raw.strip()
-    if not path:
-        raise ValuesError(f"invalid --set assignment: {assignment!r}")
-    value: Any
-    if raw.lower() == "true":
-        value = True
-    elif raw.lower() == "false":
-        value = False
-    elif raw.lower() in ("null", "~", ""):
-        value = None
-    else:
-        try:
-            value = int(raw)
-        except ValueError:
-            try:
-                value = float(raw)
-            except ValueError:
-                value = raw
-    return path, value
-
-
-def apply_set_strings(values: Mapping[str, Any], assignments: Iterable[str]) -> dict[str, Any]:
-    """Apply a sequence of ``--set`` assignments on top of ``values``."""
-    result = copy.deepcopy(dict(values))
-    for assignment in assignments:
-        path, value = parse_set_string(assignment)
-        set_path(result, path, value)
-    return result
 
 
 def load_values(text: str) -> dict[str, Any]:

@@ -20,7 +20,6 @@ from .errors import (
     KubernetesModelError,
     ParseError,
     SelectorError,
-    UnknownKindError,
     ValidationError,
 )
 from .errors import ImmutableObjectError
@@ -32,7 +31,6 @@ from .inventory import (
     clear_intern_table,
     intern_object,
     intern_stats,
-    shared_intern_table,
 )
 from .labels import (
     LabelSelectorRequirement,
@@ -132,7 +130,6 @@ __all__ = [
     "ServiceAccount",
     "ServicePort",
     "StatefulSet",
-    "UnknownKindError",
     "ValidationError",
     "Workload",
     "yaml_dump",
@@ -145,7 +142,6 @@ __all__ = [
     "dump_yaml",
     "intern_object",
     "intern_stats",
-    "shared_intern_table",
     "equality_selector",
     "find_duplicate_label_sets",
     "is_compute_unit_kind",

@@ -32,14 +32,6 @@ class ImmutableObjectError(KubernetesModelError):
     """
 
 
-class UnknownKindError(KubernetesModelError):
-    """A manifest declares a ``kind`` that the model does not know about."""
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-        super().__init__(f"unknown Kubernetes kind: {kind!r}")
-
-
 class SelectorError(KubernetesModelError):
     """A label selector is malformed (bad operator, missing values, ...)."""
 

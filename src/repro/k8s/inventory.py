@@ -391,11 +391,6 @@ class InternTable:
 _SHARED_INTERN = InternTable()
 
 
-def shared_intern_table() -> InternTable:
-    """The process-wide intern table behind ``objects_from_dicts(interned=True)``."""
-    return _SHARED_INTERN
-
-
 def intern_object(document: Mapping) -> KubernetesObject:
     """Intern one manifest dictionary through the shared table."""
     return _SHARED_INTERN.intern(document)

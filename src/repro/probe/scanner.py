@@ -100,12 +100,3 @@ class RuntimeScanner:
         else:
             second = first
         return RuntimeObservation(app=app, first=first, second=second, host_ports=host_ports)
-
-    def observe_all(self, restart_between_snapshots: bool = True) -> dict[str, RuntimeObservation]:
-        """Observe every installed application separately."""
-        observations: dict[str, RuntimeObservation] = {}
-        for application in self.cluster.applications():
-            observations[application.name] = self.observe(
-                application.name, restart_between_snapshots
-            )
-        return observations

@@ -290,20 +290,3 @@ class TestAPIServer:
         api.register_admission_controller(DenyAll())
         api.unregister_admission_controller("deny-all")
         api.apply(make_pod("a"))
-
-    def test_apply_all_with_error_callback_collects_invalid_objects(self):
-        api = APIServer()
-        invalid = Pod(metadata=ObjectMeta(name="bad"), spec=PodSpec())  # no containers
-        errors = []
-        applied = api.apply_all(
-            [make_pod("a"), invalid],
-            on_error=lambda obj, exc: errors.append((obj.name, str(exc))),
-        )
-        assert [obj.name for obj in applied] == ["a"]
-        assert errors and errors[0][0] == "bad"
-
-    def test_apply_all_without_callback_raises(self):
-        api = APIServer()
-        invalid = Pod(metadata=ObjectMeta(name="bad"), spec=PodSpec())
-        with pytest.raises(Exception):
-            api.apply_all([invalid])

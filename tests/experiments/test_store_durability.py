@@ -19,6 +19,9 @@ store-free baseline via :func:`tests.support.diffing.canonical_evaluation`:
   identical output and leave only verified entries behind,
 * a payload with a valid header that would run code when unpickled is
   refused, counted as corruption and recomputed -- never executed,
+* a chart quarantined mid-sweep leaves no result row and a ``failed``
+  journal record with fingerprints, so the next durable delta round
+  recomputes that chart alone,
 * failed journal commits are counted and named in the ``StoreIntegrity``
   hint,
 * the sweep journal drops records whose seal fails and rotates on
@@ -44,9 +47,14 @@ import pytest
 
 from repro import faults
 from repro import store as store_module
-from repro.core import AnalyzerSettings
+from repro.core import AnalyzerSettings, MisconfigurationAnalyzer
 from repro.datasets import build_catalog
-from repro.experiments import run_full_evaluation
+from repro.experiments import (
+    DELTA_RE_RENDER,
+    DELTA_UNCHANGED,
+    DeltaEvaluator,
+    run_full_evaluation,
+)
 from repro.experiments.evaluation import result_key, settings_fingerprint
 from repro.helm import render_chart
 from repro.k8s import Inventory
@@ -182,6 +190,12 @@ class TestStoreDifferential:
     def test_resume_requires_a_store(self, applications):
         with pytest.raises(ValueError):
             run_full_evaluation(applications=applications, resume=True)
+        with pytest.raises(ValueError, match="either analyzer or settings"):
+            run_full_evaluation(
+                applications=applications,
+                analyzer=MisconfigurationAnalyzer(),
+                settings=AnalyzerSettings(),
+            )
 
     def test_default_settings_fingerprint_is_pinned(self):
         # Result keys hash this text: if it moved, every existing store
@@ -424,6 +438,44 @@ class TestStoreChaos:
         assert store.stats()["write_failures"] >= SAMPLE
         assert store.verify_all()["defective"] == 0
         assert_identical(baseline, canonical_evaluation(result), "unstored sweep")
+
+    def test_quarantined_chart_is_recomputed_alone_next_round(
+        self, applications, baseline, tmp_path
+    ):
+        store_dir = tmp_path / "store"
+        victim = 3
+        uid = chart_key(applications, victim)
+        plan = faults.FaultPlan(faults.FaultSpec(faults.RULES, charts=(uid,), attempts=99))
+        poisoned = run_full_evaluation(
+            applications=applications,
+            store=ResultStore(store_dir),
+            fault_plan=plan,
+            max_attempts=MAX_ATTEMPTS,
+            retry_backoff=BACKOFF,
+        )
+        assert [failure.unique_id for failure in poisoned.failed] == [uid]
+        assert poisoned.store_stats["failed"] == 1
+        assert poisoned.store_stats["computed"] == SAMPLE - 1
+        settings_fp = settings_fingerprint(AnalyzerSettings())
+        stored = {key for (key,) in store_db.query(store_dir, "SELECT key FROM entries")}
+        assert result_key(applications[victim], settings_fp) not in stored
+        record = read_prior_state(store_dir).records[uid]
+        assert record["status"] == "failed"
+        assert {"chart", "behaviors", "settings"} <= set(record["fp"])
+
+        evaluator = DeltaEvaluator(store=ResultStore(store_dir), retry_backoff=BACKOFF)
+        classified = [
+            (delta.classification, delta.reasons)
+            for delta in evaluator.plan(applications).charts
+        ]
+        expected = [(DELTA_UNCHANGED, ())] * SAMPLE
+        expected[victim] = (DELTA_RE_RENDER, ("prior failure",))
+        assert classified == expected
+        healed = evaluator.evaluate(applications)
+        assert not healed.failed
+        assert healed.store_stats["computed"] == 1
+        assert healed.store_stats["loaded"] == SAMPLE - 1
+        assert_identical(baseline, canonical_evaluation(healed), "round after quarantine")
 
     def test_crafted_payload_is_refused_not_run(self, applications, baseline, tmp_path):
         store_dir = tmp_path / "store"

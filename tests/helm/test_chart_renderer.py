@@ -5,7 +5,6 @@ import pytest
 from repro.helm import (
     Chart,
     ChartError,
-    ChartRepository,
     HelmRenderer,
     ReleaseInfo,
     RenderError,
@@ -56,25 +55,6 @@ class TestChart:
         chart.dependencies.append(ChartDependency(name="ghost"))
         with pytest.raises(ChartError):
             chart.validate()
-
-
-class TestChartRepository:
-    def test_publish_and_get(self):
-        repo = ChartRepository()
-        repo.publish(Chart.from_files("web"), organization="acme")
-        assert repo.get("web", "acme").name == "web"
-        assert repo.organizations() == ["acme"]
-
-    def test_get_unknown_chart_raises(self):
-        with pytest.raises(ChartError):
-            ChartRepository().get("missing")
-
-    def test_charts_filtered_by_organization(self):
-        repo = ChartRepository()
-        repo.publish(Chart.from_files("a"), organization="one")
-        repo.publish(Chart.from_files("b"), organization="two")
-        assert [chart.name for chart in repo.charts("one")] == ["a"]
-        assert len(repo) == 2
 
 
 class TestRenderer:

@@ -8,9 +8,8 @@ missing ``Chart.yaml`` (the directory-name fallback), a missing
 ``values.yaml``, a missing ``templates/``, non-file entries inside
 ``templates/``, and hand-written chart files (comments, spaced keys, a
 byte-order mark), which stay on the subset parser.  Malformed inputs must
-fail the same way.  They also pin the digest the rescan
-keys on and the digest-then-parse rule: a chart is parsed from the bytes
-that were digested, never from a second read.
+fail the same way.  They also pin the read-then-parse rule: a chart is
+parsed from the bytes that were read, never from a second read.
 """
 
 from __future__ import annotations
@@ -204,44 +203,8 @@ class TestFromDirectoryMatchesReference:
             source.parse()
 
 
-class TestDigest:
-    def test_equal_bytes_equal_digest_anywhere(self, tmp_path):
-        first = ChartSource.read(write_chart(tmp_path / "a"))
-        second = ChartSource.read(write_chart(tmp_path / "b"))
-        assert first.digest() == second.digest()
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda root: (root / "values.yaml").write_text(
-                VALUES_YAML.replace("80", "81"), encoding="utf-8"
-            ),
-            lambda root: (root / "values.yaml").write_bytes(b""),
-            lambda root: (root / "values.yaml").unlink(),
-            lambda root: (root / "templates" / "service.yaml").rename(
-                root / "templates" / "svc.yaml"
-            ),
-            lambda root: (root / "templates" / "extra.yaml").write_bytes(b""),
-            lambda root: (root / "Chart.yaml").write_text(
-                CHART_YAML.replace("1.2.3", "1.2.4"), encoding="utf-8"
-            ),
-        ],
-        ids=["same-size-edit", "emptied", "deleted", "renamed-template",
-             "empty-template-added", "version-bump"],
-    )
-    def test_any_byte_change_moves_the_digest(self, tmp_path, edit):
-        root = write_chart(tmp_path / "chart")
-        before = ChartSource.read(root).digest()
-        edit(root)
-        assert ChartSource.read(root).digest() != before
-
-    def test_empty_and_absent_templates_dir_differ(self, tmp_path):
-        bare = write_chart(tmp_path / "bare", templates=False)
-        empty = write_chart(tmp_path / "empty", templates=False)
-        (empty / "templates").mkdir()
-        assert ChartSource.read(bare).digest() != ChartSource.read(empty).digest()
-
-    def test_parses_the_bytes_it_digested(self, tmp_path):
+class TestRead:
+    def test_parses_the_bytes_it_read(self, tmp_path):
         root = write_chart(tmp_path / "chart")
         source = ChartSource.read(root)
         (root / "values.yaml").write_text("image: other/image\n", encoding="utf-8")

@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from repro.datasets import build_application, build_catalog, prerender_catalog
+from repro.datasets import build_application, build_catalog
 from repro.datasets.spec import InjectionPlan
 from repro.helm import (
     Chart,
@@ -150,17 +150,19 @@ def _configmap_chart(data_line: str, values=None) -> Chart:
     return Chart.from_files("order", values=values, templates={"cm.yaml": template})
 
 
-def _render_both_ways(cache: RenderCache, chart: Chart, structured: bool, overrides=None):
-    """The uncached and the cached render, on one render path."""
+def _renders(cache: RenderCache, chart: Chart, structured: bool, overrides=None):
+    """The uncached render on one render path, and the cached one on the structured path."""
     fresh = render_chart(chart, overrides=overrides, cached=False, structured=structured)
-    cached = cache.render(chart, overrides=overrides, structured=structured)
-    return fresh, cached
+    if not structured:
+        return (fresh,)
+    return fresh, cache.render(chart, overrides=overrides)
 
 
 class TestBuiltMapKeyOrder:
     """Maps built by templates and merges iterate sorted, as Helm's do.
 
-    Each case renders uncached and cached on both render paths.
+    Each case renders uncached on both render paths, and cached on the
+    structured path, the only one the cache holds.
     """
 
     CASES = {
@@ -176,7 +178,7 @@ class TestBuiltMapKeyOrder:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_template_built_maps_iterate_sorted(self, cache: RenderCache, case, structured):
         line, expected = self.CASES[case]
-        for rendered in _render_both_ways(cache, _configmap_chart(line), structured):
+        for rendered in _renders(cache, _configmap_chart(line), structured):
             assert rendered.documents[0]["data"]["x"] == expected
 
     @pytest.mark.parametrize("structured", [True, False], ids=["structured", "text"])
@@ -184,7 +186,7 @@ class TestBuiltMapKeyOrder:
         chart = _configmap_chart(
             'x: "{{ range $k, $v := .Values }}{{ $k }};{{ end }}"', {"c": 1, "a": 2}
         )
-        for rendered in _render_both_ways(cache, chart, structured, overrides={"b": 3}):
+        for rendered in _renders(cache, chart, structured, overrides={"b": 3}):
             assert rendered.documents[0]["data"]["x"] == "a;b;c;"
             assert list(rendered.values) == ["a", "b", "c"]
 
@@ -196,7 +198,7 @@ class TestBuiltMapKeyOrder:
                 'x: "{{ range $k, $v := .Values }}{{ $k }};{{ end }}"', {"a": 1, "z": 2}
             )
         )
-        for rendered in _render_both_ways(cache, chart, structured):
+        for rendered in _renders(cache, chart, structured):
             assert rendered.documents[0]["data"]["x"] == "a;global;z;"
 
 
@@ -241,17 +243,18 @@ class TestDifferentialFullCatalogue:
 
 
 class TestPrerenderCatalog:
+    """Rendering the catalogue ahead warms the shared cache for every later consumer."""
+
     def test_prerender_warms_shared_cache_for_consumers(self):
         applications = build_catalog(("CNCF",))
         shared = shared_render_cache()
         shared.clear()
-        fingerprints = prerender_catalog(applications)
-        assert len(fingerprints) == len(applications)
-        assert fingerprints == [app.chart.fingerprint() for app in applications]
+        for app in applications:
+            render_chart(app.chart, fingerprint=app.fingerprint())
         misses = shared.stats()["misses"]
         # Consumers rendering the same (chart, values) pairs now only hit.
-        for app, fingerprint in zip(applications, fingerprints):
-            render_chart(app.chart, fingerprint=fingerprint)
+        for app in applications:
+            render_chart(app.chart, fingerprint=app.chart.fingerprint())
             render_chart(app.chart)  # fingerprint omitted: same key
         assert shared.stats()["misses"] == misses
         assert shared.stats()["hits"] >= 2 * len(applications)
@@ -261,7 +264,8 @@ class TestPrerenderCatalog:
         shared = shared_render_cache()
         shared.clear()
         overrides = {"networkPolicy": {"enabled": True}}
-        prerender_catalog(applications, overrides=overrides)
+        for app in applications:
+            render_chart(app.chart, overrides=overrides, fingerprint=app.fingerprint())
         misses = shared.stats()["misses"]
         for app in applications:
             render_chart(app.chart, overrides={"networkPolicy": {"enabled": True}})

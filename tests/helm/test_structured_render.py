@@ -982,19 +982,3 @@ class TestFromYamlNative:
         context = {"Values": {"s": "2024-01-01"}}
         assert engine_a.render(source, context) == engine_b.render(source, context)
 
-
-class TestRenderCacheStructuredKeying:
-    def test_structured_and_text_entries_do_not_collide(self):
-        from repro.helm import RenderCache
-
-        app = build_application("cache-mix", "Org", InjectionPlan(m1=1, m6=True))
-        cache = RenderCache()
-        structured = cache.render(app.chart, structured=True)
-        text = cache.render(app.chart, structured=False)
-        assert cache.stats()["misses"] == 2
-        assert structured.documents == text.documents
-        assert structured.objects == text.objects
-        # Hits keep serving the matching flavour.
-        again = cache.render(app.chart, structured=True)
-        assert cache.stats()["hits"] == 1
-        assert again.sources == structured.sources

@@ -1,15 +1,13 @@
-"""Unit tests for values merging, paths and --set parsing."""
+"""Unit tests for values merging, paths, loading and dumping."""
 
 import pytest
 
 from repro.helm import (
     ValuesError,
-    apply_set_strings,
     deep_merge,
     dump_values,
     get_path,
     load_values,
-    parse_set_string,
     set_path,
 )
 
@@ -62,30 +60,6 @@ class TestPaths:
     def test_set_path_empty_raises(self):
         with pytest.raises(ValuesError):
             set_path({}, "", 1)
-
-
-class TestSetStrings:
-    @pytest.mark.parametrize(
-        "assignment,expected",
-        [
-            ("replicas=3", ("replicas", 3)),
-            ("image.tag=latest", ("image.tag", "latest")),
-            ("networkPolicy.enabled=true", ("networkPolicy.enabled", True)),
-            ("debug=false", ("debug", False)),
-            ("value=null", ("value", None)),
-            ("ratio=0.5", ("ratio", 0.5)),
-        ],
-    )
-    def test_parse_set_string(self, assignment, expected):
-        assert parse_set_string(assignment) == expected
-
-    def test_parse_set_string_without_equals_raises(self):
-        with pytest.raises(ValuesError):
-            parse_set_string("novalue")
-
-    def test_apply_set_strings(self):
-        values = apply_set_strings({"service": {"port": 80}}, ["service.port=8080", "extra=1"])
-        assert values == {"service": {"port": 8080}, "extra": 1}
 
 
 class TestLoadDump:

@@ -17,7 +17,6 @@ from repro.probe import (
     ReachabilityProbe,
     RuntimeScanner,
     SocketRecord,
-    make_attacker_pod,
 )
 from tests.conftest import make_deployment, make_service
 
@@ -107,11 +106,6 @@ class TestRuntimeScanner:
         assert stable == {9100}
         sockets = observation.observed_sockets(snapshot)
         assert {record.port for record in sockets} == {9100}
-
-    def test_observe_all_covers_every_application(self, probed_cluster):
-        probed_cluster.install([make_attacker_pod()], app_name="probe")
-        observations = RuntimeScanner(probed_cluster).observe_all()
-        assert set(observations) == {"web", "probe"}
 
 
 class TestReachabilityProbe:

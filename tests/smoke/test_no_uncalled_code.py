@@ -1,13 +1,16 @@
-"""Every function, method and class under ``src/repro`` is named somewhere else.
+"""Every function, method and class under ``src/repro`` is used in code somewhere.
 
-A definition whose name occurs exactly once in the repository's Python
-code -- at the definition itself -- has no caller, no test, no override
-and no reference of any kind, so it is code nobody reaches.  The check is
-textual on purpose: identifiers are counted across every ``.py`` file
-under ``src``, ``tests``, ``benchmarks``, ``perfbench``, ``examples`` and
-``tools``, so a name that any of them spells, even in a string a wrapper
-looks up by name, counts as used.  Dunder methods are exempt: Python
-calls them.
+A definition whose name no Python code in the repository uses has no
+caller, no test, no override and no reference of any kind, so it is code
+nobody reaches.  Uses are counted from the syntax tree of every ``.py``
+file under ``src``, ``tests``, ``benchmarks``, ``perfbench``, ``examples``
+and ``tools``: names, attribute names, keyword arguments, the names a
+``from ... import`` takes outside an ``__init__.py``, and string
+constants that spell an identifier (a wrapper that looks a function up by
+name).  Prose does not count: docstrings and comments are skipped, and so
+are a package's re-exports (``__init__.py`` imports and ``__all__``), which
+name a definition without using it.  Tests count as users.  Dunder
+methods are exempt: Python calls them.
 """
 
 from __future__ import annotations
@@ -21,13 +24,54 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 SCANNED = ("src", "tests", "benchmarks", "perfbench", "examples", "tools")
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+DOCUMENTED = (ast.Module, *DEFINITIONS)
+
+
+def _skipped_constants(tree: ast.Module) -> set[int]:
+    """The ids of the string constants that are docstrings or ``__all__`` entries."""
+    skipped: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, DOCUMENTED) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                skipped.add(id(first.value))
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and node.value:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(target, ast.Name) and target.id == "__all__" for target in targets):
+                skipped.update(id(child) for child in ast.walk(node.value))
+    return skipped
+
+
+def uses_in(path: Path) -> list[str]:
+    """Every identifier the code of ``path`` uses."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    package = path.name == "__init__.py"
+    skipped = _skipped_constants(tree)
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            uses.append(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            uses.append(node.arg)
+        elif isinstance(node, ast.ImportFrom) and not package:
+            uses.extend(alias.name for alias in node.names)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in skipped
+            and IDENTIFIER.fullmatch(node.value)
+        ):
+            uses.append(node.value)
+    return uses
 
 
 def identifier_counts() -> Counter:
     counts: Counter = Counter()
     for directory in SCANNED:
         for path in sorted((REPO_ROOT / directory).rglob("*.py")):
-            counts.update(IDENTIFIER.findall(path.read_text(encoding="utf-8")))
+            counts.update(uses_in(path))
     return counts
 
 
@@ -43,11 +87,11 @@ def uncalled_definitions() -> list[str]:
         )
         for line, name in definitions:
             dunder = name.startswith("__") and name.endswith("__")
-            if not dunder and counts[name] == 1:
+            if not dunder and not counts[name]:
                 found.append(f"{path.relative_to(REPO_ROOT)}:{line} {name}")
     return found
 
 
 def test_every_definition_is_named_elsewhere():
     uncalled = uncalled_definitions()
-    assert not uncalled, "defined but never named anywhere else:\n" + "\n".join(uncalled)
+    assert not uncalled, "defined but never used in code:\n" + "\n".join(uncalled)
