@@ -32,7 +32,11 @@ past the window, so unchanged signatures vouch for their files: that is
 the stat path, and a no-op round over an aged tree opens no file.  The
 racy-edit test simulates 1 s timestamps: a same-size rewrite in the same
 second as the previous scan keeps its signature, and only the racy rule
-makes the rescan read it again.
+makes the rescan read it again.  On a one-chart directory, each edit kind
+(a same-size rewrite, a file emptied or deleted, a template renamed or
+added empty, a version bump, an empty ``templates/`` appearing) is read
+afresh on both the racy and the settled path, and a directory moved under
+another name is parsed again yet classified unchanged.
 """
 
 from __future__ import annotations
@@ -492,6 +496,106 @@ class TestRacyEdits:
         assert result.delta_stats["scan"]["parsed"] == 1
         assert result.delta_stats["recomputed"] == 1
         assert_matches_scratch(result, tree.root, "same-second rewrite")
+
+
+SMALL_CHART = {
+    "Chart.yaml": "apiVersion: v2\nname: small\nversion: 1.2.3\n",
+    "values.yaml": "service:\n  port: 80\n",
+    "templates/service.yaml": (
+        "apiVersion: v1\nkind: Service\nmetadata:\n  name: {{ .Release.Name }}-small\n"
+        "spec:\n  ports:\n    - port: {{ .Values.service.port }}\n"
+    ),
+}
+
+#: Edits that move a small chart's bytes or its ``templates/`` listing.
+EDITS = {
+    "same-size-edit": lambda root: (root / "values.yaml").write_text(
+        SMALL_CHART["values.yaml"].replace("80", "81"), encoding="utf-8"
+    ),
+    "emptied": lambda root: (root / "values.yaml").write_bytes(b""),
+    "deleted": lambda root: (root / "values.yaml").unlink(),
+    "renamed-template": lambda root: (root / "templates" / "service.yaml").rename(
+        root / "templates" / "svc.yaml"
+    ),
+    "empty-template-added": lambda root: (root / "templates" / "extra.yaml").write_bytes(b""),
+    "version-bump": lambda root: (root / "Chart.yaml").write_text(
+        SMALL_CHART["Chart.yaml"].replace("1.2.3", "1.2.4"), encoding="utf-8"
+    ),
+}
+
+
+def small_chart(root: Path, templates: bool = True, settled: bool = False) -> Path:
+    """Write :data:`SMALL_CHART` to ``root``; ``settled`` backdates every mtime.
+
+    A backdated mtime makes any later write move the file's signature,
+    however coarse the filesystem's timestamps.
+    """
+    written = [root / relative for relative in SMALL_CHART
+               if templates or not relative.startswith("templates/")]
+    for path in written:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(SMALL_CHART[path.relative_to(root).as_posix()], encoding="utf-8")
+    if settled:
+        old = time.time_ns() - 10 * delta_module.RACY_WINDOW_NS
+        for path in written + ([root / "templates"] if templates else []):
+            os.utime(path, ns=(old, old))
+    return root
+
+
+class TestStatRecordSeesEveryEdit:
+    """A rescan reuses a chart only while its stat record vouches for every byte.
+
+    ``racy``: files written just now sit inside the racy window, so the
+    rescan reads each one and compares it with its digest.  ``settled``:
+    the scan clock is past the window and every mtime predates it, so an
+    edit shows as a moved signature or ``templates/`` listing.
+    """
+
+    @pytest.fixture(params=["racy", "settled"])
+    def settled(self, request):
+        if request.param == "settled":
+            request.getfixturevalue("aged")
+        return request.param == "settled"
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_any_edit_is_read_afresh(self, tmp_path, settled, edit):
+        root = small_chart(tmp_path / "charts" / "small", settled=settled)
+        first = scan_chart_directory(root.parent)
+        again = scan_chart_directory(root.parent, previous=first)
+        assert again.stats["reused"] == 1 and again[0] is first[0]
+        EDITS[edit](root)
+        rescanned = scan_chart_directory(root.parent, previous=again)
+        assert rescanned.stats == {"dirs": 1, "reused": 0, "parsed": 1, "load_failed": 0}
+        [chart] = rescanned
+        assert chart.chart == Chart.from_directory(root)
+        assert chart.fingerprint() != first[0].fingerprint()
+
+    def test_templates_directory_appearing_is_read_afresh(self, tmp_path, settled):
+        root = small_chart(tmp_path / "charts" / "small", templates=False, settled=settled)
+        first = scan_chart_directory(root.parent)
+        assert scan_chart_directory(root.parent, previous=first)[0] is first[0]
+        (root / "templates").mkdir()
+        rescanned = scan_chart_directory(root.parent, previous=first)
+        assert rescanned.stats["parsed"] == 1
+        # An empty templates/ holds no template: the chart content is the same.
+        assert rescanned[0] is not first[0]
+        assert rescanned[0].chart == first[0].chart
+
+    def test_moved_directory_is_parsed_again_and_unchanged(self, tmp_path):
+        root = tmp_path / "charts"
+        small_chart(root / "small")
+        evaluator = DeltaEvaluator()
+        watch_round(root, evaluator)
+        os.replace(root / "small", root / "moved")
+        moved = watch_round(root, evaluator)
+        # The record belongs to the old directory; equal bytes elsewhere
+        # are the same chart, so the delta plan keeps every result.
+        assert moved.delta_stats["scan"] == {
+            "dirs": 1, "reused": 0, "parsed": 1, "load_failed": 0,
+        }
+        assert moved.delta_stats["classified"][DELTA_UNCHANGED] == 1
+        assert moved.delta_stats["recomputed"] == 0
+        assert_matches_scratch(moved, root, "moved directory")
 
 
 BROKEN = {

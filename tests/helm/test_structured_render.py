@@ -32,7 +32,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.cluster import AnalysisSession, Cluster, OBSERVE_FAST
 from repro.core import AnalyzerSettings, MisconfigurationAnalyzer
 from repro.datasets import InjectionPlan, build_application, build_catalog
-from repro.helm import Chart, TemplateEngine, render_chart
+from repro.helm import Chart, TemplateEngine, render_chart, shared_render_cache
 from repro.helm.structured import PLACEHOLDER_PREFIX, assemble_documents, parse_simple_yaml
 from repro.k8s.errors import ParseError
 from repro.k8s.yamlio import yaml_load_all
@@ -982,3 +982,19 @@ class TestFromYamlNative:
         context = {"Values": {"s": "2024-01-01"}}
         assert engine_a.render(source, context) == engine_b.render(source, context)
 
+
+class TestTextPathIsUncached:
+    def test_text_render_never_touches_the_cache(self):
+        app = build_application("cache-mix", "Org", InjectionPlan(m1=1, m6=True))
+        shared = shared_render_cache()
+        shared.clear()
+        text = render_chart(app.chart, structured=False)  # cached defaults to True
+        assert shared.stats() == {"hits": 0, "misses": 0, "corruptions": 0, "entries": 0}
+        structured = render_chart(app.chart)
+        assert shared.stats()["misses"] == 1
+        assert structured.documents == text.documents
+        assert structured.objects == text.objects
+        # The text path renders afresh every time, even with a structured entry cached.
+        again = render_chart(app.chart, structured=False)
+        assert again is not text and again.documents == text.documents
+        assert shared.stats()["hits"] == 0

@@ -10,7 +10,8 @@ constants that spell an identifier (a wrapper that looks a function up by
 name).  Prose does not count: docstrings and comments are skipped, and so
 are a package's re-exports (``__init__.py`` imports and ``__all__``), which
 name a definition without using it.  Tests count as users.  Dunder
-methods are exempt: Python calls them.
+methods are exempt: Python calls them.  The unit cases at the end pin
+each counting rule, one use or non-use per case.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import ast
 import re
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SCANNED = ("src", "tests", "benchmarks", "perfbench", "examples", "tools")
@@ -95,3 +98,40 @@ def uncalled_definitions() -> list[str]:
 def test_every_definition_is_named_elsewhere():
     uncalled = uncalled_definitions()
     assert not uncalled, "defined but never used in code:\n" + "\n".join(uncalled)
+
+
+#: ``(file name, source)`` pairs whose code uses the name ``helper``.
+USES = {
+    "call": ("module.py", "helper()\n"),
+    "attribute": ("module.py", "things.helper\n"),
+    "keyword": ("module.py", "run(helper=1)\n"),
+    "from-import": ("module.py", "from repro.things import helper\n"),
+    "name-lookup": ("module.py", "getattr(things, 'helper')\n"),
+    "package-call": ("__init__.py", "helper()\n"),
+}
+
+#: ``(file name, source)`` pairs that name ``helper`` without using it.
+NOT_USES = {
+    "definition": ("module.py", "def helper():\n    pass\n"),
+    "module-docstring": ("module.py", '"""helper"""\n'),
+    "function-docstring": ("module.py", 'def other():\n    """helper"""\n'),
+    "class-docstring": ("module.py", 'class Other:\n    """helper"""\n'),
+    "comment": ("module.py", "# helper\n"),
+    "not-an-identifier": ("module.py", "print('helper()')\n"),
+    "dunder-all": ("module.py", "__all__ = ['helper']\n"),
+    "package-re-export": ("__init__.py", "from .things import helper\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USES))
+def test_code_that_uses_a_name_counts(tmp_path, case):
+    name, source = USES[case]
+    (tmp_path / name).write_text(source, encoding="utf-8")
+    assert "helper" in uses_in(tmp_path / name)
+
+
+@pytest.mark.parametrize("case", sorted(NOT_USES))
+def test_prose_and_re_exports_do_not_count(tmp_path, case):
+    name, source = NOT_USES[case]
+    (tmp_path / name).write_text(source, encoding="utf-8")
+    assert "helper" not in uses_in(tmp_path / name)
