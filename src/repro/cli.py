@@ -11,15 +11,16 @@ Subcommands
     Build the synthetic catalogue and print the Table 2 breakdown.
 ``table2`` / ``table3`` / ``figure3`` / ``figure4a`` / ``figure4b``
     Regenerate the corresponding table or figure of the paper.
-``sweep [--store DIR | --resume DIR | --since DIR]``
-    Run the catalogue sweep durably against a content-addressed result
-    store: completed charts are loaded instead of recomputed, fresh ones
-    persist as they finish, and ``--resume`` continues an interrupted
-    sweep's journal.  ``--since`` runs an *incremental* sweep: the delta
-    evaluator classifies every chart against the store's epoch-tagged
-    journal and reports what moved and why, while recomputing only what
-    must be.  A corrupt or version-skewed store degrades to a recompute
-    with a one-line hint -- never a traceback, always exit 0.
+``sweep [--store DIR]``
+    Run the catalogue sweep, with ``--store`` durably against a
+    content-addressed result store: completed charts are loaded instead of
+    recomputed and fresh ones persist as they finish, so an interrupted
+    sweep resumes by running again.  A ``--store`` sweep first prints what
+    moved since the store's journal last recorded the catalogue
+    (``delta: epoch P -> E; <counts>``); the epoch holds while the
+    catalogue and settings do.  A corrupt or version-skewed store degrades
+    to a recompute with a one-line hint -- never a traceback, always exit
+    0.
 ``watch <dir>``
     Continuously re-verify a directory of Helm charts: each round rescans
     the directory, re-evaluates only the charts whose inputs changed
@@ -95,13 +96,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _sampled_applications(args: argparse.Namespace):
-    """The catalogue restricted to ``--sample N`` charts (None = full)."""
-    sample = getattr(args, "sample", None)
-    if not sample:
-        return None
+    """The catalogue, restricted to its first ``--sample N`` charts (0 = all)."""
     from .datasets import build_catalog
 
-    return build_catalog()[:sample]
+    catalog = build_catalog()
+    return catalog[: args.sample] if args.sample else catalog
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
@@ -151,35 +150,24 @@ def _cmd_figure4b(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .experiments import run_full_evaluation
+    from .experiments import format_delta_counts, journal_plan, run_full_evaluation
     from .store import ResultStore, store_hint
 
-    since = args.since
-    store_dir = since or args.resume or args.store
-    store = ResultStore(store_dir) if store_dir else None
-    if since:
-        from .experiments import DeltaEvaluator, format_delta_counts
-
-        evaluator = DeltaEvaluator(store=store)
-        result = evaluator.evaluate(
-            applications=_sampled_applications(args),
-            workers=args.workers or None,
-            resume=True,
-        )
-        delta = result.delta_stats or {}
+    applications = _sampled_applications(args)
+    store = ResultStore(args.store) if args.store else None
+    # Classified before the sweep, which may rotate the journal.
+    plan = journal_plan(store, applications) if store is not None else None
+    result = run_full_evaluation(
+        applications=applications, workers=args.workers or None, store=store
+    )
+    stats = result.store_stats
+    if plan is not None:
+        counts = {"classified": plan.counts(), "removed": plan.removed}
         print(
-            f"delta: epoch {delta.get('prior_epoch', 0)} -> {delta.get('epoch', 0)}; "
-            f"{format_delta_counts(delta)}"
-        )
-    else:
-        result = run_full_evaluation(
-            applications=_sampled_applications(args),
-            workers=args.workers or None,
-            store=store,
-            resume=bool(args.resume),
+            f"delta: epoch {plan.prior_epoch} -> {stats['journal_epoch']}; "
+            f"{format_delta_counts(counts)}"
         )
     print(result.summary.table2_text())
-    stats = result.store_stats
     if stats is not None:
         print(
             f"store: {stats['loaded']} loaded, {stats['computed']} computed, "
@@ -262,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(handler=handler)
 
     sweep = subparsers.add_parser(
-        "sweep", help="run the catalogue sweep durably (resumable result store)"
+        "sweep", help="run the catalogue sweep, durably with --store"
     )
     sweep.add_argument(
         "--sample",
@@ -276,21 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="parallel workers (0 = serial)",
     )
-    # One store per sweep: naming two is a usage error, not a silent pick.
-    store_flags = sweep.add_mutually_exclusive_group()
-    store_flags.add_argument(
-        "--store", default="", help="result-store directory to read and feed"
-    )
-    store_flags.add_argument(
-        "--resume",
+    sweep.add_argument(
+        "--store",
         default="",
-        help="resume an interrupted sweep from this store directory",
-    )
-    store_flags.add_argument(
-        "--since",
-        default="",
-        help="incremental sweep: classify against this store's journal and "
-        "recompute only changed charts",
+        help="result-store directory to read and feed; reports what moved since its last sweep",
     )
     sweep.set_defaults(handler=_cmd_sweep)
 

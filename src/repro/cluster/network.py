@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from ..k8s import NetworkPolicy
 from ..memo import remember
-from .cni import NetworkPolicyEnforcer, PolicyDecision, scan_isolating
+from .cni import NetworkPolicyEnforcer, PolicyDecision
 from .endpoints import ServiceBinding
 from .errors import DuplicatePodError
 from .policy_index import PolicyIndex
@@ -507,13 +507,6 @@ class ReachabilityMatrix:
         self._naive_policies = naive_policies
         #: (namespace, name) -> destination key of :func:`_decision_token`
         self._dest_keys: dict[tuple[str, str], tuple[tuple, tuple, bool]] = {}
-        #: Adaptive tier: the first couple of decisions are answered with the
-        #: naive-cost direct scan; the memoized machinery (isolating cache,
-        #: destination keys, decision memo) is engaged only once the attempt
-        #: stream is long enough for it to pay.  Single-attempt probes -- the
-        #: dominant shape of a per-chart sweep -- therefore cost exactly what
-        #: the reference path costs.
-        self._naive_tier_left = 2
         #: (namespace, name) -> hashable source equivalence key
         self._source_keys: dict[tuple[str, str], tuple] = {}
         #: decision memo, keyed ``(source key, decision token)``
@@ -543,17 +536,6 @@ class ReachabilityMatrix:
         if self.index is None:
             return self._enforcer.check_ingress(
                 self._naive_policies or [], source, destination, port, protocol
-            )
-        if self._naive_tier_left and not self._decisions:
-            # The naive isolating scan keeps the original list order, so
-            # tiered decisions are value-identical to memoized ones.
-            self._naive_tier_left -= 1
-            return self._enforcer.decide_ingress(
-                scan_isolating(self.index.policies, destination),
-                source,
-                destination,
-                port,
-                protocol,
             )
         isolating, token = _decision_token(
             self.index, self._dest_keys, destination, port, protocol

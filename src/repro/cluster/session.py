@@ -49,7 +49,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .. import faults
 from ..helm import RenderedChart
@@ -352,9 +352,7 @@ class AnalysisSession:
     through ``Cluster.reset()`` when the pool has one, freshly built
     otherwise -- and ``observe()`` produces a
     :class:`~repro.probe.scanner.RuntimeObservation` through the configured
-    ``observe_mode``.  A custom ``cluster_factory`` disables pooling and
-    pins observation to the full path, preserving the semantics of callers
-    that bring their own cluster subclass.
+    ``observe_mode``.
     """
 
     def __init__(
@@ -365,7 +363,6 @@ class AnalysisSession:
         observe_mode: str = OBSERVE_FAST,
         compiled_policies: bool = True,
         pooled: bool = True,
-        cluster_factory: Callable[[BehaviorRegistry], Cluster] | None = None,
     ) -> None:
         if observe_mode not in OBSERVE_MODES:
             raise ValueError(f"unknown observe_mode {observe_mode!r}; expected one of {OBSERVE_MODES}")
@@ -373,11 +370,8 @@ class AnalysisSession:
         self.worker_count = worker_count
         self.seed = seed
         self.compiled_policies = compiled_policies
-        self._factory = cluster_factory
-        #: A custom factory may return cluster subclasses whose reset
-        #: semantics we cannot vouch for: build fresh, observe via install.
-        self.pooled = pooled and cluster_factory is None
-        self.observe_mode = OBSERVE_FULL if cluster_factory is not None else observe_mode
+        self.pooled = pooled
+        self.observe_mode = observe_mode
         self._free: list[Cluster] = []
         self._lock = threading.Lock()
         self._substrate: ObservationSubstrate | None = None
@@ -399,9 +393,6 @@ class AnalysisSession:
         """
         behaviors = behaviors or BehaviorRegistry()
         self.stats.leases += 1
-        if self._factory is not None:
-            self.stats.clusters_built += 1
-            return self._factory(behaviors)
         cluster: Cluster | None = None
         if self.pooled:
             with self._lock:

@@ -3,12 +3,10 @@
 The paper's premise is *continuous* defense: clusters drift one chart or
 values file at a time, yet a from-scratch sweep re-evaluates all 290
 catalogue charts on every run.  :class:`DeltaEvaluator` closes that gap.
-Given its own last round (or the durable
-:class:`~repro.store.ResultStore` + journal from a previous sweep) and the
-current chart set, it classifies every chart by comparing the ``chart``,
-``behaviors`` and ``settings`` fingerprints
-(:func:`~repro.experiments.evaluation.key_fingerprints`), the inputs a
-chart's ``result_key`` covers:
+Given its own last round and the current chart set, it classifies every
+chart by comparing the ``chart``, ``behaviors`` and ``settings``
+fingerprints (:func:`~repro.experiments.evaluation.key_fingerprints`),
+the inputs a chart's ``result_key`` covers:
 
 ============  =====================================================
 class         meaning
@@ -37,46 +35,41 @@ Staleness rules
 
 Reuse is sound only for the per-chart (pre-M4*) stage: the cluster-wide
 label-collision pass consumes *every* chart's label surface, so a change
-anywhere can move M4* findings on unchanged charts.  An in-memory round
-keeps the pass's label groups and selector postings per chart in a
+anywhere can move M4* findings on unchanged charts.  A round keeps the
+pass's label groups and selector postings per chart in a
 :class:`~repro.core.CollisionIndex`: it retracts removed, recomputed and
 quarantined charts, adds the new ones, and re-derives M4* findings only
 for the applications whose collision groups or selector matches the
 change touched.  Those reused reports are stripped into fresh
 :class:`~repro.core.AnalysisReport` objects first -- the prior result is
 never mutated -- and every other reused entry keeps its post-M4* report.
-A durable round strips nothing (the store holds pre-M4* reports) and
-re-runs :func:`~repro.experiments.evaluation.apply_cluster_wide_pass`, the
+:func:`~repro.experiments.evaluation.apply_cluster_wide_pass` is the
 index's oracle.  A chart whose prior attempt failed is always recomputed
 -- a quarantined failure is never "unchanged".  The result is
 byte-identical to a from-scratch sweep; the differential suite in
 ``tests/experiments/test_delta_evaluation.py`` proves it over the full
 catalogue for randomized change sets, serial and pooled, faults included.
 
-Prior-state sources
--------------------
+Prior state
+-----------
 
-Each round classifies against exactly one prior.
-
-*In-memory*: the evaluator chains its own rounds, keeping the last one's
+Each round classifies against the evaluator's own last round, keeping its
 entries with the fingerprints taken when it was classified (a registry
 registered into since has moved its live fingerprint), and the M4* index
-mirrors that last round.  This is the watch-mode hot path -- no
-store reads, near-zero cost for a no-op round (the
-``DELTA_NOOP_RATIO_LIMIT`` gate in ``benchmarks/run.py --check`` pins it
-at <= 5% of a full sweep).
+mirrors that last round.  This is the watch-mode hot path -- no store
+reads, near-zero cost for a no-op round (the ``DELTA_NOOP_RATIO_LIMIT``
+gate in ``benchmarks/run.py --check`` pins it at <= 5% of a full sweep).
+The round runs on the sweep engine of :mod:`repro.experiments.evaluation`,
+the same one a from-scratch sweep uses: this module only decides which
+entries are reused.
 
-*Durable*: with a ``store``, classification reads the epoch-tagged
-journal (:func:`repro.store.read_prior_state` -- last-wins, one live
-record per chart key) and the sweep itself is the engine's durable path,
-so content addressing does the reuse and every journal generation is
-totally ordered by epoch.  A record without classifier fingerprints
-classifies its chart as ``added``; the store still reuses its entry by
-content key.  ``repro sweep --since DIR`` is the CLI spelling.
-
-Either way the round runs on the sweep engine of
-:mod:`repro.experiments.evaluation`, the same one a from-scratch sweep
-uses: this module only decides which entries are reused.
+A durable sweep needs no evaluator: the store reuses entries by content
+key.  :func:`journal_plan` classifies a chart set against a store's
+epoch-tagged journal (:func:`repro.store.read_prior_state` -- last-wins,
+one live record per chart key) with the same rules, computing nothing; a
+record without classifier fingerprints classifies its chart as
+``added``.  ``insidejob sweep --store DIR`` prints that plan before its
+table.
 
 ``insidejob watch <dir>`` drives :func:`watch_directory`: scan a directory
 of on-disk charts, evaluate the delta against the previous round, print one
@@ -119,7 +112,6 @@ from .evaluation import (
     AnalyzedApplication,
     EvaluationResult,
     _sweep,
-    apply_cluster_wide_pass,
     classifier_fingerprints,
     key_fingerprints,
     settings_fingerprint,
@@ -158,9 +150,9 @@ class DeltaPlan:
 
     ``charts`` is aligned with the application list the plan was built
     for (catalogue order); ``removed`` names prior charts absent from the
-    current set; ``prior_epoch`` is the journal epoch (durable prior) or
-    the evaluator's completed round count (in-memory prior) the plan was
-    classified against.
+    current set; ``prior_epoch`` is the journal epoch (:func:`journal_plan`)
+    or the evaluator's completed round count (:class:`DeltaEvaluator`) the
+    plan was classified against.
     """
 
     charts: tuple[ChartDelta, ...]
@@ -184,7 +176,7 @@ class DeltaPlan:
 
 @dataclass
 class _PriorRecord:
-    """One chart's prior state, from either source (memory or journal).
+    """One chart's prior state, from the last round or a journal record.
 
     ``fingerprints`` holds at least :func:`key_fingerprints` as they were
     when the prior round was classified (a registry registered into since
@@ -256,8 +248,91 @@ def _cluster_wide_delta(
     return index
 
 
+def _classify(
+    unique_id: str,
+    app: BuiltApplication,
+    current: dict,
+    prior: _PriorRecord | None,
+    settings_fp: str,
+) -> ChartDelta:
+    if prior is None:
+        return ChartDelta(unique_id, DELTA_ADDED, ("no prior record",))
+    fingerprints = prior.fingerprints
+    if fingerprints is not None:
+        if fingerprints.get("chart") != current["chart"]:
+            return ChartDelta(unique_id, DELTA_RE_RENDER, _render_reasons(app, prior, settings_fp))
+        if fingerprints.get("behaviors") != current["behaviors"]:
+            return ChartDelta(unique_id, DELTA_RE_OBSERVE, ("behaviors",))
+        if fingerprints.get("settings") != current["settings"]:
+            return ChartDelta(unique_id, DELTA_RE_ANALYZE, ("settings",))
+    if not prior.ok:
+        return ChartDelta(unique_id, DELTA_RE_RENDER, ("prior failure",))
+    return ChartDelta(unique_id, DELTA_UNCHANGED)
+
+
+def _render_reasons(
+    app: BuiltApplication, prior: _PriorRecord, settings_fp: str
+) -> tuple[str, ...]:
+    """Which of ``values`` and ``templates`` moved; ``("chart",)`` when neither did.
+
+    Only a moved chart is hashed along these axes: a journal record
+    carries the prior's fingerprints, an in-memory prior its chart.
+    """
+    now = classifier_fingerprints(app, settings_fp)
+    before = (
+        prior.fingerprints
+        if prior.entry is None
+        else classifier_fingerprints(prior.entry.application, settings_fp)
+    )
+    moved = tuple(axis for axis in _RENDER_AXES if before.get(axis) != now[axis])
+    return moved or ("chart",)
+
+
+def _plan(
+    applications: list[BuiltApplication],
+    prior: dict[str, _PriorRecord],
+    prior_epoch: int,
+    settings_fp: str,
+) -> tuple[DeltaPlan, dict[str, dict]]:
+    """The plan against ``prior`` and each chart's :func:`key_fingerprints`."""
+    keys: dict[str, dict] = {}
+    deltas = []
+    for app in applications:
+        unique_id = f"{app.dataset}/{app.name}"
+        current = keys[unique_id] = key_fingerprints(app, settings_fp)
+        deltas.append(_classify(unique_id, app, current, prior.get(unique_id), settings_fp))
+    removed = tuple(sorted(unique_id for unique_id in prior if unique_id not in keys))
+    return DeltaPlan(charts=tuple(deltas), removed=removed, prior_epoch=prior_epoch), keys
+
+
+def journal_plan(
+    store: ResultStore | Path | str,
+    applications: list[BuiltApplication],
+    settings: AnalyzerSettings | None = None,
+) -> DeltaPlan:
+    """Classify ``applications`` against a store's journal, computing nothing.
+
+    The prior is the journal's live generation, read through
+    :func:`repro.store.read_prior_state`; ``prior_epoch`` is its epoch (0
+    without a journal).  A record without classifier fingerprints is no
+    prior: its chart is ``added``.  ``settings`` are the analyzer settings
+    the sweep runs under (default :class:`~repro.core.AnalyzerSettings`).
+    Call it before the durable sweep, which may rotate the journal.  A
+    :class:`~repro.store.ResultStore` is read through its own connection,
+    so a damaged database file moved aside here counts in its stats.
+    """
+    state = read_prior_state(store)
+    prior = {
+        unique_id: _PriorRecord(fingerprints=record["fp"], ok=record.get("status") == "ok")
+        for unique_id, record in state.records.items()
+        if isinstance(record.get("fp"), dict)
+    }
+    settings_fp = settings_fingerprint(settings or AnalyzerSettings())
+    return _plan(list(applications), prior, state.epoch, settings_fp)[0]
+
+
 class DeltaEvaluator:
-    """Incrementally re-evaluate a chart set against its prior state.
+    """Incrementally re-evaluate a chart set against its own last round.
 
     One evaluator holds one :class:`~repro.core.MisconfigurationAnalyzer`
     across rounds, so the render cache and the observation memo stay warm:
@@ -265,23 +340,15 @@ class DeltaEvaluator:
     from them.  ``evaluate`` returns a plain :class:`EvaluationResult`
     byte-identical to a from-scratch sweep of the same chart set, with
     ``delta_stats`` carrying the round's accounting.
-
-    With ``store`` set, the evaluator is *durable*: classification reads
-    the store's epoch-tagged journal and the sweep engine's
-    content-addressed store path does the reuse.  Without it, each round
-    classifies against the evaluator's own last result, which is the
-    near-zero-cost watch path.
     """
 
     def __init__(
         self,
         settings: AnalyzerSettings | None = None,
-        store: ResultStore | str | Path | None = None,
         max_attempts: int = 3,
         retry_backoff: float = 0.05,
     ) -> None:
         self.settings = settings or AnalyzerSettings()
-        self.store = store if isinstance(store, (ResultStore, type(None))) else ResultStore(store)
         self.settings_fp = settings_fingerprint(self.settings)
         self.analyzer = MisconfigurationAnalyzer(settings=self.settings)
         self.max_attempts = max_attempts
@@ -295,16 +362,12 @@ class DeltaEvaluator:
         #: The chart set of the last round, replaced every round: a watch
         #: rescan reuses its objects for directories whose bytes held.
         self._charts: list = []
-        #: The incremental M4* state of the last round (in-memory rounds only).
+        #: The incremental M4* state of the last round.
         self._collisions: CollisionIndex | None = None
 
     # Classification ----------------------------------------------------------
     def plan(self, applications: list[BuiltApplication]) -> DeltaPlan:
-        """Classify ``applications`` against the prior state, computing nothing.
-
-        The prior is the store's journal (durable mode) or the evaluator's
-        own last round (memory mode).
-        """
+        """Classify ``applications`` against the last round, computing nothing."""
         plan, _, _ = self._plan_with_index(list(applications))
         return plan
 
@@ -312,21 +375,9 @@ class DeltaEvaluator:
         self, applications: list[BuiltApplication]
     ) -> tuple[DeltaPlan, dict[str, _PriorRecord], dict[str, dict]]:
         """The plan, the prior it read and each chart's :func:`key_fingerprints`."""
-        if self.store is not None:
-            prior_index, prior_epoch = self._store_prior_index()
-        elif self._last is not None:
-            prior_index, prior_epoch = self._memory_prior_index(), self.rounds
-        else:
-            prior_index, prior_epoch = {}, 0
-        keys: dict[str, dict] = {}
-        deltas = []
-        for app in applications:
-            unique_id = f"{app.dataset}/{app.name}"
-            current = keys[unique_id] = key_fingerprints(app, self.settings_fp)
-            deltas.append(self._classify(unique_id, app, current, prior_index.get(unique_id)))
-        removed = tuple(sorted(unique_id for unique_id in prior_index if unique_id not in keys))
-        plan = DeltaPlan(charts=tuple(deltas), removed=removed, prior_epoch=prior_epoch)
-        return plan, prior_index, keys
+        prior = self._memory_prior_index() if self._last is not None else {}
+        plan, keys = _plan(applications, prior, self.rounds, self.settings_fp)
+        return plan, prior, keys
 
     def _memory_prior_index(self) -> dict[str, _PriorRecord]:
         index: dict[str, _PriorRecord] = {}
@@ -338,50 +389,6 @@ class DeltaEvaluator:
             index.setdefault(failure.unique_id, _PriorRecord(None, False))
         return index
 
-    def _store_prior_index(self) -> tuple[dict[str, _PriorRecord], int]:
-        state = read_prior_state(self.store.root)
-        index: dict[str, _PriorRecord] = {}
-        for unique_id, record in state.records.items():
-            fingerprints = record.get("fp")
-            # A record without fingerprints is no prior: its chart is added.
-            if isinstance(fingerprints, dict):
-                index[unique_id] = _PriorRecord(
-                    fingerprints=fingerprints, ok=record.get("status") == "ok"
-                )
-        return index, state.epoch
-
-    def _classify(
-        self, unique_id: str, app: BuiltApplication, current: dict, prior: _PriorRecord | None
-    ) -> ChartDelta:
-        if prior is None:
-            return ChartDelta(unique_id, DELTA_ADDED, ("no prior record",))
-        fingerprints = prior.fingerprints
-        if fingerprints is not None:
-            if fingerprints.get("chart") != current["chart"]:
-                return ChartDelta(unique_id, DELTA_RE_RENDER, self._render_reasons(app, prior))
-            if fingerprints.get("behaviors") != current["behaviors"]:
-                return ChartDelta(unique_id, DELTA_RE_OBSERVE, ("behaviors",))
-            if fingerprints.get("settings") != current["settings"]:
-                return ChartDelta(unique_id, DELTA_RE_ANALYZE, ("settings",))
-        if not prior.ok:
-            return ChartDelta(unique_id, DELTA_RE_RENDER, ("prior failure",))
-        return ChartDelta(unique_id, DELTA_UNCHANGED)
-
-    def _render_reasons(self, app: BuiltApplication, prior: _PriorRecord) -> tuple[str, ...]:
-        """Which of ``values`` and ``templates`` moved; ``("chart",)`` when neither did.
-
-        Only a moved chart is hashed along these axes: a journal record
-        carries the prior's fingerprints, an in-memory prior its chart.
-        """
-        now = classifier_fingerprints(app, self.settings_fp)
-        before = (
-            prior.fingerprints
-            if prior.entry is None
-            else classifier_fingerprints(prior.entry.application, self.settings_fp)
-        )
-        moved = tuple(axis for axis in _RENDER_AXES if before.get(axis) != now[axis])
-        return moved or ("chart",)
-
     # Evaluation --------------------------------------------------------------
     def evaluate(
         self,
@@ -390,7 +397,6 @@ class DeltaEvaluator:
         workers: int | None = None,
         chart_timeout: float | None = None,
         fault_plan: faults.FaultPlan | None = None,
-        resume: bool = False,
     ) -> EvaluationResult:
         """Run one delta round; byte-identical to a from-scratch sweep.
 
@@ -398,33 +404,21 @@ class DeltaEvaluator:
         rest to the sweep engine (serial fault-isolated, or the
         self-healing process pool when ``workers`` > 1), which merges in
         catalogue order.  The cluster-wide pass then runs incrementally
-        over the evaluator's M4* index (in-memory rounds) or from scratch
-        (durable rounds).  ``fault_plan``
-        arms deterministic chaos for the round; a chart that fails
-        mid-delta lands on ``result.failed`` -- its stale prior entry is
-        never served.  ``resume`` only applies to the durable path
-        (journal continuity).
+        over the evaluator's M4* index.  ``fault_plan`` arms deterministic
+        chaos for the round; a chart that fails mid-delta lands on
+        ``result.failed`` -- its stale prior entry is never served.
         """
         applications = list(applications) if applications is not None else build_catalog()
         self._charts = applications
         # The M4* index mirrors the last round; a round that raises drops it.
         collisions, self._collisions = self._collisions, None
-        # A durable round classifies against the journal *before* the sweep
-        # rotates it.  Journal records carry no entries, so the store does
-        # the reuse, and its reads re-verify every entry: even a lying
-        # journal cannot serve stale results.
         plan, prior_index, keys = self._plan_with_index(applications)
         reused: dict[int, AnalyzedApplication] = {}
         for index, delta in enumerate(plan.charts):
-            record = prior_index.get(delta.unique_id)
-            if (
-                delta.classification == DELTA_UNCHANGED
-                and record is not None
-                and record.entry is not None
-            ):
-                reused[index] = record.entry
+            if delta.classification == DELTA_UNCHANGED:
+                reused[index] = prior_index[delta.unique_id].entry
 
-        # Reused in-memory entries carry their prior *post*-M4* reports.
+        # Reused entries carry their prior *post*-M4* reports.
         result = _sweep(
             applications,
             self.analyzer,
@@ -434,49 +428,11 @@ class DeltaEvaluator:
             retry_backoff=self.retry_backoff,
             fault_plan=fault_plan,
             reused=reused,
-            store=self.store,
-            resume=resume,
         )
-        if self.store is None:
-            self._collisions = _cluster_wide_delta(
-                result, reused, collisions or CollisionIndex()
-            )
-            result.delta_stats = self._stats(
-                plan,
-                mode="memory",
-                charts=len(applications),
-                reused=len(reused),
-                recomputed=len(applications) - len(reused),
-                epoch=self.rounds + 1,
-            )
-        else:
-            apply_cluster_wide_pass(result)
-            stats = result.store_stats
-            result.delta_stats = self._stats(
-                plan,
-                mode="store",
-                charts=len(applications),
-                reused=stats["loaded"],
-                recomputed=stats["computed"],
-                epoch=stats["journal_epoch"],
-            )
-        self.rounds += 1
-        self._last, self._last_keys = result, keys
-        return result
-
-    def _stats(
-        self,
-        plan: DeltaPlan,
-        mode: str,
-        charts: int,
-        reused: int,
-        recomputed: int,
-        epoch: int,
-    ) -> dict:
-        return {
-            "mode": mode,
+        self._collisions = _cluster_wide_delta(result, reused, collisions or CollisionIndex())
+        result.delta_stats = {
             "round": self.rounds + 1,
-            "charts": charts,
+            "charts": len(applications),
             "classified": plan.counts(),
             "changed": [
                 delta.unique_id
@@ -484,16 +440,17 @@ class DeltaEvaluator:
                 if delta.classification != DELTA_UNCHANGED
             ],
             "reasons": {
-                delta.unique_id: list(delta.reasons)
-                for delta in plan.charts
-                if delta.reasons
+                delta.unique_id: list(delta.reasons) for delta in plan.charts if delta.reasons
             },
             "removed": list(plan.removed),
-            "reused": reused,
-            "recomputed": recomputed,
+            "reused": len(reused),
+            "recomputed": len(applications) - len(reused),
             "prior_epoch": plan.prior_epoch,
-            "epoch": epoch,
+            "epoch": self.rounds + 1,
         }
+        self.rounds += 1
+        self._last, self._last_keys = result, keys
+        return result
 
 
 # Watch mode ------------------------------------------------------------------

@@ -25,7 +25,7 @@ charts), computes the rest serially or on the process pool and merges in
 catalogue order.  Only this module knows how charts are executed, retried
 and merged.  The M4* pass runs on the merged result: from scratch
 (:func:`apply_cluster_wide_pass`) for full and durable sweeps,
-incrementally for a watch's in-memory delta rounds.
+incrementally for a watch's delta rounds.
 
 The parallel process-pool sweep is additionally *self-healing*: it survives
 ``BrokenProcessPool`` (a worker killed mid-task) by respawning the pool, and
@@ -47,14 +47,14 @@ finishes (not at the end of the sweep -- a killed process loses only its
 in-flight chart), keyed on :func:`result_key` (chart fingerprint +
 behaviours + analyzer settings), and a sealed
 :class:`~repro.store.SweepJournal` record of the chart's completion
-commits in the same transaction.  Every durable sweep consults
-the store first -- content addressing makes a warm entry valid in any
-sweep with the same inputs -- so ``resume=True`` (the CLI's ``repro sweep
---resume``) is about journal continuity and reporting, while the
-skip-completed behaviour itself needs no flag.  Persisted entries hold the pre-M4* report: the cluster-wide
-pass re-runs over loaded and fresh label surfaces alike, so store-on,
-store-off and crash-then-resume sweeps produce byte-identical results (the
-durability differential suite in ``tests/experiments/test_store_durability.py``
+commits in the same transaction.  Every durable sweep consults the store
+first -- content addressing makes a warm entry valid in any sweep with
+the same inputs -- so an interrupted sweep resumes by running again, and
+the journal continues its epoch while the sweep identity holds.
+Persisted entries hold the pre-M4* report: the cluster-wide pass re-runs
+over loaded and fresh label surfaces alike, so store-on, store-off and
+crash-then-resume sweeps produce byte-identical results (the durability
+differential suite in ``tests/experiments/test_store_durability.py``
 proves it, torn stores and injected corruption included).
 """
 
@@ -189,8 +189,8 @@ class EvaluationResult:
     #: identical evaluations compare different.
     store_stats: dict | None = field(default=None, init=False, repr=False, compare=False)
     #: Delta-sweep accounting (``None`` for from-scratch sweeps): the
-    #: per-class chart counts, reuse/recompute tallies and journal epochs a
-    #: :class:`repro.experiments.delta.DeltaEvaluator` run records.
+    #: per-class chart counts and reuse/recompute tallies a
+    #: :class:`repro.experiments.delta.DeltaEvaluator` round records.
     #: Excluded from equality for the same reason as ``store_stats``.
     delta_stats: dict | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -385,7 +385,6 @@ class _DurableSweep:
         store: ResultStore,
         applications: list[BuiltApplication],
         settings: AnalyzerSettings,
-        resume: bool,
     ) -> None:
         self.store = store
         self.applications = applications
@@ -397,7 +396,6 @@ class _DurableSweep:
         identity_material = repr((tuple(self.keys), settings_fp))
         identity = hashlib.sha256(identity_material.encode("utf-8")).hexdigest()
         self.journal = SweepJournal(store, identity)
-        self.resume = resume
         self.loaded = 0
         self.computed = 0
         self.failures = 0
@@ -406,7 +404,7 @@ class _DurableSweep:
             f"{app.dataset}/{app.name}": index for index, app in enumerate(applications)
         }
         self._lock = threading.Lock()
-        self.previously = self.journal.begin(resume)
+        self.previously = self.journal.begin()
 
     def load(self) -> dict[int, AnalyzedApplication]:
         """Verified completed results already in the store, by catalogue index."""
@@ -750,7 +748,6 @@ def _sweep(
     fault_plan: faults.FaultPlan | None,
     reused: dict[int, AnalyzedApplication] | None = None,
     store: ResultStore | None = None,
-    resume: bool = False,
 ) -> EvaluationResult:
     """The sweep engine behind every full, durable and delta sweep.
 
@@ -782,9 +779,7 @@ def _sweep(
                 raise ValueError(f"duplicate chart key {app.dataset}/{app.name}")
             seen.add((app.dataset, app.name))
         durable = (
-            _DurableSweep(store, applications, analyzer.settings, resume)
-            if store is not None
-            else None
+            _DurableSweep(store, applications, analyzer.settings) if store is not None else None
         )
         try:
             done = dict(reused or {})
@@ -832,7 +827,6 @@ def run_full_evaluation(
     retry_backoff: float = 0.05,
     fault_plan: faults.FaultPlan | None = None,
     store: ResultStore | str | Path | None = None,
-    resume: bool = False,
     settings: AnalyzerSettings | None = None,
 ) -> EvaluationResult:
     """Analyze ``applications`` (default: the built catalogue), then run the M4* pass.
@@ -866,10 +860,10 @@ def run_full_evaluation(
     result store -- completed charts load instead of recomputing, and each
     fresh outcome persists the moment it finishes, in one commit with its
     journal record.  Only this process opens the store: pool workers
-    never do.  ``resume=True`` additionally continues the store's sweep
-    journal (a fresh sweep rotates it); the analyzed output is
+    never do.  The journal continues while the sweep identity (the ordered
+    result keys) holds and rotates when it moves; the analyzed output is
     byte-identical with or without a store.  ``EvaluationResult.store_stats``
-    carries the accounting either way.
+    carries the accounting.
 
     ``settings`` builds the default analyzer from explicit
     :class:`~repro.core.AnalyzerSettings` while keeping every default-path
@@ -884,8 +878,6 @@ def run_full_evaluation(
     applications = applications if applications is not None else build_catalog()
 
     store_obj = store if isinstance(store, (ResultStore, type(None))) else ResultStore(store)
-    if resume and store_obj is None:
-        raise ValueError("resume=True requires a store")
     result = _sweep(
         applications,
         analyzer,
@@ -896,7 +888,6 @@ def run_full_evaluation(
         retry_backoff=retry_backoff,
         fault_plan=fault_plan,
         store=store_obj,
-        resume=resume,
     )
     apply_cluster_wide_pass(result)
     return result
@@ -908,10 +899,10 @@ def apply_cluster_wide_pass(result: EvaluationResult) -> None:
     The global label-collision scan is the one cross-chart stage of the
     pipeline: it consumes *every* analyzed entry's label surface (in
     catalogue order) and appends the resulting M4* findings to the
-    affected reports.  Full and durable sweeps, a durable delta round
-    included, run it over the merged pre-M4* entries.  An in-memory delta
-    round runs the incremental :class:`~repro.core.CollisionIndex`
-    instead, and this pass is its oracle.
+    affected reports.  Full and durable sweeps run it over the merged
+    pre-M4* entries.  A delta round runs the incremental
+    :class:`~repro.core.CollisionIndex` instead, and this pass is its
+    oracle.
     """
     inventories = [
         ApplicationInventory(

@@ -3,7 +3,7 @@
 The fault-tolerance layer (per-chart isolation, retry, quarantine, the
 process-pool watchdog -- see :mod:`repro.experiments.evaluation`) is only
 trustworthy if its failure paths are exercised deterministically.  This
-module provides that: a seeded, picklable :class:`FaultPlan` arms named
+module provides that: a picklable :class:`FaultPlan` arms named
 *fault sites* threaded through the pipeline's hot paths as near-zero-cost
 hooks.  When no plan is armed, :func:`fault_point` is a single global load
 and ``None`` check; an armed-but-idle plan (sites armed for charts that
@@ -174,24 +174,14 @@ class FaultPlan:
     The plan is pure data: whether a site fires depends only on the spec,
     the ambient chart key and the attempt number -- never on wall clock,
     randomness or mutable plan state -- so a sweep replays identically
-    across serial runs and respawned process pools.  ``seed``
-    is carried for plan-construction determinism bookkeeping (plans built
-    from a seeded sampler record the seed they came from).
+    across serial runs and respawned process pools.
     """
 
-    def __init__(self, *specs: FaultSpec, seed: int = 2025) -> None:
+    def __init__(self, *specs: FaultSpec) -> None:
         self.specs = tuple(specs)
-        self.seed = seed
         self._by_site: dict[str, tuple[FaultSpec, ...]] = {}
         for spec in self.specs:
             self._by_site[spec.site] = self._by_site.get(spec.site, ()) + (spec,)
-
-    def __reduce__(self):
-        return (_rebuild_plan, (self.specs, self.seed))
-
-
-def _rebuild_plan(specs: tuple[FaultSpec, ...], seed: int) -> FaultPlan:
-    return FaultPlan(*specs, seed=seed)
 
 
 #: The armed plan (process-global) and the ambient chart scope (per-thread).
@@ -261,7 +251,7 @@ def fault_point(site: str) -> None:
     spec raises :class:`InjectedFault` (``error``), sleeps (``hang``), or
     terminates the worker process (``kill``; degrades to ``error`` outside
     a pool worker).  ``corrupt`` specs never fire here -- sites with a
-    corruption hook query :func:`corruption_requested` instead.
+    corruption hook query :func:`corruption_mode` instead.
     """
     plan = _ARMED
     if plan is None:
@@ -282,33 +272,16 @@ def fault_point(site: str) -> None:
         raise InjectedFault(site, key, attempt)
 
 
-def corruption_requested(site: str) -> bool:
-    """True when an armed ``corrupt`` spec fires for ``site`` in this scope.
-
-    Queried by sites that own a corruption hook (the render cache corrupts
-    its stored entry, then must *detect* the corruption instead of serving
-    it).  Kept separate from :func:`fault_point` so corruption is silent --
-    the failure, if any, must come from the detection logic under test.
-    """
-    plan = _ARMED
-    if plan is None:
-        return False
-    specs = plan._by_site.get(site)
-    if not specs:
-        return False
-    key, attempt = current_scope()
-    return any(
-        spec.kind == KIND_CORRUPT and spec.matches(key, attempt) for spec in specs
-    )
-
-
 def corruption_mode(site: str) -> str | None:
     """The corruption mode of the first firing ``corrupt`` spec at ``site``.
 
-    ``None`` when no corruption is requested in the ambient scope.  Sites
-    with mode-aware corruption hooks (the result store) use this instead of
-    :func:`corruption_requested` to pick *how* to damage their entry --
+    ``None`` when no corruption is requested in the ambient scope.  Queried
+    by sites that own a corruption hook: the render cache corrupts its
+    stored entry, then must *detect* the corruption instead of serving it;
+    the result store also uses the mode to pick *how* to damage its row --
     truncation, bit-flip or schema version skew (:data:`CORRUPTION_MODES`).
+    Kept separate from :func:`fault_point` so corruption is silent -- the
+    failure, if any, must come from the detection logic under test.
     """
     plan = _ARMED
     if plan is None:

@@ -120,7 +120,7 @@ class RenderCache:
         if entry is not None:
             faults.fault_point(faults.RENDER_CACHE_READ)
             cached_release, values, documents, objects, sources, render_fp, check = entry
-            if faults.corruption_requested(faults.RENDER_CACHE_READ):
+            if faults.corruption_mode(faults.RENDER_CACHE_READ) is not None:
                 _corrupt_entry(documents, objects)
             if _check_of(values, documents, objects, sources) == check:
                 self.hits += 1

@@ -49,12 +49,12 @@ directory; the first write creates the database, and no read does.
 
 :class:`SweepJournal` adds per-sweep bookkeeping: a header pinning the
 sweep identity (catalogue + settings + schema) and a monotonically
-increasing *epoch* -- every fresh or rotated sweep advances it, a resume
-continues it -- plus one sealed record per chart, tagged with its epoch
-(readers see only the header's epoch).  Records optionally carry the
-per-chart classifier fingerprints (chart / values / templates /
-behaviours / settings), which is what lets the delta evaluator
-(:mod:`repro.experiments.delta`) classify *why* a chart needs
+increasing *epoch* -- a sweep whose identity the header holds continues
+it, any other sweep rotates the journal and advances it -- plus one sealed
+record per chart, tagged with its epoch (readers see only the header's
+epoch).  Records optionally carry the per-chart classifier fingerprints
+(chart / values / templates / behaviours / settings), which is what lets
+:func:`repro.experiments.delta.journal_plan` classify *why* a chart needs
 recomputation; a record without them reads as ``added``.
 :func:`read_prior_state` is the read side.
 
@@ -527,8 +527,8 @@ class SweepJournal:
     store shares its connection, which is what lets a computed chart's
     record commit with its result entry (see :meth:`deferred`).  The
     header pins the *sweep identity* -- a digest over the ordered
-    catalogue result keys -- so a resume against a different catalogue or
-    settings is detected, not silently honored.  Each record stores one
+    catalogue result keys -- so a sweep continues the journal only over
+    the same catalogue and settings.  Each record stores one
     chart's completion (key, status, attempts, source) under the header's
     epoch, sealed with a digest so a damaged record is dropped rather than
     trusted.  Records of a superseded epoch stay invisible: a sweep still
@@ -537,12 +537,9 @@ class SweepJournal:
     ones.
     """
 
-    #: The *expected* rotation reasons: a fresh (non-resume) sweep
-    #: deliberately supersedes any prior journal, and a resume over a
-    #: changed catalogue or settings starts a new generation (the normal
-    #: case for a delta sweep).  :func:`store_hint` treats every other
-    #: reason as degradation worth a hint.
-    ROTATED_FRESH = "superseded by a fresh sweep"
+    #: The *expected* rotation reason: a sweep over a changed catalogue or
+    #: settings starts a new generation.  :func:`store_hint` treats every
+    #: other reason as degradation worth a hint.
     ROTATED_IDENTITY = "journal identity mismatch (catalogue or settings changed)"
 
     def __init__(self, root: ResultStore | Path | str, identity: str) -> None:
@@ -554,25 +551,25 @@ class SweepJournal:
         #: Journal commits that failed; the records they carried are lost.
         self.failures = 0
         #: The sweep epoch this journal is writing under: 0 until
-        #: :meth:`begin`, then the prior header's epoch + 1 for a fresh or
-        #: rotated sweep, or the prior epoch unchanged for a valid resume.
+        #: :meth:`begin`, then the prior header's epoch, unchanged when the
+        #: journal is continued and + 1 when it is rotated.
         self.epoch = 0
         #: A store's journal shares the store's connection, so a record can
         #: commit in the same transaction as the store's next write.
         self._db = store._db if store is not None else _Database(self.root / DB_FILENAME)
         self._deferred = False
 
-    def begin(self, resume: bool) -> dict[str, dict[str, Any]]:
-        """Open the journal; return prior completions when resuming.
+    def begin(self) -> dict[str, dict[str, Any]]:
+        """Open the journal; return the live records it continues.
 
         One ``BEGIN IMMEDIATE`` transaction reads the live header and
-        settles :attr:`epoch`.  A fresh sweep (``resume=False``) rotates the
-        journal to a new epoch.  A resume validates the header first: a
-        different schema or identity (catalogue or settings) rotates too
-        and starts clean -- :attr:`rotated_reason` records why, so the CLI
-        can surface one hint instead of a traceback.  A valid resume
-        continues the prior epoch and returns its live records.  A failed
-        begin is counted in :attr:`failures` and leaves the journal off.
+        settles :attr:`epoch`.  A header with this schema and identity is
+        continued: the epoch holds and its live records are returned.  A
+        different schema or identity (catalogue or settings) rotates the
+        journal to a new epoch and starts clean -- :attr:`rotated_reason`
+        records why, so the CLI can surface one hint instead of a
+        traceback.  A failed begin is counted in :attr:`failures` and
+        leaves the journal off.
         """
 
         def settle(conn: Any) -> tuple[int, str | None, dict, int]:
@@ -580,8 +577,6 @@ class SweepJournal:
             prior, identity, schema = header or (0, None, None)
             if header is None:
                 reason = None
-            elif not resume:
-                reason = self.ROTATED_FRESH
             elif schema != SCHEMA_VERSION:
                 reason = "journal header unreadable"
             elif identity != self.identity:
@@ -665,11 +660,10 @@ class PriorState:
     """The epoch-tagged prior state a store's journal records.
 
     ``records`` holds the *live* (last-wins) chart record per chart key --
-    journal rotation and resumed sweeps keep exactly one record per chart.
-    ``epoch`` is the journal generation those records were written under
-    (0 when no journal exists), ``identity`` the sweep identity digest the
-    header pinned, so a delta consumer can tell "same catalogue, resumable"
-    from "prior state of a different sweep shape".
+    rotated and continued journals alike keep exactly one record per
+    chart.  ``epoch`` is the journal generation those records were written
+    under (0 when no journal exists), ``identity`` the sweep identity
+    digest the header pinned.
     """
 
     epoch: int
@@ -682,24 +676,28 @@ class PriorState:
         return {chart: rec for chart, rec in self.records.items() if rec.get("status") == "ok"}
 
 
-def read_prior_state(root: Path | str) -> PriorState:
+def read_prior_state(root: ResultStore | Path | str) -> PriorState:
     """Read a store's journal as delta-consumable prior state.
 
     This is the read-only side of :class:`SweepJournal`: it never writes,
     never rotates, and never creates the database; a missing or unreadable
     journal reads as no prior state (records that fail their seal are
     counted in ``dropped_lines``).  A header at another schema is
-    unreadable, as :meth:`SweepJournal.begin` rotates it.  The delta
-    evaluator uses it to classify charts against what the store last
-    recorded before deciding what to recompute.
+    unreadable, as :meth:`SweepJournal.begin` rotates it.
+    :func:`repro.experiments.delta.journal_plan` uses it to classify charts
+    against what the store last recorded.  ``root`` is a store or its
+    directory; a store is read through its own connection, so a damaged
+    file moved aside on the way counts in its :meth:`ResultStore.stats`.
     """
-    database = _Database(Path(root) / DB_FILENAME)
+    store = root if isinstance(root, ResultStore) else None
+    database = store._db if store is not None else _Database(Path(root) / DB_FILENAME)
     try:
         found = database.run(_read_journal)
     except Exception:
         found = None
     finally:
-        database.close()
+        if store is None:
+            database.close()
     header, records, dropped = found or (None, {}, 0)
     if header is None or header[2] != SCHEMA_VERSION:
         return PriorState(epoch=0, identity=None, records={})
@@ -724,9 +722,8 @@ def store_hint(stats: dict[str, int], root: Path | str, rotated: str | None = No
     CLI output stays uniform: a one-line diagnosis plus an indented hint.
     Returned only when the sweep actually degraded (corruption, version
     skew, read/write errors, failed journal commits or an *unexpected*
-    journal rotation -- the deliberate :attr:`SweepJournal.ROTATED_FRESH`
-    supersede and the :attr:`SweepJournal.ROTATED_IDENTITY` rotation of a
-    resume over a changed catalogue are not problems); a healthy store
+    journal rotation -- the :attr:`SweepJournal.ROTATED_IDENTITY` rotation
+    of a sweep over a changed catalogue is not a problem); a healthy store
     stays silent.
     """
     problems = [
@@ -734,7 +731,7 @@ def store_hint(stats: dict[str, int], root: Path | str, rotated: str | None = No
         for field, noun, plural in _PROBLEMS
         if stats.get(field)
     ]
-    if rotated and rotated not in (SweepJournal.ROTATED_FRESH, SweepJournal.ROTATED_IDENTITY):
+    if rotated and rotated != SweepJournal.ROTATED_IDENTITY:
         problems.append(f"journal rotated ({rotated})")
     if not problems:
         return None

@@ -8,7 +8,6 @@ from repro.cluster import (
     Cluster,
     ContainerBehavior,
     ListenSpec,
-    OBSERVE_FAST,
     OBSERVE_FULL,
     ObservationSubstrate,
 )
@@ -124,23 +123,6 @@ class TestAnalysisSessionPool:
             assert second is not first
         assert session.stats.clusters_built == 2
         assert session.stats.resets == 0
-
-    def test_custom_factory_disables_pooling_and_fast_mode(self):
-        built = []
-
-        def factory(behaviors):
-            cluster = Cluster(name="custom", worker_count=1, behaviors=behaviors)
-            built.append(cluster)
-            return cluster
-
-        session = AnalysisSession(observe_mode=OBSERVE_FAST, cluster_factory=factory)
-        assert session.observe_mode == OBSERVE_FULL
-        assert not session.pooled
-        with session.lease() as first:
-            assert first is built[-1]
-        with session.lease() as second:
-            assert second is built[-1]
-        assert second is not first
 
     def test_unknown_observe_mode_rejected(self):
         with pytest.raises(ValueError, match="observe_mode"):

@@ -16,15 +16,17 @@ reduces to canonical-serialization identity via
 * chaos interaction: a fault mid-delta quarantines the failing chart
   without serving its stale prior entry, healthy charts stay
   byte-identical, and the recovery round equals a clean scratch sweep,
-* the durable path: classification from the store's epoch-tagged journal
-  (a record without fingerprints reads as ``added``; the store still
-  reuses its entry),
+* the durable path: :func:`journal_plan` classifies against the store's
+  epoch-tagged journal with the same rules (a record without fingerprints
+  reads as ``added``; the store still reuses its entry), and the durable
+  sweep that follows equals a from-scratch sweep,
 * the ``slow``-marked full-catalogue differential over randomized change
   sets (acceptance criterion for this PR).
 
 Satellites pinned here too: ``EvaluationResult`` lookups after a
 same-length mutation or a removal, ``SweepJournal`` superseded-entry
-semantics under repeated resume+delta cycles, the classifier-fingerprint
+semantics under repeated durable sweeps over a moving catalogue, the
+classifier-fingerprint
 orthogonality table, and the observation memo that keeps a reverted chart
 warm.
 """
@@ -57,6 +59,7 @@ from repro.experiments import (
     DELTA_UNCHANGED,
     DeltaEvaluator,
     classifier_fingerprints,
+    journal_plan,
     result_key,
     run_full_evaluation,
     settings_fingerprint,
@@ -241,11 +244,13 @@ class TestDeltaDifferential:
         run_full_evaluation(applications=applications, store=ResultStore(store_dir))
 
         changed = AnalyzerSettings(seed=2026)
-        evaluator = DeltaEvaluator(settings=changed, store=store_dir, retry_backoff=BACKOFF)
-        plan = evaluator.plan(applications)
+        plan = journal_plan(store_dir, applications, settings=changed)
         assert plan.counts()[DELTA_RE_ANALYZE] == SAMPLE
-        result = evaluator.evaluate(applications)
-        assert result.delta_stats["recomputed"] == SAMPLE
+        result = run_full_evaluation(
+            applications=applications, store=store_dir, settings=changed,
+            retry_backoff=BACKOFF,
+        )
+        assert result.store_stats["computed"] == SAMPLE
         scratch = run_full_evaluation(applications=applications, settings=changed)
         assert_identical(
             canonical_evaluation(scratch),
@@ -564,18 +569,18 @@ class TestDurableDelta:
         store_dir = tmp_path / "store"
         run_full_evaluation(applications=applications, store=ResultStore(store_dir))
 
-        evaluator = DeltaEvaluator(store=store_dir, retry_backoff=BACKOFF)
         mutated = values_tweak(applications, 3)
-        plan = evaluator.plan(mutated)
+        plan = journal_plan(store_dir, mutated)
         assert plan.charts[3].classification == DELTA_RE_RENDER
         assert plan.counts()[DELTA_UNCHANGED] == SAMPLE - 1
 
-        result = evaluator.evaluate(mutated)
-        stats = result.delta_stats
-        assert stats["mode"] == "store"
-        assert stats["reused"] == SAMPLE - 1
-        assert stats["recomputed"] == 1
-        assert stats["epoch"] == stats["prior_epoch"] + 1
+        result = run_full_evaluation(
+            applications=mutated, store=store_dir, retry_backoff=BACKOFF
+        )
+        stats = result.store_stats
+        assert stats["loaded"] == SAMPLE - 1
+        assert stats["computed"] == 1
+        assert stats["journal_epoch"] == plan.prior_epoch + 1
         scratch = run_full_evaluation(applications=mutated)
         assert_identical(
             canonical_evaluation(scratch),
@@ -586,9 +591,10 @@ class TestDurableDelta:
     def test_store_delta_pooled_matches_scratch(self, applications, tmp_path):
         store_dir = tmp_path / "store"
         run_full_evaluation(applications=applications, store=ResultStore(store_dir))
-        evaluator = DeltaEvaluator(store=store_dir, retry_backoff=BACKOFF)
         mutated = template_edit(applications, 1)
-        result = evaluator.evaluate(mutated, workers=2)
+        result = run_full_evaluation(
+            applications=mutated, store=store_dir, workers=2, retry_backoff=BACKOFF
+        )
         assert not result.failed
         scratch = run_full_evaluation(applications=mutated)
         assert_identical(
@@ -615,14 +621,15 @@ class TestDurableDelta:
                 (text, _seal(epoch, text), epoch, chart),
             )
 
-        evaluator = DeltaEvaluator(store=store_dir, retry_backoff=BACKOFF)
-        plan = evaluator.plan(applications)
+        plan = journal_plan(store_dir, applications)
         assert plan.counts()[DELTA_ADDED] == SAMPLE
         assert plan.removed == ()
         # Only the label moved: the store still reuses every entry.
-        result = evaluator.evaluate(applications)
-        assert result.delta_stats["reused"] == SAMPLE
-        assert result.delta_stats["recomputed"] == 0
+        result = run_full_evaluation(
+            applications=applications, store=store_dir, retry_backoff=BACKOFF
+        )
+        assert result.store_stats["loaded"] == SAMPLE
+        assert result.store_stats["computed"] == 0
         assert_identical(
             canonical_evaluation(run_full_evaluation(applications=applications)),
             canonical_evaluation(result),
@@ -630,9 +637,51 @@ class TestDurableDelta:
         )
 
 
+    def test_journal_plan_reads_without_creating_the_database(self, applications, tmp_path):
+        store_dir = tmp_path / "store"
+        plan = journal_plan(store_dir, applications)
+        assert plan.counts()[DELTA_ADDED] == SAMPLE
+        assert (plan.prior_epoch, plan.removed) == (0, ())
+        assert not store_dir.exists()
+        store = ResultStore(store_dir)
+        assert journal_plan(store, applications) == plan
+        assert list(store_dir.iterdir()) == []
+
+    def test_journal_plan_names_removed_charts_and_the_prior_epoch(
+        self, applications, tmp_path
+    ):
+        store_dir = tmp_path / "store"
+        run_full_evaluation(applications=applications, store=ResultStore(store_dir))
+        plan = journal_plan(store_dir, applications[:-2])
+        assert plan.prior_epoch == 1
+        assert plan.counts()[DELTA_UNCHANGED] == SAMPLE - 2
+        assert plan.removed == tuple(sorted(uid(app) for app in applications[-2:]))
+        # The plan computes and writes nothing: the journal still holds
+        # every chart of its epoch.
+        assert len(read_prior_state(store_dir).records) == SAMPLE
+
+    def test_journal_plan_counts_a_damaged_file_in_the_store_it_reads(
+        self, applications, tmp_path
+    ):
+        store_dir = tmp_path / "store"
+        run_full_evaluation(applications=applications, store=ResultStore(store_dir))
+        store_db.query(store_dir, "PRAGMA wal_checkpoint(TRUNCATE)")
+        (store_dir / "store.sqlite").write_bytes(b"\x00garbage" * 512)
+        store = ResultStore(store_dir)
+        plan = journal_plan(store, applications)
+        # The damaged file holds no readable prior; moving it aside is
+        # counted by the store the sweep goes on to use.
+        assert (plan.prior_epoch, plan.counts()[DELTA_ADDED]) == (0, SAMPLE)
+        assert store.stats()["corruptions"] == 1
+        assert (store_dir / "store.sqlite.damaged").exists()
+        result = run_full_evaluation(applications=applications, store=store)
+        assert result.store_stats["store"]["corruptions"] == 1
+        assert result.store_stats["computed"] == SAMPLE
+
+
 # ---------------------------------------------------------------------------
 # Satellite: SweepJournal superseded-entry semantics under repeated
-# resume+delta cycles.
+# durable sweeps over a moving catalogue.
 # ---------------------------------------------------------------------------
 
 
@@ -644,11 +693,12 @@ class TestJournalSupersededEntries:
         seed = run_full_evaluation(applications=applications, store=ResultStore(store_dir))
         assert seed.store_stats["journal_epoch"] == 1
 
-        evaluator = DeltaEvaluator(store=store_dir, retry_backoff=BACKOFF)
         current = list(applications)
         for cycle in range(1, 4):
             current = values_tweak(current, cycle, salt=f"cycle-{cycle}")
-            result = evaluator.evaluate(current, resume=True)
+            result = run_full_evaluation(
+                applications=current, store=store_dir, retry_backoff=BACKOFF
+            )
             assert not result.failed
             state = read_prior_state(store_dir)
             # Exactly one live record per chart key, every one healthy --
@@ -669,9 +719,7 @@ class TestJournalSupersededEntries:
             applications=applications[: SAMPLE // 2], store=ResultStore(store_dir)
         )
         resumed = run_full_evaluation(
-            applications=applications[: SAMPLE // 2],
-            store=ResultStore(store_dir),
-            resume=True,
+            applications=applications[: SAMPLE // 2], store=ResultStore(store_dir)
         )
         assert resumed.store_stats["journal_epoch"] == 1
         assert read_prior_state(store_dir).epoch == 1
@@ -682,9 +730,8 @@ class TestJournalSupersededEntries:
         store_dir = tmp_path / "store"
         run_full_evaluation(applications=applications, store=ResultStore(store_dir))
         before = read_prior_state(store_dir)
-        evaluator = DeltaEvaluator(store=store_dir, retry_backoff=BACKOFF)
         mutated = values_tweak(applications, 0)
-        evaluator.evaluate(mutated)
+        run_full_evaluation(applications=mutated, store=store_dir, retry_backoff=BACKOFF)
         after = read_prior_state(store_dir)
         changed = uid(applications[0])
         assert after.records[changed]["fp"]["values"] != before.records[changed]["fp"]["values"]

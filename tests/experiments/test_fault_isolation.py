@@ -12,6 +12,8 @@ that only exist on the parallel path: a worker killed mid-task (a genuine
 per-chart watchdog.
 """
 
+import pickle
+
 import pytest
 
 from repro import faults
@@ -307,3 +309,25 @@ class TestParallelFaultIsolation:
         assert [failure.to_dict() for failure in serial.failed] == [
             failure.to_dict() for failure in parallel.failed
         ]
+
+
+class TestFaultPlan:
+    def test_plan_round_trips_through_pickle(self):
+        # Spawned pool workers receive the plan pickled: the copy must fire
+        # exactly where the original does.
+        plan = faults.FaultPlan(
+            faults.FaultSpec(faults.RULES, charts=("org/victim",), attempts=2),
+            faults.FaultSpec(faults.STORE_READ, attempts=99, kind="corrupt", corruption="bitflip"),
+        )
+        copy = pickle.loads(pickle.dumps(plan))
+        assert copy.specs == plan.specs
+        with faults.plan_armed(copy):
+            with faults.fault_scope("org/victim", 2):
+                with pytest.raises(faults.InjectedFault):
+                    faults.fault_point(faults.RULES)
+                assert faults.corruption_mode(faults.STORE_READ) == "bitflip"
+                assert faults.corruption_mode(faults.RENDER_CACHE_READ) is None
+            with faults.fault_scope("org/victim", 3):
+                faults.fault_point(faults.RULES)
+            with faults.fault_scope("org/bystander", 1):
+                faults.fault_point(faults.RULES)

@@ -20,12 +20,13 @@ store-free baseline via :func:`tests.support.diffing.canonical_evaluation`:
 * a payload with a valid header that would run code when unpickled is
   refused, counted as corruption and recomputed -- never executed,
 * a chart quarantined mid-sweep leaves no result row and a ``failed``
-  journal record with fingerprints, so the next durable delta round
-  recomputes that chart alone,
+  journal record with fingerprints, so the next journal plan names it
+  ``prior failure`` and the next durable sweep recomputes it alone,
 * failed journal commits are counted and named in the ``StoreIntegrity``
   hint,
-* the sweep journal drops records whose seal fails and rotates on
-  identity mismatch, keeping the superseded generation.
+* the sweep journal drops records whose seal fails, continues its epoch
+  while the sweep identity holds and rotates on identity mismatch,
+  keeping the superseded generation.
 
 The fast tests run over an 8-chart sample; the ``slow``-marked full-catalogue
 differential covers all 290 charts (acceptance criterion for PR 7).
@@ -52,7 +53,7 @@ from repro.datasets import build_catalog
 from repro.experiments import (
     DELTA_RE_RENDER,
     DELTA_UNCHANGED,
-    DeltaEvaluator,
+    journal_plan,
     run_full_evaluation,
 )
 from repro.experiments.evaluation import result_key, settings_fingerprint
@@ -152,9 +153,7 @@ class TestStoreDifferential:
             applications=applications[: SAMPLE // 2], store=ResultStore(store_dir)
         )
         assert partial.store_stats["computed"] == SAMPLE // 2
-        resumed = run_full_evaluation(
-            applications=applications, store=ResultStore(store_dir), resume=True
-        )
+        resumed = run_full_evaluation(applications=applications, store=ResultStore(store_dir))
         assert not resumed.failed
         assert resumed.store_stats["loaded"] == SAMPLE // 2
         assert resumed.store_stats["computed"] == SAMPLE - SAMPLE // 2
@@ -187,9 +186,7 @@ class TestStoreDifferential:
         for labels in label_sets:
             assert labels._hash is None and labels._items is None
 
-    def test_resume_requires_a_store(self, applications):
-        with pytest.raises(ValueError):
-            run_full_evaluation(applications=applications, resume=True)
+    def test_analyzer_with_settings_is_rejected(self, applications):
         with pytest.raises(ValueError, match="either analyzer or settings"):
             run_full_evaluation(
                 applications=applications,
@@ -285,8 +282,9 @@ class TestCrashAndConcurrency:
         store_dir = str(tmp_path / "store")
         sweep("1", "--sample", "52", "--store", store_dir)
         durable = sweep("2", "--sample", "53", "--store", store_dir)
+        assert durable[0] == "delta: epoch 1 -> 2; 52 unchanged, 1 added"
         assert durable[-1].startswith("store: 52 loaded, 1 computed")
-        assert durable[:-1] == sweep("2", "--sample", "53")
+        assert durable[1:-1] == sweep("2", "--sample", "53")
 
     def test_kill_nine_mid_publish_then_resume(self, applications, baseline, tmp_path):
         store_dir = tmp_path / "store"
@@ -325,13 +323,14 @@ class TestCrashAndConcurrency:
             published = index < victim
             assert (result_key(applications[index], settings_fp) in stored) is published
             assert (chart_key(applications, index) in recorded) is published
-        resumed = run_full_evaluation(
-            applications=applications, store=store, resume=True
-        )
+        resumed = run_full_evaluation(applications=applications, store=store)
         assert not resumed.failed
         assert resumed.store_stats["loaded"] == victim
         assert resumed.store_stats["computed"] == SAMPLE - victim
+        # Same catalogue, same identity: the killed sweep's journal goes on.
         assert resumed.store_stats["journal_rotated"] is None
+        assert resumed.store_stats["journal_epoch"] == 1
+        assert resumed.store_stats["resumed"] == victim
         assert_identical(baseline, canonical_evaluation(resumed), "kill-9 resume")
 
     def test_two_concurrent_sweeps_share_one_store(self, baseline, tmp_path):
@@ -463,15 +462,17 @@ class TestStoreChaos:
         assert record["status"] == "failed"
         assert {"chart", "behaviors", "settings"} <= set(record["fp"])
 
-        evaluator = DeltaEvaluator(store=ResultStore(store_dir), retry_backoff=BACKOFF)
+        store = ResultStore(store_dir)
         classified = [
             (delta.classification, delta.reasons)
-            for delta in evaluator.plan(applications).charts
+            for delta in journal_plan(store, applications).charts
         ]
         expected = [(DELTA_UNCHANGED, ())] * SAMPLE
         expected[victim] = (DELTA_RE_RENDER, ("prior failure",))
         assert classified == expected
-        healed = evaluator.evaluate(applications)
+        healed = run_full_evaluation(
+            applications=applications, store=store, retry_backoff=BACKOFF
+        )
         assert not healed.failed
         assert healed.store_stats["computed"] == 1
         assert healed.store_stats["loaded"] == SAMPLE - 1
@@ -556,7 +557,7 @@ class TestJournal:
 
     def test_torn_tail_dropped_on_resume(self, tmp_path):
         journal = SweepJournal(tmp_path, self.IDENTITY)
-        assert journal.begin(resume=True) == {}
+        assert journal.begin() == {}
         journal.record("org/app-a", "ok", "key-a")
         journal.record("org/app-b", "ok", "key-b")
         journal.record("org/app-c", "ok", "key-c")
@@ -566,7 +567,7 @@ class TestJournal:
             tmp_path, "UPDATE journal SET seal = '0000000000000000' WHERE chart = 'org/app-c'"
         )
         resumed = SweepJournal(tmp_path, self.IDENTITY)
-        completed = resumed.begin(resume=True)
+        completed = resumed.begin()
         resumed.close()
         assert set(completed) == {"org/app-a", "org/app-b"}
         assert resumed.dropped_lines == 1
@@ -574,62 +575,73 @@ class TestJournal:
 
     def test_identity_mismatch_rotates(self, tmp_path):
         journal = SweepJournal(tmp_path, self.IDENTITY)
-        journal.begin(resume=False)
+        journal.begin()
         journal.record("org/app-a", "ok", "key-a")
         journal.close()
         other = SweepJournal(tmp_path, store_key(KIND_RESULT, "different-catalogue"))
-        completed = other.begin(resume=True)
+        completed = other.begin()
         other.close()
         assert completed == {}
-        assert "identity mismatch" in other.rotated_reason
+        assert read_prior_state(tmp_path).records == {}
+        # A changed catalogue or settings rotates by design: no hint.
+        assert other.rotated_reason == SweepJournal.ROTATED_IDENTITY
+        assert store_hint({}, tmp_path, rotated=other.rotated_reason) is None
         # The superseded generation is kept next to the new one.
         assert store_db.query(tmp_path, "SELECT epoch, chart FROM journal") == [(1, "org/app-a")]
         assert other.epoch == 2
 
     def test_stale_writer_cannot_pollute_a_rotated_journal(self, tmp_path):
         stale = SweepJournal(tmp_path, self.IDENTITY)
-        stale.begin(resume=False)
+        stale.begin()
         stale.record("org/app-a", "ok", "key-a")
-        fresh = SweepJournal(tmp_path, self.IDENTITY)
-        assert fresh.begin(resume=False) == {}
+        changed = store_key(KIND_RESULT, "different-catalogue")
+        fresh = SweepJournal(tmp_path, changed)
+        assert fresh.begin() == {}
         fresh.record("org/app-b", "ok", "key-b")
         # The first sweep is still running: its records keep its epoch.
         stale.record("org/app-c", "ok", "key-c")
         state = read_prior_state(tmp_path)
         assert (state.epoch, set(state.records)) == (2, {"org/app-b"})
         assert state.dropped_lines == 0  # other generations are never read
-        resumed = SweepJournal(tmp_path, self.IDENTITY)
-        assert set(resumed.begin(resume=True)) == {"org/app-b"}
+        resumed = SweepJournal(tmp_path, changed)
+        assert set(resumed.begin()) == {"org/app-b"}
 
-    def test_fresh_sweep_supersedes_existing_journal(self, tmp_path):
+    def test_same_identity_continues_the_epoch(self, tmp_path):
         journal = SweepJournal(tmp_path, self.IDENTITY)
-        journal.begin(resume=False)
+        journal.begin()
         journal.record("org/app-a", "ok", "key-a")
+        journal.record("org/app-b", "failed")
         journal.close()
-        fresh = SweepJournal(tmp_path, self.IDENTITY)
-        completed = fresh.begin(resume=False)
-        fresh.close()
-        assert completed == {}
-        assert fresh.rotated_reason == SweepJournal.ROTATED_FRESH
+        again = SweepJournal(tmp_path, self.IDENTITY)
+        completed = again.begin()
+        assert again.epoch == journal.epoch == 1
+        assert again.rotated_reason is None
+        # The live records come back, failed ones included.
+        assert {chart: record["status"] for chart, record in completed.items()} == {
+            "org/app-a": "ok", "org/app-b": "failed",
+        }
+        # Records of the continued sweep land in the same generation.
+        again.record("org/app-b", "ok", "key-b")
+        again.close()
+        assert store_db.query(tmp_path, "SELECT epoch FROM journal_header") == [(1,)]
+        state = read_prior_state(tmp_path)
+        assert state.epoch == 1
+        assert set(state.completed()) == {"org/app-a", "org/app-b"}
 
     def test_only_an_unexpected_rotation_hints(self, tmp_path):
-        def rotate(identity, resume):
+        def rotate(identity):
             journal = SweepJournal(tmp_path, identity)
-            journal.begin(resume=resume)
+            journal.begin()
             journal.close()
             return journal.rotated_reason
 
         changed = store_key(KIND_RESULT, "different-catalogue")
-        assert rotate(self.IDENTITY, resume=False) is None
-        # A fresh sweep and a resume over a changed catalogue (any delta
-        # round that moved a chart) rotate by design: no hint.
-        assert rotate(self.IDENTITY, resume=False) == SweepJournal.ROTATED_FRESH
-        assert rotate(changed, resume=True) == SweepJournal.ROTATED_IDENTITY
-        for reason in (SweepJournal.ROTATED_FRESH, SweepJournal.ROTATED_IDENTITY):
-            assert store_hint({}, tmp_path, rotated=reason) is None
+        assert rotate(self.IDENTITY) is None
+        assert rotate(self.IDENTITY) is None
+        assert rotate(changed) == SweepJournal.ROTATED_IDENTITY
         # A header from another schema is damage: it still hints.
         store_db.execute(tmp_path, "UPDATE journal_header SET schema = schema + 1")
-        reason = rotate(changed, resume=True)
+        reason = rotate(changed)
         assert "journal rotated (journal header unreadable)" in store_hint(
             {}, tmp_path, rotated=reason
         )

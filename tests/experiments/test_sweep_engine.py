@@ -102,9 +102,6 @@ class TestDuplicateChartKeys:
             full_sweep(duplicated, store=store)
         # No journal, no entries: the store root is as the constructor left it.
         assert list(store.root.iterdir()) == []
-        with pytest.raises(ValueError, match=uid(applications[0])):
-            DeltaEvaluator(store=store, retry_backoff=BACKOFF).evaluate(duplicated)
-        assert list(store.root.iterdir()) == []
 
     def test_scan_quarantines_a_taken_chart_name(self, applications, tmp_path):
         write_chart_dir(tmp_path, "alpha", applications[0], "shared")

@@ -265,8 +265,8 @@ class TestCompiledEngineEquivalence:
 # ---------------------------------------------------------------------------
 
 
-class TestAdaptiveDecisionTiers:
-    """Pin the matrix's naive-cost first tier and port-free class collapse."""
+class TestDecisionClasses:
+    """Pin the matrix's decision classes: port-free sets collapse, ported ones do not."""
 
     def _scenario(self, rule_ports):
         web = _make_running(
@@ -293,17 +293,17 @@ class TestAdaptiveDecisionTiers:
         )
         return [web, client], [policy]
 
-    def test_naive_tier_defers_memoization_then_promotes(self):
+    def test_first_decision_is_memoized(self):
+        # No tier sits before the memo: a fresh matrix's first decision
+        # already fills it, and the second is served from it.
         pods, policies = self._scenario([])
         naive, compiled = engines()
         web, client = pods
         matrix = compiled.reachability_matrix(policies, pods, [])
-        for i, port in enumerate((80, 8080, 9090)):
-            expected = naive.enforcer.check_ingress(policies, client, web, port)
-            assert matrix.decision(client, web, port) == expected
-            # The first two decisions ride the naive-cost tier (no memo
-            # machinery engaged); the third promotes to the memoized path.
-            assert len(matrix._decisions) == (0 if i < 2 else 1)
+        first = matrix.decision(client, web, 80)
+        assert first == naive.enforcer.check_ingress(policies, client, web, 80)
+        assert len(matrix._decisions) == 1
+        assert matrix.decision(client, web, 80) is first
 
     def test_port_free_isolating_sets_share_one_decision_class(self):
         pods, policies = self._scenario([])

@@ -7,7 +7,7 @@ is byte-identical to from-scratch, the ``--check`` no-op-ratio gate is
 actually wired to numbers the delta benchmark emits (never vacuously
 green), ``insidejob watch`` completes a round over an on-disk chart
 directory (and quarantines a broken one without stopping), and
-``insidejob sweep --since`` reports a delta epoch transition over a
+``insidejob sweep --store`` reports a delta epoch transition over a
 durable store, removed charts included, without a ``StoreIntegrity``
 hint when only the catalogue changed.
 """
@@ -114,12 +114,12 @@ def test_watch_cli_quarantines_a_broken_chart(capsys, tmp_path):
     assert second.endswith("1 quarantined")
 
 
-def test_sweep_since_reports_epoch_transition(capsys, tmp_path):
+def test_store_sweep_reports_epoch_transition(capsys, tmp_path):
     store_dir = str(tmp_path / "store")
     code = cli_main(["sweep", "--sample", str(SAMPLE), "--store", store_dir])
     assert code == 0
     capsys.readouterr()
-    code = cli_main(["sweep", "--sample", str(SAMPLE), "--since", store_dir])
+    code = cli_main(["sweep", "--sample", str(SAMPLE), "--store", store_dir])
     out = capsys.readouterr().out
     assert code == 0
     # Nothing changed, so the journal is not rotated: the epoch holds.
@@ -133,11 +133,11 @@ def test_sweep_since_reports_epoch_transition(capsys, tmp_path):
     [(4, 5, "4 unchanged, 1 added"), (6, 4, "4 unchanged, 2 removed")],
     ids=["grown", "shrunk"],
 )
-def test_sweep_since_over_a_changed_catalogue(capsys, tmp_path, stored, current, counts):
+def test_store_sweep_over_a_changed_catalogue(capsys, tmp_path, stored, current, counts):
     store_dir = str(tmp_path / "store")
     assert cli_main(["sweep", "--sample", str(stored), "--store", store_dir]) == 0
     capsys.readouterr()
-    code = cli_main(["sweep", "--sample", str(current), "--since", store_dir])
+    code = cli_main(["sweep", "--sample", str(current), "--store", store_dir])
     captured = capsys.readouterr()
     assert code == 0
     # A changed catalogue rotates the journal to a new epoch.  That is the

@@ -162,7 +162,9 @@ def test_store_sweep_loads_sqlite3_on_first_use(serial_sweep, tmp_path):
     output, modules = _cli("sweep", "--sample", "3", "--store", str(tmp_path / "store"))
     assert "sqlite3" in modules
     assert "multiprocessing" not in modules
-    assert output.splitlines()[: len(serial_sweep[0].splitlines())] == serial_sweep[0].splitlines()
+    delta, *table = output.splitlines()
+    assert delta == "delta: epoch 0 -> 1; 3 added"
+    assert table[: len(serial_sweep[0].splitlines())] == serial_sweep[0].splitlines()
 
 
 def test_pooled_sweep_prints_the_serial_table(serial_sweep):

@@ -4,9 +4,10 @@ The contract under test mirrors ``actionable_message`` for cluster errors:
 a corrupt or version-skewed store must never surface as a traceback or a
 non-zero exit -- the sweep recomputes the affected charts, prints its
 normal report, and emits exactly one ``StoreIntegrity`` hint on stderr
-pointing at ``tools/store_gc.py``.  Resume runs through the same door, and
-so does a database file SQLite rejects as a whole: it is moved aside and the
-next sweep is warm again.
+pointing at ``tools/store_gc.py``.  A database file SQLite rejects as a
+whole runs through the same door: it is moved aside and the next sweep is
+warm again.  A ``--store`` sweep opens with one ``delta:`` line, the
+journal plan; a sweep without a store prints the Table 2 text alone.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as cli_main
+from repro.datasets import build_catalog
+from repro.experiments import run_full_evaluation
 from repro.store import DB_FILENAME
 from tests.support import store_db
 
@@ -32,17 +35,20 @@ def run_sweep(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-def test_sweep_without_store(capsys):
+def test_sweep_without_store_prints_table2_alone(capsys):
     code, out, err = run_sweep(capsys)
     assert code == 0
-    assert "Total" in out
-    assert "store:" not in out  # no store armed -> no store accounting
+    # No store armed: no delta line, no store accounting, nothing else.
+    table = run_full_evaluation(applications=build_catalog()[:SAMPLE]).summary.table2_text()
+    assert out == table + "\n"
+    assert err == ""
 
 
 def test_sweep_cold_then_warm(capsys, tmp_path):
     store_dir = str(tmp_path / "store")
     code, out, _ = run_sweep(capsys, "--store", store_dir)
     assert code == 0
+    assert out.startswith(f"delta: epoch 0 -> 1; {SAMPLE} added\n")
     assert f"store: 0 loaded, {SAMPLE} computed" in out
     code, out, err = run_sweep(capsys, "--store", store_dir)
     assert code == 0
@@ -50,34 +56,25 @@ def test_sweep_cold_then_warm(capsys, tmp_path):
     assert "StoreIntegrity" not in err  # healthy store stays silent
 
 
-@pytest.mark.parametrize(
-    "flags", [("--store", "--since"), ("--store", "--resume"), ("--resume", "--since")]
-)
-def test_sweep_takes_one_store_flag(capsys, tmp_path, flags):
-    first, second = tmp_path / "first", tmp_path / "second"
-    with pytest.raises(SystemExit) as exit_info:
-        run_sweep(capsys, flags[0], str(first), flags[1], str(second))
-    assert exit_info.value.code == 2
-    assert "not allowed with argument" in capsys.readouterr().err
-    assert not first.exists() and not second.exists()
-
-
-def test_sweep_resume_continues_quietly(capsys, tmp_path):
+def test_second_store_sweep_holds_the_epoch_quietly(capsys, tmp_path):
     store_dir = str(tmp_path / "store")
     run_sweep(capsys, "--store", store_dir)
-    code, out, err = run_sweep(capsys, "--resume", store_dir)
+    code, out, err = run_sweep(capsys, "--store", store_dir)
     assert code == 0
+    # The same sample is the same sweep identity: the journal continues.
+    assert out.startswith(f"delta: epoch 1 -> 1; {SAMPLE} unchanged\n")
     assert f"store: {SAMPLE} loaded, 0 computed" in out
+    assert err == ""
 
 
-def test_since_over_an_older_schema_reads_no_prior_state(capsys, tmp_path):
+def test_sweep_over_an_older_schema_reads_no_prior_state(capsys, tmp_path):
     # A store written at schema 1: its journal header is unreadable, so the
     # delta has no prior and every chart is added, not falsely unchanged.
     store_dir = tmp_path / "store"
     run_sweep(capsys, "--store", str(store_dir))
     store_db.execute(store_dir, "UPDATE journal_header SET schema = 1")
     store_db.execute(store_dir, "UPDATE entries SET schema = 1")
-    code, out, err = run_sweep(capsys, "--since", str(store_dir))
+    code, out, err = run_sweep(capsys, "--store", str(store_dir))
     assert code == 0
     assert f"delta: epoch 0 -> 2; {SAMPLE} added" in out
     assert f"store: 0 loaded, {SAMPLE} computed" in out
@@ -137,9 +134,12 @@ def test_damaged_database_file_is_moved_aside(tmp_path, damage):
     database.write_bytes(b"\x00garbage" * 512 if damage == "garbage" else blob[: len(blob) // 2])
     code, out, err = run_sweep_process(store_dir)
     assert code == 0  # never a traceback, never a failure
+    # The journal plan read the damaged file first: it found no prior, and
+    # the move-aside is counted in the store that the sweep then used.
+    assert out.startswith(f"delta: epoch 0 -> 1; {SAMPLE} added\n")
     assert "Total" in out  # the full report still prints
     assert err.count("StoreIntegrity") == 1
-    assert "corrupt" in err
+    assert "1 corrupt entry" in err
     assert (store_dir / (DB_FILENAME + ".damaged")).exists()
     # The fresh database took every republished chart: warm again.
     code, out, err = run_sweep_process(store_dir)

@@ -64,7 +64,7 @@ def test_apply_prunes_garbage_keeps_healthy_and_journal(tmp_path, capsys):
     store_gc = load_store_gc()
     store, keys = populated_store(tmp_path / "store")
     journal = SweepJournal(store.root, store_key(KIND_RESULT, "gc-identity"))
-    journal.begin(resume=False)
+    journal.begin()
     journal.record("org/app", "ok", keys[0])
     journal.close()
     store._corrupt(keys[0], faults.CORRUPT_TRUNCATE)
@@ -92,7 +92,7 @@ def test_apply_prunes_legacy_observation_rows_only(tmp_path, capsys):
     store_gc = load_store_gc()
     store, keys = populated_store(tmp_path / "store")
     journal = SweepJournal(store.root, store_key(KIND_RESULT, "gc-identity"))
-    journal.begin(resume=False)
+    journal.begin()
     journal.record("org/app", "ok", keys[0])
     journal.close()
     # What an older store promoted per chart: a healthy row no reader requests.
