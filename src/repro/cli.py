@@ -151,17 +151,16 @@ def _cmd_figure4b(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .experiments import format_delta_counts, journal_plan, run_full_evaluation
-    from .store import ResultStore, store_hint
+    from .store import store_hint
 
     applications = _sampled_applications(args)
-    store = ResultStore(args.store) if args.store else None
-    # Classified before the sweep, which may rotate the journal.
-    plan = journal_plan(store, applications) if store is not None else None
     result = run_full_evaluation(
-        applications=applications, workers=args.workers or None, store=store
+        applications=applications, workers=args.workers or None, store=args.store or None
     )
     stats = result.store_stats
-    if plan is not None:
+    if stats is not None:
+        # Against the journal generation the sweep found before it wrote.
+        plan = journal_plan(stats["journal_prior"], applications)
         counts = {"classified": plan.counts(), "removed": plan.removed}
         print(
             f"delta: epoch {plan.prior_epoch} -> {stats['journal_epoch']}; "

@@ -64,12 +64,12 @@ the same one a from-scratch sweep uses: this module only decides which
 entries are reused.
 
 A durable sweep needs no evaluator: the store reuses entries by content
-key.  :func:`journal_plan` classifies a chart set against a store's
-epoch-tagged journal (:func:`repro.store.read_prior_state` -- last-wins,
-one live record per chart key) with the same rules, computing nothing; a
-record without classifier fingerprints classifies its chart as
-``added``.  ``insidejob sweep --store DIR`` prints that plan before its
-table.
+key.  :func:`journal_plan` classifies a chart set against the generation
+of a store's epoch-tagged journal that the sweep found as it opened
+(:class:`repro.store.PriorState` -- last-wins, one live record per chart
+key) with the same rules, computing nothing; a record without classifier
+fingerprints classifies its chart as ``added``.  ``insidejob sweep
+--store DIR`` prints that plan before its table.
 
 ``insidejob watch <dir>`` drives :func:`watch_directory`: scan a directory
 of on-disk charts, evaluate the delta against the previous round, print one
@@ -105,7 +105,7 @@ from ..core import (
 )
 from ..datasets import BuiltApplication, build_catalog
 from ..helm import Chart, ChartSource, ValuesError
-from ..store import ResultStore, read_prior_state
+from ..store import PriorState
 from .evaluation import (
     FAILURE_STAGE_LOAD,
     AnalysisFailure,
@@ -305,30 +305,25 @@ def _plan(
     return DeltaPlan(charts=tuple(deltas), removed=removed, prior_epoch=prior_epoch), keys
 
 
-def journal_plan(
-    store: ResultStore | Path | str,
-    applications: list[BuiltApplication],
-    settings: AnalyzerSettings | None = None,
-) -> DeltaPlan:
-    """Classify ``applications`` against a store's journal, computing nothing.
+def journal_plan(prior: PriorState, applications: list[BuiltApplication]) -> DeltaPlan:
+    """Classify ``applications`` against a store journal's prior state, computing nothing.
 
-    The prior is the journal's live generation, read through
-    :func:`repro.store.read_prior_state`; ``prior_epoch`` is its epoch (0
-    without a journal).  A record without classifier fingerprints is no
-    prior: its chart is ``added``.  ``settings`` are the analyzer settings
-    the sweep runs under (default :class:`~repro.core.AnalyzerSettings`).
-    Call it before the durable sweep, which may rotate the journal.  A
-    :class:`~repro.store.ResultStore` is read through its own connection,
-    so a damaged database file moved aside here counts in its stats.
+    ``prior`` is the generation a durable sweep's journal found as it
+    opened (its ``store_stats["journal_prior"]``, see
+    :meth:`repro.store.SweepJournal.begin`), or what
+    :func:`repro.store.read_prior_state` reads of a store directory;
+    ``prior_epoch`` is its epoch (0 without a journal).  A record without
+    classifier fingerprints is no prior: its chart is ``added``.  Charts
+    classify under the default :class:`~repro.core.AnalyzerSettings`, the
+    ones ``insidejob sweep`` runs.
     """
-    state = read_prior_state(store)
-    prior = {
+    records = {
         unique_id: _PriorRecord(fingerprints=record["fp"], ok=record.get("status") == "ok")
-        for unique_id, record in state.records.items()
+        for unique_id, record in prior.records.items()
         if isinstance(record.get("fp"), dict)
     }
-    settings_fp = settings_fingerprint(settings or AnalyzerSettings())
-    return _plan(list(applications), prior, state.epoch, settings_fp)[0]
+    settings_fp = settings_fingerprint(AnalyzerSettings())
+    return _plan(list(applications), records, prior.epoch, settings_fp)[0]
 
 
 class DeltaEvaluator:

@@ -183,8 +183,10 @@ class EvaluationResult:
     analyzed: list[AnalyzedApplication] = field(default_factory=list)
     failed: list[AnalysisFailure] = field(default_factory=list)
     #: Durable-sweep accounting (``None`` when the sweep ran without a
-    #: store): loaded/computed/failed counts, the store's own counters and
-    #: any journal rotation -- the CLI's degradation hints key on this.
+    #: store): loaded/computed/failed counts, the store's own counters,
+    #: any journal rotation -- the CLI's degradation hints key on this --
+    #: and the journal generation the sweep found (``journal_prior``, a
+    #: :class:`~repro.store.PriorState` the CLI's delta line classifies against).
     #: Excluded from equality: where results came from must never make two
     #: identical evaluations compare different.
     store_stats: dict | None = field(default=None, init=False, repr=False, compare=False)
@@ -404,7 +406,8 @@ class _DurableSweep:
             f"{app.dataset}/{app.name}": index for index, app in enumerate(applications)
         }
         self._lock = threading.Lock()
-        self.previously = self.journal.begin()
+        #: The journal generation found at the start, continued or rotated away.
+        self.prior = self.journal.begin()
 
     def load(self) -> dict[int, AnalyzedApplication]:
         """Verified completed results already in the store, by catalogue index."""
@@ -483,10 +486,11 @@ class _DurableSweep:
             "computed": self.computed,
             "failed": self.failures,
             "unstored": self.unstored,
-            "resumed": len(self.previously),
+            "resumed": len(self.prior.records) if self.journal.epoch == self.prior.epoch else 0,
             "journal_rotated": self.journal.rotated_reason,
             "journal_dropped_lines": self.journal.dropped_lines,
             "journal_epoch": self.journal.epoch,
+            "journal_prior": self.prior,
             "store": {**self.store.stats(), "journal_failures": self.journal.failures},
         }
 

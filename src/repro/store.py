@@ -56,7 +56,9 @@ epoch).  Records optionally carry the per-chart classifier fingerprints
 (chart / values / templates / behaviours / settings), which is what lets
 :func:`repro.experiments.delta.journal_plan` classify *why* a chart needs
 recomputation; a record without them reads as ``added``.
-:func:`read_prior_state` is the read side.
+:meth:`SweepJournal.begin` returns the generation it found, and
+:func:`read_prior_state` reads the same of a store directory without a
+sweep.
 
 Fault injection: :data:`repro.faults.STORE_READ` fires at the top of every
 lookup (``corrupt`` kinds damage the stored row first -- truncation,
@@ -559,22 +561,28 @@ class SweepJournal:
         self._db = store._db if store is not None else _Database(self.root / DB_FILENAME)
         self._deferred = False
 
-    def begin(self) -> dict[str, dict[str, Any]]:
-        """Open the journal; return the live records it continues.
+    def begin(self) -> PriorState:
+        """Open the journal; return the prior state it found there.
 
         One ``BEGIN IMMEDIATE`` transaction reads the live header and
         settles :attr:`epoch`.  A header with this schema and identity is
-        continued: the epoch holds and its live records are returned.  A
-        different schema or identity (catalogue or settings) rotates the
-        journal to a new epoch and starts clean -- :attr:`rotated_reason`
-        records why, so the CLI can surface one hint instead of a
-        traceback.  A failed begin is counted in :attr:`failures` and
-        leaves the journal off.
+        continued: the epoch holds, and the records returned are the ones
+        the sweep continues.  A different schema or identity (catalogue or
+        settings) rotates the journal to a new epoch and starts clean --
+        :attr:`rotated_reason` records why, so the CLI can surface one
+        hint instead of a traceback -- and the state returned is the
+        generation rotated away.  Either way it is what
+        :func:`read_prior_state` reads, so a sweep classifies its charts
+        against it without reading the journal again
+        (:func:`repro.experiments.delta.journal_plan`).  A failed begin is
+        counted in :attr:`failures`, leaves the journal off and finds no
+        prior state.
         """
 
-        def settle(conn: Any) -> tuple[int, str | None, dict, int]:
-            header, records, dropped = _read_journal(conn)
-            prior, identity, schema = header or (0, None, None)
+        def settle(conn: Any) -> tuple[int, str | None, PriorState, int]:
+            found = _read_journal(conn)
+            header, _, dropped = found
+            epoch, identity, schema = header or (0, None, None)
             if header is None:
                 reason = None
             elif schema != SCHEMA_VERSION:
@@ -582,20 +590,20 @@ class SweepJournal:
             elif identity != self.identity:
                 reason = self.ROTATED_IDENTITY
             else:
-                return prior, None, records, dropped
+                return epoch, None, _prior_state(found), dropped
             conn.execute(
-                "INSERT INTO journal_header VALUES (?, ?, ?)", (prior + 1, self.identity, SCHEMA_VERSION)
+                "INSERT INTO journal_header VALUES (?, ?, ?)", (epoch + 1, self.identity, SCHEMA_VERSION)
             )
-            conn.execute("DELETE FROM journal_header WHERE epoch < ?", (prior,))
-            conn.execute("DELETE FROM journal WHERE epoch < ?", (prior,))
-            return prior + 1, reason, {}, dropped
+            conn.execute("DELETE FROM journal_header WHERE epoch < ?", (epoch,))
+            conn.execute("DELETE FROM journal WHERE epoch < ?", (epoch,))
+            return epoch + 1, reason, _prior_state(found), dropped
 
         try:
-            self.epoch, self.rotated_reason, completed, self.dropped_lines = self._db.transact(settle)
+            self.epoch, self.rotated_reason, prior, self.dropped_lines = self._db.transact(settle)
         except Exception:
             self.failures += 1
-            return {}
-        return completed
+            return PriorState(epoch=0, identity=None, records={})
+        return prior
 
     def record(
         self,
@@ -676,33 +684,34 @@ class PriorState:
         return {chart: rec for chart, rec in self.records.items() if rec.get("status") == "ok"}
 
 
-def read_prior_state(root: ResultStore | Path | str) -> PriorState:
-    """Read a store's journal as delta-consumable prior state.
-
-    This is the read-only side of :class:`SweepJournal`: it never writes,
-    never rotates, and never creates the database; a missing or unreadable
-    journal reads as no prior state (records that fail their seal are
-    counted in ``dropped_lines``).  A header at another schema is
-    unreadable, as :meth:`SweepJournal.begin` rotates it.
-    :func:`repro.experiments.delta.journal_plan` uses it to classify charts
-    against what the store last recorded.  ``root`` is a store or its
-    directory; a store is read through its own connection, so a damaged
-    file moved aside on the way counts in its :meth:`ResultStore.stats`.
-    """
-    store = root if isinstance(root, ResultStore) else None
-    database = store._db if store is not None else _Database(Path(root) / DB_FILENAME)
-    try:
-        found = database.run(_read_journal)
-    except Exception:
-        found = None
-    finally:
-        if store is None:
-            database.close()
+def _prior_state(found: tuple | None) -> PriorState:
+    """What :func:`_read_journal` found, as prior state; a header at another schema holds none."""
     header, records, dropped = found or (None, {}, 0)
     if header is None or header[2] != SCHEMA_VERSION:
         return PriorState(epoch=0, identity=None, records={})
     epoch, identity, _ = header
     return PriorState(epoch=epoch, identity=identity, records=records, dropped_lines=dropped)
+
+
+def read_prior_state(root: Path | str) -> PriorState:
+    """Read the journal of the store directory ``root`` as prior state.
+
+    This is the read-only side of :class:`SweepJournal`: it never writes,
+    never rotates, and never creates the database; a missing or unreadable
+    journal reads as no prior state (records that fail their seal are
+    counted in ``dropped_lines``).  A header at another schema is
+    unreadable, as :meth:`SweepJournal.begin` rotates it.  A sweep does
+    not call it: :meth:`SweepJournal.begin` returns the same state as it
+    opens the journal.
+    """
+    database = _Database(Path(root) / DB_FILENAME)
+    try:
+        found = database.run(_read_journal)
+    except Exception:
+        found = None
+    finally:
+        database.close()
+    return _prior_state(found)
 
 
 #: Degradation counters :func:`store_hint` names: (field, one, several).

@@ -16,10 +16,11 @@ reduces to canonical-serialization identity via
 * chaos interaction: a fault mid-delta quarantines the failing chart
   without serving its stale prior entry, healthy charts stay
   byte-identical, and the recovery round equals a clean scratch sweep,
-* the durable path: :func:`journal_plan` classifies against the store's
-  epoch-tagged journal with the same rules (a record without fingerprints
-  reads as ``added``; the store still reuses its entry), and the durable
-  sweep that follows equals a from-scratch sweep,
+* the durable path: :func:`journal_plan` classifies against the
+  generation of the store's epoch-tagged journal a durable sweep found,
+  with the same rules (a record without fingerprints reads as ``added``;
+  the store still reuses its entry), and that sweep equals a
+  from-scratch sweep,
 * the ``slow``-marked full-catalogue differential over randomized change
   sets (acceptance criterion for this PR).
 
@@ -239,19 +240,21 @@ class TestDeltaDifferential:
         assert_identical(before, canonical_evaluation(first), "prior result mutated")
 
     def test_settings_change_reclassifies_and_matches_scratch(self, applications, tmp_path):
-        # The store, written under the default settings, is the prior.
+        # The store, written under other settings, is the prior of a
+        # sweep under the default ones.
         store_dir = tmp_path / "store"
-        run_full_evaluation(applications=applications, store=ResultStore(store_dir))
-
-        changed = AnalyzerSettings(seed=2026)
-        plan = journal_plan(store_dir, applications, settings=changed)
-        assert plan.counts()[DELTA_RE_ANALYZE] == SAMPLE
-        result = run_full_evaluation(
-            applications=applications, store=store_dir, settings=changed,
-            retry_backoff=BACKOFF,
+        run_full_evaluation(
+            applications=applications, store=ResultStore(store_dir),
+            settings=AnalyzerSettings(seed=2026),
         )
+
+        result = run_full_evaluation(
+            applications=applications, store=store_dir, retry_backoff=BACKOFF
+        )
+        plan = journal_plan(result.store_stats["journal_prior"], applications)
+        assert plan.counts()[DELTA_RE_ANALYZE] == SAMPLE
         assert result.store_stats["computed"] == SAMPLE
-        scratch = run_full_evaluation(applications=applications, settings=changed)
+        scratch = run_full_evaluation(applications=applications)
         assert_identical(
             canonical_evaluation(scratch),
             canonical_evaluation(result),
@@ -570,14 +573,13 @@ class TestDurableDelta:
         run_full_evaluation(applications=applications, store=ResultStore(store_dir))
 
         mutated = values_tweak(applications, 3)
-        plan = journal_plan(store_dir, mutated)
-        assert plan.charts[3].classification == DELTA_RE_RENDER
-        assert plan.counts()[DELTA_UNCHANGED] == SAMPLE - 1
-
         result = run_full_evaluation(
             applications=mutated, store=store_dir, retry_backoff=BACKOFF
         )
         stats = result.store_stats
+        plan = journal_plan(stats["journal_prior"], mutated)
+        assert plan.charts[3].classification == DELTA_RE_RENDER
+        assert plan.counts()[DELTA_UNCHANGED] == SAMPLE - 1
         assert stats["loaded"] == SAMPLE - 1
         assert stats["computed"] == 1
         assert stats["journal_epoch"] == plan.prior_epoch + 1
@@ -621,13 +623,13 @@ class TestDurableDelta:
                 (text, _seal(epoch, text), epoch, chart),
             )
 
-        plan = journal_plan(store_dir, applications)
-        assert plan.counts()[DELTA_ADDED] == SAMPLE
-        assert plan.removed == ()
-        # Only the label moved: the store still reuses every entry.
         result = run_full_evaluation(
             applications=applications, store=store_dir, retry_backoff=BACKOFF
         )
+        plan = journal_plan(result.store_stats["journal_prior"], applications)
+        assert plan.counts()[DELTA_ADDED] == SAMPLE
+        assert plan.removed == ()
+        # Only the label moved: the store still reuses every entry.
         assert result.store_stats["loaded"] == SAMPLE
         assert result.store_stats["computed"] == 0
         assert_identical(
@@ -637,46 +639,52 @@ class TestDurableDelta:
         )
 
 
-    def test_journal_plan_reads_without_creating_the_database(self, applications, tmp_path):
+    def test_a_first_sweep_plans_every_chart_added(self, applications, tmp_path):
         store_dir = tmp_path / "store"
-        plan = journal_plan(store_dir, applications)
+        # Reading a store creates nothing, not even its database.
+        before = journal_plan(read_prior_state(store_dir), applications)
+        assert not store_dir.exists()
+        ResultStore(store_dir)
+        assert journal_plan(read_prior_state(store_dir), applications) == before
+        assert not (store_dir / "store.sqlite").exists()
+        result = run_full_evaluation(applications=applications, store=store_dir)
+        plan = journal_plan(result.store_stats["journal_prior"], applications)
+        assert plan == before
         assert plan.counts()[DELTA_ADDED] == SAMPLE
         assert (plan.prior_epoch, plan.removed) == (0, ())
-        assert not store_dir.exists()
-        store = ResultStore(store_dir)
-        assert journal_plan(store, applications) == plan
-        assert list(store_dir.iterdir()) == []
+        assert result.store_stats["journal_epoch"] == 1
 
-    def test_journal_plan_names_removed_charts_and_the_prior_epoch(
+    def test_the_sweep_plans_against_the_generation_it_rotates_away(
         self, applications, tmp_path
     ):
         store_dir = tmp_path / "store"
         run_full_evaluation(applications=applications, store=ResultStore(store_dir))
-        plan = journal_plan(store_dir, applications[:-2])
-        assert plan.prior_epoch == 1
+        # Planning reads and writes nothing: the journal still holds every
+        # chart of its epoch afterwards.
+        before = journal_plan(read_prior_state(store_dir), applications[:-2])
+        assert len(read_prior_state(store_dir).records) == SAMPLE
+        result = run_full_evaluation(applications=applications[:-2], store=store_dir)
+        plan = journal_plan(result.store_stats["journal_prior"], applications[:-2])
+        assert plan == before
+        assert (plan.prior_epoch, result.store_stats["journal_epoch"]) == (1, 2)
         assert plan.counts()[DELTA_UNCHANGED] == SAMPLE - 2
         assert plan.removed == tuple(sorted(uid(app) for app in applications[-2:]))
-        # The plan computes and writes nothing: the journal still holds
-        # every chart of its epoch.
-        assert len(read_prior_state(store_dir).records) == SAMPLE
 
-    def test_journal_plan_counts_a_damaged_file_in_the_store_it_reads(
+    def test_a_damaged_file_is_no_prior_and_counts_in_the_sweep(
         self, applications, tmp_path
     ):
         store_dir = tmp_path / "store"
         run_full_evaluation(applications=applications, store=ResultStore(store_dir))
         store_db.query(store_dir, "PRAGMA wal_checkpoint(TRUNCATE)")
         (store_dir / "store.sqlite").write_bytes(b"\x00garbage" * 512)
-        store = ResultStore(store_dir)
-        plan = journal_plan(store, applications)
-        # The damaged file holds no readable prior; moving it aside is
-        # counted by the store the sweep goes on to use.
+        result = run_full_evaluation(applications=applications, store=ResultStore(store_dir))
+        # The journal is read once, on the sweep's own connection: the
+        # damaged file it moves aside holds no prior and is counted.
+        plan = journal_plan(result.store_stats["journal_prior"], applications)
         assert (plan.prior_epoch, plan.counts()[DELTA_ADDED]) == (0, SAMPLE)
-        assert store.stats()["corruptions"] == 1
-        assert (store_dir / "store.sqlite.damaged").exists()
-        result = run_full_evaluation(applications=applications, store=store)
         assert result.store_stats["store"]["corruptions"] == 1
         assert result.store_stats["computed"] == SAMPLE
+        assert (store_dir / "store.sqlite.damaged").exists()
 
 
 # ---------------------------------------------------------------------------

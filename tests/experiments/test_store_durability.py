@@ -61,6 +61,7 @@ from repro.helm import render_chart
 from repro.k8s import Inventory
 from repro.store import (
     KIND_RESULT,
+    PriorState,
     ResultStore,
     SweepJournal,
     read_prior_state,
@@ -462,17 +463,16 @@ class TestStoreChaos:
         assert record["status"] == "failed"
         assert {"chart", "behaviors", "settings"} <= set(record["fp"])
 
-        store = ResultStore(store_dir)
+        healed = run_full_evaluation(
+            applications=applications, store=ResultStore(store_dir), retry_backoff=BACKOFF
+        )
         classified = [
             (delta.classification, delta.reasons)
-            for delta in journal_plan(store, applications).charts
+            for delta in journal_plan(healed.store_stats["journal_prior"], applications).charts
         ]
         expected = [(DELTA_UNCHANGED, ())] * SAMPLE
         expected[victim] = (DELTA_RE_RENDER, ("prior failure",))
         assert classified == expected
-        healed = run_full_evaluation(
-            applications=applications, store=store, retry_backoff=BACKOFF
-        )
         assert not healed.failed
         assert healed.store_stats["computed"] == 1
         assert healed.store_stats["loaded"] == SAMPLE - 1
@@ -557,7 +557,7 @@ class TestJournal:
 
     def test_torn_tail_dropped_on_resume(self, tmp_path):
         journal = SweepJournal(tmp_path, self.IDENTITY)
-        assert journal.begin() == {}
+        assert journal.begin() == PriorState(epoch=0, identity=None, records={})
         journal.record("org/app-a", "ok", "key-a")
         journal.record("org/app-b", "ok", "key-b")
         journal.record("org/app-c", "ok", "key-c")
@@ -567,10 +567,10 @@ class TestJournal:
             tmp_path, "UPDATE journal SET seal = '0000000000000000' WHERE chart = 'org/app-c'"
         )
         resumed = SweepJournal(tmp_path, self.IDENTITY)
-        completed = resumed.begin()
+        prior = resumed.begin()
         resumed.close()
-        assert set(completed) == {"org/app-a", "org/app-b"}
-        assert resumed.dropped_lines == 1
+        assert set(prior.records) == {"org/app-a", "org/app-b"}
+        assert prior.dropped_lines == resumed.dropped_lines == 1
         assert resumed.rotated_reason is None
 
     def test_identity_mismatch_rotates(self, tmp_path):
@@ -579,9 +579,10 @@ class TestJournal:
         journal.record("org/app-a", "ok", "key-a")
         journal.close()
         other = SweepJournal(tmp_path, store_key(KIND_RESULT, "different-catalogue"))
-        completed = other.begin()
+        prior = other.begin()
         other.close()
-        assert completed == {}
+        # It returns the generation it rotated away and leaves none live.
+        assert (prior.epoch, set(prior.records)) == (1, {"org/app-a"})
         assert read_prior_state(tmp_path).records == {}
         # A changed catalogue or settings rotates by design: no hint.
         assert other.rotated_reason == SweepJournal.ROTATED_IDENTITY
@@ -596,7 +597,7 @@ class TestJournal:
         stale.record("org/app-a", "ok", "key-a")
         changed = store_key(KIND_RESULT, "different-catalogue")
         fresh = SweepJournal(tmp_path, changed)
-        assert fresh.begin() == {}
+        assert fresh.begin().epoch == 1
         fresh.record("org/app-b", "ok", "key-b")
         # The first sweep is still running: its records keep its epoch.
         stale.record("org/app-c", "ok", "key-c")
@@ -604,7 +605,7 @@ class TestJournal:
         assert (state.epoch, set(state.records)) == (2, {"org/app-b"})
         assert state.dropped_lines == 0  # other generations are never read
         resumed = SweepJournal(tmp_path, changed)
-        assert set(resumed.begin()) == {"org/app-b"}
+        assert set(resumed.begin().records) == {"org/app-b"}
 
     def test_same_identity_continues_the_epoch(self, tmp_path):
         journal = SweepJournal(tmp_path, self.IDENTITY)
@@ -613,11 +614,11 @@ class TestJournal:
         journal.record("org/app-b", "failed")
         journal.close()
         again = SweepJournal(tmp_path, self.IDENTITY)
-        completed = again.begin()
-        assert again.epoch == journal.epoch == 1
+        prior = again.begin()
+        assert again.epoch == journal.epoch == prior.epoch == 1
         assert again.rotated_reason is None
         # The live records come back, failed ones included.
-        assert {chart: record["status"] for chart, record in completed.items()} == {
+        assert {chart: record["status"] for chart, record in prior.records.items()} == {
             "org/app-a": "ok", "org/app-b": "failed",
         }
         # Records of the continued sweep land in the same generation.
