@@ -1,18 +1,16 @@
-"""Shared helpers for the benchmark harness.
+"""Shared fixtures for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper and prints the
 corresponding rows/series, so running ``pytest benchmarks/ --benchmark-only -s``
-produces both the timing numbers and the reproduced artefacts.
+produces both the timing numbers and the reproduced artefacts.  Helpers the
+benchmark modules import live in ``bench_harness.py``: a ``conftest`` module
+name is shared with ``tests/conftest.py``, so importing from it resolves to
+whichever of the two was loaded first.
 """
 
 from __future__ import annotations
 
 import pytest
-
-
-def run_once(benchmark, function, *args, **kwargs):
-    """Run an expensive experiment exactly once under the benchmark timer."""
-    return benchmark.pedantic(function, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ the same cases standalone and records them in ``BENCH_connectivity.json``.
 from __future__ import annotations
 
 import pytest
-from conftest import run_once
+from bench_harness import run_once
 from connectivity_cases import (
     bench_matrix_sources,
     build_fleet,

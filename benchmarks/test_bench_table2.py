@@ -7,7 +7,7 @@ statistics, and checks the totals against the paper (634 misconfigurations,
 
 from __future__ import annotations
 
-from conftest import run_once
+from bench_harness import run_once
 
 from repro.datasets import (
     DATASET_ORDER,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from conftest import run_once
+from bench_harness import run_once
 
 from repro.experiments import PAPER_TABLE3, run_comparison
 

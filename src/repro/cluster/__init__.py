@@ -49,6 +49,7 @@ from .session import (  # noqa: E402
     AnalysisSession,
     ObservationSubstrate,
     SessionStats,
+    SubstrateDeployment,
 )
 
 __all__ = [
@@ -96,6 +97,7 @@ __all__ = [
     "Scheduler",
     "ServiceBinding",
     "SessionStats",
+    "SubstrateDeployment",
     "Socket",
     "actionable_message",
     "behavior_with_closed_ports",

@@ -24,6 +24,14 @@ costs without changing a single observable result:
   :class:`~repro.probe.snapshot.PodSnapshot`.  ``observe_mode="full"`` keeps
   the install-and-scan path as the reference implementation.
 
+* :meth:`AnalysisSession.deploy` starts a rendered chart and the attacker pod
+  on the same substrate and hands back a :class:`SubstrateDeployment`: the
+  running pods, service bindings, compiled policy index, namespace labels
+  and host-port baseline that ``Cluster.install`` plus
+  ``ReachabilityProbe.ensure_attacker`` would leave -- the query surface the
+  reachability probes (Figure 4b) read, without a control plane.  Its
+  reference is that install on a fresh ``Cluster(compiled_policies=False)``.
+
 With the structured render pipeline (``render_chart``'s dict-native
 default) feeding it, the fast path closes the loop: from chart to snapshot
 no YAML text is dumped or parsed anywhere -- the substrate consumes the
@@ -53,15 +61,34 @@ from typing import Iterator
 
 from .. import faults
 from ..helm import RenderedChart
-from ..k8s import CronJob, DaemonSet, ObjectMeta, Pod, Workload
+from ..k8s import (
+    CronJob,
+    DaemonSet,
+    NetworkPolicy,
+    ObjectMeta,
+    Pod,
+    Service,
+    Workload,
+    make_namespace,
+)
 from ..memo import remember
+from ..probe.reachability import ATTACKER_APP, ATTACKER_POD_NAME, make_attacker_pod
 from ..probe.scanner import RuntimeObservation, RuntimeScanner
 from ..probe.snapshot import ClusterSnapshot, PodSnapshot
 from .behavior import BehaviorRegistry
 from .cluster import Cluster, _sanitize, build_node_set
+from .cni import NetworkPolicyEnforcer
+from .endpoints import EndpointController, ServiceBinding
+from .errors import ClusterError, PodNotFound
+from .network import ClusterNetwork
 from .node import Node
+from .policy_index import PolicyIndex
 from .runtime import ContainerRuntime, RunningPod
 from .scheduler import Scheduler
+
+#: The attacker pod every deployment starts, shared read-only (sealed) the
+#: way workload replicas share their template's parts.
+_ATTACKER_POD = make_attacker_pod("default").seal()
 
 #: Observation modes: ``"fast"`` derives snapshots install-free from rendered
 #: objects + behaviours; ``"full"`` installs into a (pooled) cluster and runs
@@ -161,13 +188,7 @@ class ObservationSubstrate:
             objects.append(obj)
         running: dict[tuple[str, str], RunningPod] = {}
         pod_names: list[str] = []
-        worker_count = len(self.worker_nodes())
-        for obj in objects:
-            if isinstance(obj, Workload) and not isinstance(obj, CronJob):
-                for pod in self._expand_workload(obj, worker_count):
-                    self._start_pod(pod, app, obj.qualified_name(), running, pod_names)
-            elif isinstance(obj, Pod):
-                self._start_pod(obj, app, obj.qualified_name(), running, pod_names)
+        self._start_pods(objects, app, running, pod_names)
         host_ports = self.host_port_baseline()
         pods = list(running.values())
         first = ClusterSnapshot.from_pods(pods, host_ports=host_ports, sequence=0)
@@ -180,6 +201,62 @@ class ObservationSubstrate:
         else:
             second = first
         return RuntimeObservation(app=app, first=first, second=second, host_ports=host_ports)
+
+    def deploy(self, rendered: RenderedChart) -> "SubstrateDeployment":
+        """Start ``rendered`` and then the attacker pod, as install would.
+
+        Mirrors ``Cluster.install(rendered)`` followed by
+        ``ReachabilityProbe.ensure_attacker()`` on a fresh cluster, up to
+        the state a reachability probe reads: namespaces get the labels
+        ``Cluster._ensure_namespace`` gives them, non-``Namespace`` objects
+        are namespace-defaulted and validated in object order (a
+        ``Namespace`` object through ``make_namespace`` and ``validate``, as
+        its apply does), services and policies are stored by object key
+        (a later duplicate replaces an earlier one), and pods start in
+        object order, duplicates included.  The attacker starts last under
+        app :data:`~repro.probe.reachability.ATTACKER_APP`, unless a pod of
+        the chart already holds its name in ``default`` (``ensure_attacker``
+        then finds that pod).  Raises every error that install raises, at
+        the same object.  Valid until this substrate's next reset.
+        """
+        app = rendered.release.name
+        namespace = rendered.release.namespace or "default"
+        # Install's own namespaces are named, so their validation cannot fail.
+        namespace_labels = {
+            name: {"kubernetes.io/metadata.name": name}
+            for name in ("default", "kube-system", namespace)
+        }
+        objects = []
+        services: dict[tuple[str, str, str], Service] = {}
+        policies: dict[tuple[str, str, str], NetworkPolicy] = {}
+        for obj in rendered.objects:
+            if obj.kind == "Namespace":
+                _apply_namespace(namespace_labels, obj.name, obj.labels.to_dict())
+                continue
+            if obj.NAMESPACED and not obj.metadata.namespace:
+                obj.metadata.namespace = namespace
+            obj.validate_cached()
+            if isinstance(obj, Service):
+                services[obj.key] = obj
+            elif isinstance(obj, NetworkPolicy):
+                policies[obj.key] = obj
+            objects.append(obj)
+        running: dict[tuple[str, str], RunningPod] = {}
+        pod_names: list[str] = []
+        self._start_pods(objects, app, running, pod_names)
+        if ("default", ATTACKER_POD_NAME) not in running:
+            if app == ATTACKER_APP:
+                raise ClusterError(f"application {ATTACKER_APP!r} is already installed")
+            self._start_pod(
+                _ATTACKER_POD, ATTACKER_APP, _ATTACKER_POD.qualified_name(), running, pod_names
+            )
+        return SubstrateDeployment(
+            running,
+            [services[key] for key in sorted(services)],
+            [policies[key] for key in sorted(policies)],
+            namespace_labels,
+            self.host_port_baseline(),
+        )
 
     def _second_snapshot_pods(
         self,
@@ -213,6 +290,22 @@ class ObservationSubstrate:
             PodSnapshot.from_running_pod(pod) if id(pod) in restarted else snapshot
             for pod, snapshot in zip(running.values(), first.pods)
         ]
+
+    def _start_pods(
+        self,
+        objects: list,
+        app: str,
+        running: dict[tuple[str, str], RunningPod],
+        pod_names: list[str],
+    ) -> None:
+        """Start the pods of ``objects`` in object order, as install does."""
+        worker_count = len(self.worker_nodes())
+        for obj in objects:
+            if isinstance(obj, Workload) and not isinstance(obj, CronJob):
+                for pod in self._expand_workload(obj, worker_count):
+                    self._start_pod(pod, app, obj.qualified_name(), running, pod_names)
+            elif isinstance(obj, Pod):
+                self._start_pod(obj, app, obj.qualified_name(), running, pod_names)
 
     @staticmethod
     def _expand_workload(workload: Workload, worker_count: int) -> list[Pod]:
@@ -264,6 +357,80 @@ class ObservationSubstrate:
         started = self.runtime.start_pod(pod, ip, node, app=app, owner=owner)
         running[(pod.namespace, pod.name)] = started
         pod_names.append(pod.name)
+
+
+def _apply_namespace(
+    namespace_labels: dict[str, dict[str, str]], namespace: str, labels: dict[str, str]
+) -> None:
+    """What install does with a ``Namespace`` object, on a plain label table.
+
+    As ``Cluster._ensure_namespace``: the namespace takes the object's
+    labels, or ``kubernetes.io/metadata.name`` when it has none, and is
+    validated (``make_namespace`` + ``validate``) only when that changes
+    its labels -- where install applies it.
+    """
+    effective = labels or {"kubernetes.io/metadata.name": namespace}
+    if namespace_labels.get(namespace) != effective:
+        make_namespace(namespace, labels).validate()
+        namespace_labels[namespace] = effective
+
+
+class SubstrateDeployment:
+    """A chart and the attacker pod, started on an :class:`ObservationSubstrate`.
+
+    Answers the queries a reachability probe puts to a ``Cluster`` after
+    ``install`` + ``ReachabilityProbe.ensure_attacker``: running pods,
+    service bindings (``EndpointController.bind`` over every running pod,
+    the attacker included), the compiled :class:`PolicyIndex` over the
+    key-sorted policies, a :class:`ClusterNetwork` whose enforcer holds each
+    namespace's labels, and the host-port baseline.  What it leaves out
+    reaches no decision: pod IPs are the substrate's stand-ins (an
+    ``ipBlock`` peer never matches a pod), and there is no IPAM, DNS, API
+    store or audit log.  Built by :meth:`AnalysisSession.deploy`; valid
+    until the substrate's next reset.
+    """
+
+    def __init__(
+        self,
+        running: dict[tuple[str, str], RunningPod],
+        services: list[Service],
+        policies: list[NetworkPolicy],
+        namespace_labels: dict[str, dict[str, str]],
+        host_ports: set[int],
+    ) -> None:
+        self._running = running
+        self._bindings = EndpointController().bind(services, list(running.values()))
+        self._policy_index = PolicyIndex(policies)
+        self._host_ports = host_ports
+        self.enforcer = NetworkPolicyEnforcer(namespace_labels)
+        self.network = ClusterNetwork(enforcer=self.enforcer)
+
+    def running_pods(self, app_name: str | None = None) -> list[RunningPod]:
+        """Running pods in start order, optionally of one app only."""
+        return [
+            running
+            for running in self._running.values()
+            if app_name is None or running.app == app_name
+        ]
+
+    def running_pod(self, name: str, namespace: str) -> RunningPod:
+        """The running pod ``namespace/name``; raises :class:`PodNotFound`."""
+        running = self._running.get((namespace, name))
+        if running is None:
+            raise PodNotFound(name, namespace)
+        return running
+
+    def service_bindings(self) -> list[ServiceBinding]:
+        """Every service, key-sorted, with the running pods it selects."""
+        return list(self._bindings)
+
+    def policies_view(self) -> PolicyIndex:
+        """The compiled index over the deployment's policies."""
+        return self._policy_index
+
+    def host_port_baseline(self) -> set[int]:
+        """Ports open on the nodes themselves."""
+        return set(self._host_ports)
 
 
 @dataclass
@@ -454,17 +621,7 @@ class AnalysisSession:
                     self.stats.memo_hits += 1
                     return memoized
             with self._observe_lock:
-                substrate = self._substrate
-                if substrate is None:
-                    substrate = ObservationSubstrate(
-                        name=self.name,
-                        worker_count=self.worker_count,
-                        seed=self.seed,
-                        behaviors=behaviors,
-                    )
-                    self._substrate = substrate
-                else:
-                    substrate.reset(behaviors=behaviors, seed=self.seed)
+                substrate = self._clean_substrate(behaviors)
                 self.stats.fast_observations += 1
                 observation = substrate.observe(rendered, double_snapshot=double_snapshot)
             if key is not None:
@@ -477,6 +634,35 @@ class AnalysisSession:
             return scanner.observe(
                 rendered.release.name, restart_between_snapshots=double_snapshot
             )
+
+    @contextmanager
+    def deploy(
+        self, rendered: RenderedChart, behaviors: BehaviorRegistry
+    ) -> Iterator[SubstrateDeployment]:
+        """Context-managed install-free deployment of ``rendered`` plus the attacker.
+
+        Resets the session's one substrate (the fast path's) and yields
+        :meth:`ObservationSubstrate.deploy`'s result.  The substrate is held
+        until the block exits, so no fast observation or other deployment
+        on this session interleaves; the deployment is not valid after it.
+        """
+        with self._observe_lock:
+            yield self._clean_substrate(behaviors).deploy(rendered)
+
+    def _clean_substrate(self, behaviors: BehaviorRegistry) -> ObservationSubstrate:
+        """The session's substrate, built on first use and reset after."""
+        substrate = self._substrate
+        if substrate is None:
+            substrate = ObservationSubstrate(
+                name=self.name,
+                worker_count=self.worker_count,
+                seed=self.seed,
+                behaviors=behaviors,
+            )
+            self._substrate = substrate
+        else:
+            substrate.reset(behaviors=behaviors, seed=self.seed)
+        return substrate
 
     def memo_stats(self) -> dict[str, int]:
         """Counter snapshot of the content-keyed observation memo."""

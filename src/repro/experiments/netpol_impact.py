@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cluster import (
-    AnalysisSession,
-    Cluster,
-    ClusterError,
-    OBSERVE_FULL,
-    ReachabilityMatrix,
-)
+from ..cluster import AnalysisSession, Cluster, ClusterError, ReachabilityMatrix
 from ..datasets import BuiltApplication, build_catalog
 from ..helm import render_chart
 from ..probe import ReachabilityProbe
@@ -57,6 +51,7 @@ class DatasetReachabilityRow:
     reachable_services: int = 0
 
     def cells(self) -> list[str]:
+        """The row's cells as printed, counts with their enabled or dynamic part."""
         return [
             self.dataset,
             f"{self.policies_defined} ({self.policies_enabled_by_default})",
@@ -73,6 +68,7 @@ class NetpolImpactResult:
     applications: list[ApplicationReachability] = field(default_factory=list)
 
     def rows(self) -> list[DatasetReachabilityRow]:
+        """One row per dataset, sorted by name; only policy-defining charts add to it."""
         rows: dict[str, DatasetReachabilityRow] = {}
         for entry in self.applications:
             row = rows.setdefault(entry.dataset, DatasetReachabilityRow(dataset=entry.dataset))
@@ -89,6 +85,7 @@ class NetpolImpactResult:
         return [rows[dataset] for dataset in sorted(rows)]
 
     def format_text(self) -> str:
+        """The Figure 4b table as ``insidejob figure4b`` prints it."""
         header = ["Dataset", "Policies defined (enabled)", "Affected", "Reachable pods (dynamic)",
                   "Reachable services"]
         rows = [row.cells() for row in self.rows() if row.policies_defined]
@@ -100,35 +97,22 @@ class NetpolImpactResult:
         return "\n".join(lines)
 
 
-#: Shared sessions for the sweep, one per ``compiled`` flag: the sweep
-#: recycles a single cluster skeleton across every chart it probes instead
-#: of rebuilding one per chart.
-_SESSIONS: dict[bool, AnalysisSession] = {}
-
-
-def _shared_session(compiled: bool) -> AnalysisSession:
-    session = _SESSIONS.get(compiled)
-    if session is None:
-        session = AnalysisSession(
-            name="netpol-impact",
-            observe_mode=OBSERVE_FULL,
-            compiled_policies=compiled,
-        )
-        _SESSIONS[compiled] = session
-    return session
+#: The session every compiled probe deploys on: one substrate (nodes,
+#: scheduler, runtime) recycled from chart to chart.
+_SESSION = AnalysisSession(name="netpol-impact")
 
 
 def probe_application_with_policies(
-    app: BuiltApplication, compiled: bool = True, pooled: bool = True
+    app: BuiltApplication, compiled: bool = True
 ) -> ApplicationReachability:
     """Force-enable the chart's policies, deploy it, and probe reachability.
 
-    ``compiled=False`` pins the cluster to the naive policy evaluator -- the
-    pre-compilation reference path kept for benchmarks.  The cluster comes
-    from a process-wide pooled session, recycled via ``Cluster.reset()``
-    between charts; ``pooled=False`` rebuilds a throw-away cluster per
-    chart, the seed reference behaviour the conformance suite diffs
-    against.
+    The chart and the attacker pod start install-free on a pooled
+    observation substrate (:meth:`~repro.cluster.AnalysisSession.deploy`)
+    and are probed through the compiled policy index.  ``compiled=False``
+    is the reference: a fresh ``Cluster(compiled_policies=False)`` per
+    chart, installed, with the naive policy scan.  A :class:`ClusterError`
+    leaves prefixed with the chart's ``dataset/name``.
     """
     outcome = ApplicationReachability(
         application=app.name,
@@ -145,14 +129,15 @@ def probe_application_with_policies(
         fingerprint=app.fingerprint(),
     )
     try:
-        if pooled:
-            with _shared_session(compiled).lease(app.behaviors) as cluster:
-                _probe_installed(cluster, app, rendered, outcome)
+        if compiled:
+            with _SESSION.deploy(rendered, app.behaviors) as deployment:
+                _probe_reach(deployment, app, outcome)
         else:
             cluster = Cluster(
-                name="netpol-impact", behaviors=app.behaviors, compiled_policies=compiled
+                name="netpol-impact", behaviors=app.behaviors, compiled_policies=False
             )
-            _probe_installed(cluster, app, rendered, outcome)
+            cluster.install(rendered)
+            _probe_reach(cluster, app, outcome)
     except ClusterError as exc:
         # Attribute the error to the chart before it propagates: sweep-level
         # callers (and the CLI) then print one actionable line instead of a
@@ -161,14 +146,17 @@ def probe_application_with_policies(
     return outcome
 
 
-def _probe_installed(cluster, app, rendered, outcome) -> None:
-    """Install ``rendered`` into ``cluster`` and fill in ``outcome``."""
-    cluster.install(rendered)
-    probe = ReachabilityProbe(cluster)
+def _probe_reach(target, app, outcome) -> None:
+    """Probe the deployed chart from the attacker and fill in ``outcome``.
+
+    ``target`` is a :class:`~repro.cluster.SubstrateDeployment` or a
+    ``Cluster`` the chart is installed in (the attacker joins on first use).
+    """
+    probe = ReachabilityProbe(target)
     attacker = probe.ensure_attacker()
-    app_pods = cluster.running_pods(app_name=app.name)
-    bindings = cluster.service_bindings()
-    host_baseline = cluster.host_port_baseline()
+    app_pods = target.running_pods(app_name=app.name)
+    bindings = target.service_bindings()
+    host_baseline = target.host_port_baseline()
     # One compiled index + decision cache for the whole probe run: replicas
     # and repeated ports resolve from the matrix memo instead of re-scanning
     # the policy list per connection attempt.  Built on the first attempt --
@@ -179,8 +167,8 @@ def _probe_installed(cluster, app, rendered, outcome) -> None:
     def attempt_matrix() -> ReachabilityMatrix:
         nonlocal matrix
         if matrix is None:
-            matrix = cluster.network.reachability_matrix(
-                cluster.policies_view(), app_pods, bindings
+            matrix = target.network.reachability_matrix(
+                target.policies_view(), app_pods, bindings
             )
         return matrix
     for pod in app_pods:
@@ -233,20 +221,19 @@ def _probe_installed(cluster, app, rendered, outcome) -> None:
 def run_netpol_impact(
     applications: list[BuiltApplication] | None = None,
     compiled: bool = True,
-    pooled: bool = True,
 ) -> NetpolImpactResult:
     """Run the Figure 4b experiment over the catalogue.
 
-    Every chart is probed in its own cluster, in catalogue order.  The sweep
-    recycles one pooled cluster skeleton across its charts (``pooled=False``
-    restores the throw-away-cluster-per-chart reference behaviour).
-    ``compiled=False`` runs the whole sweep on the naive reference
-    evaluator (benchmark baseline).
+    Every chart is probed on its own, in catalogue order, through
+    :func:`probe_application_with_policies`: install-free on one pooled
+    substrate by default, or with ``compiled=False`` installed into a fresh
+    naive-policy cluster per chart (the reference the default is proven
+    equal to, and the benchmarks' baseline).
     """
     applications = applications if applications is not None else build_catalog()
     return NetpolImpactResult(
         applications=[
-            probe_application_with_policies(app, compiled=compiled, pooled=pooled)
+            probe_application_with_policies(app, compiled=compiled)
             for app in applications
         ]
     )

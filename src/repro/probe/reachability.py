@@ -3,15 +3,22 @@
 Reproduces the Section 4.3.2 analysis (Figure 4b): after enabling the
 network policies shipped with a chart, how many misconfigured pods and
 services can still be reached from an attacker-controlled pod in the same
-cluster?
+cluster?  A probe runs on a :class:`~repro.cluster.Cluster` (the attacker
+is installed on first use) or on a
+:class:`~repro.cluster.session.SubstrateDeployment`, which starts the
+attacker itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..cluster import Cluster, PodNotFound, RunningPod
 from ..k8s import Container, LabelSet, ObjectMeta, Pod, PodSpec
+
+if TYPE_CHECKING:
+    from ..cluster.session import SubstrateDeployment
 
 
 @dataclass
@@ -27,14 +34,17 @@ class ReachabilityReport:
 
     @property
     def reachable_pods(self) -> set[str]:
+        """Names of the pods with at least one reachable endpoint."""
         return {name for name, _ in self.reachable_pod_endpoints}
 
     @property
     def reachable_services(self) -> set[str]:
+        """Names of the services with at least one reachable port."""
         return {name for name, _ in self.reachable_service_endpoints}
 
     @property
     def pods_with_dynamic_ports(self) -> set[str]:
+        """Names of the pods reachable on a dynamic (ephemeral) port."""
         return {name for name, _ in self.reachable_dynamic_endpoints}
 
     @property
@@ -44,6 +54,8 @@ class ReachabilityReport:
 
 
 ATTACKER_POD_NAME = "attacker"
+#: The application the attacker pod is installed as.
+ATTACKER_APP = "__attacker__"
 
 
 def make_attacker_pod(namespace: str = "default") -> Pod:
@@ -61,15 +73,19 @@ def make_attacker_pod(namespace: str = "default") -> Pod:
 class ReachabilityProbe:
     """Measures the lateral-movement surface of installed applications."""
 
-    def __init__(self, cluster: Cluster) -> None:
+    def __init__(self, cluster: Cluster | SubstrateDeployment) -> None:
         self.cluster = cluster
 
     def ensure_attacker(self, namespace: str = "default") -> RunningPod:
-        """Install the attacker pod (idempotent) and return its running instance."""
+        """Install the attacker pod (idempotent) and return its running instance.
+
+        A deployment already runs the attacker in ``default``; it cannot
+        install one elsewhere.
+        """
         try:
             return self.cluster.running_pod(ATTACKER_POD_NAME, namespace)
         except PodNotFound:
-            self.cluster.install([make_attacker_pod(namespace)], app_name="__attacker__",
+            self.cluster.install([make_attacker_pod(namespace)], app_name=ATTACKER_APP,
                                  namespace=namespace)
             return self.cluster.running_pod(ATTACKER_POD_NAME, namespace)
 

@@ -2,14 +2,18 @@
 
 The :class:`repro.cluster.AnalysisSession` subsystem must be a *pure
 acceleration* of the seed pipeline: recycling cluster skeletons through
-``Cluster.reset()`` and deriving runtime observations install-free
-(``observe_mode="fast"``) must produce byte-identical canonical reports,
-snapshots and reachability surfaces.  This suite proves it three ways:
+``Cluster.reset()``, deriving runtime observations install-free
+(``observe_mode="fast"``) and deploying a chart plus the attacker pod on
+the substrate (``AnalysisSession.deploy``) must produce byte-identical
+canonical reports, snapshots, reachability surfaces and errors.  This suite
+proves it three ways:
 
 * over the **whole 290-chart catalogue** -- full-evaluation reports, per-chart
-  double snapshots, the Figure 4b sweep, and all-pairs reachability surfaces;
+  double snapshots, the Figure 4b sweep, all-pairs reachability surfaces and
+  attacker probe reports;
 * over **Hypothesis-generated app specs** -- arbitrary injection plans and
-  archetypes, diffed fast vs. full and pooled vs. fresh;
+  archetypes, diffed fast vs. full and pooled vs. fresh, and deployments
+  with extra manifests diffed against an install;
 * across **arbitrary reset sequences** -- one long-lived session serving many
   different charts must match a fresh cluster at every step.
 
@@ -19,6 +23,10 @@ All comparisons go through the shared canonical differ in
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -27,12 +35,15 @@ from repro.cluster import (
     Cluster,
     OBSERVE_FAST,
     OBSERVE_FULL,
+    PolicyIndex,
 )
 from repro.core import AnalyzerSettings, MisconfigurationAnalyzer
 from repro.datasets import InjectionPlan, build_application, build_catalog
-from repro.experiments import run_full_evaluation, run_netpol_impact
+from repro.datasets.spec import NETPOL_MODES, NETPOL_NONE
+from repro.experiments import netpol_impact, run_full_evaluation, run_netpol_impact
 from repro.helm import render_chart
-from repro.probe import RuntimeScanner
+from repro.k8s import objects_from_dicts
+from repro.probe import ReachabilityProbe, RuntimeScanner
 
 from tests.support.diffing import (
     assert_identical,
@@ -55,6 +66,17 @@ def reference_analyzer() -> MisconfigurationAnalyzer:
     """The seed-shaped pipeline: throw-away cluster + install per chart."""
     return MisconfigurationAnalyzer(
         settings=AnalyzerSettings(observe_mode=OBSERVE_FULL, pooled_clusters=False)
+    )
+
+
+def matrix_of(target):
+    """The reachability matrix over every running pod of a cluster or deployment.
+
+    A ``compiled_policies=False`` cluster answers with the naive matrix, a
+    deployment with the compiled one.
+    """
+    return target.network.reachability_matrix(
+        target.policies_view(), target.running_pods(), target.service_bindings()
     )
 
 
@@ -119,14 +141,20 @@ def test_catalogue_observations_fast_equals_full_and_fresh(catalog_apps):
     assert full_session.stats.resets == len(catalog_apps) - 1
 
 
-@pytest.mark.slow
-def test_catalogue_netpol_sweep_pooled_equals_fresh(catalog_apps):
-    """The Figure 4b reachability sweep: pooled clusters == throw-away ones."""
-    fresh = run_netpol_impact(applications=catalog_apps, pooled=False)
-    pooled = run_netpol_impact(applications=catalog_apps, pooled=True)
-    assert_identical(
-        canonical_netpol(fresh), canonical_netpol(pooled), label="netpol/pooled-vs-fresh"
-    )
+def test_catalogue_netpol_sweep_equals_install_oracle(catalog_apps):
+    """The Figure 4b sweep: install-free deployments == naive installs.
+
+    Catalogue order and one shuffled order, so a deployment never leans on
+    the chart probed before it on the recycled substrate.
+    """
+    shuffled = list(catalog_apps)
+    random.Random(3101).shuffle(shuffled)
+    for applications, label in ((catalog_apps, "catalogue"), (shuffled, "shuffled")):
+        assert_identical(
+            canonical_netpol(run_netpol_impact(applications=applications, compiled=False)),
+            canonical_netpol(run_netpol_impact(applications=applications)),
+            label=f"netpol/{label}",
+        )
 
 
 @pytest.mark.slow
@@ -135,8 +163,11 @@ def test_catalogue_reachability_surfaces_pooled_equals_fresh(catalog_apps):
 
     Beyond snapshots and findings: the connectivity engine (policy index,
     service bindings, matrix memos) must see no residue from previous leases.
+    The install-free deployment (chart plus attacker) must also equal a
+    fresh naive-policy install that ran ``ensure_attacker``.
     """
     session = AnalysisSession(name="surface", observe_mode=OBSERVE_FULL)
+    deployments = AnalysisSession(name="surface")
     checked = 0
     for app in catalog_apps:
         if not app.defines_network_policies:
@@ -149,8 +180,35 @@ def test_catalogue_reachability_surfaces_pooled_equals_fresh(catalog_apps):
             cluster.install(render_chart(app.chart, overrides=overrides))
             actual = canonical_surface(cluster.reachability_matrix().all_pairs())
         assert_identical(expected, actual, label=f"surface/{app.dataset}/{app.name}")
+        oracle = Cluster(name="surface", behaviors=app.behaviors, compiled_policies=False)
+        oracle.install(render_chart(app.chart, overrides=overrides))
+        ReachabilityProbe(oracle).ensure_attacker()
+        rendered = render_chart(app.chart, overrides=overrides)
+        with deployments.deploy(rendered, app.behaviors) as deployment:
+            deployed = canonical_surface(matrix_of(deployment).all_pairs())
+        assert_identical(
+            canonical_surface(matrix_of(oracle).all_pairs()), deployed,
+            label=f"surface/deployed/{app.dataset}/{app.name}",
+        )
         checked += 1
     assert checked > 50  # the catalogue ships plenty of policy-defining charts
+
+
+def test_catalogue_probe_reports_deployment_equals_install(catalog_apps):
+    """``ReachabilityProbe.probe_application`` with default values, every chart."""
+    deployments = AnalysisSession(name="netpol-impact")
+    for app in catalog_apps:
+        rendered = render_chart(app.chart)
+        oracle = Cluster(name="netpol-impact", behaviors=app.behaviors, compiled_policies=False)
+        oracle.install(rendered)
+        expected = dataclasses.asdict(
+            ReachabilityProbe(oracle).probe_application(rendered.release.name)
+        )
+        with deployments.deploy(rendered, app.behaviors) as deployment:
+            report = ReachabilityProbe(deployment).probe_application(rendered.release.name)
+        assert_identical(
+            expected, dataclasses.asdict(report), label=f"probe/{app.dataset}/{app.name}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -226,3 +284,254 @@ def test_generated_specs_reports_identical_across_session_modes(app):
     ).analyze_chart(app.chart, behaviors=app.behaviors, dataset="generated")
     assert_identical(expected, canonical_report(pooled), label="generated/pooled-report")
     assert_identical(expected, canonical_report(fast), label="generated/fast-report")
+
+
+# ---------------------------------------------------------------------------
+# Install-free deployments against installs, on generated manifests
+# ---------------------------------------------------------------------------
+
+#: Namespaces the generated manifests use; ``apps`` is also a release namespace.
+NAMESPACES = ("default", "kube-system", "apps", "other")
+NAMESPACE_LABELS = ({}, {"team": "red"}, {"team": "blue"}, {"kubernetes.io/metadata.name": "other"})
+
+
+def _meta(name: str, namespace: str | None, labels: dict | None = None) -> dict:
+    meta: dict = {"name": name}
+    if namespace is not None:
+        meta["namespace"] = namespace
+    if labels:
+        meta["labels"] = dict(labels)
+    return meta
+
+
+def _pod_spec(ports, host_network: bool = False, node_name: str = "") -> dict:
+    spec: dict = {
+        "containers": [{
+            "name": "main",
+            "image": "generated/extra",
+            "ports": [{"name": name, "containerPort": port} for port, name in ports],
+        }]
+    }
+    if host_network:
+        spec["hostNetwork"] = True
+    if node_name:
+        spec["nodeName"] = node_name
+    return spec
+
+
+def _pod(name, namespace, labels, ports, host_network=False, node_name="") -> dict:
+    return {"apiVersion": "v1", "kind": "Pod", "metadata": _meta(name, namespace, labels),
+            "spec": _pod_spec(ports, host_network, node_name)}
+
+
+def _daemonset(name, namespace, labels, ports) -> dict:
+    return {"apiVersion": "apps/v1", "kind": "DaemonSet", "metadata": _meta(name, namespace),
+            "spec": {"selector": {"matchLabels": dict(labels)},
+                     "template": {"metadata": {"labels": dict(labels)},
+                                  "spec": _pod_spec(ports)}}}
+
+
+def _service(name, namespace, selector, port, target) -> dict:
+    return {"apiVersion": "v1", "kind": "Service", "metadata": _meta(name, namespace),
+            "spec": {"selector": dict(selector),
+                     "ports": [{"name": "main", "port": port, "targetPort": target}]}}
+
+
+def _policy(name, namespace, pod_labels, namespace_labels, port) -> dict:
+    peer = {"namespaceSelector": {"matchLabels": dict(namespace_labels)}}
+    rule: dict = {"from": [peer]}
+    if port is not None:
+        rule["ports"] = [{"protocol": "TCP", "port": port}]
+    return {"apiVersion": "networking.k8s.io/v1", "kind": "NetworkPolicy",
+            "metadata": _meta(name, namespace),
+            "spec": {"podSelector": {"matchLabels": dict(pod_labels)},
+                     "policyTypes": ["Ingress"], "ingress": [rule]}}
+
+
+#: Manifests that make install raise, with the error they raise.
+BREAKAGES = {
+    "nameless-namespace": {"apiVersion": "v1", "kind": "Namespace", "metadata": {}},
+    "missing-node": _pod("pinned", "default", {"app": "pinned"}, [], node_name="no-such-node"),
+    "attacker-release": None,
+}
+
+
+@pytest.mark.parametrize("breakage", sorted(BREAKAGES))
+def test_install_errors_raise_alike_with_chart_attribution(catalog_apps, breakage, monkeypatch):
+    """Both Figure 4b paths raise one error, attributed to the chart alike.
+
+    A nameless ``Namespace`` fails validation (not a ``ClusterError``: no
+    chart prefix on either path); a pod pinned to a missing node and a
+    release named like the attacker's application raise ``ClusterError``s,
+    prefixed with ``dataset/name``.
+    """
+    app = next(app for app in catalog_apps if app.defines_network_policies)
+    render = netpol_impact.render_chart
+
+    def broken_render(chart, **kwargs):
+        rendered = render(chart, **kwargs)
+        if BREAKAGES[breakage] is None:
+            release = dataclasses.replace(rendered.release, name="__attacker__")
+            return dataclasses.replace(rendered, release=release)
+        extra = objects_from_dicts([BREAKAGES[breakage]])
+        return dataclasses.replace(rendered, objects=list(rendered.objects) + extra)
+
+    monkeypatch.setattr(netpol_impact, "render_chart", broken_render)
+    raised = []
+    for compiled in (True, False):
+        with pytest.raises(Exception) as info:
+            netpol_impact.probe_application_with_policies(app, compiled=compiled)
+        raised.append((type(info.value).__name__, str(info.value)))
+    assert raised[0] == raised[1]
+    attributed = raised[0][1].startswith(f"[{app.dataset}/{app.name}] ")
+    assert attributed == (breakage != "nameless-namespace"), raised[0]
+
+
+@st.composite
+def extra_manifests(draw):
+    """Manifests added to a rendered chart, with where each one goes.
+
+    Covers what install does beyond the catalogue's charts: ``Namespace``
+    objects with and without labels (and a nameless one, which install
+    rejects), a service selecting the attacker, named target ports,
+    ``hostNetwork`` pods, DaemonSets, policies keyed on namespace labels, a
+    pod that takes the attacker's name, a pod pinned to a missing node,
+    duplicate object keys and an object left without a namespace.
+    """
+    docs: list[dict] = []
+    for index in range(draw(st.integers(min_value=0, max_value=3))):
+        name = draw(st.sampled_from(NAMESPACES))
+        labels = draw(st.sampled_from(NAMESPACE_LABELS))
+        docs.append({"apiVersion": "v1", "kind": "Namespace", "metadata": _meta(name, None, labels)})
+    if draw(st.integers(min_value=0, max_value=9)) == 9:
+        docs.append({"apiVersion": "v1", "kind": "Namespace", "metadata": {}})
+    namespace = st.sampled_from(NAMESPACES)
+    if draw(st.booleans()):
+        docs.append(_service("lure", draw(namespace), {"app.kubernetes.io/name": "attacker"},
+                             80, draw(st.sampled_from([80, 8080, "http"]))))
+    if draw(st.booleans()):
+        docs.append(_pod("host-agent", draw(namespace), {"app": "agent"},
+                         [(draw(st.sampled_from([22, 9100])), "agent")], host_network=True))
+    if draw(st.booleans()):
+        docs.append(_daemonset("agent", draw(namespace), {"app": "agent"}, [(9200, "agent")]))
+    if draw(st.booleans()):
+        docs.append(_service("agent", draw(namespace), {"app": "agent"}, 80,
+                             draw(st.sampled_from(["agent", "missing", 9200]))))
+    for index in range(draw(st.integers(min_value=0, max_value=2))):
+        docs.append(_policy(
+            f"from-{index}", draw(namespace),
+            draw(st.sampled_from([{}, {"app": "agent"}, {"app": "decoy"}])),
+            draw(st.sampled_from(NAMESPACE_LABELS[1:])),
+            draw(st.sampled_from([None, 9200, "agent", 8080])),
+        ))
+    if draw(st.booleans()):
+        docs.append(_pod("attacker", "default", {"app": "decoy"}, [(8080, "http")]))
+    if draw(st.integers(min_value=0, max_value=19)) == 19:
+        docs.append(_pod("pinned", "default", {"app": "pinned"}, [], node_name="no-such-node"))
+    keyed = [doc for doc in docs if doc["kind"] in ("Service", "NetworkPolicy")]
+    if keyed and draw(st.booleans()):
+        # Same key, other content: install keeps the later object.
+        variant = copy.deepcopy(draw(st.sampled_from(keyed)))
+        if variant["kind"] == "Service":
+            variant["spec"]["ports"][0]["targetPort"] = 8080
+        else:
+            variant["spec"]["podSelector"] = {}
+        docs.append(variant)
+    if docs:
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            docs.append(copy.deepcopy(draw(st.sampled_from(docs))))
+    unnamespaced = draw(st.booleans())
+    return docs, unnamespaced
+
+
+def with_extras(rendered, extras, positions, unnamespaced, release_name):
+    """``rendered`` with fresh objects for ``extras`` inserted at ``positions``."""
+    objects = list(rendered.objects)
+    added = objects_from_dicts(extras)
+    if unnamespaced and added and added[-1].NAMESPACED:
+        added[-1].metadata.namespace = ""  # install defaults it to the release's
+    for position, obj in zip(positions, added):
+        objects.insert(min(position, len(objects)), obj)
+    release = dataclasses.replace(rendered.release, name=release_name)
+    return dataclasses.replace(rendered, objects=objects, release=release)
+
+
+def probe_view(target, app: str) -> dict:
+    """Everything the reachability probes read of a deployed chart."""
+    view = target.policies_view()
+    policies = view.policies if isinstance(view, PolicyIndex) else view
+    return {
+        "pods": [
+            [pod.namespace, pod.name, pod.app, pod.owner, pod.node.name,
+             [dataclasses.asdict(socket) for socket in pod.sockets]]
+            for pod in target.running_pods()
+        ],
+        "bindings": [
+            [binding.service.to_dict(), [list(pod.ident) for pod in binding.backends]]
+            for binding in target.service_bindings()
+        ],
+        "policies": [policy.to_dict() for policy in policies],
+        "namespace_labels": {
+            namespace: target.enforcer.namespace_labels(namespace) for namespace in NAMESPACES
+        },
+        "host_ports": sorted(target.host_port_baseline()),
+        "attacker": list(ReachabilityProbe(target).ensure_attacker().ident),
+        "surface": canonical_surface(matrix_of(target).all_pairs()),
+        "report": dataclasses.asdict(ReachabilityProbe(target).probe_application(app)),
+    }
+
+
+#: One deployment session across examples, so every example also follows
+#: an arbitrary predecessor on the recycled substrate.
+_PERSISTENT_DEPLOY = AnalysisSession(name="netpol-impact")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    plan=injection_plans(),
+    archetype=st.sampled_from(ARCHETYPES),
+    netpol_mode=st.sampled_from([mode for mode in NETPOL_MODES if mode != NETPOL_NONE]),
+    release_namespace=st.sampled_from(["default", "apps"]),
+    extras=extra_manifests(),
+    positions=st.lists(st.integers(min_value=0, max_value=40), min_size=12, max_size=12),
+    attacker_release=st.integers(min_value=0, max_value=19),
+)
+def test_generated_deployments_equal_install(
+    plan, archetype, netpol_mode, release_namespace, extras, positions, attacker_release
+):
+    """A deployment == install + ``ensure_attacker``, policies forced on.
+
+    Equal pods (start order, owners, nodes, sockets), bindings, policies,
+    namespace labels, surfaces and probe reports -- or the same error.
+    """
+    app = build_application(
+        "gen-app", "Gen Org", dataclasses.replace(plan, netpol_mode=netpol_mode),
+        archetype=archetype, dataset="generated",
+    )
+    docs, unnamespaced = extras
+    rendered = render_chart(
+        app.chart, namespace=release_namespace, overrides={"networkPolicy": {"enabled": True}}
+    )
+    # A release named like the attacker's application: install refuses the attacker.
+    release_name = "__attacker__" if attacker_release == 19 else rendered.release.name
+
+    def fresh():
+        return with_extras(rendered, docs, positions, unnamespaced, release_name)
+
+    expected = error = None
+    oracle = Cluster(name="netpol-impact", behaviors=app.behaviors, compiled_policies=False)
+    try:
+        oracle.install(fresh())
+        ReachabilityProbe(oracle).ensure_attacker()
+    except Exception as exc:  # noqa: BLE001 -- error parity is under test
+        error = (type(exc).__name__, str(exc))
+    else:
+        expected = probe_view(oracle, release_name)
+    try:
+        with _PERSISTENT_DEPLOY.deploy(fresh(), app.behaviors) as deployment:
+            actual = probe_view(deployment, release_name)
+    except Exception as exc:  # noqa: BLE001
+        assert (type(exc).__name__, str(exc)) == error
+    else:
+        assert error is None, f"install raised {error}, the deployment did not"
+        assert_identical(expected, actual, label="generated/deployment-vs-install")
