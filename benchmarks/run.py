@@ -65,7 +65,11 @@ def _cold_minima(arms, repeats: int, *, alternate=False, before=cold_start):
 
 
 def bench_netpol_sweep(sample: int | None, repeats: int = 3) -> dict[str, float]:
-    """End-to-end Figure 4b sweep, naive vs compiled engine, seconds.
+    """End-to-end Figure 4b sweep, reference vs default path, seconds.
+
+    The naive arm installs each chart into a fresh naive-policy cluster;
+    the compiled arm deploys it install-free and probes through the
+    compiled policy index (``run_netpol_impact``'s two paths).
 
     The arms run as cold pairs and each arm keeps its *minimum*, mirroring
     ``measure_fault_overhead``: running one arm's repeats back-to-back
@@ -224,8 +228,13 @@ TOLERANCE = 3.0
 FAULT_OVERHEAD_LIMIT = 1.03
 
 #: ``--check`` gates the compiled/naive ratio of the Figure 4b sweep: the
-#: compiled engine must stay at least on par with the naive reference it
-#: replaces (a small band absorbs scheduler noise at ~100 ms sweep scale).
+#: default sweep (install-free deployments, compiled policy index) must
+#: stay at least on par with its reference (a fresh naive-policy cluster
+#: installed per chart); a small band absorbs scheduler noise at ~100 ms
+#: sweep scale.  The arms differ in install as well as in the policy
+#: engine, so the ratio does not isolate the engine: over the full
+#: catalogue it reads ~0.8, and the compiled arm could grow ~30% before
+#: it trips.
 NETPOL_RATIO_LIMIT = 1.05
 
 #: ``--check`` gates the compiled/naive ratio of ``matrix_sources``, both

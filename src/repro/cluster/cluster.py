@@ -87,6 +87,33 @@ def expand_workload_pods(workload: Workload, worker_count: int) -> list[Pod]:
     return pods
 
 
+def namespace_update(
+    namespace: str,
+    labels: Mapping[str, str] | None,
+    current: Mapping[str, str] | None,
+) -> tuple[dict[str, str], bool] | None:
+    """How ensuring ``namespace`` changes it: the cluster's namespace-label rule.
+
+    ``labels`` are a ``Namespace`` object's own (``None`` when a release is
+    installed into the namespace); ``current`` are the namespace's labels
+    now, ``None`` when it does not exist yet.  Returns ``None`` when nothing
+    changes, else the labels it ends up with -- ``labels``, or
+    ``kubernetes.io/metadata.name`` when those are empty -- and whether the
+    ``Namespace`` must be applied (validated and stored) first: when it is
+    new, or when its own labels change it.  Shared by :class:`Cluster` and
+    the install-free deployment (:mod:`repro.cluster.session`).
+    """
+    effective = dict(labels or {"kubernetes.io/metadata.name": namespace})
+    if current is None:
+        return effective, True
+    if labels is None:
+        # A release never clobbers labels a Namespace object set earlier; a
+        # namespace created behind the enforcer's back (direct ``api.apply``)
+        # still gets its default, or namespaceSelector rules never match.
+        return None if current else (effective, False)
+    return effective, current != effective
+
+
 @dataclass
 class InstalledApplication:
     """Book-keeping for one installed application (Helm release)."""
@@ -201,22 +228,17 @@ class Cluster:
 
     # Namespace helpers --------------------------------------------------------
     def _ensure_namespace(self, namespace: str, labels: Mapping[str, str] | None = None) -> None:
-        effective = dict(labels or {"kubernetes.io/metadata.name": namespace})
-        if not self.api.store.exists("Namespace", namespace, ""):
-            self.api.apply(make_namespace(namespace, labels))
-        elif labels is None:
-            # Ensuring an existing namespace without explicit labels (e.g.
-            # installing a release into it) must not clobber labels a
-            # Namespace object set earlier -- but a namespace created behind
-            # the enforcer's back (direct ``api.apply``) still needs its
-            # default registration, or namespaceSelector rules never match.
-            if self.enforcer.namespace_labels(namespace):
-                return
-        elif self.enforcer.namespace_labels(namespace) != effective:
-            # Label update on an existing namespace: namespaceSelector
-            # semantics just changed, so the store must reflect the new
-            # labels and the mutation must move :attr:`policy_epoch` like
-            # every other policy-relevant write.
+        exists = self.api.store.exists("Namespace", namespace, "")
+        update = namespace_update(
+            namespace, labels, self.enforcer.namespace_labels(namespace) if exists else None
+        )
+        if update is None:
+            return
+        effective, apply = update
+        if apply:
+            # A label update must also reach the store: namespaceSelector
+            # semantics just changed, and the write moves
+            # :attr:`policy_epoch` like every other policy-relevant write.
             self.api.apply(make_namespace(namespace, labels))
         self.enforcer.set_namespace_labels(namespace, effective)
 

@@ -76,7 +76,7 @@ from ..probe.reachability import ATTACKER_APP, ATTACKER_POD_NAME, make_attacker_
 from ..probe.scanner import RuntimeObservation, RuntimeScanner
 from ..probe.snapshot import ClusterSnapshot, PodSnapshot
 from .behavior import BehaviorRegistry
-from .cluster import Cluster, _sanitize, build_node_set
+from .cluster import Cluster, _sanitize, build_node_set, namespace_update
 from .cni import NetworkPolicyEnforcer
 from .endpoints import EndpointController, ServiceBinding
 from .errors import ClusterError, PodNotFound
@@ -133,6 +133,11 @@ class ObservationSubstrate:
         self.runtime = ContainerRuntime(self.behaviors, seed=seed)
         self._pod_counter = 0
         self._host_ports: frozenset[int] | None = None
+        #: The namespaces a fresh cluster starts with, as ``Cluster.__init__``
+        #: ensures them; read-only, every deployment starts from a copy.
+        self._initial_namespaces: dict[str, dict[str, str]] = {}
+        for namespace in ("default", "kube-system"):
+            _ensure_namespace(self._initial_namespaces, namespace)
 
     def reset(self, behaviors: BehaviorRegistry | None = None, seed: int | None = None) -> None:
         """Recycle the substrate: nodes stay, runtime state is re-seeded."""
@@ -221,17 +226,14 @@ class ObservationSubstrate:
         """
         app = rendered.release.name
         namespace = rendered.release.namespace or "default"
-        # Install's own namespaces are named, so their validation cannot fail.
-        namespace_labels = {
-            name: {"kubernetes.io/metadata.name": name}
-            for name in ("default", "kube-system", namespace)
-        }
+        namespace_labels = dict(self._initial_namespaces)
+        _ensure_namespace(namespace_labels, namespace)
         objects = []
         services: dict[tuple[str, str, str], Service] = {}
         policies: dict[tuple[str, str, str], NetworkPolicy] = {}
         for obj in rendered.objects:
             if obj.kind == "Namespace":
-                _apply_namespace(namespace_labels, obj.name, obj.labels.to_dict())
+                _ensure_namespace(namespace_labels, obj.name, obj.labels.to_dict())
                 continue
             if obj.NAMESPACED and not obj.metadata.namespace:
                 obj.metadata.namespace = namespace
@@ -359,19 +361,22 @@ class ObservationSubstrate:
         pod_names.append(pod.name)
 
 
-def _apply_namespace(
-    namespace_labels: dict[str, dict[str, str]], namespace: str, labels: dict[str, str]
+def _ensure_namespace(
+    namespace_labels: dict[str, dict[str, str]],
+    namespace: str,
+    labels: dict[str, str] | None = None,
 ) -> None:
-    """What install does with a ``Namespace`` object, on a plain label table.
+    """``Cluster._ensure_namespace`` on a plain label table.
 
-    As ``Cluster._ensure_namespace``: the namespace takes the object's
-    labels, or ``kubernetes.io/metadata.name`` when it has none, and is
-    validated (``make_namespace`` + ``validate``) only when that changes
-    its labels -- where install applies it.
+    The rule is :func:`~repro.cluster.cluster.namespace_update`'s; where
+    install applies the ``Namespace``, only its validation can fail (a
+    fresh cluster has no admission controller), so only that runs here.
     """
-    effective = labels or {"kubernetes.io/metadata.name": namespace}
-    if namespace_labels.get(namespace) != effective:
-        make_namespace(namespace, labels).validate()
+    update = namespace_update(namespace, labels, namespace_labels.get(namespace))
+    if update is not None:
+        effective, apply = update
+        if apply:
+            make_namespace(namespace, labels).validate()
         namespace_labels[namespace] = effective
 
 
@@ -405,13 +410,9 @@ class SubstrateDeployment:
         self.enforcer = NetworkPolicyEnforcer(namespace_labels)
         self.network = ClusterNetwork(enforcer=self.enforcer)
 
-    def running_pods(self, app_name: str | None = None) -> list[RunningPod]:
-        """Running pods in start order, optionally of one app only."""
-        return [
-            running
-            for running in self._running.values()
-            if app_name is None or running.app == app_name
-        ]
+    def running_pods(self, app_name: str) -> list[RunningPod]:
+        """The running pods of one app (the chart's or the attacker's), in start order."""
+        return [running for running in self._running.values() if running.app == app_name]
 
     def running_pod(self, name: str, namespace: str) -> RunningPod:
         """The running pod ``namespace/name``; raises :class:`PodNotFound`."""
@@ -645,7 +646,18 @@ class AnalysisSession:
         :meth:`ObservationSubstrate.deploy`'s result.  The substrate is held
         until the block exits, so no fast observation or other deployment
         on this session interleaves; the deployment is not valid after it.
+        A deployment is the fast path with the compiled policy index: a
+        session set up as the reference (``observe_mode="full"`` or
+        ``compiled_policies=False``) raises ``ValueError`` -- its reference
+        is an install into a ``Cluster``.  ``pooled`` concerns leased
+        clusters only; the substrate is recycled, as for fast observations.
         """
+        if self.observe_mode != OBSERVE_FAST or not self.compiled_policies:
+            raise ValueError(
+                "deploy runs install-free with compiled policies; this session is set to "
+                f"observe_mode={self.observe_mode!r}, "
+                f"compiled_policies={self.compiled_policies}"
+            )
         with self._observe_lock:
             yield self._clean_substrate(behaviors).deploy(rendered)
 

@@ -146,17 +146,17 @@ def probe_application_with_policies(
     return outcome
 
 
-def _probe_reach(target, app, outcome) -> None:
+def _probe_reach(deployment, app, outcome) -> None:
     """Probe the deployed chart from the attacker and fill in ``outcome``.
 
-    ``target`` is a :class:`~repro.cluster.SubstrateDeployment` or a
+    ``deployment`` is a :class:`~repro.cluster.SubstrateDeployment` or a
     ``Cluster`` the chart is installed in (the attacker joins on first use).
     """
-    probe = ReachabilityProbe(target)
+    probe = ReachabilityProbe(deployment)
     attacker = probe.ensure_attacker()
-    app_pods = target.running_pods(app_name=app.name)
-    bindings = target.service_bindings()
-    host_baseline = target.host_port_baseline()
+    app_pods = deployment.running_pods(app_name=app.name)
+    bindings = deployment.service_bindings()
+    host_baseline = deployment.host_port_baseline()
     # One compiled index + decision cache for the whole probe run: replicas
     # and repeated ports resolve from the matrix memo instead of re-scanning
     # the policy list per connection attempt.  Built on the first attempt --
@@ -167,8 +167,8 @@ def _probe_reach(target, app, outcome) -> None:
     def attempt_matrix() -> ReachabilityMatrix:
         nonlocal matrix
         if matrix is None:
-            matrix = target.network.reachability_matrix(
-                target.policies_view(), app_pods, bindings
+            matrix = deployment.network.reachability_matrix(
+                deployment.policies_view(), app_pods, bindings
             )
         return matrix
     for pod in app_pods:
@@ -199,11 +199,13 @@ def _probe_reach(target, app, outcome) -> None:
         if not any(backend.app == app.name for backend in binding.backends):
             continue
         for service_port in binding.service.ports:
-            target = service_port.resolved_target()
+            target_port = service_port.resolved_target()
             targets_misconfigured = False
             for backend in binding.backends:
                 resolved = (
-                    target if isinstance(target, int) else backend.named_ports().get(str(target))
+                    target_port
+                    if isinstance(target_port, int)
+                    else backend.named_ports().get(str(target_port))
                 )
                 if resolved is None:
                     continue

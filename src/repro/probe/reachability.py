@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..cluster import Cluster, PodNotFound, RunningPod
+from ..cluster import Cluster, ClusterError, PodNotFound, RunningPod
 from ..k8s import Container, LabelSet, ObjectMeta, Pod, PodSpec
 
 if TYPE_CHECKING:
@@ -79,12 +79,16 @@ class ReachabilityProbe:
     def ensure_attacker(self, namespace: str = "default") -> RunningPod:
         """Install the attacker pod (idempotent) and return its running instance.
 
-        A deployment already runs the attacker in ``default``; it cannot
-        install one elsewhere.
+        A deployment already runs the attacker in ``default``; asked for one
+        elsewhere, it raises :class:`~repro.cluster.ClusterError`.
         """
         try:
             return self.cluster.running_pod(ATTACKER_POD_NAME, namespace)
         except PodNotFound:
+            if not isinstance(self.cluster, Cluster):
+                raise ClusterError(
+                    f"a deployment runs the attacker in 'default' only, not in {namespace!r}"
+                ) from None
             self.cluster.install([make_attacker_pod(namespace)], app_name=ATTACKER_APP,
                                  namespace=namespace)
             return self.cluster.running_pod(ATTACKER_POD_NAME, namespace)

@@ -6,6 +6,7 @@ from repro.cluster import (
     AnalysisSession,
     BehaviorRegistry,
     Cluster,
+    ClusterError,
     ContainerBehavior,
     ListenSpec,
     OBSERVE_FULL,
@@ -13,6 +14,8 @@ from repro.cluster import (
 )
 from repro.helm import render_chart
 from repro.k8s import ValidationError
+from repro.probe import ReachabilityProbe
+from repro.probe.reachability import ATTACKER_APP
 from tests.conftest import make_deployment, make_pod, make_service
 
 
@@ -161,6 +164,23 @@ class TestObservationSubstrate:
         with pytest.raises(ValidationError) as full_error:
             cluster.install(rendered_again)
         assert str(fast_error.value) == str(full_error.value)
+
+    def test_deploy_rejects_a_reference_session(self, simple_chart):
+        for session in (
+            AnalysisSession(observe_mode=OBSERVE_FULL),
+            AnalysisSession(compiled_policies=False),
+        ):
+            with pytest.raises(ValueError, match="install-free with compiled policies"):
+                with session.deploy(self._rendered(simple_chart), BehaviorRegistry()):
+                    pass
+
+    def test_deployment_runs_the_attacker_in_default_only(self, simple_chart):
+        session = AnalysisSession(worker_count=2)
+        with session.deploy(self._rendered(simple_chart), BehaviorRegistry()) as deployment:
+            probe = ReachabilityProbe(deployment)
+            assert probe.ensure_attacker().app == ATTACKER_APP
+            with pytest.raises(ClusterError, match="'default' only, not in 'apps'"):
+                probe.ensure_attacker("apps")
 
     def test_substrate_nodes_mirror_cluster_nodes(self):
         substrate = ObservationSubstrate(name="analysis", worker_count=3)

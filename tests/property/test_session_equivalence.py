@@ -26,6 +26,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -36,6 +37,7 @@ from repro.cluster import (
     OBSERVE_FAST,
     OBSERVE_FULL,
     PolicyIndex,
+    ReachabilityMatrix,
 )
 from repro.core import AnalyzerSettings, MisconfigurationAnalyzer
 from repro.datasets import InjectionPlan, build_application, build_catalog
@@ -44,12 +46,14 @@ from repro.experiments import netpol_impact, run_full_evaluation, run_netpol_imp
 from repro.helm import render_chart
 from repro.k8s import objects_from_dicts
 from repro.probe import ReachabilityProbe, RuntimeScanner
+from repro.probe.reachability import ATTACKER_APP
 
 from tests.support.diffing import (
     assert_identical,
     canonical_evaluation,
     canonical_netpol,
     canonical_observation,
+    canonical_reachability,
     canonical_report,
     canonical_surface,
 )
@@ -69,14 +73,25 @@ def reference_analyzer() -> MisconfigurationAnalyzer:
     )
 
 
-def matrix_of(target):
-    """The reachability matrix over every running pod of a cluster or deployment.
+def deployed_pods(target, app: str) -> list:
+    """Every running pod of a deployed chart: the chart's, then the attacker's.
+
+    On a cluster that ran ``ensure_attacker`` after installing the chart,
+    and on a deployment, that is every running pod in start order (a chart
+    released as the attacker's application holds them all).
+    """
+    pods = target.running_pods(app_name=app)
+    return pods if app == ATTACKER_APP else pods + target.running_pods(app_name=ATTACKER_APP)
+
+
+def matrix_of(target, app: str):
+    """The reachability matrix over every pod of a cluster or deployment.
 
     A ``compiled_policies=False`` cluster answers with the naive matrix, a
     deployment with the compiled one.
     """
     return target.network.reachability_matrix(
-        target.policies_view(), target.running_pods(), target.service_bindings()
+        target.policies_view(), deployed_pods(target, app), target.service_bindings()
     )
 
 
@@ -184,10 +199,11 @@ def test_catalogue_reachability_surfaces_pooled_equals_fresh(catalog_apps):
         oracle.install(render_chart(app.chart, overrides=overrides))
         ReachabilityProbe(oracle).ensure_attacker()
         rendered = render_chart(app.chart, overrides=overrides)
+        release = rendered.release.name
         with deployments.deploy(rendered, app.behaviors) as deployment:
-            deployed = canonical_surface(matrix_of(deployment).all_pairs())
+            deployed = canonical_surface(matrix_of(deployment, release).all_pairs())
         assert_identical(
-            canonical_surface(matrix_of(oracle).all_pairs()), deployed,
+            canonical_surface(matrix_of(oracle, release).all_pairs()), deployed,
             label=f"surface/deployed/{app.dataset}/{app.name}",
         )
         checked += 1
@@ -331,10 +347,11 @@ def _daemonset(name, namespace, labels, ports) -> dict:
                                   "spec": _pod_spec(ports)}}}
 
 
-def _service(name, namespace, selector, port, target) -> dict:
+def _service(name, namespace, selector, port, target, protocol="TCP") -> dict:
     return {"apiVersion": "v1", "kind": "Service", "metadata": _meta(name, namespace),
             "spec": {"selector": dict(selector),
-                     "ports": [{"name": "main", "port": port, "targetPort": target}]}}
+                     "ports": [{"name": "main", "port": port, "targetPort": target,
+                                "protocol": protocol}]}}
 
 
 def _policy(name, namespace, pod_labels, namespace_labels, port) -> dict:
@@ -387,6 +404,53 @@ def test_install_errors_raise_alike_with_chart_attribution(catalog_apps, breakag
     assert attributed == (breakage != "nameless-namespace"), raised[0]
 
 
+#: Services whose port Figure 4b counts as misconfigured while no pod
+#: socket is: a target port the backend does not declare, and a UDP port
+#: (only declared TCP ports count as declared for a service).
+SERVICE_ONLY_MISCONFIGURATIONS = {
+    "wrong-target-port": _service("web", "default", {"app": "web"}, 80, 8080),
+    "udp-port": _service("dns", "default", {"app": "web"}, 53, 53, "UDP"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERVICE_ONLY_MISCONFIGURATIONS))
+def test_service_only_misconfiguration_probes_alike(catalog_apps, case, monkeypatch):
+    """A misconfigured service port is the first endpoint either path probes.
+
+    The chart is one pod that listens only on what it declares, behind one
+    service from :data:`SERVICE_ONLY_MISCONFIGURATIONS`: the service loop,
+    not the pod loop, builds the reachability matrix.  Both Figure 4b paths
+    probe the service and return the same outcome.
+    """
+    app = next(app for app in catalog_apps if app.defines_network_policies)
+    render = netpol_impact.render_chart
+    pod = _pod("web", "default", {"app": "web"}, [(80, "http")])
+    pod["spec"]["containers"][0]["ports"].append(
+        {"name": "dns", "containerPort": 53, "protocol": "UDP"}
+    )
+    manifests = [pod, SERVICE_ONLY_MISCONFIGURATIONS[case]]
+
+    def service_only_render(chart, **kwargs):
+        rendered = render(chart, **kwargs)
+        return dataclasses.replace(rendered, objects=objects_from_dicts(manifests))
+
+    probed = []
+    connect_via_service = ReachabilityMatrix.connect_via_service
+
+    def counted(self, *args, **kwargs):
+        probed.append(args[2])
+        return connect_via_service(self, *args, **kwargs)
+
+    monkeypatch.setattr(netpol_impact, "render_chart", service_only_render)
+    monkeypatch.setattr(ReachabilityMatrix, "connect_via_service", counted)
+    outcomes = [
+        canonical_reachability(netpol_impact.probe_application_with_policies(app, compiled=compiled))
+        for compiled in (True, False)
+    ]
+    assert_identical(outcomes[1], outcomes[0], label=f"service-only/{case}")
+    assert len(probed) == 2, probed
+
+
 @st.composite
 def extra_manifests(draw):
     """Manifests added to a rendered chart, with where each one goes.
@@ -412,11 +476,15 @@ def extra_manifests(draw):
     if draw(st.booleans()):
         docs.append(_pod("host-agent", draw(namespace), {"app": "agent"},
                          [(draw(st.sampled_from([22, 9100])), "agent")], host_network=True))
+    agent_namespace = draw(namespace)
     if draw(st.booleans()):
-        docs.append(_daemonset("agent", draw(namespace), {"app": "agent"}, [(9200, "agent")]))
+        docs.append(_daemonset("agent", agent_namespace, {"app": "agent"}, [(9200, "agent")]))
     if draw(st.booleans()):
-        docs.append(_service("agent", draw(namespace), {"app": "agent"}, 80,
-                             draw(st.sampled_from(["agent", "missing", 9200]))))
+        # Often beside the DaemonSet, selecting its pods.
+        docs.append(_service("agent", draw(st.one_of(st.just(agent_namespace), namespace)),
+                             {"app": "agent"}, 80,
+                             draw(st.sampled_from(["agent", "missing", 9200, 8080])),
+                             draw(st.sampled_from(["TCP", "UDP"]))))
     for index in range(draw(st.integers(min_value=0, max_value=2))):
         docs.append(_policy(
             f"from-{index}", draw(namespace),
@@ -464,7 +532,7 @@ def probe_view(target, app: str) -> dict:
         "pods": [
             [pod.namespace, pod.name, pod.app, pod.owner, pod.node.name,
              [dataclasses.asdict(socket) for socket in pod.sockets]]
-            for pod in target.running_pods()
+            for pod in deployed_pods(target, app)
         ],
         "bindings": [
             [binding.service.to_dict(), [list(pod.ident) for pod in binding.backends]]
@@ -476,7 +544,7 @@ def probe_view(target, app: str) -> dict:
         },
         "host_ports": sorted(target.host_port_baseline()),
         "attacker": list(ReachabilityProbe(target).ensure_attacker().ident),
-        "surface": canonical_surface(matrix_of(target).all_pairs()),
+        "surface": canonical_surface(matrix_of(target, app).all_pairs()),
         "report": dataclasses.asdict(ReachabilityProbe(target).probe_application(app)),
     }
 
@@ -486,9 +554,11 @@ def probe_view(target, app: str) -> dict:
 _PERSISTENT_DEPLOY = AnalysisSession(name="netpol-impact")
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    plan=injection_plans(),
+    # A clean plan half the time: the only misconfigured endpoints are then
+    # the extra manifests' own, such as a service-only wrong target port.
+    plan=st.one_of(st.just(InjectionPlan()), injection_plans()),
     archetype=st.sampled_from(ARCHETYPES),
     netpol_mode=st.sampled_from([mode for mode in NETPOL_MODES if mode != NETPOL_NONE]),
     release_namespace=st.sampled_from(["default", "apps"]),
@@ -502,7 +572,8 @@ def test_generated_deployments_equal_install(
     """A deployment == install + ``ensure_attacker``, policies forced on.
 
     Equal pods (start order, owners, nodes, sockets), bindings, policies,
-    namespace labels, surfaces and probe reports -- or the same error.
+    namespace labels, surfaces and probe reports -- or the same error.  The
+    Figure 4b outcome of the same manifests is equal on both of its paths.
     """
     app = build_application(
         "gen-app", "Gen Org", dataclasses.replace(plan, netpol_mode=netpol_mode),
@@ -535,3 +606,19 @@ def test_generated_deployments_equal_install(
     else:
         assert error is None, f"install raised {error}, the deployment did not"
         assert_identical(expected, actual, label="generated/deployment-vs-install")
+
+    # The Figure 4b count over the same manifests, through both of its paths.
+    probe = netpol_impact.probe_application_with_policies
+    with mock.patch.object(netpol_impact, "render_chart", lambda chart, **kwargs: fresh()):
+        if error is None:
+            assert_identical(
+                canonical_reachability(probe(app, compiled=False)),
+                canonical_reachability(probe(app)),
+                label="generated/figure4b",
+            )
+            return
+        for compiled in (False, True):
+            with pytest.raises(Exception) as info:
+                probe(app, compiled=compiled)
+            assert type(info.value).__name__ == error[0]
+            assert str(info.value).endswith(error[1])
