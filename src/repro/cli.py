@@ -14,8 +14,10 @@ Subcommands
 ``sweep [--store DIR]``
     Run the catalogue sweep, with ``--store`` durably against a
     content-addressed result store: completed charts are loaded instead of
-    recomputed and fresh ones persist as they finish, so an interrupted
-    sweep resumes by running again.  A ``--store`` sweep first prints what
+    recomputed and fresh ones persist as they finish, committed in groups
+    at most ``GROUP_COMMIT_S`` (0.05 s) apart, so an interrupted sweep
+    resumes by running again: a Ctrl-C publishes the open group, a
+    ``kill -9`` loses at most that group.  A ``--store`` sweep first prints what
     moved since the store's journal last recorded the catalogue
     (``delta: epoch P -> E; <counts>``); the epoch holds while the
     catalogue and settings do.  A corrupt or version-skewed store degrades

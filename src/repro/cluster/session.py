@@ -174,13 +174,21 @@ class ObservationSubstrate:
         sealed interned object -- see ``validate_cached``) and
         namespace-defaulted in apply order, pods start in workload order, and
         the restart between snapshots walks the started pod names in the same
-        order so dynamic ports replay the same RNG draws.
+        order so dynamic ports replay the same RNG draws.  A ``Namespace``
+        object goes through the rule install applies to it
+        (:func:`_ensure_namespace`, as in :meth:`deploy`), so it raises
+        where install raises; its labels reach no snapshot.
         """
         app = rendered.release.name
         namespace = rendered.release.namespace or "default"
         objects = []
+        namespace_labels: dict[str, dict[str, str]] | None = None
         for obj in rendered.objects:
             if obj.kind == "Namespace":
+                if namespace_labels is None:
+                    namespace_labels = dict(self._initial_namespaces)
+                    _ensure_namespace(namespace_labels, namespace)
+                _ensure_namespace(namespace_labels, obj.name, obj.labels.to_dict())
                 continue
             if obj.NAMESPACED and not obj.metadata.namespace:
                 # Only reachable for hand-built objects: parsed manifests are

@@ -42,12 +42,15 @@ Durability and resume
 
 ``run_full_evaluation(store=...)`` makes the sweep *durable*: every
 completed chart's report and label surface are published to a
-content-addressed :class:`~repro.store.ResultStore` the moment the chart
-finishes (not at the end of the sweep -- a killed process loses only its
-in-flight chart), keyed on :func:`result_key` (chart fingerprint +
-behaviours + analyzer settings), and a sealed
-:class:`~repro.store.SweepJournal` record of the chart's completion
-commits in the same transaction.  Every durable sweep consults the store
+content-addressed :class:`~repro.store.ResultStore`, keyed on
+:func:`result_key` (chart fingerprint + behaviours + analyzer settings),
+and a sealed :class:`~repro.store.SweepJournal` record of the chart's
+completion commits in the same transaction.  Computed charts publish in
+time-bounded groups, one transaction each
+(:data:`~repro.store.GROUP_COMMIT_S`), not at the end of the sweep: a
+killed process loses only the group it had not yet committed, and a sweep
+that returns or is interrupted publishes its open group on the way out.
+Every durable sweep consults the store
 first -- content addressing makes a warm entry valid in any sweep with
 the same inputs -- so an interrupted sweep resumes by running again, and
 the journal continues its epoch while the sweep identity holds.
@@ -69,7 +72,7 @@ from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .. import faults
+from .. import faults, store as store_module
 from ..store import KIND_RESULT, ResultStore, SweepJournal, store_key
 from ..core import (
     AnalysisReport,
@@ -370,16 +373,23 @@ class _DurableSweep:
 
     ``load()`` pulls verified completed results out of the store before the
     sweep runs and commits their journal records in one transaction at the
-    end.  ``note(outcome)`` publishes each fresh outcome the moment it
-    completes: the result entry and its sealed journal record commit in one
-    transaction, under the chart's fault scope so injected ``store.*``
-    faults replay deterministically.  That commit is the chart's crash
-    point -- crash safety comes from never holding completed work only in
-    memory -- and it always happens *before* the cluster-wide M4* pass,
-    which re-runs over loaded and fresh label surfaces alike.  A result
-    row holds ``{"report", "surface", "attempts"}``.  The engine
-    guarantees unique chart keys, so each ``dataset/name`` maps to exactly
-    one catalogue index.
+    end.  ``note(outcome)`` stages each fresh outcome as it completes -- a
+    computed chart's result row and its sealed journal record, a
+    quarantined chart's ``failed`` record -- into the open *group*, under
+    the chart's fault scope so injected ``store.*`` faults replay
+    deterministically.  One transaction publishes the whole group once a
+    ``note`` finds its oldest chart has waited
+    :data:`~repro.store.GROUP_COMMIT_S`, and ``finish()`` publishes the
+    group still open, so a sweep that returns or is interrupted has
+    published everything it computed.  A row and its record always share
+    one transaction.  The group commit is the crash point: at most one
+    group of results is held only in memory, and it is always published
+    *before* the cluster-wide M4* pass, which re-runs over loaded and fresh
+    label surfaces alike.  A failed group commit rolls the whole group back;
+    each of its charts is then journaled alone, a computed one as
+    ``computed-unstored``.  A result row holds ``{"report", "surface",
+    "attempts"}``.  The engine guarantees unique chart keys, so each
+    ``dataset/name`` maps to exactly one catalogue index.
     """
 
     def __init__(
@@ -406,79 +416,94 @@ class _DurableSweep:
             f"{app.dataset}/{app.name}": index for index, app in enumerate(applications)
         }
         self._lock = threading.Lock()
+        #: The open group: each staged outcome with whether its row was staged.
+        self._group: list[tuple[AnalyzedApplication | AnalysisFailure, bool]] = []
+        #: When the group's oldest chart was staged (``time.monotonic``).
+        self._opened = 0.0
         #: The journal generation found at the start, continued or rotated away.
         self.prior = self.journal.begin()
 
     def load(self) -> dict[int, AnalyzedApplication]:
         """Verified completed results already in the store, by catalogue index."""
         found: dict[int, AnalyzedApplication] = {}
-        with self.journal.deferred():
-            for index, app in enumerate(self.applications):
-                uid = f"{app.dataset}/{app.name}"
-                with faults.fault_scope(uid):
-                    payload = self.store.read(self.keys[index], kind=KIND_RESULT)
-                if not isinstance(payload, dict):
-                    continue
-                try:
-                    entry = AnalyzedApplication(
-                        application=app,
-                        report=payload["report"],
-                        surface=payload["surface"],
-                        attempts=int(payload.get("attempts", 1)),
-                    )
-                except KeyError:
-                    continue
-                found[index] = entry
-                self.loaded += 1
-                self.journal.record(
-                    uid, "ok", self.keys[index], entry.attempts,
-                    source="store", fingerprints=self.fingerprints[index],
+        for index, app in enumerate(self.applications):
+            uid = f"{app.dataset}/{app.name}"
+            with faults.fault_scope(uid):
+                payload = self.store.read(self.keys[index], kind=KIND_RESULT)
+            if not isinstance(payload, dict):
+                continue
+            try:
+                entry = AnalyzedApplication(
+                    application=app,
+                    report=payload["report"],
+                    surface=payload["surface"],
+                    attempts=int(payload.get("attempts", 1)),
                 )
+            except KeyError:
+                continue
+            found[index] = entry
+            self.loaded += 1
+            self.journal.stage(
+                uid, "ok", self.keys[index], entry.attempts,
+                source="store", fingerprints=self.fingerprints[index],
+            )
+        self.journal.commit()
         return found
 
     def note(self, outcome: AnalyzedApplication | AnalysisFailure) -> None:
-        """Publish one fresh outcome: entry and journal record in one commit.
-
-        A failed publish rolls the record back with the entry, so the chart
-        is then recorded alone as ``computed-unstored``.
-        """
-        if isinstance(outcome, AnalysisFailure):
-            with self._lock:
-                self.failures += 1
-            self.journal.record(
-                outcome.unique_id, "failed", "", outcome.attempts, source="computed",
-                fingerprints=self.fingerprints[self._by_id[outcome.unique_id]],
-            )
-            return
-        app = outcome.application
-        uid = f"{app.dataset}/{app.name}"
-        index = self._by_id[uid]
-        with faults.fault_scope(uid), self.journal.deferred():
-            self.journal.record(
-                uid, "ok", self.keys[index], outcome.attempts,
-                source="computed", fingerprints=self.fingerprints[index],
-            )
-            stored = self.store.write(
-                self.keys[index],
-                {
-                    "report": outcome.report,
-                    "surface": outcome.surface,
-                    "attempts": outcome.attempts,
-                },
-                kind=KIND_RESULT,
-            )
+        """Stage one fresh outcome into the open group; publish the group when due."""
         with self._lock:
-            self.computed += 1
-            if not stored:
+            if isinstance(outcome, AnalysisFailure):
+                self.failures += 1
+                stored = False
+            else:
+                app = outcome.application
+                uid = f"{app.dataset}/{app.name}"
+                self.computed += 1
+                with faults.fault_scope(uid):
+                    stored = self.store.stage(
+                        self.keys[self._by_id[uid]],
+                        {
+                            "report": outcome.report,
+                            "surface": outcome.surface,
+                            "attempts": outcome.attempts,
+                        },
+                        kind=KIND_RESULT,
+                    )
+                if not stored:
+                    self.unstored += 1
+            self.journal.stage(*self._record(outcome, stored))
+            if not self._group:
+                self._opened = time.monotonic()
+            self._group.append((outcome, stored))
+            if time.monotonic() - self._opened >= store_module.GROUP_COMMIT_S:
+                self._publish()
+
+    def _record(self, outcome: AnalyzedApplication | AnalysisFailure, stored: bool) -> tuple:
+        """The journal record of one fresh outcome, as :meth:`SweepJournal.stage` arguments."""
+        if isinstance(outcome, AnalysisFailure):
+            index = self._by_id[outcome.unique_id]
+            return (outcome.unique_id, "failed", "", outcome.attempts, "computed",
+                    self.fingerprints[index])
+        app = outcome.application
+        index = self._by_id[f"{app.dataset}/{app.name}"]
+        return (f"{app.dataset}/{app.name}", "ok", self.keys[index], outcome.attempts,
+                "computed" if stored else "computed-unstored", self.fingerprints[index])
+
+    def _publish(self) -> None:
+        """Commit the open group; if that fails, journal each of its charts alone."""
+        group, self._group = self._group, []
+        if self.store.commit():
+            return
+        for outcome, stored in group:
+            if stored:
                 self.unstored += 1
-        if not stored:
-            self.journal.record(
-                uid, "ok", self.keys[index], outcome.attempts,
-                source="computed-unstored", fingerprints=self.fingerprints[index],
-            )
+            self.journal.record(*self._record(outcome, stored=False))
 
     def finish(self) -> dict:
-        """Close the journal; return the sweep's durability accounting."""
+        """Publish the open group, close the journal; return the sweep's durability accounting."""
+        with self._lock:
+            self._publish()
         self.journal.close()
         return {
             "root": str(self.store.root),
@@ -573,7 +598,8 @@ class _PoolSweep:
         self.retry_backoff = retry_backoff
         self.fault_plan = fault_plan
         #: Called with each finalized outcome the moment it is decided (ok
-        #: or quarantine) -- the durable sweep's per-chart persistence hook.
+        #: or quarantine) -- the durable sweep's hook, which stages it into
+        #: the open group commit.
         self.on_outcome = on_outcome
         self.outcomes: list[AnalyzedApplication | AnalysisFailure | None]
         self.outcomes = [None] * len(applications)
@@ -760,9 +786,12 @@ def _sweep(
     entries it holds join them.  Every other chart runs fault-isolated:
     on :class:`_PoolSweep` when ``workers`` > 1 (the pool rebuilds the
     default analyzer from ``analyzer.settings``), else on
-    :func:`_run_isolated`.  Each fresh outcome is published to the store
-    the moment it is decided.  Outcomes merge in catalogue order; the
-    caller runs the cluster-wide M4* pass over the merged result.
+    :func:`_run_isolated`.  Each fresh outcome joins the store's open
+    group the moment it is decided, and the group commits once its oldest
+    chart has waited :data:`~repro.store.GROUP_COMMIT_S`; the group still
+    open commits when the sweep returns or raises.  Outcomes merge in
+    catalogue order; the caller runs the cluster-wide M4* pass over the
+    merged result.
 
     ``fault_plan``, or else the plan the caller armed, is armed over the
     store load and every chart, and the caller's plan is restored
@@ -861,9 +890,11 @@ def run_full_evaluation(
 
     Durability: ``store`` (a :class:`~repro.store.ResultStore` or a
     directory path) makes the sweep consult and feed the content-addressed
-    result store -- completed charts load instead of recomputing, and each
-    fresh outcome persists the moment it finishes, in one commit with its
-    journal record.  Only this process opens the store: pool workers
+    result store -- completed charts load instead of recomputing, and
+    fresh outcomes persist in time-bounded groups as they finish
+    (:data:`~repro.store.GROUP_COMMIT_S`), each result in one commit with
+    its journal record; a crash loses at most the open group, which the
+    next sweep recomputes.  Only this process opens the store: pool workers
     never do.  The journal continues while the sweep identity (the ordered
     result keys) holds and rotates when it moves; the analyzed output is
     byte-identical with or without a store.  ``EvaluationResult.store_stats``

@@ -41,13 +41,15 @@ through:
     contract; ``error`` models an unreadable entry (treated as a miss,
     never fatal).
 ``store.write``
-    A result-store publish (:meth:`repro.store.ResultStore.write`), fired
-    after the publish's inserts and before its ``COMMIT`` -- a ``kill``
-    fault in a pool worker is therefore a genuine uncommitted crash: the
-    rows were written but no partial entry (nor the journal record that
-    commits with a result) is ever visible.  ``error`` degrades gracefully
-    (the transaction rolls back and is counted, the computation is
-    unaffected).
+    A result-store publish (:meth:`repro.store.ResultStore.commit`), fired
+    after the commit's inserts and before its ``COMMIT``, once under the
+    fault scope of each result row it publishes -- a durable sweep commits
+    its charts in groups, so a fault aimed at one chart hits the whole
+    group holding it.  A ``kill`` fault in a pool worker is therefore a
+    genuine uncommitted crash: the rows were written but no partial entry
+    (nor the journal record that commits with a result) is ever visible.
+    ``error`` degrades gracefully (the transaction rolls back and is
+    counted, the computation is unaffected).
 
 Faults are scoped: the pipeline wraps each chart attempt in
 :func:`fault_scope` with the chart key (``"dataset/name"``) and the attempt

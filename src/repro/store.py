@@ -21,8 +21,11 @@ table of pickled artifacts plus the sweep journal's ``journal_header`` and
 
 **Crash safety.**  A commit is the only way anything becomes visible, so a
 reader never observes a partial entry, no matter where a writer dies.  A
-computed chart's result entry and its journal record commit in one
-transaction: that commit is the chart's crash point.
+computed chart's result entry and its journal record always commit in one
+transaction, never one without the other.  A durable sweep commits its
+computed charts in time-bounded *groups* (:data:`GROUP_COMMIT_S`), so the
+group commit is the crash point: a writer killed mid-sweep loses the
+charts staged since its last commit, and the next sweep recomputes them.
 :func:`atomic_write_bytes` / :func:`atomic_write_text` keep the
 temp-file-fsync-rename discipline for plain files (the benchmark baseline
 uses it).
@@ -63,8 +66,10 @@ sweep.
 Fault injection: :data:`repro.faults.STORE_READ` fires at the top of every
 lookup (``corrupt`` kinds damage the stored row first -- truncation,
 bit-flip or version skew per :func:`repro.faults.corruption_mode`);
-:data:`repro.faults.STORE_WRITE` fires after a publish's inserts and before
-its ``COMMIT``, so a ``kill`` fault is a genuine uncommitted crash.
+:data:`repro.faults.STORE_WRITE` fires after a commit's statements and before
+its ``COMMIT``, once under the fault scope of each result row it publishes,
+so a ``kill`` fault aimed at one chart is a genuine uncommitted crash of the
+whole group that holds it.
 """
 
 from __future__ import annotations
@@ -78,10 +83,10 @@ import tempfile
 import threading
 import time
 from collections import Counter
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from . import faults
 
@@ -101,6 +106,12 @@ DB_FILENAME = "store.sqlite"
 
 #: How long a connection waits for another process's write transaction.
 _BUSY_TIMEOUT_S = 30.0
+
+#: How long a durable sweep holds a computed chart before committing it:
+#: the group of charts staged since the last commit is published once its
+#: oldest chart has waited this long (and when the sweep ends).  Read at
+#: call time.
+GROUP_COMMIT_S = 0.05
 
 #: SQLite's verdicts on a file that is not, or no longer, a database.
 _DAMAGED = frozenset({"SQLITE_NOTADB", "SQLITE_CORRUPT"})
@@ -183,12 +194,15 @@ class _Database:
     parent's store objects, and a SQLite connection must not cross a fork,
     so the inherited one is kept in ``_forked``, never used or closed.
     ``staged`` holds statements that ride on this object's next commit --
-    how a journal record joins its chart's result entry in one transaction.
+    how a journal record joins its chart's result entry in one transaction,
+    and how a sweep's group of charts shares one -- and ``publishes`` the
+    fault scope of each result row among them.
     """
 
     def __init__(self, path: Path) -> None:
         self.path = path
         self.staged: list[tuple[str, tuple]] = []
+        self.publishes: list[tuple[str | None, int]] = []
         #: Damaged files moved aside through this object.
         self.damaged = 0
         self._conn: Any = None
@@ -200,7 +214,7 @@ class _Database:
         """Drop what this process inherited from its parent (see above)."""
         if self._pid != os.getpid():
             self._forked.append(self._conn)
-            self._conn, self._pid, self.staged = None, os.getpid(), []
+            self._conn, self._pid, self.staged, self.publishes = None, os.getpid(), [], []
 
     def _connect(self, create: bool) -> Any:
         self._own()
@@ -241,13 +255,14 @@ class _Database:
         """Commit the staged statements plus ``work(connection)`` as one
         ``BEGIN IMMEDIATE`` transaction, creating the database if needed.
 
-        ``fault_site`` fires after the statements and before ``COMMIT``.  A
-        failure rolls back, loses the staged statements with it, and
-        propagates.
+        ``fault_site`` fires after the statements and before ``COMMIT``,
+        once under the fault scope of each staged publish.  A failure rolls
+        back, loses the staged statements with it, and propagates.
         """
         with self._lock:
             self._own()
             staged, self.staged = self.staged, []
+            publishes, self.publishes = self.publishes, []
 
             def attempt(conn: Any) -> Any:
                 conn.execute("BEGIN IMMEDIATE")
@@ -256,7 +271,9 @@ class _Database:
                         conn.execute(sql, params)
                     value = work(conn)
                     if fault_site is not None:
-                        faults.fault_point(fault_site)
+                        for scope in publishes:
+                            with faults.fault_scope(*scope):
+                                faults.fault_point(fault_site)
                     conn.execute("COMMIT")
                 except BaseException:
                     if conn.in_transaction:
@@ -266,11 +283,17 @@ class _Database:
 
             return self.run(attempt, create=True)
 
-    def stage(self, sql: str, params: tuple) -> None:
-        """Queue one statement for the next :meth:`transact`."""
+    def stage(self, sql: str, params: tuple, publish: bool = False) -> None:
+        """Queue one statement for the next :meth:`transact`.
+
+        A ``publish`` (a result row) keeps the ambient fault scope, under
+        which that transaction's ``fault_site`` fires.
+        """
         with self._lock:
             self._own()
             self.staged.append((sql, params))
+            if publish:
+                self.publishes.append(faults.current_scope())
 
     def close(self) -> None:
         """Close this process's connection, if open."""
@@ -349,9 +372,11 @@ class ResultStore:
     row (schema version, kind, size, sha256) and decodes only verified
     payloads through the allow-listed unpickler; a defective row is
     counted, evicted and reported as a miss so the caller recomputes and
-    republishes.  :meth:`write` commits one row and *never raises* -- a
-    failed publish rolls back, is counted in :meth:`stats`, and the
-    computation proceeds unstored.
+    republishes.  A publish is two steps: :meth:`stage` queues a row and
+    :meth:`commit` publishes everything staged in one transaction
+    (:meth:`write` is both).  Neither *ever raises* -- a failed publish
+    rolls back, is counted in :meth:`stats`, and the computation proceeds
+    unstored.
 
     Instances are cheap; the database is the shared contract.  Counters are
     per-instance (pool workers each see their own).
@@ -406,24 +431,57 @@ class ResultStore:
     def write(self, key: str, value: Any, kind: str) -> bool:
         """Publish ``value`` under ``key`` in one commit; True on success.
 
-        Serialization, the insert and the commit are all inside the
-        failure guard: any exception (including an injected ``store.write``
-        fault) rolls the publish back, counts a write failure and returns
-        False.  The store must never turn a successful computation into a
-        failure.
+        :meth:`stage`, then :meth:`commit`: whatever else is staged on the
+        database commits with it.  The store must never turn a successful
+        computation into a failure.
+        """
+        return self.stage(key, value, kind) and self.commit()
+
+    def stage(self, key: str, value: Any, kind: str) -> bool:
+        """Queue ``value`` under ``key`` for the next :meth:`commit`; True when queued.
+
+        Serialization is inside the failure guard: a value that cannot be
+        pickled counts a write failure and queues nothing.  The row keeps
+        the ambient fault scope, under which :meth:`commit` fires the
+        ``store.write`` site for it.
         """
         try:
             payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-            digest = hashlib.sha256(payload).hexdigest()
-            row = (key, kind, SCHEMA_VERSION, digest, len(payload), payload, time.time())
-            self._db.transact(lambda conn: conn.execute(_INSERT_ENTRY, row), faults.STORE_WRITE)
         except Exception:
             with self._lock:
                 self.write_failures += 1
             return False
-        with self._lock:
-            self.writes += 1
+        digest = hashlib.sha256(payload).hexdigest()
+        row = (key, kind, SCHEMA_VERSION, digest, len(payload), payload, time.time())
+        self._db.stage(_INSERT_ENTRY, row, publish=True)
         return True
+
+    def commit(self) -> bool:
+        """Publish everything staged on the database in one commit; True on success.
+
+        The staged rows, and any journal records staged with them, commit
+        in one ``BEGIN IMMEDIATE`` transaction; with nothing staged no
+        transaction opens.  The ``store.write`` fault site fires after the
+        statements and before ``COMMIT``, once under each staged row's fault
+        scope.  Any exception rolls the whole transaction back, counts one
+        write failure per staged row and returns False.
+        """
+        with self._db._lock:
+            self._db._own()
+            rows = len(self._db.publishes)
+            if not self._db.staged:
+                return True
+            try:
+                self._db.transact(lambda conn: None, faults.STORE_WRITE)
+                committed = True
+            except Exception:
+                committed = False
+        with self._lock:
+            if committed:
+                self.writes += rows
+            else:
+                self.write_failures += rows
+        return committed
 
     def _evict(self, key: str, row: tuple, reason: str) -> None:
         with self._lock:
@@ -527,7 +585,7 @@ class SweepJournal:
 
     ``root`` is the store itself or its directory; a journal opened on the
     store shares its connection, which is what lets a computed chart's
-    record commit with its result entry (see :meth:`deferred`).  The
+    record commit with its result entry (see :meth:`stage`).  The
     header pins the *sweep identity* -- a digest over the ordered
     catalogue result keys -- so a sweep continues the journal only over
     the same catalogue and settings.  Each record stores one
@@ -559,7 +617,6 @@ class SweepJournal:
         #: A store's journal shares the store's connection, so a record can
         #: commit in the same transaction as the store's next write.
         self._db = store._db if store is not None else _Database(self.root / DB_FILENAME)
-        self._deferred = False
 
     def begin(self) -> PriorState:
         """Open the journal; return the prior state it found there.
@@ -614,14 +671,31 @@ class SweepJournal:
         source: str = "computed",
         fingerprints: dict[str, str] | None = None,
     ) -> None:
-        """Commit one sealed per-chart completion record.
+        """Commit one sealed per-chart completion record: :meth:`stage`, then :meth:`commit`."""
+        self.stage(chart, status, result_key, attempts, source, fingerprints)
+        self.commit()
 
-        Inside :meth:`deferred` the record is staged instead.
+    def stage(
+        self,
+        chart: str,
+        status: str,
+        result_key: str = "",
+        attempts: int = 1,
+        source: str = "computed",
+        fingerprints: dict[str, str] | None = None,
+    ) -> None:
+        """Queue one sealed per-chart completion record for the next commit.
+
+        The next commit this process makes on the database carries it: a
+        durable sweep stages a computed chart's record beside its result
+        row (:meth:`ResultStore.stage`), so entry and record share one
+        transaction, and the load phase's records commit together.
         ``fingerprints`` (optional) attaches the chart's delta-classifier
         fingerprints -- chart / values / templates / behaviours / settings, see
         :func:`repro.experiments.evaluation.classifier_fingerprints` -- so a
         later delta sweep can explain *which* input moved.  The delta
         ignores a record without them: its chart classifies as ``added``.
+        Before :meth:`begin` settles an epoch nothing is queued.
         """
         if not self.epoch:
             return
@@ -631,36 +705,23 @@ class SweepJournal:
             record["fp"] = dict(fingerprints)
         text = json.dumps(record, sort_keys=True, separators=(",", ":"))
         self._db.stage(_INSERT_RECORD, (self.epoch, chart, text, _seal(self.epoch, text)))
-        if not self._deferred:
-            self._flush()
 
-    @contextmanager
-    def deferred(self) -> Iterator[None]:
-        """Stage the records made inside instead of committing each one.
+    def commit(self) -> None:
+        """Commit what is staged on the database in one transaction.
 
-        The next commit this process makes on the store's database carries
-        them -- a computed chart's result write, so entry and record share
-        one transaction -- and whatever is still staged at exit commits
-        then, in one transaction (the load phase's records).
+        With nothing staged no transaction opens.  A failure loses the
+        staged statements and counts in :attr:`failures`.
         """
-        self._deferred = True
-        try:
-            yield
-        finally:
-            self._deferred = False
-            self._flush()
-
-    def close(self) -> None:
-        """Commit anything still staged; the journal holds no other resource."""
-        self._flush()
-
-    def _flush(self) -> None:
         if not self._db.staged:
             return
         try:
             self._db.transact(lambda conn: None)
         except Exception:
             self.failures += 1
+
+    def close(self) -> None:
+        """Commit anything still staged; the journal holds no other resource."""
+        self.commit()
 
 
 @dataclass(frozen=True)

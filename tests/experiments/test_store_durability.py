@@ -9,10 +9,17 @@ store-free baseline via :func:`tests.support.diffing.canonical_evaluation`:
   whether computed or loaded,
 * a store written under another string-hash seed serves the same M4*
   findings: a loaded label set rehashes in the reader,
-* an interrupted sweep resumed finishes with identical output,
-* a writer killed after its inserts and before ``COMMIT`` (a genuine
-  ``kill -9`` mid-publish) leaves no torn entry and loses only the chart it
-  was publishing -- entry and journal record alike,
+* an interrupted sweep resumed finishes with identical output, and an
+  interrupt (``KeyboardInterrupt``) still publishes the open group,
+* computed charts commit in time-bounded groups
+  (:data:`repro.store.GROUP_COMMIT_S`), and the number of commits a sweep
+  makes is pinned,
+* a writer killed after a group's inserts and before its ``COMMIT`` (a
+  genuine ``kill -9`` mid-publish) leaves no torn entry and loses only the
+  group it was publishing -- entries and journal records alike -- at a
+  bound of 0 (one chart per group), at the default bound and unbounded,
+* a failed group commit rolls the whole group back and journals each of
+  its charts alone, a computed one as ``computed-unstored``,
 * every corruption mode (truncation, bit-flip, version skew) is detected,
   counted, evicted and recomputed -- never served, never fatal,
 * two concurrent sweeps over one store directory both succeed with
@@ -37,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 import pickle
 import sqlite3
@@ -56,6 +64,7 @@ from repro.experiments import (
     journal_plan,
     run_full_evaluation,
 )
+from repro.experiments import evaluation
 from repro.experiments.evaluation import result_key, settings_fingerprint
 from repro.helm import render_chart
 from repro.k8s import Inventory
@@ -124,7 +133,7 @@ class TestStoreDifferential:
         assert not cold.failed
         assert cold.store_stats["computed"] == SAMPLE
         assert cold.store_stats["loaded"] == 0
-        # One commit per computed chart: its result row, nothing else.
+        # One row per computed chart: its result, nothing else.
         assert store.stats()["writes"] == SAMPLE
         rows = store_db.query(store.root, "SELECT kind, COUNT(*) FROM entries GROUP BY kind")
         assert rows == [(KIND_RESULT, SAMPLE)]
@@ -230,14 +239,18 @@ class TestStoreDifferential:
 
 #: Child process: runs a durable sweep with a ``kill`` fault armed at the
 #: ``store.write`` site for one victim chart -- it dies via ``os._exit(3)``
-#: after the publish's inserts and before its ``COMMIT``, like a power cut.
+#: after the inserts of the group holding the victim and before its
+#: ``COMMIT``, like a power cut.  ``bound`` sets ``GROUP_COMMIT_S`` (a
+#: number of seconds, or ``default``).
 KILL_CHILD = """
 import sys
-from repro import faults
+from repro import faults, store
 from repro.datasets import build_catalog
 from repro.experiments import run_full_evaluation
 
-store_dir, victim, sample = sys.argv[1], sys.argv[2], int(sys.argv[3])
+store_dir, victim, sample, bound = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
+if bound != "default":
+    store.GROUP_COMMIT_S = float(bound)
 faults.mark_pool_worker()  # enable genuine os._exit kills in this process
 plan = faults.FaultPlan(
     faults.FaultSpec(faults.STORE_WRITE, charts=(victim,), attempts=99, kind="kill")
@@ -247,6 +260,27 @@ run_full_evaluation(
 )
 sys.exit(0)  # unreachable: the kill fires during the victim's publish
 """
+
+
+def kill_mid_publish(applications, store_dir: Path, victim: int, bound: str) -> None:
+    """Run :data:`KILL_CHILD` over the sample; it must die at the victim's group commit."""
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            KILL_CHILD,
+            str(store_dir),
+            chart_key(applications, victim),
+            str(SAMPLE),
+            bound,
+        ],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        cwd=str(REPO_ROOT),
+        timeout=300,
+    )
+    assert completed.returncode == 3, completed.stderr
 
 #: Child process: one full durable sweep against a shared store directory;
 #: writes the canonical reports as JSON so the parent can diff them.
@@ -290,22 +324,8 @@ class TestCrashAndConcurrency:
     def test_kill_nine_mid_publish_then_resume(self, applications, baseline, tmp_path):
         store_dir = tmp_path / "store"
         victim = SAMPLE // 2
-        completed = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                KILL_CHILD,
-                str(store_dir),
-                chart_key(applications, victim),
-                str(SAMPLE),
-            ],
-            capture_output=True,
-            text=True,
-            env=subprocess_env(),
-            cwd=str(REPO_ROOT),
-            timeout=300,
-        )
-        assert completed.returncode == 3, completed.stderr
+        # At a bound of 0 every chart is its own group.
+        kill_mid_publish(applications, store_dir, victim, "0")
         # The serial sweep published charts 0..victim-1 before dying; no
         # entry the dead writer left behind may be torn.
         store = ResultStore(store_dir)
@@ -333,6 +353,55 @@ class TestCrashAndConcurrency:
         assert resumed.store_stats["journal_epoch"] == 1
         assert resumed.store_stats["resumed"] == victim
         assert_identical(baseline, canonical_evaluation(resumed), "kill-9 resume")
+
+    def test_kill_nine_in_an_unbounded_group_loses_the_sweep(
+        self, applications, baseline, tmp_path
+    ):
+        # Unbounded, the one group commits when the sweep ends: the kill at
+        # the victim's publish loses every chart of the sweep, whole.
+        store_dir = tmp_path / "store"
+        kill_mid_publish(applications, store_dir, SAMPLE // 2, "inf")
+        store = ResultStore(store_dir)
+        assert store.verify_all() == {"healthy": 0, "defective": 0}
+        prior = read_prior_state(store_dir)
+        assert (prior.epoch, prior.records) == (1, {})
+        resumed = run_full_evaluation(applications=applications, store=store)
+        assert not resumed.failed
+        assert resumed.store_stats["journal_rotated"] is None
+        assert resumed.store_stats["journal_epoch"] == 1
+        assert resumed.store_stats["loaded"] == 0
+        assert resumed.store_stats["computed"] == SAMPLE
+        assert_identical(baseline, canonical_evaluation(resumed), "unbounded kill-9 resume")
+
+    def test_kill_nine_at_the_default_bound_keeps_groups_whole(
+        self, applications, baseline, tmp_path
+    ):
+        store_dir = tmp_path / "store"
+        victim = SAMPLE // 2
+        kill_mid_publish(applications, store_dir, victim, "default")
+        store = ResultStore(store_dir)
+        assert store.verify_all()["defective"] == 0
+        settings_fp = settings_fingerprint(AnalyzerSettings())
+        keys = [result_key(app, settings_fp) for app in applications]
+        stored = {key for (key,) in store_db.query(store_dir, "SELECT key FROM entries")}
+        records = read_prior_state(store_dir).records
+        # Whatever groups committed before the kill did so whole: every
+        # stored row has its ``ok`` record and every record its row.
+        assert stored == {record["result"] for record in records.values() if record["status"] == "ok"}
+        assert set(records) == {chart_key(applications, keys.index(key)) for key in stored}
+        assert keys[victim] not in stored
+        assert chart_key(applications, victim) not in records
+        assert stored <= set(keys[:victim])
+        resumed = run_full_evaluation(applications=applications, store=store)
+        assert not resumed.failed
+        assert resumed.store_stats["loaded"] == len(stored)
+        assert resumed.store_stats["computed"] == SAMPLE - len(stored)
+        loaded = {
+            record["result"] for record in read_prior_state(store_dir).records.values()
+            if record["source"] == "store"
+        }
+        assert loaded == stored
+        assert_identical(baseline, canonical_evaluation(resumed), "default-bound kill-9 resume")
 
     def test_two_concurrent_sweeps_share_one_store(self, baseline, tmp_path):
         store_dir = tmp_path / "store"
@@ -550,6 +619,137 @@ class TestStoreChaos:
         assert result.store_stats["computed"] == SAMPLE
         assert store.stats()["read_errors"] >= 1
         assert_identical(baseline, canonical_evaluation(result), "read-error sweep")
+
+
+def count_commits(monkeypatch) -> list[int]:
+    """Record the number of staged statements each store transaction carries."""
+    transact = store_module._Database.transact
+    staged: list[int] = []
+
+    def counted(self, work, fault_site=None):
+        staged.append(len(self.staged))
+        return transact(self, work, fault_site)
+
+    monkeypatch.setattr(store_module._Database, "transact", counted)
+    return staged
+
+
+class TestGroupCommit:
+    @pytest.mark.parametrize(
+        "bound, commits",
+        [
+            # ``begin``, then one group: every result row with its record.
+            (math.inf, [0, 2 * SAMPLE]),
+            # ``begin``, then one group per chart.
+            (0.0, [0] + [2] * SAMPLE),
+        ],
+        ids=["unbounded", "zero"],
+    )
+    def test_cold_sweep_commits_per_group(
+        self, applications, baseline, tmp_path, monkeypatch, bound, commits
+    ):
+        monkeypatch.setattr(store_module, "GROUP_COMMIT_S", bound)
+        staged = count_commits(monkeypatch)
+        cold = run_full_evaluation(applications=applications, store=ResultStore(tmp_path / "store"))
+        assert staged == commits
+        assert cold.store_stats["computed"] == SAMPLE
+        assert_identical(baseline, canonical_evaluation(cold), f"cold store, bound {bound}")
+
+    def test_warm_sweep_commits_twice(self, applications, tmp_path, monkeypatch):
+        store_dir = tmp_path / "store"
+        run_full_evaluation(applications=applications, store=ResultStore(store_dir))
+        staged = count_commits(monkeypatch)
+        warm = run_full_evaluation(applications=applications, store=ResultStore(store_dir))
+        assert warm.store_stats["loaded"] == SAMPLE
+        # ``begin``, then the loaded charts' records; no empty transaction.
+        assert staged == [0, SAMPLE]
+
+    def test_failed_group_commit_journals_each_chart_alone(
+        self, applications, baseline, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(store_module, "GROUP_COMMIT_S", math.inf)
+        store_dir = tmp_path / "store"
+        half = SAMPLE // 2
+        run_full_evaluation(applications=applications[:half], store=ResultStore(store_dir))
+        # One group holds every chart the sweep computes or quarantines:
+        # charts half.. SAMPLE-1, one of them quarantined, the store.write
+        # error aimed at another.
+        quarantined, victim = half + 1, half + 2
+        plan = faults.FaultPlan(
+            faults.FaultSpec(faults.RULES, charts=(chart_key(applications, quarantined),),
+                             attempts=99),
+            faults.FaultSpec(faults.STORE_WRITE, charts=(chart_key(applications, victim),),
+                             attempts=99),
+        )
+        store = ResultStore(store_dir)
+        result = run_full_evaluation(
+            applications=applications,
+            store=store,
+            fault_plan=plan,
+            max_attempts=MAX_ATTEMPTS,
+            retry_backoff=BACKOFF,
+        )
+        assert [failure.unique_id for failure in result.failed] == [
+            chart_key(applications, quarantined)
+        ]
+        stats = result.store_stats
+        computed = SAMPLE - half - 1
+        assert (stats["loaded"], stats["computed"], stats["failed"]) == (half, computed, 1)
+        assert stats["unstored"] == computed
+        assert store.stats()["write_failures"] == computed
+        settings_fp = settings_fingerprint(AnalyzerSettings())
+        keys = [result_key(app, settings_fp) for app in applications]
+        stored = {key for (key,) in store_db.query(store_dir, "SELECT key FROM entries")}
+        assert stored == set(keys[:half])
+        records = read_prior_state(store_dir).records
+        expected = {chart_key(applications, index): ("ok", "store") for index in range(half)}
+        for index in range(half, SAMPLE):
+            expected[chart_key(applications, index)] = (
+                ("failed", "computed") if index == quarantined else ("ok", "computed-unstored")
+            )
+        assert {chart: (rec["status"], rec["source"]) for chart, rec in records.items()} == expected
+
+        healed = run_full_evaluation(
+            applications=applications, store=ResultStore(store_dir), retry_backoff=BACKOFF
+        )
+        assert not healed.failed
+        recomputed = {
+            chart for chart, record in read_prior_state(store_dir).records.items()
+            if record["source"] == "computed"
+        }
+        assert recomputed == {chart_key(applications, index) for index in range(half, SAMPLE)}
+        assert_identical(baseline, canonical_evaluation(healed), "after a failed group commit")
+
+    def test_interrupted_sweep_publishes_its_open_group(
+        self, applications, baseline, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(store_module, "GROUP_COMMIT_S", math.inf)
+        interrupt_at = SAMPLE // 2
+        run_isolated = evaluation._run_isolated
+
+        def interrupted(app, *args):
+            if app is applications[interrupt_at]:
+                raise KeyboardInterrupt
+            return run_isolated(app, *args)
+
+        monkeypatch.setattr(evaluation, "_run_isolated", interrupted)
+        store_dir = tmp_path / "store"
+        with pytest.raises(KeyboardInterrupt):
+            run_full_evaluation(applications=applications, store=ResultStore(store_dir))
+        settings_fp = settings_fingerprint(AnalyzerSettings())
+        keys = [result_key(app, settings_fp) for app in applications]
+        stored = {key for (key,) in store_db.query(store_dir, "SELECT key FROM entries")}
+        assert stored == set(keys[:interrupt_at])
+        records = read_prior_state(store_dir).records
+        assert {chart: (rec["status"], rec["source"]) for chart, rec in records.items()} == {
+            chart_key(applications, index): ("ok", "computed") for index in range(interrupt_at)
+        }
+
+        monkeypatch.setattr(evaluation, "_run_isolated", run_isolated)
+        resumed = run_full_evaluation(applications=applications, store=ResultStore(store_dir))
+        assert resumed.store_stats["loaded"] == interrupt_at
+        assert resumed.store_stats["computed"] == SAMPLE - interrupt_at
+        assert_identical(baseline, canonical_evaluation(resumed), "interrupted sweep resumed")
 
 
 class TestJournal:

@@ -95,9 +95,9 @@ def matrix_of(target, app: str):
     )
 
 
-def observe_fresh(app, double_snapshot: bool = True):
+def observe_fresh(app, double_snapshot: bool = True, rendered=None):
     """The seed observation path: fresh cluster, install, runtime scan."""
-    rendered = render_chart(app.chart)
+    rendered = rendered or render_chart(app.chart)
     cluster = Cluster(name="analysis", behaviors=app.behaviors)
     cluster.install(rendered)
     return RuntimeScanner(cluster).observe(
@@ -261,18 +261,55 @@ def built_applications(draw):
     )
 
 
+@st.composite
+def namespace_manifests(draw):
+    """``Namespace`` objects added to a chart: labelled, unlabelled and nameless."""
+    docs = [
+        {"apiVersion": "v1", "kind": "Namespace", "metadata": _meta(
+            draw(st.sampled_from(NAMESPACES)), None, draw(st.sampled_from(NAMESPACE_LABELS))
+        )}
+        for _ in range(draw(st.integers(min_value=0, max_value=3)))
+    ]
+    if draw(st.integers(min_value=0, max_value=4)) == 4:
+        docs.append({"apiVersion": "v1", "kind": "Namespace", "metadata": {}})
+    return docs
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(app=built_applications(), double_snapshot=st.booleans())
-def test_generated_specs_fast_observation_equals_full(app, double_snapshot):
-    """fast == full for arbitrary generated app specs, single & double snapshot."""
-    reference = observe_fresh(app, double_snapshot=double_snapshot)
-    fast = AnalysisSession(observe_mode=OBSERVE_FAST).observe(
-        render_chart(app.chart), app.behaviors, double_snapshot=double_snapshot
-    )
-    assert_identical(
-        canonical_observation(reference), canonical_observation(fast),
-        label="generated/fast-vs-full",
-    )
+@given(
+    app=built_applications(),
+    double_snapshot=st.booleans(),
+    namespaces=namespace_manifests(),
+    positions=st.lists(st.integers(min_value=0, max_value=40), min_size=4, max_size=4),
+)
+def test_generated_specs_fast_observation_equals_full(app, double_snapshot, namespaces, positions):
+    """fast == full for arbitrary generated app specs, single & double snapshot.
+
+    ``Namespace`` objects among the chart's are validated as install applies
+    them: equal observations, or the same error on both paths.
+    """
+    rendered = render_chart(app.chart)
+
+    def fresh():
+        return with_extras(rendered, namespaces, positions, False, rendered.release.name)
+
+    reference = error = None
+    try:
+        reference = observe_fresh(app, double_snapshot=double_snapshot, rendered=fresh())
+    except Exception as exc:  # noqa: BLE001 -- error parity is under test
+        error = (type(exc).__name__, str(exc))
+    try:
+        fast = AnalysisSession(observe_mode=OBSERVE_FAST).observe(
+            fresh(), app.behaviors, double_snapshot=double_snapshot
+        )
+    except Exception as exc:  # noqa: BLE001
+        assert (type(exc).__name__, str(exc)) == error
+    else:
+        assert error is None, f"install raised {error}, the fast path did not"
+        assert_identical(
+            canonical_observation(reference), canonical_observation(fast),
+            label="generated/fast-vs-full",
+        )
 
 
 #: One long-lived session shared across Hypothesis examples: every example
